@@ -17,7 +17,13 @@ health sampling and telemetry attribution all enabled.  The script then:
 from pathlib import Path
 
 from repro.metrics.attribution import reconcile_attribution
-from repro.obs.report import SLOThresholds, slo_verdicts, sparkline, write_run_report
+from repro.obs.report import (
+    SLOThresholds,
+    run_report,
+    slo_verdicts,
+    sparkline,
+    write_report,
+)
 from repro.obs.trace import MemoryTraceSink
 from repro.scenarios.library import bursty_multitenant_scenario
 from repro.sim.config import SimulationConfig
@@ -74,8 +80,8 @@ def main() -> None:
         )
 
     out = Path(__file__).resolve().parent / "tenant_report.html"
-    write_run_report(
-        out, result, slo=slo, sink=sink, title=f"Tenant report: {scenario.name}"
+    write_report(
+        out, run_report(result, slo=slo, sink=sink, title=f"Tenant report: {scenario.name}")
     )
     print(f"\nwrote {out} - open it in any browser")
 

@@ -22,19 +22,81 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.array.layout import ArrayLayout
-from repro.metrics.attribution import (
-    AttributionReport,
-    merge_attribution_reports,
-    untagged_report,
-)
+from repro.metrics.attribution import AttributionReport, pool_attribution
 from repro.metrics.latency import LatencyStats, merge_latency_stats
 from repro.metrics.report import SimulationResult
 from repro.metrics.utilization import UtilizationReport, merge_utilization_reports
 from repro.obs.counters import merge_counter_snapshots
 
 
+def _max_to_mean(values: Sequence[float]) -> float:
+    """Max-to-mean imbalance ratio with the 0.0 empty/idle sentinel."""
+    mean = sum(values) / len(values) if values else 0.0
+    if mean <= 0.0:
+        return 0.0
+    return max(values) / mean
+
+
+class PooledResult:
+    """A result pooled over parts that ran concurrently and independently.
+
+    An array pools its devices' :class:`SimulationResult`s and a fleet pools
+    its nodes' :class:`ArrayResult`s.  Parts never share an event clock, so
+    throughput figures add up, wall-clock is the slowest part's makespan,
+    and attribution pools exactly
+    (:func:`~repro.metrics.attribution.pool_attribution`);
+    :func:`~repro.metrics.attribution.reconcile_attribution` walks the tree
+    through :attr:`parts`.
+    """
+
+    #: What one part is called in reconciliation messages.
+    part_kind = "part"
+
+    @property
+    def parts(self) -> Sequence:
+        """The pooled results, one per part."""
+        raise NotImplementedError
+
+    @property
+    def bandwidth_kb_s(self) -> float:
+        """Pooled bandwidth: the sum of the parts' bandwidths."""
+        return sum(part.bandwidth_kb_s for part in self.parts)
+
+    @property
+    def iops(self) -> float:
+        """Pooled IOPS: the sum of the parts' IOPS."""
+        return sum(part.iops for part in self.parts)
+
+    @property
+    def total_bytes(self) -> int:
+        """Bytes served across every part (conserved by placement)."""
+        return sum(part.total_bytes for part in self.parts)
+
+    @property
+    def completed_ios(self) -> int:
+        """Device commands completed across every part (split fragments)."""
+        return sum(part.completed_ios for part in self.parts)
+
+    @property
+    def makespan_ns(self) -> int:
+        """Wall-clock of the pooled run: the slowest part's makespan."""
+        return max((part.makespan_ns for part in self.parts), default=0)
+
+    def byte_imbalance(self) -> float:
+        """Max-to-mean ratio of bytes served per part; 1.0 is balanced.
+
+        Returns the ``0.0`` sentinel when nothing was served (mirrors
+        :meth:`UtilizationReport.imbalance`).
+        """
+        return _max_to_mean([part.total_bytes for part in self.parts])
+
+    def iops_imbalance(self) -> float:
+        """Max-to-mean ratio of per-part IOPS; 1.0 is balanced."""
+        return _max_to_mean([part.iops for part in self.parts])
+
+
 @dataclass
-class ArrayResult:
+class ArrayResult(PooledResult):
     """Merged outcome of one workload run across every device of an array."""
 
     scheduler: str
@@ -49,39 +111,15 @@ class ArrayResult:
     #: namespaces chip keys - no cross-device aggregation surprises.
     counters: Dict[str, int] = field(default_factory=dict)
     #: Per-tenant/per-phase attribution pooled across devices (``None`` when
-    #: no device recorded any tagged completion).  Devices without tags
-    #: contribute their totals to the untagged remainder, so
-    #: :func:`repro.metrics.attribution.reconcile_attribution` holds exactly
-    #: at array level too.
+    #: no device recorded any tagged completion).
     attribution: Optional[AttributionReport] = None
 
-    # ------------------------------------------------------------------
-    # Aggregate throughput (devices run concurrently -> figures add up)
-    # ------------------------------------------------------------------
-    @property
-    def aggregate_bandwidth_kb_s(self) -> float:
-        """Array bandwidth: the sum of per-device bandwidths."""
-        return sum(result.bandwidth_kb_s for result in self.device_results)
+    part_kind = "device"
 
     @property
-    def aggregate_iops(self) -> float:
-        """Array IOPS: the sum of per-device IOPS."""
-        return sum(result.iops for result in self.device_results)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes served across the whole array (conserved by placement)."""
-        return sum(result.total_bytes for result in self.device_results)
-
-    @property
-    def completed_ios(self) -> int:
-        """Per-device commands completed (fragments of split host requests)."""
-        return sum(result.completed_ios for result in self.device_results)
-
-    @property
-    def makespan_ns(self) -> int:
-        """Wall-clock of the array run: the slowest device's makespan."""
-        return max((result.makespan_ns for result in self.device_results), default=0)
+    def parts(self) -> Tuple[SimulationResult, ...]:
+        """The per-device results."""
+        return self.device_results
 
     # ------------------------------------------------------------------
     # Cross-device balance
@@ -93,18 +131,6 @@ class ArrayResult:
         if not means:
             return 0.0
         return max(means) - min(means)
-
-    def byte_imbalance(self) -> float:
-        """Max-to-mean ratio of bytes served per device; 1.0 is balanced.
-
-        Returns the ``0.0`` sentinel when the array served no bytes (mirrors
-        :meth:`UtilizationReport.imbalance`).
-        """
-        bytes_per_device = [result.total_bytes for result in self.device_results]
-        mean = sum(bytes_per_device) / len(bytes_per_device) if bytes_per_device else 0.0
-        if mean <= 0.0:
-            return 0.0
-        return max(bytes_per_device) / mean
 
     @property
     def chip_utilization(self) -> float:
@@ -132,8 +158,8 @@ class ArrayResult:
             "workload": self.workload,
             "policy": self.policy,
             "devices": self.num_devices,
-            "bandwidth_mb_s": round(self.aggregate_bandwidth_kb_s / 1024.0, 1),
-            "iops": round(self.aggregate_iops, 1),
+            "bandwidth_mb_s": round(self.bandwidth_kb_s / 1024.0, 1),
+            "iops": round(self.iops, 1),
             "avg_latency_us": round(self.avg_latency_ns / 1_000.0, 1),
             "p99_latency_us": round(self.latency.percentile_ns(0.99) / 1_000.0, 1),
             "chip_utilization": round(self.chip_utilization, 4),
@@ -151,22 +177,9 @@ def merge_device_results(
 ) -> ArrayResult:
     """Fold per-device :class:`SimulationResult`s into one :class:`ArrayResult`.
 
-    Attribution merges exactly: per-(tenant, phase) slices sum across
-    devices, and devices that saw no tagged traffic count toward the
-    untagged remainder.  The merged report is ``None`` only when *no*
-    device carries attribution (fully untagged workloads).
+    Attribution pools exactly via
+    :func:`~repro.metrics.attribution.pool_attribution`.
     """
-    if any(result.attribution is not None for result in results):
-        attribution = merge_attribution_reports(
-            [
-                result.attribution
-                if result.attribution is not None
-                else untagged_report(result.completed_ios, result.total_bytes)
-                for result in results
-            ]
-        )
-    else:
-        attribution = None
     return ArrayResult(
         scheduler=scheduler,
         workload=workload,
@@ -187,7 +200,7 @@ def merge_device_results(
                 for index, result in enumerate(results)
             ]
         ),
-        attribution=attribution,
+        attribution=pool_attribution(results),
     )
 
 

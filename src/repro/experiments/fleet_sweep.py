@@ -31,11 +31,10 @@ from repro.fleet import (
     FleetSpec,
     TenantPolicy,
     run_fleet,
-    write_fleet_report,
 )
 from repro.fleet.result import FleetResult
 from repro.metrics.report import format_table
-from repro.obs.report import SLOThresholds
+from repro.obs.report import SLOThresholds, fleet_report, write_report
 from repro.scenarios.library import fleet_scenario
 from repro.scenarios.scenario import Scenario
 
@@ -180,7 +179,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     print(format_table(rows, title="Fleet sweep: size x placement"))
     if args.report:
         key = max(results, key=lambda k: (k[1], k[2]))
-        path = write_fleet_report(args.report, results[key])
+        path = write_report(args.report, fleet_report(results[key]))
         print(f"\nwrote fleet report for {key} to {path}")
 
 

@@ -11,7 +11,8 @@ fans every node's devices through the existing
 backend, checkpointing and tracing all apply per device job - and
 :class:`FleetResult` merges the per-array results with *exact* per-tenant
 attribution, SLO verdicts and placement-balance metrics
-(:func:`reconcile_fleet` asserts the whole chain).
+(:func:`reconcile_fleet` asserts the whole chain;
+:func:`repro.obs.report.fleet_report` renders it).
 """
 
 from repro.fleet.admission import AdmissionStats, admit_stream
@@ -27,11 +28,6 @@ from repro.fleet.placement import (
     plan_placement,
     stable_tenant_hash,
     tenant_demands,
-)
-from repro.fleet.report import (
-    fleet_report_html,
-    fleet_report_markdown,
-    write_fleet_report,
 )
 from repro.fleet.result import FleetResult, merge_node_results, reconcile_fleet
 from repro.fleet.run import FleetWorkloads, build_fleet_workloads, fleet_jobs, run_fleet
@@ -57,9 +53,6 @@ __all__ = [
     "plan_placement",
     "stable_tenant_hash",
     "tenant_demands",
-    "fleet_report_html",
-    "fleet_report_markdown",
-    "write_fleet_report",
     "FleetResult",
     "merge_node_results",
     "reconcile_fleet",

@@ -2,13 +2,12 @@
 
 A :class:`FleetResult` folds per-node :class:`~repro.array.host.ArrayResult`
 objects into cluster aggregates the same way the array layer folds device
-results: throughput figures add (nodes run concurrently and
-independently), latency percentiles pool the union sample population, and
-attribution merges exactly - per-tenant counts, bytes and (full-history)
-percentile inputs at fleet level are precisely the sums of the per-array
-slices.  :func:`reconcile_fleet` asserts that chain end to end, which is
-what makes per-tenant SLO verdicts at fleet scale trustworthy rather than
-approximate.
+results - both are :class:`~repro.array.host.PooledResult`s: throughput
+figures add (nodes run concurrently and independently), latency
+percentiles pool the union sample population, and attribution pools
+exactly.  :func:`reconcile_fleet` asserts that chain from the fleet down to
+every device, which is what makes per-tenant SLO verdicts at fleet scale
+trustworthy rather than approximate.
 """
 
 from __future__ import annotations
@@ -16,33 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.array.host import ArrayResult
+from repro.array.host import ArrayResult, PooledResult
 from repro.fleet.admission import AdmissionStats
 from repro.fleet.background import BackgroundStats
 from repro.fleet.placement import PlacementPlan
 from repro.fleet.spec import FleetSpec
 from repro.metrics.attribution import (
     AttributionReport,
-    merge_attribution_reports,
+    pool_attribution,
     reconcile_attribution,
-    untagged_report,
 )
 from repro.metrics.latency import LatencyStats, merge_latency_stats
-from repro.obs.report import SLOCheck
-
-
-def _max_to_mean(values: Sequence[float]) -> float:
-    """Max-to-mean imbalance ratio with the 0.0 empty/idle sentinel."""
-    if not values:
-        return 0.0
-    mean = sum(values) / len(values)
-    if mean <= 0.0:
-        return 0.0
-    return max(values) / mean
+from repro.obs.report import SLOCheck, slo_verdicts
 
 
 @dataclass
-class FleetResult:
+class FleetResult(PooledResult):
     """Merged outcome of one fleet run across every node."""
 
     name: str
@@ -59,44 +47,12 @@ class FleetResult:
     #: maintenance slices are never checked).
     slo_checks: Tuple[SLOCheck, ...] = ()
 
-    # ------------------------------------------------------------------
-    # Aggregate throughput (nodes run concurrently -> figures add up)
-    # ------------------------------------------------------------------
-    @property
-    def aggregate_bandwidth_kb_s(self) -> float:
-        """Fleet bandwidth: the sum of per-node array bandwidths."""
-        return sum(result.aggregate_bandwidth_kb_s for result in self.node_results)
+    part_kind = "node"
 
     @property
-    def aggregate_iops(self) -> float:
-        """Fleet IOPS: the sum of per-node array IOPS."""
-        return sum(result.aggregate_iops for result in self.node_results)
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes served across the fleet."""
-        return sum(result.total_bytes for result in self.node_results)
-
-    @property
-    def completed_ios(self) -> int:
-        """Device commands completed across the fleet (split fragments)."""
-        return sum(result.completed_ios for result in self.node_results)
-
-    @property
-    def makespan_ns(self) -> int:
-        """Fleet wall-clock: the slowest node's makespan."""
-        return max((result.makespan_ns for result in self.node_results), default=0)
-
-    # ------------------------------------------------------------------
-    # Placement balance
-    # ------------------------------------------------------------------
-    def byte_imbalance(self) -> float:
-        """Max-to-mean ratio of bytes served per node; 1.0 is balanced."""
-        return _max_to_mean([result.total_bytes for result in self.node_results])
-
-    def iops_imbalance(self) -> float:
-        """Max-to-mean ratio of per-node IOPS; 1.0 is balanced."""
-        return _max_to_mean([result.aggregate_iops for result in self.node_results])
+    def parts(self) -> Tuple[ArrayResult, ...]:
+        """The per-node array results."""
+        return self.node_results
 
     # ------------------------------------------------------------------
     # SLO accounting
@@ -147,8 +103,8 @@ class FleetResult:
             "fleet": self.name,
             "placement": self.placement,
             "nodes": len(self.node_results),
-            "bandwidth_mb_s": round(self.aggregate_bandwidth_kb_s / 1024.0, 1),
-            "iops": round(self.aggregate_iops, 1),
+            "bandwidth_mb_s": round(self.bandwidth_kb_s / 1024.0, 1),
+            "iops": round(self.iops, 1),
             "p99_latency_us": round(self.latency.percentile_ns(0.99) / 1_000.0, 1),
             "slo_violations": self.slo_violations_total,
             "byte_imbalance": round(self.byte_imbalance(), 3),
@@ -175,87 +131,30 @@ def merge_node_results(
 ) -> FleetResult:
     """Fold per-node :class:`ArrayResult`s into one :class:`FleetResult`.
 
-    Attribution merges exactly across nodes (nodes without tagged traffic
-    count toward the untagged remainder); SLO checks are evaluated on the
-    merged per-tenant latency populations, skipping ``bg:`` maintenance
-    slices.
+    Attribution pools exactly across nodes; SLO checks are evaluated on the
+    merged per-tenant latency populations (:func:`~repro.obs.report.
+    slo_verdicts`, which skips ``bg:`` maintenance slices).
     """
-    if any(result.attribution is not None for result in node_results):
-        attribution = merge_attribution_reports(
-            [
-                result.attribution
-                if result.attribution is not None
-                else untagged_report(result.completed_ios, result.total_bytes)
-                for result in node_results
-            ]
-        )
-    else:
-        attribution = None
-
-    slo_checks: List[SLOCheck] = []
-    if attribution is not None:
-        for entry in attribution.tenant_totals():
-            if entry.tenant.startswith("bg:"):
-                continue
-            slo = spec.slo_for(entry.tenant)
-            if slo:
-                slo_checks.extend(slo.check(entry.tenant, entry.latency))
-
-    return FleetResult(
+    fleet = FleetResult(
         name=spec.name,
         placement=spec.placement,
         node_names=spec.node_names(),
         node_results=tuple(node_results),
         plan=plan,
         latency=merge_latency_stats([result.latency for result in node_results]),
-        attribution=attribution,
+        attribution=pool_attribution(node_results),
         admission=tuple(admission),
         background=tuple(background),
-        slo_checks=tuple(slo_checks),
     )
+    fleet.slo_checks = tuple(slo_verdicts(fleet, spec.slo_for))
+    return fleet
 
 
 def reconcile_fleet(fleet: FleetResult) -> List[str]:
     """Check the fleet's attribution chain end to end; empty = exact.
 
-    Two layers of invariants:
-
-    1. :func:`~repro.metrics.attribution.reconcile_attribution` on the
-       fleet aggregate (tagged + untagged == totals, per-slice sample
-       counts, pooled percentile population).
-    2. The merge itself: every fleet-level per-tenant slice must equal the
-       *sum* of that tenant's per-array slices - counts, bytes and (full
-       history) the latency sample population, compared exactly.
+    One :func:`~repro.metrics.attribution.reconcile_attribution` call walks
+    fleet -> nodes -> devices: at every level the slices reconcile with the
+    aggregate, and every merged slice equals the sum of its parts' slices.
     """
-    problems = list(reconcile_attribution(fleet))
-    if fleet.attribution is None:
-        return problems
-    for tenant in fleet.attribution.tenants():
-        merged = fleet.attribution.by_tenant(tenant)
-        node_slices = [
-            result.attribution.by_tenant(tenant)
-            for result in fleet.node_results
-            if result.attribution is not None
-            and tenant in result.attribution.tenants()
-        ]
-        ios = sum(entry.completed_ios for entry in node_slices)
-        volume = sum(entry.total_bytes for entry in node_slices)
-        if ios != merged.completed_ios:
-            problems.append(
-                f"tenant {tenant!r}: fleet slice counts {merged.completed_ios} "
-                f"I/Os but per-array slices sum to {ios}"
-            )
-        if volume != merged.total_bytes:
-            problems.append(
-                f"tenant {tenant!r}: fleet slice counts {merged.total_bytes} "
-                f"bytes but per-array slices sum to {volume}"
-            )
-        pooled: List[int] = []
-        for entry in node_slices:
-            pooled.extend(entry.latency.samples_ns)
-        if len(pooled) == ios and sorted(pooled) != sorted(merged.latency.samples_ns):
-            problems.append(
-                f"tenant {tenant!r}: fleet latency population does not match "
-                "the union of per-array samples"
-            )
-    return problems
+    return reconcile_attribution(fleet)

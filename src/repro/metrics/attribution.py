@@ -18,7 +18,7 @@ field, so a tagged run stays digest-identical to an untagged one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.latency import (
     DEFAULT_TAIL_WINDOW_NS,
@@ -277,26 +277,81 @@ def merge_attribution_reports(
     )
 
 
-def untagged_report(completed_ios: int, total_bytes: int) -> AttributionReport:
-    """An attribution report for a result with no tagged completions.
+def pool_attribution(parts) -> Optional[AttributionReport]:
+    """Pool the attribution of concurrently run parts into one report.
 
-    Used when merging attribution across devices of which some saw no
-    tagged traffic (their ``attribution`` is ``None``): substituting an
-    all-untagged report keeps the tagged + untagged == aggregate invariant
-    exact across the merge.
+    ``parts`` are the devices of an array or the nodes of a fleet (anything
+    with ``attribution``, ``completed_ios`` and ``total_bytes``).  Parts
+    that saw no tagged traffic count toward the untagged remainder, so the
+    tagged + untagged == aggregate invariant stays exact across the merge.
+    Returns ``None`` when no part carries attribution.
     """
-    return AttributionReport(
-        entries=(), untagged_ios=completed_ios, untagged_bytes=total_bytes
+    if all(part.attribution is None for part in parts):
+        return None
+    return merge_attribution_reports(
+        [
+            part.attribution
+            if part.attribution is not None
+            else AttributionReport(
+                entries=(),
+                untagged_ios=part.completed_ios,
+                untagged_bytes=part.total_bytes,
+            )
+            for part in parts
+        ]
     )
 
 
+#: Slice fields that must add up exactly across a merge.
+_ADDITIVE_FIELDS = ("completed_ios", "reads", "writes", "read_bytes", "write_bytes")
+
+
+def _merge_problems(result) -> List[str]:
+    """Every merged ``(tenant, phase)`` slice must be the sum of its parts'."""
+    by_key: Dict[Tuple[str, int], List[TenantPhaseStats]] = {}
+    for part in result.parts:
+        if part.attribution is not None:
+            for entry in part.attribution.entries:
+                by_key.setdefault((entry.tenant, entry.phase_index), []).append(entry)
+    merged = {(entry.tenant, entry.phase_index): entry for entry in result.attribution.entries}
+    problems: List[str] = []
+    for key in sorted(by_key.keys() | merged.keys(), key=lambda item: (item[1], item[0])):
+        label = f"slice ({key[0]}, phase {key[1]})"
+        slices = by_key.get(key, [])
+        entry = merged.get(key)
+        if entry is None:
+            problems.append(f"{label}: present in the parts but missing from the merge")
+            continue
+        for name in _ADDITIVE_FIELDS:
+            expected = sum(getattr(part, name) for part in slices)
+            if getattr(entry, name) != expected:
+                problems.append(
+                    f"{label}: merged {name} is {getattr(entry, name)} but the "
+                    f"parts' slices sum to {expected}"
+                )
+        pooled = [sample for part in slices for sample in part.latency.samples_ns]
+        if len(pooled) == entry.completed_ios and sorted(pooled) != sorted(
+            entry.latency.samples_ns
+        ):
+            problems.append(
+                f"{label}: merged latency population does not match the union "
+                "of the parts' samples"
+            )
+    return problems
+
+
 def reconcile_attribution(result) -> List[str]:
-    """Check a result's attribution against its aggregate stats.
+    """Check a result's attribution against its aggregate stats, recursively.
 
     Returns a list of human-readable problems (empty = exact).  Counts and
     byte totals must always reconcile; the pooled percentile inputs are
     additionally compared sample-for-sample when the aggregate retained a
     full history (slice sample counts matching the aggregate population).
+
+    Pooled results (arrays, fleets) expose their ``parts``; for those, every
+    merged slice must also equal the sum of its parts' slices, and every
+    tagged part must reconcile on its own - so one call checks a fleet down
+    to its devices.
     """
     report = result.attribution
     if report is None:
@@ -339,4 +394,13 @@ def reconcile_attribution(result) -> List[str]:
             "pooled per-slice percentile inputs do not match the aggregate "
             f"sample population ({len(pooled)} vs {len(aggregate)} samples)"
         )
+    parts = getattr(result, "parts", ())
+    if parts:
+        problems += _merge_problems(result)
+        for index, part in enumerate(parts):
+            if part.attribution is not None:
+                problems += [
+                    f"{result.part_kind} {index}: {problem}"
+                    for problem in reconcile_attribution(part)
+                ]
     return problems

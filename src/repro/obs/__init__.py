@@ -50,15 +50,14 @@ _WINDOW_EXPORTS = (
 _REPORT_EXPORTS = (
     "SLOCheck",
     "SLOThresholds",
-    "html_document",
-    "render_html_table",
-    "render_markdown_table",
-    "run_report_html",
-    "run_report_markdown",
+    "fleet_report",
+    "render_html",
+    "render_markdown",
+    "run_report",
     "slo_verdicts",
     "sparkline",
     "svg_sparkline",
-    "write_run_report",
+    "write_report",
 )
 
 
@@ -100,13 +99,12 @@ __all__ = [
     "reference_tail_windows",
     "SLOCheck",
     "SLOThresholds",
-    "html_document",
-    "render_html_table",
-    "render_markdown_table",
-    "run_report_html",
-    "run_report_markdown",
+    "fleet_report",
+    "render_html",
+    "render_markdown",
+    "run_report",
     "slo_verdicts",
     "sparkline",
     "svg_sparkline",
-    "write_run_report",
+    "write_report",
 ]

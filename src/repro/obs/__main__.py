@@ -117,7 +117,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import SLOThresholds, write_run_report
+    from repro.obs.report import SLOThresholds, run_report, write_report
     from repro.obs.trace import MemoryTraceSink
     from repro.scenarios.library import (
         bursty_multitenant_scenario,
@@ -152,12 +152,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     slo = SLOThresholds(
         mean_us=args.slo_mean_us, p99_us=args.slo_p99_us, p999_us=args.slo_p999_us
     )
-    path = write_run_report(
+    path = write_report(
         args.output,
-        result,
-        slo=slo if slo else None,
-        sink=sink,
-        title=f"Scenario report: {scenario.name} [{args.scheduler}]",
+        run_report(
+            result,
+            slo=slo if slo else None,
+            sink=sink,
+            title=f"Scenario report: {scenario.name} [{args.scheduler}]",
+        ),
     )
     tenants = (
         ", ".join(result.attribution.tenants()) if result.attribution else "(none)"

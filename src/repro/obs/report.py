@@ -1,19 +1,23 @@
-"""Self-contained run reports: tenant tables, SLO checks, health sparklines.
+"""Self-contained run and fleet reports, rendered as markdown or HTML.
 
-:func:`write_run_report` turns one finished
-:class:`~repro.metrics.report.SimulationResult` into a single artifact a
-human can open - GitHub-flavoured markdown or a dependency-free HTML page
-with inline SVG sparklines - covering:
+A report is a list of ``(heading, blocks)`` sections - the first heading is
+the page title - and every block is a ``(kind, payload)`` pair:
 
-* the run summary (bandwidth, IOPS, latency aggregates),
-* the per-(tenant, phase) attribution table with tail percentiles, the
-  per-tenant roll-up, and an exact reconciliation check against the
-  aggregate stats,
-* per-tenant SLO threshold verdicts (:class:`SLOThresholds`),
-* sparklines over the periodic health series (event backlog, queue depth,
-  GC pressure, chip busyness),
-* the counter-registry snapshot and (when a trace sink is supplied) the
-  longest recorded spans.
+* ``fields`` - ``(name, value)`` pairs (the summary),
+* ``table`` - dict rows (columns from the first row's keys),
+* ``text`` / ``pass`` / ``fail`` - a paragraph, the latter two a verdict,
+* ``list`` - bullet items,
+* ``sparklines`` - ``(label, values)`` health series.
+
+:func:`run_report` builds the sections for one finished
+:class:`~repro.metrics.report.SimulationResult` (summary, per-(tenant,
+phase) attribution with its exact reconciliation verdict, per-tenant SLO
+verdicts, health sparklines, counters and the longest trace spans);
+:func:`fleet_report` does the same for a
+:class:`~repro.fleet.result.FleetResult` (placement, nodes, tenants, SLOs,
+admission, background work, reconciliation).  :func:`render_markdown` and
+:func:`render_html` render any report, and :func:`write_report` picks the
+renderer from the file suffix.
 
 The module is a *consumer* of finished runs (it imports :mod:`repro.metrics`),
 so :mod:`repro.obs` re-exports it lazily - the simulator-importable leaves
@@ -29,6 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.metrics.attribution import reconcile_attribution
 from repro.obs.trace import MemoryTraceSink
+
+_Block = Tuple[str, object]
+_Section = Tuple[str, List[_Block]]
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -90,13 +97,21 @@ class SLOThresholds:
         ]
 
 
-def slo_verdicts(result, slo: SLOThresholds) -> List[SLOCheck]:
-    """Every tenant's verdicts against ``slo`` (empty without attribution)."""
-    if result.attribution is None or not slo:
+def slo_verdicts(result, slo) -> List[SLOCheck]:
+    """Every foreground tenant's verdicts (empty without attribution).
+
+    ``slo`` is one :class:`SLOThresholds` for every tenant or a ``tenant ->
+    SLOThresholds`` lookup (a fleet's per-tenant overrides).  ``bg:``
+    maintenance slices are never checked: they carry no tenant SLO.
+    """
+    if result.attribution is None:
         return []
+    lookup = slo if callable(slo) else (lambda tenant: slo)
     checks: List[SLOCheck] = []
     for entry in result.attribution.tenant_totals():
-        checks.extend(slo.check(entry.tenant, entry.latency))
+        limits = lookup(entry.tenant)
+        if limits and not entry.tenant.startswith("bg:"):
+            checks.extend(limits.check(entry.tenant, entry.latency))
     return checks
 
 
@@ -135,25 +150,19 @@ def svg_sparkline(values: Sequence[float], *, width: int = 240, height: int = 32
 
 
 # ----------------------------------------------------------------------
-# Section assembly (shared by both renderers)
+# Section assembly
 # ----------------------------------------------------------------------
-def _summary_rows(result) -> List[Tuple[str, object]]:
-    return [
-        ("workload", result.workload),
-        ("scheduler", result.scheduler),
-        ("completed I/Os", result.completed_ios),
-        ("total MB", round(result.total_bytes / (1024.0 * 1024.0), 2)),
-        ("makespan (ms)", round(result.makespan_ns / 1_000_000.0, 3)),
-        ("bandwidth (MB/s)", round(result.bandwidth_kb_s / 1024.0, 1)),
-        ("IOPS", round(result.iops, 1)),
-        ("mean latency (us)", round(result.latency.mean_ns / 1_000.0, 1)),
-        ("p99 latency (us)", round(result.latency.percentile_ns(0.99) / 1_000.0, 1)),
-        ("events processed", result.events_processed),
-    ]
+def _table(rows: Sequence[Dict[str, object]]) -> List[_Block]:
+    return [("table", list(rows))] if rows else []
 
 
-def _tenant_rows(result) -> List[Dict[str, object]]:
-    report = result.attribution
+def _verdict(problems: Sequence[str], ok_text: str) -> List[_Block]:
+    if problems:
+        return [("fail", "Reconciliation FAILED:"), ("list", list(problems))]
+    return [("pass", ok_text)]
+
+
+def _tenant_rows(report) -> List[Dict[str, object]]:
     rows = [entry.summary_row() for entry in report.entries]
     for entry in report.tenant_totals():
         row = entry.summary_row()
@@ -171,17 +180,37 @@ def _tenant_rows(result) -> List[Dict[str, object]]:
     return rows
 
 
-def _health_series(result) -> List[Tuple[str, List[float]]]:
-    samples = result.health
-    if not samples:
-        return []
+def _slo_rows(checks: Sequence[SLOCheck]) -> List[Dict[str, object]]:
     return [
-        (label, [float(getattr(sample, name)) for sample in samples])
-        for name, label in _HEALTH_METRICS
+        {
+            "tenant": check.tenant,
+            "metric": check.metric,
+            "limit_us": check.limit_us,
+            "actual_us": check.actual_us,
+            "verdict": "PASS" if check.ok else "FAIL",
+        }
+        for check in checks
     ]
 
 
-def _top_spans(sink: MemoryTraceSink, count: int) -> List[Dict[str, object]]:
+def _health_blocks(result) -> List[_Block]:
+    samples = result.health
+    if not samples:
+        return []
+    span_ms = round((samples[-1].t_ns - samples[0].t_ns) / 1_000_000.0, 3)
+    series = [
+        (label, [float(getattr(sample, name)) for sample in samples])
+        for name, label in _HEALTH_METRICS
+    ]
+    return [
+        ("text", f"{len(samples)} samples over {span_ms} ms of simulated time."),
+        ("sparklines", series),
+    ]
+
+
+def _top_spans(sink: Optional[MemoryTraceSink], count: int) -> List[Dict[str, object]]:
+    if sink is None:
+        return []
     spans = [record for record in sink.records if record.phase == "X"]
     spans.sort(key=lambda r: (-r.duration_ns, r.start_ns))
     return [
@@ -195,109 +224,143 @@ def _top_spans(sink: MemoryTraceSink, count: int) -> List[Dict[str, object]]:
     ]
 
 
-# ----------------------------------------------------------------------
-# Markdown
-# ----------------------------------------------------------------------
-def render_markdown_table(rows: Sequence[Dict[str, object]]) -> List[str]:
-    """Render dict rows as GitHub-flavoured markdown table lines.
-
-    Columns come from the first row's keys; missing cells render empty.
-    Public so sibling report producers (the fleet report) share one table
-    idiom with the run reports.
-    """
-    return _md_table(rows)
-
-
-def _md_table(rows: Sequence[Dict[str, object]]) -> List[str]:
-    if not rows:
-        return []
-    columns = list(rows[0].keys())
-    lines = [
-        "| " + " | ".join(str(col) for col in columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(row.get(col, "")) for col in columns) + " |")
-    return lines
-
-
-def run_report_markdown(
+def run_report(
     result,
     *,
     slo: Optional[SLOThresholds] = None,
     sink: Optional[MemoryTraceSink] = None,
     title: Optional[str] = None,
     top_span_count: int = 10,
-) -> str:
-    """Render one run as a self-contained markdown report."""
-    lines = [f"# {title or f'Run report: {result.workload} [{result.scheduler}]'}", ""]
-    lines += [f"- **{name}**: {value}" for name, value in _summary_rows(result)]
-
-    lines += ["", "## Tenants", ""]
+) -> List[_Section]:
+    """The report sections of one finished run."""
     if result.attribution is None:
-        lines.append("No provenance tags recorded (not a scenario-built workload).")
-    else:
-        lines += _md_table(_tenant_rows(result))
-        problems = reconcile_attribution(result)
-        lines.append("")
-        if problems:
-            lines.append("**Reconciliation FAILED:**")
-            lines += [f"- {problem}" for problem in problems]
-        else:
-            lines.append(
-                "Reconciliation: per-tenant counts, bytes and pooled "
-                "percentile inputs match the aggregate exactly."
-            )
-
-    checks = slo_verdicts(result, slo) if slo else []
-    if checks:
-        lines += ["", "## SLO checks", ""]
-        lines += _md_table(
-            [
-                {
-                    "tenant": check.tenant,
-                    "metric": check.metric,
-                    "limit_us": check.limit_us,
-                    "actual_us": check.actual_us,
-                    "verdict": "PASS" if check.ok else "FAIL",
-                }
-                for check in checks
-            ]
-        )
-
-    series = _health_series(result)
-    if series:
-        first, last = result.health[0].t_ns, result.health[-1].t_ns
-        lines += [
-            "",
-            "## Health",
-            "",
-            f"{len(result.health)} samples over "
-            f"{round((last - first) / 1_000_000.0, 3)} ms of simulated time.",
-            "",
+        tenants: List[_Block] = [
+            ("text", "No provenance tags recorded (not a scenario-built workload).")
         ]
-        width = max(len(label) for label, _ in series)
-        lines.append("```")
-        for label, values in series:
-            lines.append(
+    else:
+        tenants = _table(_tenant_rows(result.attribution)) + _verdict(
+            reconcile_attribution(result),
+            "Reconciliation: per-tenant counts, bytes and pooled percentile "
+            "inputs match the aggregate exactly.",
+        )
+    summary = [
+        ("workload", result.workload),
+        ("scheduler", result.scheduler),
+        ("completed I/Os", result.completed_ios),
+        ("total MB", round(result.total_bytes / (1024.0 * 1024.0), 2)),
+        ("makespan (ms)", round(result.makespan_ns / 1_000_000.0, 3)),
+        ("bandwidth (MB/s)", round(result.bandwidth_kb_s / 1024.0, 1)),
+        ("IOPS", round(result.iops, 1)),
+        ("mean latency (us)", round(result.latency.mean_ns / 1_000.0, 1)),
+        ("p99 latency (us)", round(result.latency.percentile_ns(0.99) / 1_000.0, 1)),
+        ("events processed", result.events_processed),
+    ]
+    counters = [
+        {"counter": name, "value": value} for name, value in sorted(result.counters.items())
+    ]
+    sections = [
+        (title or f"Run report: {result.workload} [{result.scheduler}]", [("fields", summary)]),
+        ("Tenants", tenants),
+        ("SLO checks", _table(_slo_rows(slo_verdicts(result, slo)))),
+        ("Health", _health_blocks(result)),
+        ("Counters", _table(counters)),
+        ("Top spans", _table(_top_spans(sink, top_span_count))),
+    ]
+    return [section for section in sections if section[1]]
+
+
+def fleet_report(fleet, *, title: Optional[str] = None) -> List[_Section]:
+    """The report sections of one fleet run (a :class:`FleetResult`)."""
+    row = fleet.summary_row()
+    summary = [
+        ("fleet", row["fleet"]),
+        ("placement", row["placement"]),
+        ("nodes", row["nodes"]),
+        ("completed I/Os", fleet.completed_ios),
+        ("total MB", round(fleet.total_bytes / (1024.0 * 1024.0), 2)),
+        ("makespan (ms)", round(fleet.makespan_ns / 1_000_000.0, 3)),
+        ("bandwidth (MB/s)", row["bandwidth_mb_s"]),
+        ("IOPS", row["iops"]),
+        ("p99 latency (us)", row["p99_latency_us"]),
+        ("byte imbalance", row["byte_imbalance"]),
+        ("IOPS imbalance", row["iops_imbalance"]),
+        ("SLO violations", row["slo_violations"]),
+        ("throttled / rejected", f"{fleet.throttled_ios} / {fleet.rejected_ios}"),
+        ("background I/Os", fleet.background_ios),
+    ]
+    placement = [
+        {"tenant": tenant, "node": fleet.node_names[index]}
+        for tenant, index in fleet.plan.assignments
+    ]
+    attribution = fleet.attribution
+    sections = [
+        (title or f"Fleet report: {fleet.name} [{fleet.placement}]", [("fields", summary)]),
+        ("Placement", _table(placement)),
+        ("Nodes", _table(fleet.node_rows())),
+        ("Tenants", _table(_tenant_rows(attribution)) if attribution else []),
+        ("SLO checks", _table(_slo_rows(fleet.slo_checks))),
+        ("Admission", _table([stats.rows() for stats in fleet.admission])),
+        ("Background work", _table([stats.rows() for stats in fleet.background])),
+        (
+            "Reconciliation",
+            _verdict(
+                reconcile_attribution(fleet),
+                "Per-tenant counts, bytes and pooled percentile inputs match the "
+                "summed per-array attribution exactly.",
+            ),
+        ),
+    ]
+    return [section for section in sections if section[1]]
+
+
+# ----------------------------------------------------------------------
+# Markdown
+# ----------------------------------------------------------------------
+def _md_cell(value: object) -> str:
+    return str(value).replace("|", "\\|").replace("\n", "<br>")
+
+
+def _md_table(rows: Sequence[Dict[str, object]]) -> List[str]:
+    columns = list(rows[0].keys())
+    lines = [
+        "| " + " | ".join(_md_cell(col) for col in columns) + " |",
+        "| " + " | ".join("---" for _ in columns) + " |",
+    ]
+    for row in rows:
+        lines.append("| " + " | ".join(_md_cell(row.get(col, "")) for col in columns) + " |")
+    return lines
+
+
+def _md_block(kind: str, payload) -> List[str]:
+    if kind == "fields":
+        return [f"- **{name}**: {value}" for name, value in payload]
+    if kind == "table":
+        return _md_table(payload)
+    if kind == "list":
+        return [f"- {item}" for item in payload]
+    if kind == "fail":
+        return [f"**{payload}**"]
+    if kind == "sparklines":
+        width = max(len(label) for label, _ in payload)
+        return [
+            "```",
+            *(
                 f"{label:<{width}}  {sparkline(values)}  "
                 f"min={min(values):g} max={max(values):g} last={values[-1]:g}"
-            )
-        lines.append("```")
+                for label, values in payload
+            ),
+            "```",
+        ]
+    return [payload]
 
-    if result.counters:
-        lines += ["", "## Counters", ""]
-        lines += _md_table(
-            [{"counter": name, "value": result.counters[name]} for name in sorted(result.counters)]
-        )
 
-    if sink is not None:
-        spans = _top_spans(sink, top_span_count)
-        if spans:
-            lines += ["", "## Top spans", ""]
-            lines += _md_table(spans)
-
-    return "\n".join(lines) + "\n"
+def render_markdown(sections: Sequence[_Section]) -> str:
+    """Render report sections as GitHub-flavoured markdown."""
+    chunks: List[str] = []
+    for index, (heading, blocks) in enumerate(sections):
+        chunks.append(("# " if index == 0 else "## ") + heading)
+        chunks += ["\n".join(_md_block(kind, payload)) for kind, payload in blocks]
+    return "\n\n".join(chunks) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -313,38 +376,10 @@ _HTML_STYLE = (
 )
 
 
-def render_html_table(rows: Sequence[Dict[str, object]], css_class: str = "") -> List[str]:
-    """Render dict rows as HTML table lines (``verdict`` cells colourised).
-
-    Public counterpart of :func:`render_markdown_table` for HTML reports.
-    """
-    return _html_table(rows, css_class)
-
-
-def html_document(title: str, body_parts: Sequence[str]) -> str:
-    """Wrap body fragments into the self-contained report page chrome.
-
-    Shares the run report's inline CSS so every report artifact of the repo
-    looks the same; ``body_parts`` are pre-rendered HTML fragments.
-    """
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(title)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-        *body_parts,
-        "</body></html>",
-    ]
-    return "\n".join(parts) + "\n"
-
-
-def _html_table(rows: Sequence[Dict[str, object]], css_class: str = "") -> List[str]:
-    if not rows:
-        return []
+def _html_table(rows: Sequence[Dict[str, object]]) -> List[str]:
     columns = list(rows[0].keys())
-    attr = f' class="{css_class}"' if css_class else ""
-    lines = [f"<table{attr}>", "<tr>" + "".join(f"<th>{html.escape(str(c))}</th>" for c in columns) + "</tr>"]
+    header = "".join(f"<th>{html.escape(str(col))}</th>" for col in columns)
+    lines = ["<table>", f"<tr>{header}</tr>"]
     for row in rows:
         cells = []
         for col in columns:
@@ -358,101 +393,50 @@ def _html_table(rows: Sequence[Dict[str, object]], css_class: str = "") -> List[
     return lines
 
 
-def run_report_html(
-    result,
-    *,
-    slo: Optional[SLOThresholds] = None,
-    sink: Optional[MemoryTraceSink] = None,
-    title: Optional[str] = None,
-    top_span_count: int = 10,
-) -> str:
-    """Render one run as a single self-contained HTML page (inline SVG)."""
-    heading = title or f"Run report: {result.workload} [{result.scheduler}]"
-    parts = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        f"<title>{html.escape(heading)}</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        f"<h1>{html.escape(heading)}</h1>",
-    ]
-    parts += _html_table([{str(k): v for k, v in _summary_rows(result)}])
-
-    parts.append("<h2>Tenants</h2>")
-    if result.attribution is None:
-        parts.append("<p>No provenance tags recorded (not a scenario-built workload).</p>")
-    else:
-        parts += _html_table(_tenant_rows(result))
-        problems = reconcile_attribution(result)
-        if problems:
-            parts.append('<p class="fail">Reconciliation FAILED:</p><ul>')
-            parts += [f"<li>{html.escape(problem)}</li>" for problem in problems]
-            parts.append("</ul>")
-        else:
-            parts.append(
-                '<p class="pass">Reconciliation: per-tenant counts, bytes and '
-                "pooled percentile inputs match the aggregate exactly.</p>"
-            )
-
-    checks = slo_verdicts(result, slo) if slo else []
-    if checks:
-        parts.append("<h2>SLO checks</h2>")
-        parts += _html_table(
-            [
-                {
-                    "tenant": check.tenant,
-                    "metric": check.metric,
-                    "limit_us": check.limit_us,
-                    "actual_us": check.actual_us,
-                    "verdict": "PASS" if check.ok else "FAIL",
-                }
-                for check in checks
-            ]
-        )
-
-    series = _health_series(result)
-    if series:
-        first, last = result.health[0].t_ns, result.health[-1].t_ns
-        parts.append("<h2>Health</h2>")
-        parts.append(
-            f"<p>{len(result.health)} samples over "
-            f"{round((last - first) / 1_000_000.0, 3)} ms of simulated time.</p>"
-        )
-        parts.append("<table>")
-        parts.append("<tr><th>gauge</th><th>series</th><th>min</th><th>max</th><th>last</th></tr>")
-        for label, values in series:
-            parts.append(
+def _html_block(kind: str, payload) -> List[str]:
+    if kind == "fields":
+        return _html_table([dict(payload)])
+    if kind == "table":
+        return _html_table(payload)
+    if kind == "list":
+        return ["<ul>", *(f"<li>{html.escape(item)}</li>" for item in payload), "</ul>"]
+    if kind == "sparklines":
+        return [
+            "<table>",
+            "<tr><th>gauge</th><th>series</th><th>min</th><th>max</th><th>last</th></tr>",
+            *(
                 f"<tr><td>{html.escape(label)}</td><td>{svg_sparkline(values)}</td>"
                 f"<td>{min(values):g}</td><td>{max(values):g}</td>"
                 f"<td>{values[-1]:g}</td></tr>"
-            )
-        parts.append("</table>")
+                for label, values in payload
+            ),
+            "</table>",
+        ]
+    css = f' class="{kind}"' if kind in ("pass", "fail") else ""
+    return [f"<p{css}>{html.escape(payload)}</p>"]
 
-    if result.counters:
-        parts.append("<h2>Counters</h2>")
-        parts += _html_table(
-            [{"counter": name, "value": result.counters[name]} for name in sorted(result.counters)]
-        )
 
-    if sink is not None:
-        spans = _top_spans(sink, top_span_count)
-        if spans:
-            parts.append("<h2>Top spans</h2>")
-            parts += _html_table(spans)
-
+def render_html(sections: Sequence[_Section]) -> str:
+    """Render report sections as one self-contained HTML page (inline SVG)."""
+    parts = [
+        "<!DOCTYPE html>",
+        '<html lang="en"><head><meta charset="utf-8">',
+        f"<title>{html.escape(sections[0][0])}</title>",
+        f"<style>{_HTML_STYLE}</style></head><body>",
+    ]
+    for index, (heading, blocks) in enumerate(sections):
+        tag = "h1" if index == 0 else "h2"
+        parts.append(f"<{tag}>{html.escape(heading)}</{tag}>")
+        for kind, payload in blocks:
+            parts += _html_block(kind, payload)
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"
 
 
-def write_run_report(
-    path: Union[str, Path],
-    result,
-    *,
-    slo: Optional[SLOThresholds] = None,
-    sink: Optional[MemoryTraceSink] = None,
-    title: Optional[str] = None,
-    fmt: Optional[str] = None,
+def write_report(
+    path: Union[str, Path], sections: Sequence[_Section], *, fmt: Optional[str] = None
 ) -> Path:
-    """Write a run report to ``path``; format from ``fmt`` or the suffix.
+    """Write report sections to ``path``; format from ``fmt`` or the suffix.
 
     ``.html``/``.htm`` produce the HTML page, anything else markdown
     (``fmt`` in ``{"html", "markdown", "md"}`` overrides the suffix).
@@ -461,9 +445,9 @@ def write_run_report(
     if fmt is None:
         fmt = "html" if target.suffix.lower() in (".html", ".htm") else "markdown"
     if fmt == "html":
-        content = run_report_html(result, slo=slo, sink=sink, title=title)
+        content = render_html(sections)
     elif fmt in ("markdown", "md"):
-        content = run_report_markdown(result, slo=slo, sink=sink, title=title)
+        content = render_markdown(sections)
     else:
         raise ValueError(f"unknown report format {fmt!r}; expected html or markdown")
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -189,10 +189,10 @@ class TestArraySimulation:
         workload = demo_workload(num_requests=18)
         result = sim.run(workload)
         assert result.num_devices == 3
-        assert result.aggregate_bandwidth_kb_s == pytest.approx(
+        assert result.bandwidth_kb_s == pytest.approx(
             sum(device.bandwidth_kb_s for device in result.device_results)
         )
-        assert result.aggregate_iops == pytest.approx(
+        assert result.iops == pytest.approx(
             sum(device.iops for device in result.device_results)
         )
         assert result.total_bytes == sum(io.size_bytes for io in workload.build())
@@ -236,7 +236,7 @@ class TestArraySimulation:
         result = sim.run(demo_workload(num_requests=8))
         assert result.device_results[1].completed_ios == 0
         assert result.byte_imbalance() == pytest.approx(2.0)
-        assert result.aggregate_bandwidth_kb_s > 0.0
+        assert result.bandwidth_kb_s > 0.0
 
     def test_empty_array_result_sentinels(self):
         result = merge_device_results([], scheduler="SPK3", workload="none", policy="stripe")

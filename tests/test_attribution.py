@@ -19,7 +19,9 @@ The contracts pinned here, in dependency order:
 
 from __future__ import annotations
 
+import html
 import json
+import re
 
 import pytest
 
@@ -39,11 +41,12 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs.export import SKIPPED_TRACE_SUFFIX
 from repro.obs.report import (
     SLOThresholds,
-    run_report_html,
-    run_report_markdown,
+    render_html,
+    render_markdown,
+    run_report,
     slo_verdicts,
     sparkline,
-    write_run_report,
+    write_report,
 )
 from repro.perf.suite import tiny_suite
 from repro.scenarios.library import bursty_multitenant_scenario
@@ -305,8 +308,8 @@ class TestRunReports:
 
     def test_markdown_report_carries_every_section(self):
         result, sink = self.attributed_result()
-        text = run_report_markdown(
-            result, slo=SLOThresholds(p99_us=0.001), sink=sink
+        text = render_markdown(
+            run_report(result, slo=SLOThresholds(p99_us=0.001), sink=sink)
         )
         for tenant in result.attribution.tenants():
             assert f" {tenant} " in text
@@ -319,7 +322,7 @@ class TestRunReports:
 
     def test_html_report_carries_every_section(self):
         result, sink = self.attributed_result()
-        text = run_report_html(result, slo=SLOThresholds(p99_us=1e9), sink=sink)
+        text = render_html(run_report(result, slo=SLOThresholds(p99_us=1e9), sink=sink))
         assert text.startswith("<!DOCTYPE html>")
         for tenant in result.attribution.tenants():
             assert f"<td>{tenant}</td>" in text
@@ -327,22 +330,51 @@ class TestRunReports:
         assert "<svg" in text  # health sparklines are inline SVG
         assert "Reconciliation: per-tenant counts" in text
 
+    def test_markdown_and_html_headings_match(self):
+        result, sink = self.attributed_result()
+        sections = run_report(result, slo=SLOThresholds(p99_us=1.0), sink=sink)
+        markdown = re.findall(r"^#+ (.+)$", render_markdown(sections), re.M)
+        page = re.findall(r"<h[12]>(.*?)</h[12]>", render_html(sections))
+        assert len(markdown) == 6
+        assert markdown == [html.unescape(heading) for heading in page]
+
+    def test_markdown_tables_escape_pipes_in_tenant_names(self):
+        job = bursty_job()
+        requests = [
+            copy_request(io, tenant="web|eu") if io.tenant == "reader" else io
+            for io in job.workload.build()
+        ]
+        result = SSDSimulator(job.config, job.scheduler).run(requests, workload_name="w")
+        assert "web|eu" in result.attribution.tenants()
+        text = render_markdown(run_report(result, slo=SLOThresholds(p99_us=1.0)))
+        assert "web\\|eu" in text
+
+        def cells(line):
+            return len(re.split(r"(?<!\\)\|", line)) - 2
+
+        tables = re.findall(r"(?:^\|.*\n)+", text, re.M)
+        assert len(tables) == 3  # tenants, SLO checks, tenant.* counters
+        for table in tables:
+            header, *rows = table.splitlines()
+            assert all(cells(row) == cells(header) for row in rows), table
+
     def test_report_without_attribution_says_so(self):
         result = tiny_case("tiny-grid").jobs[0].execute()
-        text = run_report_markdown(result)
+        text = render_markdown(run_report(result))
         assert "No provenance tags recorded" in text
         assert slo_verdicts(result, SLOThresholds(p99_us=1.0)) == []
 
     def test_write_run_report_dispatches_on_suffix(self, tmp_path):
         result, _ = self.attributed_result()
-        html_path = write_run_report(tmp_path / "run.html", result)
-        md_path = write_run_report(tmp_path / "run.md", result)
-        forced = write_run_report(tmp_path / "run.txt", result, fmt="html")
+        sections = run_report(result)
+        html_path = write_report(tmp_path / "run.html", sections)
+        md_path = write_report(tmp_path / "run.md", sections)
+        forced = write_report(tmp_path / "run.txt", sections, fmt="html")
         assert html_path.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
         assert md_path.read_text(encoding="utf-8").startswith("# ")
         assert forced.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
         with pytest.raises(ValueError, match="unknown report format"):
-            write_run_report(tmp_path / "run.md", result, fmt="pdf")
+            write_report(tmp_path / "run.md", sections, fmt="pdf")
 
     def test_slo_thresholds_check_each_configured_gauge(self):
         result, _ = self.attributed_result()

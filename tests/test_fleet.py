@@ -1,6 +1,8 @@
 """Fleet layer: placement, admission, valleys, exact merge math, bit-identity."""
 
 import dataclasses
+import html
+import re
 
 import pytest
 
@@ -24,11 +26,6 @@ from repro.fleet import (
     stable_tenant_hash,
     tenant_demands,
 )
-from repro.fleet.report import (
-    fleet_report_html,
-    fleet_report_markdown,
-    write_fleet_report,
-)
 from repro.fleet.result import FleetResult, merge_node_results
 from repro.metrics.attribution import (
     AttributionReport,
@@ -37,13 +34,22 @@ from repro.metrics.attribution import (
     reconcile_attribution,
 )
 from repro.metrics.latency import LatencyStats
-from repro.obs.report import SLOThresholds
+from repro.obs.report import (
+    SLOThresholds,
+    fleet_report,
+    render_html,
+    render_markdown,
+    run_report,
+    slo_verdicts,
+    write_report,
+)
 from repro.scenarios.library import bursty_multitenant_scenario, fleet_scenario
 from repro.workloads.build import freeze_requests, strip_request_tags, thaw_requests
 from repro.workloads.request import IOKind, IORequest
 
 KB = 1024
 MB = 1024 * KB
+PLACEMENTS = ["round-robin", "least-loaded", "hash"]
 
 
 def _req(offset, size=4 * KB, arrival=0, kind=IOKind.READ, tenant=None, phase=None):
@@ -72,6 +78,39 @@ def _slice(tenant, phase, ios, read_bytes, samples):
         latency=latency,
         latency_windows=(),
     )
+
+
+def _shift_one_read(report):
+    """Move one read (count, bytes, latency sample) to another tenant's slice.
+
+    Every total, every per-slice sample count and the pooled sample
+    population stay unchanged - only the per-tenant split is wrong, which
+    is exactly what the level-local checks cannot see.
+    """
+    donor = next(entry for entry in report.entries if entry.reads)
+    taker = next(entry for entry in report.entries if entry.tenant != donor.tenant)
+    size = donor.read_bytes // donor.reads
+    moved = donor.latency.samples_ns[0]
+
+    def shifted(entry, sign, samples):
+        return dataclasses.replace(
+            entry,
+            completed_ios=entry.completed_ios + sign,
+            reads=entry.reads + sign,
+            read_bytes=entry.read_bytes + sign * size,
+            latency=LatencyStats(samples_ns=list(samples)),
+            latency_windows=(),
+        )
+
+    entries = tuple(
+        shifted(donor, -1, donor.latency.samples_ns[1:])
+        if entry is donor
+        else shifted(taker, 1, [*taker.latency.samples_ns, moved])
+        if entry is taker
+        else entry
+        for entry in report.entries
+    )
+    return dataclasses.replace(report, entries=entries)
 
 
 def _tiny_fleet_spec(placement="round-robin", **overrides):
@@ -376,7 +415,7 @@ class TestFleetBalanceMetrics:
 
 
 class TestFleetRun:
-    @pytest.mark.parametrize("placement", ["round-robin", "least-loaded"])
+    @pytest.mark.parametrize("placement", PLACEMENTS)
     def test_reconciles_exactly_per_placement(self, placement):
         fleet = run_fleet(_tiny_fleet_spec(placement=placement))
         assert reconcile_fleet(fleet) == []
@@ -405,8 +444,9 @@ class TestFleetRun:
         assert fleet.attribution is not None
         assert any(t.startswith("bg:") for t in fleet.attribution.tenants())
 
-    def test_serial_process_bit_identical(self):
-        spec = _tiny_fleet_spec()
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_serial_process_bit_identical(self, placement):
+        spec = _tiny_fleet_spec(placement=placement)
         serial = run_fleet(spec)
         parallel = run_fleet(spec, ExecutionEngine(backend="process", max_workers=2))
         assert serial == parallel
@@ -438,10 +478,92 @@ class TestFleetRun:
         assert admitted + background == sum(len(t) for t in workloads.node_traces)
 
 
+class TestTreeReconcile:
+    """One reconcile walks fleet -> nodes -> devices and checks every merge."""
+
+    def _array(self):
+        scenario = bursty_multitenant_scenario(requests_per_tenant=8, seed=3)
+        spec = ArraySpec(
+            workload=WorkloadSpec.scenario(scenario),
+            num_devices=2,
+            scheduler="SPK2",
+            devices=("slc-gen1", "mlc-gen1"),
+        )
+        results = ExecutionEngine().run_jobs(list(spec.device_jobs()))
+        return merge_device_results(
+            results, scheduler="SPK2", workload=scenario.name, policy="stripe"
+        )
+
+    def test_array_slice_not_summing_its_devices_is_caught(self):
+        array = self._array()
+        assert reconcile_attribution(array) == []
+        tampered = dataclasses.replace(
+            array, attribution=_shift_one_read(array.attribution)
+        )
+        # Totals, per-slice sample counts and the pooled population all
+        # still match, so only the merge check can see the shift.
+        problems = reconcile_attribution(tampered)
+        assert problems
+        assert all("parts' slices sum to" in problem for problem in problems)
+
+    def test_tampered_node_slice_is_caught(self):
+        fleet = run_fleet(_tiny_fleet_spec())
+        index, node = next(
+            (index, node)
+            for index, node in enumerate(fleet.node_results)
+            if len(node.attribution.tenants()) >= 2
+        )
+        nodes = list(fleet.node_results)
+        nodes[index] = dataclasses.replace(
+            node, attribution=_shift_one_read(node.attribution)
+        )
+        tampered = dataclasses.replace(fleet, node_results=tuple(nodes))
+        problems = reconcile_fleet(tampered)
+        assert any(problem.startswith(f"node {index}: ") for problem in problems)
+        assert any(not problem.startswith("node ") for problem in problems)
+
+    def test_tampered_device_slice_is_caught(self):
+        fleet = run_fleet(_tiny_fleet_spec())
+        node_index, device_index = next(
+            (node_index, device_index)
+            for node_index, node in enumerate(fleet.node_results)
+            for device_index, device in enumerate(node.device_results)
+            if device.attribution is not None and len(device.attribution.tenants()) >= 2
+        )
+        node = fleet.node_results[node_index]
+        devices = list(node.device_results)
+        devices[device_index] = dataclasses.replace(
+            devices[device_index],
+            attribution=_shift_one_read(devices[device_index].attribution),
+        )
+        nodes = list(fleet.node_results)
+        nodes[node_index] = dataclasses.replace(node, device_results=tuple(devices))
+        problems = reconcile_fleet(dataclasses.replace(fleet, node_results=tuple(nodes)))
+        assert problems
+        assert all(problem.startswith(f"node {node_index}: ") for problem in problems)
+
+    def test_bg_slices_of_a_fleet_device_are_not_slo_checked(self):
+        fleet = run_fleet(_tiny_fleet_spec())
+        device = next(
+            device
+            for node in fleet.node_results
+            for device in node.device_results
+            if device.attribution is not None
+            and any(t.startswith("bg:") for t in device.attribution.tenants())
+        )
+        slo = SLOThresholds(p99_us=0.001)
+        checks = slo_verdicts(device, slo)
+        assert checks
+        assert not any(check.tenant.startswith("bg:") for check in checks)
+        slo_section = dict(run_report(device, slo=slo))["SLO checks"]
+        ((_, rows),) = slo_section
+        assert {row["tenant"] for row in rows} == {check.tenant for check in checks}
+
+
 class TestFleetReport:
     def test_markdown_sections(self):
         fleet = run_fleet(_tiny_fleet_spec())
-        md = fleet_report_markdown(fleet)
+        md = render_markdown(fleet_report(fleet))
         for section in ("## Placement", "## Nodes", "## Tenants", "## SLO checks",
                         "## Admission", "## Background work", "## Reconciliation"):
             assert section in md
@@ -449,18 +571,26 @@ class TestFleetReport:
 
     def test_html_is_selfcontained(self):
         fleet = run_fleet(_tiny_fleet_spec())
-        page = fleet_report_html(fleet)
+        page = render_html(fleet_report(fleet))
         assert page.startswith("<!DOCTYPE html>")
         assert "Reconciliation" in page and 'class="pass"' in page
 
+    def test_markdown_and_html_headings_match(self):
+        sections = fleet_report(run_fleet(_tiny_fleet_spec()))
+        markdown = re.findall(r"^#+ (.+)$", render_markdown(sections), re.M)
+        page = re.findall(r"<h[12]>(.*?)</h[12]>", render_html(sections))
+        assert len(markdown) == 8
+        assert markdown == [html.unescape(heading) for heading in page]
+
     def test_write_dispatches_on_suffix(self, tmp_path):
         fleet = run_fleet(_tiny_fleet_spec(background=(), tenant_policies=()))
-        md_path = write_fleet_report(tmp_path / "fleet.md", fleet)
-        html_path = write_fleet_report(tmp_path / "fleet.html", fleet)
+        sections = fleet_report(fleet)
+        md_path = write_report(tmp_path / "fleet.md", sections)
+        html_path = write_report(tmp_path / "fleet.html", sections)
         assert md_path.read_text().startswith("# Fleet report")
         assert html_path.read_text().startswith("<!DOCTYPE html>")
         with pytest.raises(ValueError, match="unknown report format"):
-            write_fleet_report(tmp_path / "fleet.md", fleet, fmt="pdf")
+            write_report(tmp_path / "fleet.md", sections, fmt="pdf")
 
 
 class TestFleetSweep:
