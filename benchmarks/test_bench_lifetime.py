@@ -10,8 +10,8 @@ claim, which needs the complete final state, is checked against the
 page-by-page replay reference (the tier-1 lifetime tests additionally pin
 replay == event-simulation on a small device, closing the chain).
 
-The bar was originally 50x; the hot-path optimization pass (see
-``repro.perf`` and BENCH_5.json) made the *event simulator* - the
+The bar was originally 50x; the first hot-path optimization pass (O(1)
+plane counters, allocation-free event loop) made the *event simulator* - the
 denominator of this ratio - about twice as fast while the bulk aging path
 was already allocation-bound, so the same absolute fast-forward cost now
 measures ~45x.  The invariant being protected (bulk aging is an order of

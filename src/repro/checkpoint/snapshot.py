@@ -19,7 +19,8 @@ mistyped components - with a :class:`CheckpointError` naming the problem.
 
 The contract the test suite enforces: ``run-to-completion`` and
 ``run(max_events=T) -> checkpoint() -> resume() -> run_to_completion()``
-produce ``result_digest``-identical :class:`SimulationResult`s.
+produce :class:`SimulationResult`s with identical ``stable_fingerprint``
+digests.
 """
 
 from __future__ import annotations

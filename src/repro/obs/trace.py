@@ -10,8 +10,8 @@ holds: every instrumented component keeps a ``sink`` attribute that defaults
 to the shared :data:`NULL_SINK`, and every hot-path emission site is guarded
 by a single ``sink.enabled`` (or a precomputed boolean) truth test.  With the
 null sink the simulator executes exactly the same instruction stream it did
-before tracing existed - the perf digest gate (``repro.perf.compare
---require-identical``) proves the results stay byte-identical.
+before tracing existed - the golden result digests of the pinned suites
+(``tests/data/perf_golden.json``) prove the results stay byte-identical.
 
 :class:`MemoryTraceSink` records spans in memory as plain picklable tuples,
 so a traced simulator can still be checkpointed (the sink rides inside the

@@ -1,48 +1,21 @@
-"""Benchmark-trajectory subsystem: measure, record and compare simulator speed.
+"""Pinned-seed simulator workload suites.
 
-The simulator's throughput (discrete events processed per second of wall
-time) is a first-class, continuously-measured property of this repository:
-
-* :mod:`repro.perf.suite` declares the canonical pinned-seed workload suite
-  spanning the figure grids, multi-SSD arrays, bursty scenarios and aged
-  steady-state devices;
-* :mod:`repro.perf.record` runs the suite and emits a schema-versioned
-  *trajectory* file (``BENCH_5.json``) with wall time, events/sec, peak RSS
-  and a content digest of every :class:`~repro.metrics.report.SimulationResult`
-  (so speedups are provably behaviour-preserving);
-* :mod:`repro.perf.compare` diffs two trajectory files with a configurable
-  regression threshold - the CI gate.
-
-Command line::
-
-    PYTHONPATH=src python -m repro.perf record --scale quick -o BENCH_5.json
-    PYTHONPATH=src python -m repro.perf compare BENCH_5.json current.json
+:mod:`repro.perf.suite` declares the canonical seven-case suite (figure
+grid, large transfers, a multi-SSD array, a bursty scenario, an aged
+steady-state device, a prefilled GC-thrash device and a heterogeneous zoo
+array) at two sizes, plus a miniature ``tiny`` suite.  Every case is a tuple
+of ordinary :class:`~repro.experiments.spec.SimJob` objects with a content
+fingerprint.  The quick and tiny cases' result digests are pinned as goldens
+(``tests/data/perf_golden.json``), and ``python -m repro.obs export`` traces
+any case.  Host speed is measured outside the package, by
+``perfbench/run.py``.
 """
 
-from repro.perf.compare import CaseDelta, Comparison, compare_trajectories
-from repro.perf.record import (
-    SCHEMA_VERSION,
-    CaseRecord,
-    Trajectory,
-    load_trajectory,
-    record_trajectory,
-    run_case,
-    write_trajectory,
-)
-from repro.perf.suite import PerfCase, SUITE_SCALES, canonical_suite
+from repro.perf.suite import SUITE_SCALES, PerfCase, canonical_suite, tiny_suite
 
 __all__ = [
-    "SCHEMA_VERSION",
     "SUITE_SCALES",
-    "CaseDelta",
-    "CaseRecord",
-    "Comparison",
     "PerfCase",
-    "Trajectory",
     "canonical_suite",
-    "compare_trajectories",
-    "load_trajectory",
-    "record_trajectory",
-    "run_case",
-    "write_trajectory",
+    "tiny_suite",
 ]

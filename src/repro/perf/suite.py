@@ -16,11 +16,10 @@ zoo       a heterogeneous 2-device zoo array (mlc-gen2 + tlc-gen3)
 ========  =============================================================
 
 Every case is a tuple of ordinary :class:`~repro.experiments.spec.SimJob`
-objects, so the recorded numbers measure exactly the code path the
-experiment engine runs in production.  Seeds, geometry and request counts
-are pinned: a trajectory recorded today is comparable, case by case, with
-one recorded at any other commit (``repro.perf.compare`` enforces that via
-the per-case workload fingerprints stamped into the trajectory).
+objects, so a case runs exactly the code path the experiment engine runs in
+production.  Seeds, geometry and request counts are pinned: the quick cases'
+workload fingerprints and result digests are goldens
+(``tests/data/perf_golden.json``) that every commit must reproduce.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from repro.sim.config import SimulationConfig
 KB = 1024
 MB = 1024 * KB
 
-#: Recognised suite sizes.  ``quick`` is the CI gate (seconds per case);
-#: ``full`` is the committed-trajectory scale (tens of seconds per case).
+#: Recognised suite sizes.  ``quick`` cases are digest goldens (seconds per
+#: case); ``full`` cases are four times larger (tens of seconds per case).
 SUITE_SCALES = ("quick", "full")
 
 
@@ -58,9 +57,8 @@ class PerfCase:
     def fingerprint(self) -> str:
         """Stable content hash over every job in the case.
 
-        Two trajectories are comparable case-by-case only when the
-        fingerprints match - i.e. the workloads, configs and schedulers
-        behind the numbers are the same.
+        A golden result digest applies only while the fingerprint matches -
+        i.e. the workloads, configs and schedulers behind it are the same.
         """
         from repro.sim.config import stable_fingerprint
 

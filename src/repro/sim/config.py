@@ -92,8 +92,9 @@ class SimulationConfig:
     #: Garbage collection settings.
     gc_enabled: bool = True
     gc_free_block_watermark: int = 2
-    #: Fraction of the logical space pre-written before the run starts
-    #: (0.95 reproduces the paper's fragmented-SSD GC experiment).
+    #: Fraction of the physical capacity pre-written before the run starts
+    #: (0.95 reproduces the paper's fragmented-SSD GC experiment).  The
+    #: logical pages it leaves mapped must fit in ``logical_pages``.
     prefill_fraction: float = 0.0
     #: Share of the prefilled pages rewritten once more during prefill so the
     #: drive starts with a realistic mix of valid and invalid pages.
@@ -132,6 +133,17 @@ class SimulationConfig:
             raise ValueError("overprovisioning_fraction must be in [0, 1)")
         if self.stale_penalty_ns < 0:
             raise ValueError("stale_penalty_ns must be non-negative")
+        # Same arithmetic as PageMapFTL.fill: distinct LPNs left mapped.
+        total = self.geometry.total_pages
+        prefilled = int(total * self.prefill_fraction) - int(
+            total * self.prefill_fraction * self.prefill_overwrite_fraction
+        )
+        if prefilled > self.logical_pages:
+            raise ValueError(
+                f"prefill_fraction={self.prefill_fraction} maps {prefilled} logical "
+                f"pages, more than the {self.logical_pages} left by "
+                f"overprovisioning_fraction={self.overprovisioning_fraction}"
+            )
         if self.device_state is not None:
             if self.prefill_fraction > 0.0:
                 raise ValueError(

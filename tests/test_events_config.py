@@ -206,6 +206,12 @@ class TestSimulationConfig:
             dict(prefill_fraction=1.0),
             dict(prefill_overwrite_fraction=1.0),
             dict(stale_penalty_ns=-1),
+            # Prefill sized from physical capacity must fit the logical space.
+            dict(
+                prefill_fraction=0.95,
+                prefill_overwrite_fraction=0.0,
+                overprovisioning_fraction=0.1,
+            ),
         ],
     )
     def test_validation(self, overrides):

@@ -1,217 +1,30 @@
-"""Tests for the benchmark-trajectory subsystem (``repro.perf``).
+"""Tests for the pinned-seed workload suites (``repro.perf``).
 
-Covers the three contract surfaces:
+Covers the two contract surfaces:
 
-* trajectory schema: write -> load round-trip, schema-version rejection;
-* comparison semantics: the exact-threshold edge, missing cases, improved
-  cases, fingerprint incomparability and the digest gate;
-* bit-identity: the tiny pinned-seed suite must reproduce the golden result
-  digests recorded *before* the hot-path optimization pass
-  (``tests/data/perf_golden.json``) - any semantic drift in the simulator
-  shows up here as a digest mismatch.
+* suite definitions: the canonical suite's shape, scale handling and
+  stable case fingerprints;
+* bit-identity: every tiny and quick-scale case must reproduce the golden
+  result digest in ``tests/data/perf_golden.json`` - any semantic drift in
+  the simulator shows up here as a digest mismatch.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.perf.compare import compare_trajectories
-from repro.perf.record import (
-    SCHEMA_VERSION,
-    CaseRecord,
-    Trajectory,
-    load_trajectory,
-    run_case,
-    write_trajectory,
-)
-from repro.perf.suite import canonical_suite, tiny_suite
+from repro.perf.suite import PerfCase, canonical_suite, tiny_suite
+from repro.sim.config import stable_fingerprint
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "perf_golden.json"
 
 
-def make_case(
-    name: str,
-    eps: float,
-    *,
-    fingerprint: str = "fp",
-    digest: str = "digest",
-    rss_mb: float = 50.0,
-) -> CaseRecord:
-    return CaseRecord(
-        name=name,
-        description=f"case {name}",
-        fingerprint=fingerprint,
-        jobs=1,
-        ios_completed=10,
-        events=int(eps),
-        wall_s=1.0,
-        sim_wall_s=1.0,
-        events_per_sec=eps,
-        peak_rss_kb=int(rss_mb * 1024),
-        result_digest=digest,
-        wall_time_s=1.0,
-        peak_rss_mb=rss_mb,
-    )
-
-
-def make_trajectory(*cases: CaseRecord, scale: str = "quick") -> Trajectory:
-    return Trajectory(
-        schema_version=SCHEMA_VERSION,
-        bench_id="BENCH_5",
-        scale=scale,
-        python="3.11.0",
-        platform="test",
-        cases=tuple(cases),
-    )
-
-
-class TestTrajectorySchema:
-    def test_round_trip(self, tmp_path):
-        trajectory = make_trajectory(make_case("a", 100.0), make_case("b", 200.0))
-        path = write_trajectory(trajectory, tmp_path / "t.json")
-        loaded = load_trajectory(path)
-        assert loaded.schema_version == SCHEMA_VERSION
-        assert loaded.bench_id == trajectory.bench_id
-        assert loaded.scale == trajectory.scale
-        assert loaded.cases == trajectory.cases
-
-    def test_summary_block_written(self, tmp_path):
-        trajectory = make_trajectory(make_case("a", 100.0), make_case("b", 300.0))
-        path = write_trajectory(trajectory, tmp_path / "t.json")
-        document = json.loads(path.read_text())
-        assert document["summary"]["total_events"] == trajectory.total_events
-        assert document["summary"]["overall_events_per_sec"] == pytest.approx(
-            trajectory.overall_events_per_sec, rel=1e-3
-        )
-
-    def test_unknown_schema_version_rejected(self, tmp_path):
-        trajectory = make_trajectory(make_case("a", 100.0))
-        path = write_trajectory(trajectory, tmp_path / "t.json")
-        document = json.loads(path.read_text())
-        document["schema_version"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(document))
-        with pytest.raises(ValueError, match="schema"):
-            load_trajectory(path)
-
-    def test_overall_events_per_sec(self):
-        trajectory = make_trajectory(make_case("a", 100.0), make_case("b", 300.0))
-        # Two cases of 1s each: (100 + 300) events over 2 seconds.
-        assert trajectory.overall_events_per_sec == pytest.approx(200.0)
-
-
-class TestCompareThresholds:
-    def test_exactly_at_threshold_passes(self):
-        baseline = make_trajectory(make_case("a", 1000.0))
-        current = make_trajectory(make_case("a", 750.0))
-        comparison = compare_trajectories(baseline, current, threshold=0.25)
-        assert not comparison.regressions
-        assert comparison.ok
-
-    def test_just_past_threshold_fails(self):
-        baseline = make_trajectory(make_case("a", 1000.0))
-        current = make_trajectory(make_case("a", 749.9))
-        comparison = compare_trajectories(baseline, current, threshold=0.25)
-        assert [d.name for d in comparison.regressions] == ["a"]
-        assert not comparison.ok
-
-    def test_improvement_passes(self):
-        baseline = make_trajectory(make_case("a", 1000.0))
-        current = make_trajectory(make_case("a", 2000.0))
-        comparison = compare_trajectories(baseline, current)
-        assert comparison.ok
-        assert comparison.deltas[0].ratio == pytest.approx(2.0)
-
-    def test_missing_case_fails(self):
-        baseline = make_trajectory(make_case("a", 1000.0), make_case("b", 1000.0))
-        current = make_trajectory(make_case("a", 1000.0))
-        comparison = compare_trajectories(baseline, current)
-        assert comparison.missing == ("b",)
-        assert not comparison.ok
-
-    def test_new_case_is_not_gated(self):
-        baseline = make_trajectory(make_case("a", 1000.0))
-        current = make_trajectory(make_case("a", 1000.0), make_case("b", 10.0))
-        comparison = compare_trajectories(baseline, current)
-        assert comparison.new == ("b",)
-        assert comparison.ok
-
-    def test_changed_fingerprint_is_incomparable(self):
-        baseline = make_trajectory(make_case("a", 1000.0, fingerprint="old"))
-        current = make_trajectory(make_case("a", 4000.0, fingerprint="new"))
-        comparison = compare_trajectories(baseline, current)
-        assert [d.name for d in comparison.incomparable] == ["a"]
-        assert not comparison.ok
-
-    def test_digest_gate_only_with_require_identical(self):
-        baseline = make_trajectory(make_case("a", 1000.0, digest="x"))
-        current = make_trajectory(make_case("a", 1000.0, digest="y"))
-        assert compare_trajectories(baseline, current).ok
-        comparison = compare_trajectories(baseline, current, require_identical=True)
-        assert [d.name for d in comparison.digest_mismatches] == ["a"]
-        assert not comparison.ok
-
-    def test_invalid_threshold_rejected(self):
-        baseline = make_trajectory(make_case("a", 1000.0))
-        with pytest.raises(ValueError):
-            compare_trajectories(baseline, baseline, threshold=1.0)
-
-    def test_report_mentions_every_case(self):
-        baseline = make_trajectory(make_case("a", 1000.0), make_case("b", 1000.0))
-        current = make_trajectory(make_case("a", 100.0), make_case("c", 1.0))
-        report = compare_trajectories(baseline, current).report()
-        for token in ("a", "b", "c", "REGRESSED", "MISSING", "FAIL"):
-            assert token in report
-
-
-class TestRssGate:
-    """compare gates peak RSS with its own, tighter threshold."""
-
-    def test_rss_growth_within_threshold_passes(self):
-        baseline = make_trajectory(make_case("a", 1000.0, rss_mb=100.0))
-        current = make_trajectory(make_case("a", 1000.0, rss_mb=114.9))
-        comparison = compare_trajectories(baseline, current, rss_threshold=0.15)
-        assert not comparison.rss_regressions
-        assert comparison.ok
-
-    def test_rss_growth_past_threshold_fails(self):
-        baseline = make_trajectory(make_case("a", 1000.0, rss_mb=100.0))
-        current = make_trajectory(make_case("a", 1000.0, rss_mb=115.1))
-        comparison = compare_trajectories(baseline, current, rss_threshold=0.15)
-        assert [d.name for d in comparison.rss_regressions] == ["a"]
-        assert not comparison.ok
-        assert "RSS REGRESSED" in comparison.report()
-
-    def test_rss_gate_independent_of_throughput(self):
-        # A case can get faster and still fail the comparison on memory.
-        baseline = make_trajectory(make_case("a", 1000.0, rss_mb=100.0))
-        current = make_trajectory(make_case("a", 4000.0, rss_mb=200.0))
-        comparison = compare_trajectories(baseline, current)
-        assert not comparison.regressions
-        assert comparison.rss_regressions
-        assert not comparison.ok
-
-    def test_missing_baseline_rss_is_not_gated(self):
-        # Trajectories recorded before RSS tracking carry 0.0 - growth
-        # against an unknown baseline must not fail the gate.
-        baseline = make_trajectory(make_case("a", 1000.0, rss_mb=0.0))
-        current = make_trajectory(make_case("a", 1000.0, rss_mb=500.0))
-        comparison = compare_trajectories(baseline, current)
-        assert not comparison.rss_regressions
-        assert comparison.ok
-
-    def test_rss_reduction_passes(self):
-        baseline = make_trajectory(make_case("a", 1000.0, rss_mb=100.0))
-        current = make_trajectory(make_case("a", 1000.0, rss_mb=40.0))
-        assert compare_trajectories(baseline, current).ok
-
-    def test_invalid_rss_threshold_rejected(self):
-        baseline = make_trajectory(make_case("a", 1000.0))
-        with pytest.raises(ValueError, match="rss_threshold"):
-            compare_trajectories(baseline, baseline, rss_threshold=1.0)
+def result_digest(case: PerfCase) -> str:
+    """Content digest over every SimulationResult of ``case``, in job order."""
+    return stable_fingerprint(("perf-results", tuple(job.execute() for job in case.jobs)))
 
 
 class TestSuiteDefinitions:
@@ -247,6 +60,7 @@ class TestSuiteDefinitions:
         assert first == second
 
 
+
 class TestBitIdentity:
     """The optimized simulator must reproduce pre-optimization results."""
 
@@ -254,124 +68,35 @@ class TestBitIdentity:
     def golden(self):
         return json.loads(GOLDEN_PATH.read_text())["cases"]
 
-    @pytest.mark.parametrize("case_name", [case.name for case in tiny_suite()])
-    def test_tiny_case_matches_pre_optimization_golden(self, golden, case_name):
-        case = {c.name: c for c in tiny_suite()}[case_name]
-        record = run_case(case)
-        assert case_name in golden, "golden file is missing a tiny case"
-        expected = golden[case_name]
-        assert record.fingerprint == expected["fingerprint"], (
-            "tiny-suite workload recipe changed; bit-identity against the "
+    def assert_matches_golden(self, golden, case: PerfCase) -> None:
+        assert case.name in golden, f"golden file is missing case {case.name!r}"
+        expected = golden[case.name]
+        assert case.fingerprint() == expected["fingerprint"], (
+            f"{case.name!r} workload recipe changed; bit-identity against the "
             "golden digests is no longer meaningful - re-record the goldens "
             "only together with an intentional semantics change"
         )
-        assert record.result_digest == expected["result_digest"], (
-            f"simulation results of {case_name!r} diverged from the "
-            "pre-optimization golden digest"
+        assert result_digest(case) == expected["result_digest"], (
+            f"simulation results of {case.name!r} diverged from the golden digest"
         )
+
+    @pytest.mark.parametrize("case_name", [case.name for case in tiny_suite()])
+    def test_tiny_case_matches_pre_optimization_golden(self, golden, case_name):
+        case = {c.name: c for c in tiny_suite()}[case_name]
+        self.assert_matches_golden(golden, case)
+
+    @pytest.mark.parametrize("case_name", [case.name for case in canonical_suite("quick")])
+    def test_quick_case_matches_golden(self, golden, case_name):
+        case = {c.name: c for c in canonical_suite("quick")}[case_name]
+        self.assert_matches_golden(golden, case)
+
+    def test_every_golden_case_is_checked(self, golden):
+        checked = {case.name for case in (*tiny_suite(), *canonical_suite("quick"))}
+        assert set(golden) == checked
 
     def test_repeat_runs_are_deterministic(self):
         case = tiny_suite()[0]
-        first = run_case(case)
-        second = run_case(case, repeat=2)
-        assert first.result_digest == second.result_digest
-        assert first.events == second.events
-
-
-class TestCommittedTrajectories:
-    """The committed BENCH files must parse and prove the 2x claim."""
-
-    def test_committed_files_load(self):
-        root = Path(__file__).resolve().parents[1]
-        baseline = load_trajectory(root / "BENCH_5_baseline.json")
-        current = load_trajectory(root / "BENCH_5.json")
-        assert {c.name for c in baseline.cases} == {c.name for c in current.cases}
-
-    def test_committed_speedup_at_least_2x(self):
-        root = Path(__file__).resolve().parents[1]
-        baseline = load_trajectory(root / "BENCH_5_baseline.json")
-        current = load_trajectory(root / "BENCH_5.json")
-        # The PR-5 hot-path pass deliberately traded ~30% RSS for the 2x
-        # speedup, so the historical pair needs a looser memory gate than
-        # the default; new recordings are held to DEFAULT_RSS_THRESHOLD.
-        comparison = compare_trajectories(
-            baseline, current, rss_threshold=0.5, require_identical=True
-        )
-        assert comparison.ok, comparison.report()
-        assert not comparison.digest_mismatches, "optimized results are not bit-identical"
-        ratio = current.overall_events_per_sec / baseline.overall_events_per_sec
-        assert ratio >= 2.0, f"committed trajectories show only {ratio:.2f}x"
-
-    def test_bench6_bit_identical_to_bench5(self):
-        # The PR-6 batched-core pass must not change a single simulation
-        # result: every case digest of BENCH_6 matches BENCH_5 exactly.
-        root = Path(__file__).resolve().parents[1]
-        previous = load_trajectory(root / "BENCH_5.json")
-        current = load_trajectory(root / "BENCH_6.json")
-        previous_by_name = {c.name: c for c in previous.cases}
-        assert {c.name for c in current.cases} == set(previous_by_name)
-        for case in current.cases:
-            assert (
-                case.result_digest == previous_by_name[case.name].result_digest
-            ), f"{case.name} result drifted across the PR-6 optimization pass"
-
-    def test_bench6_accelerates_gc_bound_cases(self):
-        # The GC kernel overhaul targets the two GC-dominated cases; the
-        # committed pair must show the gain even with host-speed noise.
-        root = Path(__file__).resolve().parents[1]
-        previous = load_trajectory(root / "BENCH_5.json")
-        current = load_trajectory(root / "BENCH_6.json")
-        previous_by_name = {c.name: c for c in previous.cases}
-        for name, floor in (("gcheavy", 1.2), ("aged", 1.1)):
-            ratio = (
-                current.case(name).events_per_sec
-                / previous_by_name[name].events_per_sec
-            )
-            assert ratio >= floor, f"{name} shows only {ratio:.2f}x over BENCH_5"
-
-
-class TestRecordValidation:
-    def test_repeat_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_case(tiny_suite()[0], repeat=0)
-
-    def test_case_record_round_trips_through_replace(self):
-        record = make_case("a", 10.0)
-        assert replace(record, name="b").name == "b"
-
-    def test_recorded_case_carries_wall_time_and_rss(self):
-        record = run_case(tiny_suite()[0])
-        assert record.wall_time_s == record.wall_s > 0.0
-        assert record.peak_rss_mb == pytest.approx(record.peak_rss_kb / 1024.0, abs=0.01)
-        assert record.peak_rss_mb > 0.0
-
-    def test_wall_time_and_rss_survive_write_load(self, tmp_path):
-        trajectory = make_trajectory(make_case("a", 100.0, rss_mb=123.5))
-        loaded = load_trajectory(write_trajectory(trajectory, tmp_path / "t.json"))
-        assert loaded.cases[0].wall_time_s == 1.0
-        assert loaded.cases[0].peak_rss_mb == 123.5
-
-    def test_load_backfills_wall_time_and_rss_for_old_documents(self, tmp_path):
-        # Pre-PR-6 trajectories do not have the restated fields; loading
-        # derives them from wall_s / peak_rss_kb so the RSS gate still works.
-        trajectory = make_trajectory(make_case("a", 100.0, rss_mb=64.0))
-        path = write_trajectory(trajectory, tmp_path / "t.json")
-        document = json.loads(path.read_text())
-        for raw in document["cases"]:
-            del raw["wall_time_s"]
-            del raw["peak_rss_mb"]
-        path.write_text(json.dumps(document))
-        loaded = load_trajectory(path)
-        assert loaded.cases[0].wall_time_s == 1.0
-        assert loaded.cases[0].peak_rss_mb == pytest.approx(64.0)
-
-
-class TestProfileCase:
-    def test_profile_case_returns_cumulative_table(self):
-        from repro.perf.record import profile_case
-
-        table = profile_case(tiny_suite()[0], top_n=10)
-        assert "cumulative" in table
-        assert "function calls" in table
-        # The simulator's event loop must show up in its own profile.
-        assert "ssd.py" in table
+        first = [job.execute() for job in case.jobs]
+        second = [job.execute() for job in case.jobs]
+        assert stable_fingerprint(first) == stable_fingerprint(second)
+        assert [r.events_processed for r in first] == [r.events_processed for r in second]
