@@ -6,25 +6,34 @@ map needed by garbage collection, performs dynamic page allocation for
 writes, and exposes migration hooks used by GC, wear levelling and bad-block
 replacement.  All timing is handled elsewhere; the FTL is pure bookkeeping.
 
-Fast-forward device aging (:mod:`repro.lifetime.state`) adds one twist: a
-sequential fill of a fresh device lands in a purely *arithmetic* layout (the
-allocator stripes write ``i`` onto plane ``i % P`` and fills blocks in
-order), so the FTL can serve those mappings implicitly instead of
-materialising millions of dictionary entries.  :meth:`install_base_layout`
-declares "logical pages ``0..live-1`` sit in the striped base layout"; the
-explicit ``_map``/``_reverse`` dictionaries then act as an overlay for every
-page that is subsequently rewritten, migrated or erased (tracked in
-``_base_moved``).  Behaviour is bit-identical to writing the base fill
-page-by-page - the lifetime tests compare full occupancy snapshots - but
-installing it is O(1), which is what makes aging a 512-chip device a
-bookkeeping errand instead of a simulation campaign.
+Both ways of starting from a used device - the Figure 17 prefill
+(:meth:`PageMapFTL.fill`) and fast-forward aging
+(:func:`repro.lifetime.state.apply_device_state`) - run through the same two
+bulk primitives:
+
+* :meth:`PageMapFTL.install_base_fill` - a sequential fill of a fresh device
+  lands in a purely *arithmetic* layout (the allocator stripes write ``i``
+  onto plane ``i % P`` and fills blocks in order), so the blocks are
+  bulk-programmed and the FTL serves those mappings implicitly instead of
+  materialising millions of dictionary entries.  :meth:`install_base_layout`
+  declares "logical pages ``0..live-1`` sit in the striped base layout"; the
+  explicit ``_map``/``_reverse`` dictionaries then act as an overlay for
+  every page that is subsequently rewritten, migrated or erased (tracked in
+  ``_base_moved``).
+* :meth:`PageMapFTL.write_many` - the scattered overwrites that follow, as
+  one batched, GC-free equivalent of a ``translate_write`` loop.
+
+Behaviour is bit-identical to writing every page through
+``translate_write`` - the lifetime and mapping tests compare full occupancy
+snapshots and map insertion order - which is what makes aging a 512-chip
+device a bookkeeping errand instead of a simulation campaign.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
@@ -40,6 +49,37 @@ class FTLStats:
     gc_writes: int = 0
     invalidations: int = 0
     migrations: int = 0
+
+
+@dataclass
+class PreconditionReport:
+    """What a preconditioning pass did to the device."""
+
+    live_pages: int
+    overwrites: int
+
+    @property
+    def page_writes(self) -> int:
+        """Host-equivalent page writes (= physical pages programmed)."""
+        return self.live_pages + self.overwrites
+
+
+def prefill_plan(
+    total_pages: int, fraction: float, overwrite_fraction: float
+) -> Tuple[int, int]:
+    """``(live, overwrites)`` of a prefill writing ``fraction`` of the device.
+
+    ``fraction`` of the ``total_pages`` physical pages are written, an
+    ``overwrite_fraction`` share of them as rewrites of already written
+    logical pages; the rest is the sequential base fill of logical pages
+    ``0..live-1``, which is also how many distinct logical pages stay mapped.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    if not 0.0 <= overwrite_fraction < 1.0:
+        raise ValueError("overwrite_fraction must be in [0, 1)")
+    overwrites = int(total_pages * fraction * overwrite_fraction)
+    return int(total_pages * fraction) - overwrites, overwrites
 
 
 MigrationListener = Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]
@@ -202,10 +242,10 @@ class PageMapFTL:
         map entry per page, the FTL serves the sequential base fill
         arithmetically (``lookup``/``reverse_lookup`` fall through to the
         stripe formula) and tracks later rewrites in the overlay.  The
-        caller (:func:`repro.lifetime.state.apply_device_state`)
-        bulk-programs the matching block bookkeeping and positions the
-        allocator cursor.  Counts as host writes, exactly like the replayed
-        equivalent.  Legal only once, on a factory-fresh FTL.
+        caller (:meth:`install_base_fill`) bulk-programs the matching block
+        bookkeeping and positions the allocator cursor.  Counts as host
+        writes, exactly like the replayed equivalent.  Legal only once, on a
+        factory-fresh FTL.
         """
         if self._base_live or self._map or self.allocator.cursor != 0:
             raise ValueError("base layout must be installed on a fresh FTL")
@@ -215,6 +255,148 @@ class PageMapFTL:
         self._base_moved = bytearray(live)
         self._base_moved_count = 0
         self.stats.host_writes += live
+
+    def install_base_fill(self, live: int) -> None:
+        """Write logical pages ``0..live-1`` sequentially, in bulk.
+
+        The state ``live`` ``translate_write`` calls leave on a fresh
+        device, reached in O(blocks): the round-robin allocator stripes
+        write ``i`` onto plane ``i % P`` and fills that plane's blocks in
+        order, so every address is arithmetic.  Blocks are bulk-programmed
+        (one operation per block instead of one per page), each plane's
+        active block and the allocator cursor are placed where the per-page
+        writes would leave them, and the logical map is declared as the
+        implicit base layout (:meth:`install_base_layout`).
+
+        Raises ``ValueError`` unless the device is factory-fresh: no mapped
+        page, the allocator at its first plane, and every block good and
+        erased (bad or programmed blocks break the arithmetic layout).
+        """
+        if self.mapped_pages or self.allocator.cursor != 0:
+            raise ValueError(
+                "base fill requires a factory-fresh FTL: pages are already "
+                "mapped or the allocator has moved"
+            )
+        for plane in self._planes.values():
+            if plane.free_blocks != len(plane.blocks):
+                raise ValueError(
+                    "base fill requires a factory-fresh FTL: every block must "
+                    "be good and erased (replay page by page instead)"
+                )
+        self.install_base_layout(live)
+        sequence = self.allocator.plane_sequence
+        num_planes = len(sequence)
+        pages_per_block = self.geometry.pages_per_block
+        base, extra = divmod(live, num_planes)
+        for index, plane_key in enumerate(sequence):
+            count = base + (1 if index < extra else 0)
+            if count == 0:
+                continue
+            plane = self._planes[plane_key]
+            full_blocks, remainder = divmod(count, pages_per_block)
+            for block_id in range(full_blocks):
+                plane.blocks[block_id].program_bulk(pages_per_block)
+            if remainder:
+                plane.blocks[full_blocks].program_bulk(remainder)
+            plane.active_block_id = (count - 1) // pages_per_block
+        self.allocator.cursor = live % num_planes
+
+    def write_many(self, lpns: Sequence[int]) -> None:
+        """Batched, GC-free ``for lpn in lpns: self.translate_write(lpn)``.
+
+        Leaves the same mapping, block bits, active blocks, allocator cursor
+        and counters as the per-page loop, and fills ``_map``/``_reverse``
+        in the same insertion order (checkpoint payloads pickle them).  With
+        no garbage collection and no full plane, write ``k`` lands on plane
+        ``(cursor + k) % P``, so each plane's share is allocated in whole
+        active-block runs (:meth:`repro.flash.plane.Plane.allocate_run`),
+        the superseded versions - base layout, overlay or earlier in the
+        batch - clear in one ``invalidate_mask`` per block, and base-layout
+        old addresses are inline arithmetic (they have no reverse entries).
+        When some plane lacks free pages for its share, the allocator would
+        skip it, so the batch falls back to the per-page loop.
+        """
+        count = len(lpns)
+        if not count:
+            return
+        allocator = self.allocator
+        sequence = allocator.plane_sequence
+        num_planes = len(sequence)
+        cursor = allocator.cursor
+        planes = [self._planes[plane_key] for plane_key in sequence]
+        base, extra = divmod(count, num_planes)
+        shares = [
+            base + (1 if (index - cursor) % num_planes < extra else 0)
+            for index in range(num_planes)
+        ]
+        if any(plane.free_pages < share for plane, share in zip(planes, shares)):
+            for lpn in lpns:
+                self.translate_write(lpn)
+            return
+        # 1. Destinations: each plane's share in active-block runs, then
+        #    interleaved back into write order (the plane of write k is
+        #    fixed by k, so allocation never depends on the mapping pass).
+        new_address = tuple.__new__
+        address_cls = PhysicalPageAddress
+        news: List[PhysicalPageAddress] = [None] * count  # type: ignore[list-item]
+        for offset in range(min(count, num_planes)):
+            index = (cursor + offset) % num_planes
+            channel, chip, die, plane_id = sequence[index]
+            allocate_run = planes[index].allocate_run
+            addresses: List[PhysicalPageAddress] = []
+            remaining = shares[index]
+            while remaining:
+                block, start, run = allocate_run(remaining)
+                addresses += [
+                    new_address(address_cls, (channel, chip, die, plane_id, block, page))
+                    for page in range(start, start + run)
+                ]
+                remaining -= run
+            news[offset::num_planes] = addresses
+        # 2. Mapping pass in write order: each write supersedes the LPN's
+        #    current version, whose page bit joins its block's stale mask
+        #    (keyed by plane index * blocks per plane + block).
+        explicit_map = self._map
+        map_get = explicit_map.get
+        plane_index = self._plane_index
+        blocks_per_plane = self.geometry.blocks_per_plane
+        pages_per_block = self.geometry.pages_per_block
+        base_live = self._base_live
+        moved = self._base_moved
+        newly_moved = 0
+        masks: Dict[int, int] = {}
+        masks_get = masks.get
+        stale: List[PhysicalPageAddress] = []
+        for lpn, new in zip(lpns, news):
+            old = map_get(lpn)
+            if old is not None:
+                stale.append(old)
+                key = plane_index[old[:4]] * blocks_per_plane + old[4]
+                masks[key] = masks_get(key, 0) | (1 << old[5])
+            elif lpn < base_live and not moved[lpn]:
+                moved[lpn] = 1
+                newly_moved += 1
+                position = lpn // num_planes
+                key = (lpn % num_planes) * blocks_per_plane + position // pages_per_block
+                masks[key] = masks_get(key, 0) | (1 << (position % pages_per_block))
+            explicit_map[lpn] = new
+        for key, mask in masks.items():
+            index, block = divmod(key, blocks_per_plane)
+            planes[index].blocks[block].invalidate_mask(mask)
+        # 3. Reverse map: every new version in write order, then the
+        #    superseded overlay versions (including ones written earlier in
+        #    this batch) dropped - the contents and order the interleaved
+        #    per-page inserts and pops produce.
+        reverse = self._reverse
+        reverse.update(zip(news, lpns))
+        reverse_pop = reverse.pop
+        for old in stale:
+            reverse_pop(old, None)
+        self._base_moved_count += newly_moved
+        stats = self.stats
+        stats.invalidations += len(stale) + newly_moved
+        stats.host_writes += count
+        allocator.cursor = (cursor + count) % num_planes
 
     # ------------------------------------------------------------------
     # Invalidation and migration
@@ -500,10 +682,9 @@ class PageMapFTL:
         self,
         fraction: float,
         *,
-        start_lpn: int = 0,
         overwrite_fraction: float = 0.0,
         seed: int = 12345,
-    ) -> int:
+    ) -> PreconditionReport:
         """Pre-condition the SSD by writing ``fraction`` of its physical space.
 
         Used to create the "fragmented SSD filled by 95%" starting point of
@@ -515,22 +696,19 @@ class PageMapFTL:
         like, and what makes greedy garbage collection productive rather
         than pure thrash.
 
-        Returns the number of page writes performed.  Bookkeeping only - no
-        time is simulated.
+        The sequential part is :meth:`install_base_fill` of logical pages
+        ``0..live-1`` (see :func:`prefill_plan`); the overwrites are
+        :meth:`write_many` batches of distinct pages drawn with
+        ``rng.sample``.  Legal only on a factory-fresh device (``ValueError``
+        otherwise).  Returns the :class:`PreconditionReport`; its
+        ``page_writes`` is the number of page writes performed.
+        Bookkeeping only - no time is simulated.
         """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        if not 0.0 <= overwrite_fraction < 1.0:
-            raise ValueError("overwrite_fraction must be in [0, 1)")
-        overwrites = int(self.geometry.total_pages * fraction * overwrite_fraction)
-        target = int(self.geometry.total_pages * fraction) - overwrites
-        written = 0
-        lpn = start_lpn
-        while written < target:
-            self.translate_write(lpn)
-            lpn += 1
-            written += 1
-        filled = max(1, lpn - start_lpn)
+        live, overwrites = prefill_plan(
+            self.geometry.total_pages, fraction, overwrite_fraction
+        )
+        self.install_base_fill(live)
+        filled = max(1, live)
         # Overwrite a pseudo-random subset of the filled logical pages so the
         # surviving valid pages are spread uniformly across blocks (no
         # correlation with the plane/block striping of the first pass).
@@ -538,8 +716,6 @@ class PageMapFTL:
         remaining = overwrites
         while remaining > 0:
             batch = min(remaining, filled)
-            for offset in rng.sample(range(filled), batch):
-                self.translate_write(start_lpn + offset)
-            written += batch
+            self.write_many(rng.sample(range(filled), batch))
             remaining -= batch
-        return written
+        return PreconditionReport(live_pages=live, overwrites=overwrites)

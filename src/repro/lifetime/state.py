@@ -7,16 +7,19 @@ frozen, content-fingerprintable description of an *aged* device (how full,
 how fragmented, how skewed the overwrite traffic that got it there), and
 :func:`apply_device_state` is a **fast-forward constructor** that programs
 the FTL mapping and the per-block valid/erase bookkeeping directly - no
-event simulation, no per-page allocator walk for the base fill - so aging a
-multi-hundred-chip device takes a tiny fraction of the time the equivalent
-write workload would need through the event simulator.
+event simulation, no per-page allocator walk - so aging a multi-hundred-chip
+device takes a tiny fraction of the time the equivalent write workload would
+need through the event simulator.
 
 Three views of the same aging recipe are kept bit-compatible, and the test
 suite holds them together:
 
-* :func:`apply_device_state` - the fast path (bulk block programming plus a
-  bulk FTL map install for the sequential base fill, bookkeeping-only
-  overwrites for the fragmentation pass);
+* :func:`apply_device_state` - the fast path, built from the FTL's two bulk
+  primitives, the same ones the ``prefill_fraction`` preconditioner
+  (``PageMapFTL.fill``) uses: ``install_base_fill`` bulk-programs the
+  sequential base fill and declares it as the implicit base layout, and
+  ``write_many`` applies the fragmentation overwrites as one batched,
+  GC-free pass;
 * :func:`replay_device_state` - the reference path, issuing every write
   through ``PageMapFTL.translate_write`` one page at a time;
 * :func:`device_state_workload` - the equivalent *host workload*, which run
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.flash.geometry import SSDGeometry
-from repro.ftl.mapping import PageMapFTL
+from repro.ftl.mapping import PageMapFTL, PreconditionReport
 from repro.workloads.request import IOKind, IORequest
 
 #: Bump when aging semantics change in a way that must invalidate every
@@ -174,32 +177,6 @@ def _overwrite_sequence(
     return [draw_skewed_lpn(rng, hot, cold, hot_write_share) for _ in range(count)]
 
 
-@dataclass
-class PreconditionReport:
-    """What a preconditioning pass did to the device."""
-
-    live_pages: int
-    overwrites: int
-
-    @property
-    def page_writes(self) -> int:
-        """Host-equivalent page writes (= physical pages programmed)."""
-        return self.live_pages + self.overwrites
-
-
-def _require_pristine(ftl: PageMapFTL) -> None:
-    if ftl.mapped_pages > 0 or ftl.allocator.cursor != 0:
-        raise ValueError("device state must be applied to a factory-fresh device")
-    for chip in ftl.chips.values():
-        for plane in chip.iter_planes():
-            for block in plane.blocks:
-                if block.is_bad or not block.is_free:
-                    raise ValueError(
-                        "fast-forward aging requires a pristine device "
-                        "(no bad or programmed blocks); use replay_device_state"
-                    )
-
-
 def apply_device_state(
     ftl: PageMapFTL,
     state: DeviceState,
@@ -209,49 +186,26 @@ def apply_device_state(
 ) -> PreconditionReport:
     """Fast-forward a pristine device into ``state`` (bookkeeping only).
 
-    The sequential base fill is *computed*, not replayed: on a fresh device
-    the round-robin allocator stripes write ``i`` onto plane ``i % P`` and
-    fills that plane's blocks in order, so every address is arithmetic.
-    Blocks are bulk-programmed (one operation per block instead of one per
-    page) and the logical map is declared as an implicit base layout
-    (:meth:`~repro.ftl.mapping.PageMapFTL.install_base_layout`) - O(blocks)
-    total, no per-page work at all.  Only the overwrite pass - whose
-    allocation pattern depends on the RNG - runs through the regular
-    ``translate_write`` bookkeeping.
+    The sequential base fill is *computed*, not replayed
+    (:meth:`~repro.ftl.mapping.PageMapFTL.install_base_fill`: bulk block
+    programming plus the implicit base layout, O(blocks) total), and the
+    seeded overwrite pass is one batched
+    :meth:`~repro.ftl.mapping.PageMapFTL.write_many` call.  Raises
+    ``ValueError`` on a device that is not factory-fresh.
 
     Bit-identical to :func:`replay_device_state` (and to running
     :func:`device_state_workload` through the event simulator with GC off):
     same mapping, same block bits, same allocator cursor, same FTL counters.
     """
-    _require_pristine(ftl)
-    geometry = ftl.geometry
-    live, overwrites = state.precondition_plan(geometry, logical_pages)
+    live, overwrites = state.precondition_plan(ftl.geometry, logical_pages)
     if rng is None:
         rng = random.Random(state.seed)
-
-    sequence = ftl.allocator.plane_sequence
-    num_planes = len(sequence)
-    pages_per_block = geometry.pages_per_block
-    base, extra = divmod(live, num_planes)
-    for index, (channel, chip, die, plane) in enumerate(sequence):
-        count = base + (1 if index < extra else 0)
-        if count == 0:
-            continue
-        plane_obj = ftl.chips[(channel, chip)].plane(die, plane)
-        full_blocks, remainder = divmod(count, pages_per_block)
-        for block_id in range(full_blocks):
-            plane_obj.blocks[block_id].program_bulk(pages_per_block)
-        if remainder:
-            plane_obj.blocks[full_blocks].program_bulk(remainder)
-        plane_obj.active_block_id = (count - 1) // pages_per_block
-    ftl.install_base_layout(live)
-    if live:
-        ftl.allocator.cursor = live % num_planes
-
-    for lpn in _overwrite_sequence(
-        rng, live, overwrites, state.hot_fraction, state.hot_write_share
-    ):
-        ftl.translate_write(lpn)
+    ftl.install_base_fill(live)
+    ftl.write_many(
+        _overwrite_sequence(
+            rng, live, overwrites, state.hot_fraction, state.hot_write_share
+        )
+    )
     return PreconditionReport(live_pages=live, overwrites=overwrites)
 
 

@@ -20,6 +20,7 @@ from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
 from repro.flash.transaction import TransactionConstraints
 from repro.ftl.allocation import AllocationOrder
+from repro.ftl.mapping import prefill_plan
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.lifetime imports us back)
     from repro.lifetime.state import DeviceState
@@ -133,10 +134,11 @@ class SimulationConfig:
             raise ValueError("overprovisioning_fraction must be in [0, 1)")
         if self.stale_penalty_ns < 0:
             raise ValueError("stale_penalty_ns must be non-negative")
-        # Same arithmetic as PageMapFTL.fill: distinct LPNs left mapped.
-        total = self.geometry.total_pages
-        prefilled = int(total * self.prefill_fraction) - int(
-            total * self.prefill_fraction * self.prefill_overwrite_fraction
+        # The logical pages PageMapFTL.fill leaves mapped.
+        prefilled, _ = prefill_plan(
+            self.geometry.total_pages,
+            self.prefill_fraction,
+            self.prefill_overwrite_fraction,
         )
         if prefilled > self.logical_pages:
             raise ValueError(

@@ -1,8 +1,32 @@
 """Tests for the page-mapped FTL."""
 
+import random
+
 import pytest
 
-from repro.ftl.mapping import PageMapFTL
+from repro.flash.chip import FlashChip
+from repro.flash.geometry import SSDGeometry
+from repro.ftl.mapping import PageMapFTL, prefill_plan
+from repro.lifetime.state import occupancy_snapshot
+from repro.sim.config import SimulationConfig
+
+
+def fresh_ftl(geometry):
+    return PageMapFTL(
+        geometry, {key: FlashChip(key, geometry) for key in geometry.iter_chip_keys()}
+    )
+
+
+def ftl_state(ftl):
+    """Everything write_many must reproduce, map insertion order included."""
+    return (
+        occupancy_snapshot(ftl),
+        ftl.stats,
+        list(ftl._map.items()),
+        list(ftl._reverse.items()),
+        bytes(ftl._base_moved),
+        ftl._base_moved_count,
+    )
 
 
 @pytest.fixture
@@ -95,8 +119,9 @@ class TestEraseBlock:
 
 class TestFill:
     def test_fill_writes_requested_fraction(self, ftl, small_geometry):
-        written = ftl.fill(0.5)
-        assert written == int(small_geometry.total_pages * 0.5)
+        report = ftl.fill(0.5)
+        assert report.page_writes == int(small_geometry.total_pages * 0.5)
+        assert report.overwrites == 0
         assert ftl.utilization() == pytest.approx(0.5, abs=0.01)
 
     def test_fill_with_overwrites_creates_invalid_pages(self, small_geometry, small_chips):
@@ -118,8 +143,27 @@ class TestFill:
             ftl.fill(0.5, overwrite_fraction=1.0)
 
     def test_fill_zero_is_noop(self, ftl):
-        assert ftl.fill(0.0) == 0
+        assert ftl.fill(0.0).page_writes == 0
         assert ftl.utilization() == 0.0
+
+    def test_fill_reports_plan(self, ftl, small_geometry):
+        report = ftl.fill(0.8, overwrite_fraction=0.4)
+        assert (report.live_pages, report.overwrites) == prefill_plan(
+            small_geometry.total_pages, 0.8, 0.4
+        )
+        assert ftl.stats.host_writes == report.page_writes
+        assert ftl.mapped_pages == report.live_pages
+
+    def test_fill_requires_fresh_ftl(self, ftl):
+        ftl.translate_write(0)
+        with pytest.raises(ValueError, match="factory-fresh"):
+            ftl.fill(0.5)
+
+    def test_fill_rejects_programmed_blocks(self, ftl, small_chips):
+        plane = next(iter(small_chips.values())).plane(0, 0)
+        plane.blocks[3].program_bulk(1)
+        with pytest.raises(ValueError, match="good and erased"):
+            ftl.fill(0.5)
 
     def test_utilization_empty(self, ftl):
         assert ftl.utilization() == 0.0
@@ -129,25 +173,7 @@ class TestBaseLayout:
     """The implicit (lazy) base layout behind fast-forward aging."""
 
     def install(self, ftl, small_geometry, live=64):
-        # Bulk-program the blocks the base layout claims, like
-        # apply_device_state does, so block state and mapping agree.
-        sequence = ftl.allocator.plane_sequence
-        num_planes = len(sequence)
-        per_plane, extra = divmod(live, num_planes)
-        for index, (channel, chip, die, plane) in enumerate(sequence):
-            count = per_plane + (1 if index < extra else 0)
-            if count == 0:
-                continue
-            plane_obj = ftl.chips[(channel, chip)].plane(die, plane)
-            ppb = small_geometry.pages_per_block
-            full, rem = divmod(count, ppb)
-            for block_id in range(full):
-                plane_obj.blocks[block_id].program_bulk(ppb)
-            if rem:
-                plane_obj.blocks[full].program_bulk(rem)
-            plane_obj.active_block_id = (count - 1) // ppb
-        ftl.install_base_layout(live)
-        ftl.allocator.cursor = live % num_planes
+        ftl.install_base_fill(live)
         return live
 
     def test_base_pages_resolve_like_written_pages(self, ftl, small_geometry):
@@ -202,3 +228,160 @@ class TestBaseLayout:
     def test_install_rejects_out_of_range(self, ftl, small_geometry):
         with pytest.raises(ValueError):
             ftl.install_base_layout(small_geometry.total_pages + 1)
+
+
+#: Geometries for the generated write_many cases: the shared small one and a
+#: narrow one whose 4-page blocks put a block boundary inside most runs.
+WRITE_MANY_GEOMETRIES = (
+    SSDGeometry(
+        num_channels=2,
+        chips_per_channel=2,
+        dies_per_chip=2,
+        planes_per_die=2,
+        blocks_per_plane=8,
+        pages_per_block=16,
+        page_size_bytes=2048,
+    ),
+    SSDGeometry(
+        num_channels=1,
+        chips_per_channel=3,
+        dies_per_chip=1,
+        planes_per_die=1,
+        blocks_per_plane=24,
+        pages_per_block=4,
+        page_size_bytes=2048,
+    ),
+)
+
+
+def generated_case(seed):
+    """A seeded ``(geometry, live, prelude, batches)`` write_many case.
+
+    ``live`` pages of base fill, a per-page ``prelude`` that builds an
+    overlay and moves the allocator cursor, then batches drawn from a narrow
+    LPN range so they repeat LPNs.  Every batch also rewrites a base-layout
+    LPN, an overlay LPN and its own first LPN, so each case has olds from
+    the base layout, the overlay and earlier in the batch.
+    """
+    rng = random.Random(seed)
+    geometry = WRITE_MANY_GEOMETRIES[seed % len(WRITE_MANY_GEOMETRIES)]
+    total = geometry.total_pages
+    live = rng.randrange(1, total // 2)
+    span = live + rng.randrange(1, 64)
+    prelude = [rng.randrange(span) for _ in range(rng.randrange(1, 48))]
+    batches = []
+    written = set(prelude)
+    budget = total - live - len(prelude)
+    for _ in range(rng.randrange(1, 4)):
+        size = rng.randrange(1, min(160, budget // 4))
+        batch = [rng.randrange(span) for _ in range(size)]
+        base_lpn = rng.choice(sorted(set(range(live)) - written))
+        batch += [base_lpn, rng.choice(prelude), batch[0]]
+        written.update(batch)
+        budget -= len(batch)
+        batches.append(batch)
+    return geometry, live, prelude, batches
+
+
+class TestWriteMany:
+    """write_many against the per-page translate_write loop it batches."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_generated_batches_match_per_page_loop(self, seed):
+        geometry, live, prelude, batches = generated_case(seed)
+        bulk, reference = fresh_ftl(geometry), fresh_ftl(geometry)
+        for ftl in (bulk, reference):
+            ftl.install_base_fill(live)
+            for lpn in prelude:
+                ftl.translate_write(lpn)
+        assert bulk.allocator.cursor == (live + len(prelude)) % geometry.num_planes
+        for batch in batches:
+            bulk.write_many(batch)
+            for lpn in batch:
+                reference.translate_write(lpn)
+            assert ftl_state(bulk) == ftl_state(reference)
+
+    def test_batch_without_base_layout(self, small_geometry):
+        bulk, reference = fresh_ftl(small_geometry), fresh_ftl(small_geometry)
+        batch = [5, 9, 5, 700, 9, 9, 1]
+        bulk.write_many(batch)
+        for lpn in batch:
+            reference.translate_write(lpn)
+        assert ftl_state(bulk) == ftl_state(reference)
+        assert bulk.stats.invalidations == 3
+
+    def test_empty_batch_is_noop(self, ftl):
+        before = ftl_state(ftl)
+        ftl.write_many([])
+        assert ftl_state(ftl) == before
+
+    def test_full_plane_falls_back_to_per_page_loop(self, small_geometry):
+        bulk, reference = fresh_ftl(small_geometry), fresh_ftl(small_geometry)
+        num_planes = small_geometry.num_planes
+        first_plane = bulk.allocator.plane_sequence[0]
+        per_plane = small_geometry.pages_per_plane
+        for ftl in (bulk, reference):
+            for lpn in range(num_planes):
+                ftl.translate_write(lpn)
+            # Pile migrations into the first plane until one page is left.
+            lpn = num_planes
+            while ftl.chips[first_plane[:2]].plane(*first_plane[2:]).free_pages > 1:
+                ftl.translate_write(lpn)
+                ftl.migrate_page(lpn, preferred_plane=first_plane)
+                lpn += 1
+        plane = bulk.chips[first_plane[:2]].plane(*first_plane[2:])
+        batch = [lpn % 50 for lpn in range(2 * num_planes)]
+        # The first plane's share (2) exceeds its free pages (1): the
+        # allocator skips it mid-batch, so the bulk plan does not hold.
+        assert plane.free_pages == 1 < per_plane
+        bulk.write_many(batch)
+        for lpn in batch:
+            reference.translate_write(lpn)
+        assert plane.free_pages == 0
+        assert ftl_state(bulk) == ftl_state(reference)
+
+
+def reference_fill(ftl, fraction, overwrite_fraction, seed=12345):
+    """Page-by-page prefill: the semantics ``PageMapFTL.fill`` bulk-applies."""
+    live, overwrites = prefill_plan(ftl.geometry.total_pages, fraction, overwrite_fraction)
+    for lpn in range(live):
+        ftl.translate_write(lpn)
+    filled = max(1, live)
+    rng = random.Random(seed)
+    remaining = overwrites
+    while remaining > 0:
+        batch = min(remaining, filled)
+        for lpn in rng.sample(range(filled), batch):
+            ftl.translate_write(lpn)
+        remaining -= batch
+
+
+class TestBulkFill:
+    """fill (base fill + write_many) against a per-page reference fill."""
+
+    GCHEAVY_GEOMETRY = SimulationConfig.paper_scale(64).geometry.scaled(
+        blocks_per_plane=16, pages_per_block=32
+    )
+
+    @pytest.mark.parametrize(
+        "fraction, overwrite_fraction",
+        [(0.5, 0.0), (0.8, 0.4), (0.95, 0.3), (0.9, 0.6)],
+    )
+    def test_small_geometry_matches_reference(
+        self, small_geometry, fraction, overwrite_fraction
+    ):
+        bulk, reference = fresh_ftl(small_geometry), fresh_ftl(small_geometry)
+        report = bulk.fill(fraction, overwrite_fraction=overwrite_fraction)
+        reference_fill(reference, fraction, overwrite_fraction)
+        assert occupancy_snapshot(bulk) == occupancy_snapshot(reference)
+        assert bulk.stats == reference.stats
+        assert report.page_writes == reference.stats.host_writes
+
+    def test_gcheavy_geometry_matches_reference(self):
+        geometry = self.GCHEAVY_GEOMETRY
+        bulk, reference = fresh_ftl(geometry), fresh_ftl(geometry)
+        report = bulk.fill(0.95, overwrite_fraction=0.3)
+        reference_fill(reference, 0.95, 0.3)
+        assert occupancy_snapshot(bulk) == occupancy_snapshot(reference)
+        assert bulk.stats == reference.stats
+        assert (report.live_pages, report.overwrites) == (87163, 37355)

@@ -64,6 +64,12 @@ class TestSpec:
 
 
 class TestRows:
+    def test_process_backend_matches_serial(self, rows):
+        parallel = steady_state.run_steady_state(
+            **QUICK, engine=ExecutionEngine("process", max_workers=2)
+        )
+        assert parallel == rows
+
     def test_row_shape(self, rows):
         assert len(rows) == 2 * 3 * 2
         for row in rows:
