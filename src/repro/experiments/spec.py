@@ -40,7 +40,9 @@ from repro.workloads.request import IORequest
 #: previously cached results.
 #: v2: SimulationResult grew first-class gc_stats/wear/lifetime fields -
 #: pre-v2 cache entries unpickle without them and must not be reused.
-SPEC_VERSION = 2
+#: v3: prefilled devices (``prefill_fraction``) report their fill writes in
+#: ``lifetime.precondition_writes`` - pre-v3 entries carry 0 there.
+SPEC_VERSION = 3
 
 
 def _as_items(mapping: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:

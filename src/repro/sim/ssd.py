@@ -168,13 +168,13 @@ class SSDSimulator:
         self._run_active = False
 
         # --- preconditioning ------------------------------------------------------
+        self.precondition: Optional[PreconditionReport] = None
+        self.steady_state: Optional[SteadyStateReport] = None
         if config.prefill_fraction > 0.0:
-            self.ftl.fill(
+            self.precondition = self.ftl.fill(
                 config.prefill_fraction,
                 overwrite_fraction=config.prefill_overwrite_fraction,
             )
-        self.precondition: Optional[PreconditionReport] = None
-        self.steady_state: Optional[SteadyStateReport] = None
         if config.device_state is not None:
             state = config.device_state
             # One RNG stream across fill and steady aging, so the whole aged

@@ -11,7 +11,7 @@ from repro.experiments.engine import ExecutionEngine
 from repro.experiments.spec import SimJob, WorkloadSpec
 from repro.flash.chip import FlashChip
 from repro.ftl.garbage_collector import GarbageCollector
-from repro.ftl.mapping import PageMapFTL
+from repro.ftl.mapping import PageMapFTL, prefill_plan
 from repro.lifetime import (
     DeviceState,
     age_to_steady_state,
@@ -326,6 +326,17 @@ class TestSimulatorIntegration:
             result.lifetime.host_writes + result.lifetime.pages_relocated
         )
         assert result.gc_stats.orphaned_pages == 0
+
+    def test_prefilled_device_reports_precondition_writes(self):
+        config = SimulationConfig.small(prefill_fraction=0.9)
+        live, overwrites = prefill_plan(
+            config.geometry.total_pages, 0.9, config.prefill_overwrite_fraction
+        )
+        simulator = SSDSimulator(config, "SPK3")
+        result = simulator.run(small_write_workload(), workload_name="prefilled")
+        assert overwrites > 0
+        assert result.lifetime.precondition_writes == live + overwrites
+        assert result.lifetime.host_writes < result.lifetime.precondition_writes
 
     def test_fresh_device_reports_unit_wa(self, test_config):
         simulator = SSDSimulator(test_config, "SPK3")
