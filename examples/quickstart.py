@@ -16,7 +16,7 @@ it through ``repro.experiments.engine.ExecutionEngine`` instead - see
 ``examples/scheduler_comparison.py``.
 """
 
-from repro import SimulationConfig, run_workload
+from repro import SimulationConfig, SSDSimulator
 from repro.workloads import generate_random_workload
 
 KB = 1024
@@ -37,7 +37,7 @@ def main() -> None:
         seed=42,
     )
 
-    result = run_workload(workload, scheduler="SPK3", config=config, workload_name="quickstart")
+    result = SSDSimulator(config, "SPK3").run(workload, workload_name="quickstart")
 
     print("Sprinkler (SPK3) on a 64-chip SSD")
     print("-" * 40)

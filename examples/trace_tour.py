@@ -18,8 +18,7 @@ opened visually at https://ui.perfetto.dev::
 from pathlib import Path
 
 from repro.experiments.spec import SimJob, WorkloadSpec
-from repro.obs import format_tail_windows, write_chrome_trace
-from repro.obs.runner import run_traced
+from repro.obs import MemoryTraceSink, format_tail_windows, write_chrome_trace
 from repro.scenarios.library import bursty_multitenant_scenario
 from repro.sim.config import SimulationConfig
 
@@ -32,7 +31,8 @@ def main() -> None:
         config=SimulationConfig.small(gc_enabled=True),
         key=("bursty", "SPK3"),
     )
-    result, sink = run_traced(job)
+    sink = MemoryTraceSink()
+    result = job.execute(trace_sink=sink)
 
     print(
         f"workload {result.workload!r} under {result.scheduler}: "

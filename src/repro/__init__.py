@@ -16,17 +16,17 @@ The package provides:
 
 Quickstart::
 
-    from repro import SimulationConfig, run_workload, generate_random_workload
+    from repro import SimulationConfig, SSDSimulator, generate_random_workload
 
     workload = generate_random_workload(num_requests=256, size_bytes=16 * 1024)
-    result = run_workload(workload, scheduler="SPK3", config=SimulationConfig.paper_scale(64))
+    result = SSDSimulator(SimulationConfig.paper_scale(64), "SPK3").run(workload)
     print(result.summary_row())
 """
 
 from repro.core import SCHEDULER_NAMES, Sprinkler, make_scheduler
 from repro.flash import FlashTiming, SSDGeometry
 from repro.metrics import SimulationResult, format_table
-from repro.sim import SimulationConfig, SSDSimulator, run_workload
+from repro.sim import SimulationConfig, SSDSimulator
 from repro.workloads import (
     DATACENTER_TRACE_NAMES,
     IOKind,
@@ -76,7 +76,6 @@ __all__ = [
     "format_table",
     "SimulationConfig",
     "SSDSimulator",
-    "run_workload",
     "DATACENTER_TRACE_NAMES",
     "IOKind",
     "IORequest",

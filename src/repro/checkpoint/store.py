@@ -161,12 +161,7 @@ def run_job_checkpointed(
 
             sink = MemoryTraceSink()
         workload = job.workload.build()
-        simulator = SSDSimulator(
-            job.resolved_config,
-            job.scheduler,
-            scheduler_options=job.options_dict,
-            trace_sink=sink,
-        )
+        simulator = job.simulator(sink)
         result = simulator.run(
             workload, workload_name=job.workload.name, max_events=every_events
         )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.devices.model import DeviceModel
 from repro.flash.geometry import SSDGeometry

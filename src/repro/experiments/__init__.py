@@ -19,12 +19,8 @@ from repro.experiments.engine import (
 from repro.experiments.runner import (
     ALL_SCHEDULERS,
     ExperimentScale,
-    clone_workload,
-    default_trace_set,
     default_workload_specs,
     paper_config,
-    run_scheduler_matrix,
-    run_single,
 )
 from repro.experiments.spec import ArraySpec, ExperimentSpec, SimJob, WorkloadSpec
 from repro.experiments import (
@@ -55,12 +51,8 @@ __all__ = [
     "add_engine_arguments",
     "engine_from_args",
     "engine_from_cli",
-    "clone_workload",
-    "default_trace_set",
     "default_workload_specs",
     "paper_config",
-    "run_scheduler_matrix",
-    "run_single",
     "array_scaling",
     "scenario_matrix",
     "steady_state",

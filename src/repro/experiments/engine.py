@@ -49,32 +49,20 @@ BACKENDS = ("serial", "process")
 DEFAULT_CHECKPOINT_EVERY = 250_000
 
 
-def _execute_job(job: SimJob) -> SimulationResult:
-    """Top-level job runner (must be picklable for the process backend)."""
-    return job.execute()
+def _execute_job(job: SimJob, trace_dir: Optional[str] = None) -> SimulationResult:
+    """Top-level job runner (must be picklable for the process backend).
 
-
-def _execute_job_traced(job: SimJob, trace_dir: str) -> SimulationResult:
-    """Job runner that records a per-job telemetry artifact (picklable).
-
-    Mirrors ``SimJob.execute`` with a memory trace sink attached, then
-    writes the run's Chrome-trace JSON (named by the job fingerprint) into
-    ``trace_dir``.  The returned result is value-identical to an untraced
-    run - tracing is observational only.
+    With ``trace_dir`` set, the job runs with a memory trace sink and its
+    Chrome-trace JSON (named by the job fingerprint) is written into the
+    directory.  The result is value-identical to an untraced run.
     """
+    if trace_dir is None:
+        return job.execute()
     from repro.obs.export import write_job_trace
     from repro.obs.trace import MemoryTraceSink
-    from repro.sim.ssd import SSDSimulator
 
     sink = MemoryTraceSink()
-    workload = job.workload.build()
-    simulator = SSDSimulator(
-        job.resolved_config,
-        job.scheduler,
-        scheduler_options=job.options_dict,
-        trace_sink=sink,
-    )
-    result = simulator.run(workload, workload_name=job.workload.name)
+    result = job.execute(trace_sink=sink)
     write_job_trace(trace_dir, job, sink, result)
     return result
 
@@ -254,7 +242,7 @@ class ExecutionEngine:
                 trace_dir=str(self.trace_dir) if self.trace_dir is not None else None,
             )
         if self.trace_dir is not None:
-            return functools.partial(_execute_job_traced, trace_dir=str(self.trace_dir))
+            return functools.partial(_execute_job, trace_dir=str(self.trace_dir))
         return _execute_job
 
     # ------------------------------------------------------------------
@@ -331,8 +319,8 @@ class ExecutionEngine:
     def build_workloads(self, specs: Sequence[WorkloadSpec]) -> Dict[str, List[IORequest]]:
         """Materialise workload specs (through the backend), keyed by name.
 
-        Pure-workload experiments (Table 1) and legacy helpers use this to
-        route trace generation through the same serial/process machinery.
+        Table 1 (a pure-workload experiment) uses this to route trace
+        generation through the same serial/process machinery.
         """
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
@@ -424,10 +412,10 @@ def engine_from_args(args: argparse.Namespace) -> ExecutionEngine:
         args.backend,
         max_workers=args.workers,
         cache_dir=args.cache_dir,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        checkpoint_every=getattr(args, "checkpoint_every", DEFAULT_CHECKPOINT_EVERY),
-        trace_dir=getattr(args, "trace_dir", None),
-        progress=getattr(args, "progress", False),
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        trace_dir=args.trace_dir,
+        progress=args.progress,
     )
 
 

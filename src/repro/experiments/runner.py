@@ -1,26 +1,19 @@
-"""Shared experiment plumbing.
+"""Paper-specific experiment ingredients.
 
-The individual figure modules all need the same ingredients: a set of
-workload *specs*, a set of schedulers, and a way to collect one
-:class:`~repro.metrics.report.SimulationResult` per grid cell.  The grids
-themselves are declared with :mod:`repro.experiments.spec` and executed by
-:mod:`repro.experiments.engine`; this module provides the paper-specific
-ingredients (scales, trace sets, the evaluation-platform config) plus thin
-compatibility wrappers over the engine.
+The figure modules declare their grids with :mod:`repro.experiments.spec`
+and execute them through :mod:`repro.experiments.engine`.  This module
+holds what they share: the scheduler list, the experiment scales, the
+datacenter trace specs and the evaluation-platform config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-from repro.experiments.engine import ExecutionEngine
-from repro.experiments.spec import ExperimentSpec, WorkloadSpec
-from repro.metrics.report import SimulationResult
+from repro.experiments.spec import WorkloadSpec
 from repro.sim.config import SimulationConfig
-from repro.sim.ssd import SSDSimulator
 from repro.workloads.datacenter import DATACENTER_TRACE_NAMES
-from repro.workloads.request import IORequest
 
 #: The three schedulers most figures compare, plus the two Sprinkler ablations.
 ALL_SCHEDULERS = ("VAS", "PAS", "SPK1", "SPK2", "SPK3")
@@ -65,76 +58,6 @@ def default_workload_specs(scale: ExperimentScale) -> Dict[str, WorkloadSpec]:
         )
         for name in scale.traces
     }
-
-
-def default_trace_set(
-    scale: ExperimentScale, engine: Optional[ExecutionEngine] = None
-) -> Dict[str, List[IORequest]]:
-    """Generate (materialise) the datacenter traces used by the figures."""
-    engine = engine or ExecutionEngine()
-    return engine.build_workloads(list(default_workload_specs(scale).values()))
-
-
-def clone_workload(workload: Sequence[IORequest]) -> List[IORequest]:
-    """Deep-copy a workload so each simulation run starts from pristine state.
-
-    The simulator stamps completion times onto the request objects, so reusing
-    the same objects across runs would leak state between schedulers.  Cloning
-    goes through :func:`dataclasses.replace` so any field added to
-    :class:`IORequest` later is copied automatically instead of silently
-    sharing (or dropping) state; only the lifecycle timestamps are reset.
-    """
-    return [
-        replace(io, enqueued_at_ns=None, completed_at_ns=None) for io in workload
-    ]
-
-
-def run_single(
-    workload: Sequence[IORequest],
-    scheduler: str,
-    config: SimulationConfig,
-    workload_name: str,
-    scheduler_options: Optional[Dict[str, object]] = None,
-) -> SimulationResult:
-    """Run one (workload, scheduler) pair on a fresh simulator."""
-    simulator = SSDSimulator(config, scheduler, scheduler_options=scheduler_options)
-    return simulator.run(clone_workload(workload), workload_name=workload_name)
-
-
-def run_scheduler_matrix(
-    workloads: Mapping[str, Union[WorkloadSpec, Sequence[IORequest]]],
-    schedulers: Iterable[str],
-    config: SimulationConfig,
-    *,
-    config_per_scheduler: Optional[Callable[[str], SimulationConfig]] = None,
-    scheduler_options: Optional[Dict[str, Dict[str, object]]] = None,
-    engine: Optional[ExecutionEngine] = None,
-    name: str = "scheduler-matrix",
-) -> Dict[Tuple[str, str], SimulationResult]:
-    """Run every scheduler against every workload through the engine.
-
-    Returns a mapping ``(workload_name, scheduler_name) -> SimulationResult``.
-    ``workloads`` may hold :class:`WorkloadSpec` values (preferred - they are
-    what worker processes can rebuild) or raw request lists, which are frozen
-    into inline specs.  ``config_per_scheduler`` lets an experiment vary the
-    device configuration with the scheduler (e.g. disabling the readdressing
-    callback for VAS/PAS).
-    """
-    specs = [
-        workload
-        if isinstance(workload, WorkloadSpec)
-        else WorkloadSpec.inline(workload_name, workload)
-        for workload_name, workload in workloads.items()
-    ]
-    spec = ExperimentSpec.matrix(
-        name,
-        specs,
-        tuple(schedulers),
-        config,
-        config_per_scheduler=config_per_scheduler,
-        scheduler_options=scheduler_options,
-    )
-    return (engine or ExecutionEngine()).run(spec)
 
 
 def paper_config(scale: ExperimentScale, **overrides) -> SimulationConfig:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.report import SimulationResult
+from repro.obs.trace import TraceSink
 from repro.scenarios.scenario import SCENARIO_VERSION, Scenario
 from repro.sim.config import SimulationConfig, stable_fingerprint
 from repro.sim.ssd import SSDSimulator
@@ -120,9 +121,10 @@ class WorkloadSpec:
     ) -> "WorkloadSpec":
         """Freeze an already-materialised request list into a spec.
 
-        Used by legacy call sites that hand the runner raw request lists; the
-        requests are stored as plain value tuples, so the spec stays hashable
-        and rebuilds (with fresh ids) identically in any process.
+        The array and fleet device jobs freeze each device's sub-trace this
+        way.  The requests are stored as plain value tuples, so the spec
+        stays hashable and rebuilds (with fresh ids) identically in any
+        process.
 
         ``keep_tags=True`` preserves the observational provenance tags
         (``tenant``/``phase_index``) through the freeze/thaw round trip so
@@ -238,13 +240,29 @@ class SimJob:
             )
         )
 
-    def execute(self) -> SimulationResult:
-        """Run this job on a fresh simulator (the engine's unit of work)."""
-        workload = self.workload.build()
-        simulator = SSDSimulator(
-            self.resolved_config, self.scheduler, scheduler_options=self.options_dict
+    def simulator(self, trace_sink: Optional[TraceSink] = None) -> SSDSimulator:
+        """A fresh, not yet started simulator for this job.
+
+        The one place a job becomes an :class:`SSDSimulator`.  Besides
+        :meth:`execute`, only the checkpoint runner calls it, to start a
+        run it can pause (``run(..., max_events=...)``).
+        """
+        return SSDSimulator(
+            self.resolved_config,
+            self.scheduler,
+            scheduler_options=self.options_dict,
+            trace_sink=trace_sink,
         )
-        return simulator.run(workload, workload_name=self.workload.name)
+
+    def execute(self, trace_sink: Optional[TraceSink] = None) -> SimulationResult:
+        """Run this job on a fresh simulator (the engine's unit of work).
+
+        ``trace_sink`` (e.g. a :class:`~repro.obs.trace.MemoryTraceSink`)
+        records the run's spans.  Tracing is observational only: the result
+        is value-identical to an untraced run of the same job.
+        """
+        workload = self.workload.build()
+        return self.simulator(trace_sink).run(workload, workload_name=self.workload.name)
 
 
 @dataclass(frozen=True)

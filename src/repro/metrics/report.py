@@ -66,8 +66,6 @@ class SimulationResult:
     # -- Observability fields (PR 8). All carry ``fingerprint: False`` so
     # adding them (and any future telemetry) leaves every pre-existing
     # result digest - perf trajectories, checkpoint goldens - untouched.
-    # ``__getattr__`` below supplies their defaults when an older pickled
-    # result (cache entries, checkpoints) predates them.
     #: Events popped from the event queue over the measured run.
     events_processed: int = field(default=0, metadata={"fingerprint": False})
     #: Number of same-timestamp event batches the run was processed in.
@@ -93,23 +91,6 @@ class SimulationResult:
     health: Tuple[HealthSample, ...] = field(
         default=(), metadata={"fingerprint": False}
     )
-
-    def __getattr__(self, name: str):
-        # Back-compat for results pickled before the observability fields
-        # existed: dataclass defaults live in __init__, so old instances
-        # simply lack the attributes.  Serve the documented defaults for
-        # exactly those names; anything else is a genuine miss.
-        if name in ("events_processed", "event_batches", "largest_event_batch"):
-            return 0
-        if name == "counters":
-            return {}
-        if name in ("latency_windows", "health"):
-            return ()
-        if name == "attribution":
-            return None
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     # ------------------------------------------------------------------
     # Figure 10 metrics

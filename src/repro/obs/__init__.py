@@ -3,13 +3,12 @@
 The package splits into leaves the simulator may import (:mod:`~repro.obs.trace`,
 :mod:`~repro.obs.counters`) and consumers of finished runs
 (:mod:`~repro.obs.export`, :mod:`~repro.obs.windows`, the ``python -m
-repro.obs`` CLI).  :mod:`repro.obs.runner` is deliberately *not* imported
-here - it needs :mod:`repro.sim.ssd`, which itself imports the trace leaf -
-and the :mod:`~repro.obs.windows` symbols resolve lazily for the same
-reason: they pull in :mod:`repro.metrics`, which sits *above* the leaves in
-the import graph, so an eager import here would close a cycle whenever a
-leaf consumer (say :mod:`repro.flash.controller`) is the first to touch
-this package.
+repro.obs`` CLI).  A traced run is an ordinary job run with a sink
+attached: ``job.execute(trace_sink=sink)`` with a ``MemoryTraceSink``.  The
+:mod:`~repro.obs.windows` symbols resolve lazily: they pull in
+:mod:`repro.metrics`, which sits *above* the leaves in the import graph, so
+an eager import here would close a cycle whenever a leaf consumer (say
+:mod:`repro.flash.controller`) is the first to touch this package.
 """
 
 from repro.obs.counters import CounterRegistry, merge_counter_snapshots

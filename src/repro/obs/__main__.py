@@ -88,7 +88,8 @@ def _track(events: List[dict], span: dict) -> str:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.obs.runner import run_traced
+    from repro.obs.counters import merge_counter_snapshots
+    from repro.obs.trace import MemoryTraceSink
     from repro.perf.suite import canonical_suite, tiny_suite
 
     suite = tiny_suite() if args.tiny else canonical_suite(args.scale)
@@ -103,10 +104,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     sinks = []
     counters: Dict[str, int] = {}
     for job in case.jobs:
-        result, sink = run_traced(job)
+        sink = MemoryTraceSink()
+        result = job.execute(trace_sink=sink)
         sinks.append((f"{result.workload} [{result.scheduler}]", sink))
-        from repro.obs.counters import merge_counter_snapshots
-
         counters = merge_counter_snapshots([counters, result.counters])
     path = write_chrome_trace(
         args.output, sinks, {"case": case.name, "counters": counters}

@@ -8,7 +8,7 @@ channels and chips) and replays a workload against it, producing a
 
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.config import SimulationConfig
-from repro.sim.ssd import SSDSimulator, run_workload
+from repro.sim.ssd import SSDSimulator
 
 __all__ = [
     "Event",
@@ -16,5 +16,4 @@ __all__ = [
     "EventQueue",
     "SimulationConfig",
     "SSDSimulator",
-    "run_workload",
 ]

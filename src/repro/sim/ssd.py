@@ -658,31 +658,3 @@ class SSDSimulator:
         )
         return result
 
-
-def run_workload(
-    workload: Sequence[IORequest],
-    *,
-    scheduler: str = "SPK3",
-    config: Optional[SimulationConfig] = None,
-    workload_name: str = "workload",
-    scheduler_options: Optional[Dict[str, object]] = None,
-    metrics_history: str = "full",
-    metrics_window: int = 4096,
-    tail_window_ns: int = DEFAULT_TAIL_WINDOW_NS,
-    trace_sink: Optional[TraceSink] = None,
-    health_interval_ns: Optional[int] = None,
-    health_max_samples: int = DEFAULT_MAX_HEALTH_SAMPLES,
-) -> SimulationResult:
-    """Convenience wrapper: build a simulator, run one workload, return the result."""
-    simulator = SSDSimulator(
-        config or SimulationConfig(),
-        scheduler,
-        scheduler_options=scheduler_options,
-        metrics_history=metrics_history,
-        metrics_window=metrics_window,
-        tail_window_ns=tail_window_ns,
-        trace_sink=trace_sink,
-        health_interval_ns=health_interval_ns,
-        health_max_samples=health_max_samples,
-    )
-    return simulator.run(workload, workload_name=workload_name)

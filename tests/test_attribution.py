@@ -35,7 +35,6 @@ from repro.metrics.attribution import (
     AttributionTracker,
     reconcile_attribution,
 )
-from repro.metrics.report import SimulationResult
 from repro.obs import DEFAULT_MAX_HEALTH_SAMPLES, HealthSampler, MemoryTraceSink
 from repro.obs.__main__ import main as obs_main
 from repro.obs.export import SKIPPED_TRACE_SUFFIX
@@ -279,22 +278,6 @@ class TestHealthSampler:
         result = resumed.run_to_completion()
         assert stable_fingerprint(result) == stable_fingerprint(straight)
         assert result.health == straight.health
-
-
-class TestResultBackCompat:
-    def test_old_results_default_attribution_and_health(self):
-        result = bursty_job().execute()
-        state = {
-            key: value
-            for key, value in result.__dict__.items()
-            if key not in ("attribution", "health")
-        }
-        old = object.__new__(SimulationResult)
-        old.__dict__.update(state)
-        assert old.attribution is None
-        assert old.health == ()
-        with pytest.raises(AttributeError):
-            old.not_a_field
 
 
 class TestRunReports:

@@ -83,3 +83,24 @@ class TestDocsCoverage:
             "reconcil",
         ):
             assert topic in text, f"OPERATIONS.md missing {topic!r}"
+
+
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+
+
+class TestExamples:
+    """Every example imports cleanly, so a removed API name fails tier-1.
+
+    Each example guards ``main()`` behind ``__name__ == "__main__"``, so
+    importing one runs none of its simulations.
+    """
+
+    def test_examples_exist(self):
+        assert len(EXAMPLES) >= 8
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+    def test_example_imports(self, path):
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert callable(module.main)

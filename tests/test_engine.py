@@ -11,10 +11,8 @@ from repro.experiments.engine import (
 )
 from repro.experiments.runner import (
     ExperimentScale,
-    clone_workload,
     default_workload_specs,
     paper_config,
-    run_scheduler_matrix,
 )
 from repro.experiments.spec import ExperimentSpec, SimJob, WorkloadSpec
 from repro.sim.config import SimulationConfig
@@ -158,6 +156,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec("bad", (job, job))
 
+    def test_matrix_runs_inline_specs(self):
+        workload = generate_random_workload(num_requests=6, size_bytes=4096, seed=2)
+        spec = ExperimentSpec.matrix(
+            "inline",
+            [WorkloadSpec.inline("demo", workload)],
+            ("VAS", "SPK3"),
+            SimulationConfig.paper_scale(16),
+        )
+        results = ExecutionEngine().run(spec)
+        assert set(results) == {("demo", "VAS"), ("demo", "SPK3")}
+        assert all(result.completed_ios == 6 for result in results.values())
+
 
 class TestExecutionEngine:
     def test_serial_and_process_backends_are_bit_identical(self):
@@ -290,38 +300,6 @@ class TestExecutionEngine:
             assert [io.offset_bytes for io in built[spec.name]] == [
                 io.offset_bytes for io in direct
             ]
-
-
-class TestCompatibilityWrappers:
-    def test_run_scheduler_matrix_accepts_raw_lists(self):
-        workloads = {"demo": generate_random_workload(num_requests=6, size_bytes=4096, seed=2)}
-        results = run_scheduler_matrix(workloads, ("VAS", "SPK3"), SimulationConfig.paper_scale(16))
-        assert set(results) == {("demo", "VAS"), ("demo", "SPK3")}
-        assert all(result.completed_ios == 6 for result in results.values())
-
-    def test_run_scheduler_matrix_accepts_specs(self):
-        specs = default_workload_specs(TINY)
-        results = run_scheduler_matrix(specs, ("SPK3",), paper_config(TINY))
-        assert set(results) == {(name, "SPK3") for name in TINY.traces}
-
-    def test_clone_workload_copies_every_field(self):
-        io = IORequest(
-            kind=generate_random_workload(num_requests=1, size_bytes=4096)[0].kind,
-            offset_bytes=4096,
-            size_bytes=8192,
-            arrival_ns=77,
-            force_unit_access=True,
-        )
-        io.enqueued_at_ns = 5
-        io.completed_at_ns = 9
-        (clone,) = clone_workload([io])
-        assert clone is not io
-        assert clone.io_id == io.io_id
-        assert clone.force_unit_access is True
-        assert clone.offset_bytes == io.offset_bytes
-        # Lifecycle stamps must reset so runs cannot leak state.
-        assert clone.enqueued_at_ns is None
-        assert clone.completed_at_ns is None
 
 
 class TestEngineCli:

@@ -16,7 +16,9 @@ from repro.experiments import (
     figure17,
     table01,
 )
-from repro.experiments.runner import clone_workload, default_trace_set, run_single, paper_config
+from repro.experiments.engine import ExecutionEngine
+from repro.experiments.runner import default_workload_specs, paper_config
+from repro.experiments.spec import SimJob, WorkloadSpec
 from repro.workloads.synthetic import generate_random_workload
 
 TINY = ExperimentScale(
@@ -29,21 +31,16 @@ TINY = ExperimentScale(
 
 
 class TestRunnerHelpers:
-    def test_clone_workload_produces_fresh_objects(self):
-        workload = generate_random_workload(num_requests=4, size_bytes=4096)
-        cloned = clone_workload(workload)
-        assert len(cloned) == 4
-        assert all(a is not b for a, b in zip(workload, cloned))
-        assert [a.offset_bytes for a in workload] == [b.offset_bytes for b in cloned]
-
-    def test_default_trace_set_respects_scale(self):
-        traces = default_trace_set(TINY)
+    def test_default_workload_specs_respect_scale(self):
+        specs = default_workload_specs(TINY)
+        traces = ExecutionEngine().build_workloads(list(specs.values()))
         assert set(traces) == {"cfs0", "msnfs1"}
         assert all(len(workload) == 40 for workload in traces.values())
 
-    def test_run_single_labels_result(self):
+    def test_job_execute_labels_result(self):
         workload = generate_random_workload(num_requests=4, size_bytes=4096)
-        result = run_single(workload, "SPK3", paper_config(TINY), "demo")
+        job = SimJob(WorkloadSpec.inline("demo", workload), "SPK3", config=paper_config(TINY))
+        result = job.execute()
         assert result.workload == "demo"
         assert result.scheduler == "SPK3"
 
@@ -99,6 +96,21 @@ class TestTraceDrivenFigures:
     def test_figure10_latency_reduction_positive(self, fig10_rows):
         reductions = figure10.latency_reduction(fig10_rows, "VAS", "SPK3")
         assert all(value > 0.0 for value in reductions.values())
+
+    def test_figure06_process_backend_matches_serial(self):
+        scale = ExperimentScale(
+            requests_per_trace=60,
+            requests_per_point=12,
+            num_chips=16,
+            traces=("cfs0", "msnfs1", "proj0"),
+            seed=3,
+        )
+        serial = figure06.run_figure06(scale=scale, engine=ExecutionEngine("serial"))
+        parallel = figure06.run_figure06(
+            scale=scale, engine=ExecutionEngine("process", max_workers=2)
+        )
+        assert len(serial) == 3
+        assert serial == parallel
 
     def test_figure06_utilization_ordering(self):
         rows = figure06.run_figure06(scale=TINY)
@@ -187,6 +199,20 @@ class TestSweepFigures:
         # ... and the characterization table carries per-phase + overall rows.
         char_rows = scenario_matrix.characterization_rows(scenarios)
         assert sum(1 for row in char_rows if row["phase"] == "(overall)") == len(scenarios)
+
+    def test_scenario_matrix_process_backend_matches_serial(self):
+        from repro.experiments import scenario_matrix
+        from repro.scenarios.library import default_scenarios
+
+        scenarios = default_scenarios(scale=0.2, seed=3)
+        kwargs = dict(schedulers=("VAS", "SPK3"), device_counts=(1, 2), chips_per_device=16)
+        serial = scenario_matrix.run_scenario_matrix(
+            scenarios, **kwargs, engine=ExecutionEngine("serial")
+        )
+        parallel = scenario_matrix.run_scenario_matrix(
+            scenarios, **kwargs, engine=ExecutionEngine("process", max_workers=2)
+        )
+        assert serial == parallel
 
     def test_figure17_gc_hurts_and_spk3_stays_ahead(self):
         rows = figure17.run_figure17(

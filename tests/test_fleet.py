@@ -26,7 +26,7 @@ from repro.fleet import (
     stable_tenant_hash,
     tenant_demands,
 )
-from repro.fleet.result import FleetResult, merge_node_results
+from repro.fleet.result import FleetResult
 from repro.metrics.attribution import (
     AttributionReport,
     TenantPhaseStats,

@@ -30,7 +30,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.spec import ExperimentSpec
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.report import SimulationResult
 from repro.obs import (
     NULL_SINK,
     CounterRegistry,
@@ -44,7 +43,6 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.runner import run_traced
 from repro.obs.windows import format_tail_windows
 from repro.perf.suite import tiny_suite
 from repro.sim.config import stable_fingerprint
@@ -65,6 +63,12 @@ def one_tiny_job(case_name="tiny-bursty"):
         if name == case_name:
             return job
     raise AssertionError(f"no tiny-suite case named {case_name}")
+
+
+def execute_traced(job):
+    """Execute ``job`` with a fresh memory sink; return ``(result, sink)``."""
+    sink = MemoryTraceSink()
+    return job.execute(trace_sink=sink), sink
 
 
 class TestCounterRegistry:
@@ -166,7 +170,7 @@ class TestTracingDoesNotPerturb:
         case = {c.name: c for c in tiny_suite()}[case_name]
         for job in case.jobs:
             plain = job.execute()
-            traced, sink = run_traced(job)
+            traced, sink = execute_traced(job)
             assert stable_fingerprint(traced) == stable_fingerprint(plain)
             assert sink.total_records > 0
 
@@ -198,7 +202,7 @@ class TestSpanCounterReconciliation:
     )
     def test_span_counts_reconcile_with_counters(self, case_name, job_index):
         case = {c.name: c for c in tiny_suite()}[case_name]
-        result, sink = run_traced(case.jobs[job_index])
+        result, sink = execute_traced(case.jobs[job_index])
         counts = sink.counts_by_name()
         assert counts["io"] == result.counters["io.completed"]
         assert counts["txn"] == result.counters["transactions.host"]
@@ -207,7 +211,7 @@ class TestSpanCounterReconciliation:
         assert sink.total_records == result.counters["trace.spans"]
 
     def test_gc_case_emits_gc_spans(self):
-        result, sink = run_traced(one_tiny_job("tiny-gc"))
+        result, sink = execute_traced(one_tiny_job("tiny-gc"))
         counts = sink.counts_by_name()
         assert result.counters["gc.triggers"] > 0
         assert counts["gc.trigger"] == result.counters["gc.triggers"]
@@ -225,7 +229,7 @@ class TestSpanCounterReconciliation:
 
 class TestChromeTraceExport:
     def test_document_validates_and_counts(self, tmp_path):
-        result, sink = run_traced(one_tiny_job())
+        result, sink = execute_traced(one_tiny_job())
         document = chrome_trace_document(sink, {"case": "tiny-bursty"})
         assert validate_chrome_trace(document) == []
         assert span_event_count(document) == sink.total_records
@@ -254,30 +258,6 @@ class TestChromeTraceExport:
             "displayTimeUnit": "ns",
         }
         assert validate_chrome_trace(missing_keys)
-
-
-class TestResultBackCompat:
-    def test_old_results_default_observability_fields(self):
-        result = one_tiny_job().execute()
-        state = {
-            key: value
-            for key, value in result.__dict__.items()
-            if key
-            not in (
-                "events_processed",
-                "event_batches",
-                "largest_event_batch",
-                "counters",
-                "latency_windows",
-            )
-        }
-        old = object.__new__(SimulationResult)
-        old.__dict__.update(state)
-        assert old.events_processed == 0
-        assert old.counters == {}
-        assert old.latency_windows == ()
-        with pytest.raises(AttributeError):
-            old.not_a_field
 
 
 class TestEngineTraceDir:

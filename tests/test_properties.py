@@ -12,7 +12,7 @@ from repro.flash.transaction import TransactionBuilder
 from repro.nvmhc.bitmap import CompletionBitmap
 from repro.nvmhc.queue import DeviceQueue
 from repro.sim.config import SimulationConfig
-from repro.sim.ssd import run_workload
+from repro.sim.ssd import SSDSimulator
 from repro.workloads.request import IOKind, IORequest
 
 
@@ -207,7 +207,7 @@ class TestSimulatorProperties:
                     arrival_ns=index * rng.choice([0, 500, 2000]),
                 )
             )
-        result = run_workload(workload, scheduler=scheduler, config=config)
+        result = SSDSimulator(config, scheduler).run(workload)
         assert result.completed_ios == num_requests
         expected_pages = sum(io.num_pages(2048) for io in workload)
         assert result.memory_requests_served == expected_pages

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.policies import SCHEDULER_NAMES
 from repro.sim.config import SimulationConfig
-from repro.sim.ssd import SSDSimulator, run_workload
+from repro.sim.ssd import SSDSimulator
 from repro.workloads.request import IOKind, IORequest
 from repro.workloads.synthetic import generate_random_workload
 
@@ -39,14 +39,14 @@ def mixed_workload():
 class TestBasicCompletion:
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_all_ios_complete(self, scheduler, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler=scheduler, config=test_config)
+        result = SSDSimulator(test_config, scheduler).run(clone(mixed_workload))
         assert result.completed_ios == len(mixed_workload)
         assert result.num_ios == len(mixed_workload)
         assert result.makespan_ns > 0
 
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_request_conservation(self, scheduler, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler=scheduler, config=test_config)
+        result = SSDSimulator(test_config, scheduler).run(clone(mixed_workload))
         expected_pages = sum(
             io.num_pages(test_config.geometry.page_size_bytes) for io in mixed_workload
         )
@@ -55,7 +55,7 @@ class TestBasicCompletion:
         assert result.total_bytes == sum(io.size_bytes for io in mixed_workload)
 
     def test_latency_positive_and_bounded(self, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert result.latency.count == len(mixed_workload)
         assert result.latency.min_ns > 0
         assert result.latency.max_ns <= result.makespan_ns + max(
@@ -63,20 +63,20 @@ class TestBasicCompletion:
         )
 
     def test_deterministic_repeat(self, test_config, mixed_workload):
-        first = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
-        second = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        first = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
+        second = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert first.makespan_ns == second.makespan_ns
         assert first.transactions == second.transactions
         assert first.avg_latency_ns == second.avg_latency_ns
 
     def test_empty_workload(self, test_config):
-        result = run_workload([], scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run([])
         assert result.completed_ios == 0
         assert result.makespan_ns == 0
 
     def test_single_small_read(self, test_config):
         io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=2048, arrival_ns=0)
-        result = run_workload([io], scheduler="VAS", config=test_config)
+        result = SSDSimulator(test_config, "VAS").run([io])
         assert result.completed_ios == 1
         assert result.transactions == 1
         # Latency must cover at least the cell read plus the bus transfer.
@@ -85,64 +85,64 @@ class TestBasicCompletion:
 
 class TestSchedulerOrdering:
     def test_spk3_outperforms_vas(self, test_config, mixed_workload):
-        vas = run_workload(clone(mixed_workload), scheduler="VAS", config=test_config)
-        spk3 = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        vas = SSDSimulator(test_config, "VAS").run(clone(mixed_workload))
+        spk3 = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert spk3.bandwidth_kb_s > vas.bandwidth_kb_s
         assert spk3.avg_latency_ns < vas.avg_latency_ns
 
     def test_spk3_coalesces_more_than_vas(self, test_config, mixed_workload):
-        vas = run_workload(clone(mixed_workload), scheduler="VAS", config=test_config)
-        spk3 = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        vas = SSDSimulator(test_config, "VAS").run(clone(mixed_workload))
+        spk3 = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert spk3.transactions < vas.transactions
         assert spk3.coalescing_degree > vas.coalescing_degree
 
     def test_spk3_reduces_inter_chip_idleness(self, test_config, mixed_workload):
-        vas = run_workload(clone(mixed_workload), scheduler="VAS", config=test_config)
-        spk3 = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        vas = SSDSimulator(test_config, "VAS").run(clone(mixed_workload))
+        spk3 = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert spk3.inter_chip_idleness <= vas.inter_chip_idleness
 
     def test_pas_not_worse_than_vas(self, test_config, mixed_workload):
-        vas = run_workload(clone(mixed_workload), scheduler="VAS", config=test_config)
-        pas = run_workload(clone(mixed_workload), scheduler="PAS", config=test_config)
+        vas = SSDSimulator(test_config, "VAS").run(clone(mixed_workload))
+        pas = SSDSimulator(test_config, "PAS").run(clone(mixed_workload))
         assert pas.bandwidth_kb_s >= vas.bandwidth_kb_s * 0.95
 
 
 class TestQueuePressure:
     def test_small_queue_causes_stall_time(self, mixed_workload):
         config = SimulationConfig.small(gc_enabled=False, queue_depth=2)
-        result = run_workload(clone(mixed_workload), scheduler="VAS", config=config)
+        result = SSDSimulator(config, "VAS").run(clone(mixed_workload))
         assert result.completed_ios == len(mixed_workload)
         assert result.queue_stall_time_ns > 0
         assert result.extra["stalled_requests"] > 0
 
     def test_deep_queue_avoids_stalls(self, mixed_workload):
         config = SimulationConfig.small(gc_enabled=False, queue_depth=256)
-        result = run_workload(clone(mixed_workload), scheduler="VAS", config=config)
+        result = SSDSimulator(config, "VAS").run(clone(mixed_workload))
         assert result.queue_stall_time_ns == 0
 
 
 class TestMetricsConsistency:
     def test_breakdown_fractions_sum_to_one(self, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert sum(result.breakdown_fractions().values()) == pytest.approx(1.0)
 
     def test_flp_fractions_sum_to_one(self, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert sum(result.flp_fractions().values()) == pytest.approx(1.0)
 
     def test_utilization_within_bounds(self, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run(clone(mixed_workload))
         assert 0.0 < result.chip_utilization <= 1.0
         assert 0.0 <= result.inter_chip_idleness < 1.0
         assert 0.0 <= result.intra_chip_idleness <= 1.0
 
     def test_time_series_matches_completions(self, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler="PAS", config=test_config)
+        result = SSDSimulator(test_config, "PAS").run(clone(mixed_workload))
         assert len(result.time_series) == result.completed_ios
         assert all(point.latency_ns > 0 for point in result.time_series)
 
     def test_summary_row_keys(self, test_config, mixed_workload):
-        result = run_workload(clone(mixed_workload), scheduler="SPK2", config=test_config)
+        result = SSDSimulator(test_config, "SPK2").run(clone(mixed_workload))
         row = result.summary_row()
         assert row["scheduler"] == "SPK2"
         assert row["bandwidth_kb_s"] > 0
@@ -157,7 +157,7 @@ class TestWriteAndGcPath:
             read_fraction=0.0,
             seed=3,
         )
-        result = run_workload(clone(workload), scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run(clone(workload))
         assert result.completed_ios == 24
 
     def test_gc_triggers_on_fragmented_drive(self):
@@ -174,7 +174,7 @@ class TestWriteAndGcPath:
             read_fraction=0.0,
             seed=5,
         )
-        result = run_workload(clone(workload), scheduler="SPK3", config=config)
+        result = SSDSimulator(config, "SPK3").run(clone(workload))
         assert result.completed_ios == 24
         assert result.extra["gc_invocations"] > 0
         assert result.gc_time_ns > 0
@@ -187,18 +187,15 @@ class TestWriteAndGcPath:
             read_fraction=0.0,
             seed=5,
         )
-        pristine = run_workload(
-            clone(workload),
-            scheduler="SPK3",
-            config=SimulationConfig.small(gc_enabled=False),
+        pristine = SSDSimulator(SimulationConfig.small(gc_enabled=False), "SPK3").run(
+            clone(workload)
         )
-        fragmented = run_workload(
-            clone(workload),
-            scheduler="SPK3",
-            config=SimulationConfig.small(
+        fragmented = SSDSimulator(
+            SimulationConfig.small(
                 gc_enabled=True, prefill_fraction=0.92, prefill_overwrite_fraction=0.4
             ),
-        )
+            "SPK3",
+        ).run(clone(workload))
         assert fragmented.bandwidth_kb_s < pristine.bandwidth_kb_s
 
     def test_readdressing_callback_disabled_for_vas(self, test_config):
@@ -227,5 +224,5 @@ class TestForceUnitAccess:
             )
             for i in range(4)
         ]
-        result = run_workload(clone(ios), scheduler="SPK3", config=test_config)
+        result = SSDSimulator(test_config, "SPK3").run(clone(ios))
         assert result.completed_ios == 4

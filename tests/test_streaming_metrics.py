@@ -21,7 +21,7 @@ import pytest
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.latency import LatencyStats, StreamingLatencyStats
 from repro.sim.config import SimulationConfig
-from repro.sim.ssd import SSDSimulator, run_workload
+from repro.sim.ssd import SSDSimulator
 from repro.workloads.request import IOKind, IORequest
 from repro.workloads.synthetic import generate_random_workload
 
@@ -146,14 +146,10 @@ class TestSimulatorWindowedParity:
                 seed=11,
             )
 
-        full = run_workload(fresh(), scheduler="SPK3", config=config)
-        windowed = run_workload(
-            fresh(),
-            scheduler="SPK3",
-            config=config,
-            metrics_history="windowed",
-            metrics_window=8,
-        )
+        full = SSDSimulator(config, "SPK3").run(fresh())
+        windowed = SSDSimulator(
+            config, "SPK3", metrics_history="windowed", metrics_window=8
+        ).run(fresh())
         return full, windowed
 
     def test_windowed_run_matches_full_aggregates(self, test_config):
