@@ -1,7 +1,7 @@
 """Scheduler registry / factory.
 
 ``make_scheduler`` builds any of the five schedulers evaluated in the paper
-by name.  Experiment code and benchmarks use this single entry point so that
+by name.  Experiment code and tests use this single entry point so that
 adding a new policy (or an ablation variant) only requires registering it
 here.
 """

@@ -29,7 +29,7 @@ class RiosTraversal:
     def __init__(self, geometry: SSDGeometry, channel_first: bool = False) -> None:
         """``channel_first=True`` produces the *bad* order (all chips of one
         channel before moving to the next) that the paper warns against; it
-        is kept as an option for the ablation benchmark."""
+        is kept as an option for the RIOS traversal ablation."""
         self.geometry = geometry
         self.channel_first = channel_first
         self._order: List[tuple] = list(self._build_order())

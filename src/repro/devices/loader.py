@@ -27,28 +27,20 @@ unknown keys are rejected, values are type-checked against the dataclass
 annotation, and any failure raises a single :class:`DeviceConfigError`
 naming the file, the offending key and the expected type - no bare
 ``KeyError``/``TypeError``/``ValueError`` escapes the loader.
-
-TOML parsing uses :mod:`tomllib` where available (Python >= 3.11) and falls
-back to a strict built-in parser for the declarative subset device files
-use (sections, scalar assignments, inline arrays of scalars) on 3.10.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import tomllib
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.devices.model import DeviceModel
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
 from repro.ftl.allocation import AllocationOrder
-
-try:  # Python >= 3.11
-    import tomllib
-except ImportError:  # pragma: no cover - exercised only on 3.10
-    tomllib = None
 
 
 class DeviceConfigError(Exception):
@@ -68,88 +60,6 @@ class DeviceConfigError(Exception):
         super().__init__(f"{location}: {expected}")
 
 
-# ----------------------------------------------------------------------
-# Minimal strict TOML subset parser (tomllib fallback for Python 3.10)
-# ----------------------------------------------------------------------
-def _parse_scalar(text: str, source, key: str):
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        body = text[1:-1]
-        if '"' in body or "\\" in body:
-            raise DeviceConfigError(
-                source, key, "string values must not contain escapes or embedded quotes"
-            )
-        return body
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise DeviceConfigError(
-            source, key, f"unparseable TOML value {text!r} (string/int/float/bool/array expected)"
-        ) from None
-
-
-def _parse_toml_minimal(text: str, source) -> Dict[str, Dict[str, Any]]:
-    """Parse the declarative TOML subset device files are written in.
-
-    Supports ``[section]`` headers, ``key = value`` scalar assignments and
-    single-line arrays of scalars; ``#`` comments and blank lines are
-    ignored.  Anything fancier (multi-line arrays, inline tables, dotted
-    keys) is rejected - device files are meant to stay trivially diffable.
-    """
-    document: Dict[str, Dict[str, Any]] = {}
-    section: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section or "." in section:
-                raise DeviceConfigError(
-                    source, None, f"line {lineno}: malformed section header {line!r}"
-                )
-            if section in document:
-                raise DeviceConfigError(source, None, f"line {lineno}: duplicate section [{section}]")
-            document[section] = {}
-            continue
-        if "=" not in line:
-            raise DeviceConfigError(
-                source, None, f"line {lineno}: expected 'key = value', got {line!r}"
-            )
-        if section is None:
-            raise DeviceConfigError(
-                source, None, f"line {lineno}: assignment before any [section] header"
-            )
-        key, _, value_text = line.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
-        # Strip a trailing comment (only safe outside strings; device files
-        # keep comments on their own lines, so be conservative).
-        if value_text.startswith("[") and value_text.endswith("]"):
-            body = value_text[1:-1].strip()
-            items: List[Any] = []
-            if body:
-                for part in body.split(","):
-                    items.append(_parse_scalar(part, source, f"{section}.{key}"))
-            value: Any = items
-        else:
-            value = _parse_scalar(value_text, source, f"{section}.{key}")
-        if key in document[section]:
-            raise DeviceConfigError(
-                source, f"{section}.{key}", f"line {lineno}: duplicate key"
-            )
-        document[section][key] = value
-    return document
-
-
 def _load_document(path: Path) -> Dict[str, Any]:
     """Read a ``.toml``/``.json`` device file into a plain dict of sections."""
     try:
@@ -162,13 +72,10 @@ def _load_document(path: Path) -> Dict[str, Any]:
         except json.JSONDecodeError as exc:
             raise DeviceConfigError(path, None, f"invalid JSON ({exc})") from exc
     elif path.suffix == ".toml":
-        if tomllib is not None:
-            try:
-                document = tomllib.loads(text)
-            except tomllib.TOMLDecodeError as exc:
-                raise DeviceConfigError(path, None, f"invalid TOML ({exc})") from exc
-        else:  # pragma: no cover - Python 3.10 fallback
-            document = _parse_toml_minimal(text, path)
+        try:
+            document = tomllib.loads(text)
+        except tomllib.TOMLDecodeError as exc:
+            raise DeviceConfigError(path, None, f"invalid TOML ({exc})") from exc
     else:
         raise DeviceConfigError(
             path, None, f"unsupported device file suffix {path.suffix!r} (.toml or .json)"

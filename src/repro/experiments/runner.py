@@ -23,8 +23,8 @@ ALL_SCHEDULERS = ("VAS", "PAS", "SPK1", "SPK2", "SPK3")
 class ExperimentScale:
     """Knobs controlling how big (and slow) an experiment run is.
 
-    ``quick()`` keeps every experiment in the seconds range so the benchmark
-    suite stays runnable on a laptop; ``paper()`` approaches the paper's own
+    ``quick()``, the figure modules' default, keeps every experiment in the
+    seconds range on a laptop; ``paper()`` approaches the paper's own
     request counts (use the engine's process backend for those).
     """
 
@@ -36,7 +36,7 @@ class ExperimentScale:
 
     @classmethod
     def quick(cls) -> "ExperimentScale":
-        """Small scale used by the benchmark suite and CI."""
+        """The figure modules' default scale: seconds per figure."""
         return cls(
             requests_per_trace=160,
             requests_per_point=32,

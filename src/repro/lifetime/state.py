@@ -251,8 +251,8 @@ def device_state_workload(
     simulator admits (and therefore FTL-translates) pages in exactly the
     fast-forward order.  Run it through :class:`~repro.sim.ssd.SSDSimulator`
     with ``gc_enabled=False`` and the FTL occupancy matches
-    :func:`apply_device_state` byte for byte - the equivalence (and the
-    fast-forward speedup) are asserted in the lifetime benchmark.
+    :func:`apply_device_state` byte for byte - the equivalence is asserted
+    in ``tests/test_lifetime.py``.
     """
     if chunk_pages <= 0:
         raise ValueError("chunk_pages must be positive")

@@ -133,7 +133,8 @@ class SSDSimulator:
         # One sink shared by every component; with the default null sink the
         # ``_tracing`` flag keeps emission branches off the hot paths
         # entirely, so untraced runs execute the pre-tracing instruction
-        # stream (the digest-identity contract the perf gate enforces).
+        # stream (the digest-identity contract ``tests/test_perf.py``'s
+        # goldens enforce).
         self.sink: TraceSink = trace_sink if trace_sink is not None else NULL_SINK
         self._tracing: bool = self.sink.enabled
         self.scheduler.attach_trace_sink(self.sink)

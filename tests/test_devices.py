@@ -30,7 +30,6 @@ from repro.devices import (
     device_model,
     load_device_file,
 )
-from repro.devices.loader import _parse_toml_minimal
 from repro.experiments.engine import ExecutionEngine
 from repro.experiments.spec import ArraySpec, SimJob, WorkloadSpec
 
@@ -168,28 +167,20 @@ class TestLoaderValidation:
         with pytest.raises(DeviceConfigError, match="invalid JSON"):
             load_device_file(path)
 
-
-class TestMinimalTomlParser:
-    """The 3.10 fallback parser must agree with tomllib on shipped files."""
-
-    @pytest.mark.parametrize("name", SHIPPED_DEVICES)
-    def test_parity_with_tomllib_on_shipped_files(self, name):
-        tomllib = pytest.importorskip("tomllib")
-        path = ZOO_DIR / f"{name}.toml"
-        text = path.read_text(encoding="utf-8")
-        assert _parse_toml_minimal(text, path) == tomllib.loads(text)
-
     def test_duplicate_section_rejected(self, tmp_path):
-        with pytest.raises(DeviceConfigError, match="duplicate section"):
-            _parse_toml_minimal("[a]\nx = 1\n[a]\ny = 2\n", tmp_path / "d.toml")
+        path = write_device(tmp_path, '[device]\nname = "a"\n[device]\ncell = "SLC"\n')
+        with pytest.raises(DeviceConfigError, match="invalid TOML"):
+            load_device_file(path)
 
     def test_assignment_before_section_rejected(self, tmp_path):
-        with pytest.raises(DeviceConfigError, match="before any"):
-            _parse_toml_minimal("x = 1\n", tmp_path / "d.toml")
+        path = write_device(tmp_path, "queue_depth = 1\n" + BASE_TOML)
+        with pytest.raises(DeviceConfigError, match="unknown section"):
+            load_device_file(path)
 
     def test_garbage_line_rejected(self, tmp_path):
-        with pytest.raises(DeviceConfigError, match="key = value"):
-            _parse_toml_minimal("[a]\nnot an assignment\n", tmp_path / "d.toml")
+        path = write_device(tmp_path, BASE_TOML + "not an assignment\n")
+        with pytest.raises(DeviceConfigError, match="invalid TOML"):
+            load_device_file(path)
 
 
 class TestRegistryDirectories:

@@ -1,6 +1,7 @@
 """Tests for the declarative experiment specs and the execution engine."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -171,7 +172,14 @@ class TestExperimentSpec:
 
 class TestExecutionEngine:
     def test_serial_and_process_backends_are_bit_identical(self):
-        spec = tiny_spec()
+        jobs = tiny_spec().jobs
+        # Scheduler options must reach the simulator in a worker process too.
+        tuned = replace(
+            jobs[-1],
+            scheduler_options=(("channel_first_traversal", True), ("overcommit_limit", 1)),
+            key=("tuned",),
+        )
+        spec = ExperimentSpec("tiny-tuned", jobs + (tuned,))
         serial = ExecutionEngine("serial").run(spec)
         parallel = ExecutionEngine("process", max_workers=2).run(spec)
         assert list(serial) == list(parallel)

@@ -147,11 +147,27 @@ class TestDeviceState:
 class TestFastForwardIdentity:
     STATE = DeviceState(fill_fraction=0.8, invalid_fraction=0.3, seed=7)
 
-    def test_fast_forward_matches_replay(self, small_geometry):
-        fast = fresh_ftl(small_geometry)
-        slow = fresh_ftl(small_geometry)
-        r1 = apply_device_state(fast, self.STATE, logical_pages=small_geometry.total_pages)
-        r2 = replay_device_state(slow, self.STATE, logical_pages=small_geometry.total_pages)
+    @pytest.mark.parametrize(
+        "geometry, state",
+        [
+            pytest.param(None, STATE, id="small"),
+            # The 64-chip paper topology at 90% fill; blocks and pages are
+            # shrunk so the page-by-page replay reference stays sub-second.
+            pytest.param(
+                SimulationConfig.paper_scale(64).geometry.scaled(
+                    blocks_per_plane=16, pages_per_block=32
+                ),
+                DeviceState(fill_fraction=0.9, invalid_fraction=0.3, seed=11),
+                id="paper64",
+            ),
+        ],
+    )
+    def test_fast_forward_matches_replay(self, small_geometry, geometry, state):
+        geometry = small_geometry if geometry is None else geometry
+        fast = fresh_ftl(geometry)
+        slow = fresh_ftl(geometry)
+        r1 = apply_device_state(fast, state, logical_pages=geometry.total_pages)
+        r2 = replay_device_state(slow, state, logical_pages=geometry.total_pages)
         assert r1 == r2
         assert occupancy_snapshot(fast) == occupancy_snapshot(slow)
         assert occupancy_fingerprint(fast) == occupancy_fingerprint(slow)
