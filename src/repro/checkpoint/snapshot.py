@@ -50,8 +50,10 @@ from repro.sim.events import EventQueue
 #: a traced run's span history rides inside the snapshot and resumes intact.
 #: Version 3 added the health sampler (``_health``) and the attribution
 #: tracker inside the metrics collector: a health-sampled, attributed run
-#: resumes with its series and slices intact.
-CHECKPOINT_VERSION = 3
+#: resumes with its series and slices intact.  Version 4 replaced the
+#: controllers' busy sets with chip bitmasks (``busy_bits``) and gave PAS its
+#: unstarted-tag index and the tags their ``chip_mask``.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(Exception):

@@ -20,6 +20,7 @@ Its two remaining weaknesses (which Sprinkler removes) are preserved here:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Optional
 
 from repro.core.scheduler import SchedulerBase
@@ -39,9 +40,14 @@ class PhysicalAddressScheduler(SchedulerBase):
         super().__init__(context)
         #: The I/O currently being composed.  PAS commits one I/O atomically
         #: before considering the next, so at most one tag is partially
-        #: composed at any instant - remembering it saves the "find the
-        #: started I/O" scan over the whole queue on every composition.
+        #: composed at any instant.
         self._current: Optional[Tag] = None
+        #: Registered I/Os not picked yet, keyed by ``io_id`` in arrival
+        #: order: the candidates of the conflict scan.
+        self._unstarted: Dict[int, Tag] = {}
+        #: Busy mask under which the last scan found every candidate in
+        #: conflict, or ``None`` once a tag arrived or was picked since.
+        self._stale_busy: Optional[int] = None
         #: Queued I/Os bypassed because a target chip held outstanding work
         #: (each skip is one out-of-order reordering decision).
         self._conflict_skips = 0
@@ -51,6 +57,12 @@ class PhysicalAddressScheduler(SchedulerBase):
         counters["scheduler.conflict_skips"] = self._conflict_skips
         return counters
 
+    def register_tag(self, tag: Tag, now_ns: int) -> None:
+        super().register_tag(tag, now_ns)
+        if tag.memory_requests:
+            self._unstarted[tag.io.io_id] = tag
+            self._stale_busy = None
+
     def next_composition(self, now_ns: int) -> Optional[MemoryRequest]:
         """Continue a partially-composed I/O, else start a conflict-free one."""
         current = self._current
@@ -59,49 +71,42 @@ class PhysicalAddressScheduler(SchedulerBase):
             if request is not None:
                 return request
             self._current = None
-        pending = self._pending_tags()
-        if not pending:
+        unstarted = self._unstarted
+        if not unstarted:
             return None
-        # Defensive re-scan: if some path other than this method composed a
-        # request, finish that I/O first (arrival order), as the pre-cache
-        # implementation did.
-        for tag in pending:
-            if tag.composed_count > 0:
-                request = tag.next_uncomposed()
-                if request is not None:
-                    self._current = tag
-                    return request
-        # Otherwise pick the first queued I/O whose chips are all free.
-        # Probe the controllers' busy sets directly: this loop runs for every
-        # chip of every queued I/O per composition, and the set containment
-        # is a C-level check where the method call was a Python frame.
-        controllers = self.context.controllers
-        for tag in pending:
-            if self._has_fua_barrier(pending, tag):
+        busy = self._busy_mask()
+        stale = self._stale_busy
+        if stale is not None and not stale & ~busy and not self._fua_live:
+            # No tag arrived and no busy chip went idle since the last scan
+            # found every candidate in conflict, so each still conflicts:
+            # count the skips that scan would count and skip the scan.
+            self._conflict_skips += len(unstarted)
+            return None
+        # Pick the first queued I/O whose chips are all free, in arrival order.
+        picked = None
+        skipped = 0
+        for tag in unstarted.values():
+            if not tag.chip_mask & busy:
+                picked = tag
                 break
-            for chip_key in tag.by_chip:
-                if chip_key in controllers[chip_key[0]].busy:
-                    self._conflict_skips += 1
-                    break  # collision: try the next queued I/O
-            else:
-                request = tag.next_uncomposed()
-                if request is not None:
-                    self._current = tag
-                    return request
-            if tag.io.force_unit_access:
-                # A force-unit-access request must not be bypassed.
-                break
-        return None
+            skipped += 1  # collision: try the next queued I/O
+        if self._fua_live:
+            # A force-unit-access request must not be bypassed: the scan
+            # stops at the first one in conflict.
+            for position, tag in enumerate(islice(unstarted.values(), skipped)):
+                if tag.io.force_unit_access:
+                    self._conflict_skips += position + 1
+                    return None
+        self._conflict_skips += skipped
+        if picked is None:
+            self._stale_busy = busy
+            return None
+        del unstarted[picked.io.io_id]
+        self._stale_busy = None
+        self._current = picked
+        return picked.next_uncomposed()
 
     def on_tag_retired(self, tag: Tag) -> None:
         super().on_tag_retired(tag)
         if self._current is not None and self._current.io_id == tag.io_id:
             self._current = None
-
-    def _conflicts(self, tag: Tag) -> bool:
-        """True when any chip targeted by the I/O still holds outstanding work."""
-        controllers = self.context.controllers
-        for chip_key in tag.by_chip:
-            if chip_key in controllers[chip_key[0]].busy:
-                return True
-        return False

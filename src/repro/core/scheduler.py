@@ -69,7 +69,9 @@ class SchedulerBase(abc.ABC):
 
     def __init__(self, context: SchedulerContext) -> None:
         self.context = context
-        self.tags: List[Tag] = []
+        #: Registered, not yet retired tags keyed by ``io_id``, in arrival
+        #: order (dicts keep insertion order), so retirement is one pop.
+        self.tags: Dict[int, Tag] = {}
         #: Registered force-unit-access tags not yet retired.  Zero almost
         #: always, which lets hot paths skip the per-composition FUA scan.
         self._fua_live = 0
@@ -100,7 +102,7 @@ class SchedulerBase(abc.ABC):
     # ------------------------------------------------------------------
     def register_tag(self, tag: Tag, now_ns: int) -> None:
         """A new tag entered the device queue."""
-        self.tags.append(tag)
+        self.tags[tag.io.io_id] = tag
         if tag.io.force_unit_access:
             self._fua_live += 1
             self._fua_seen += 1
@@ -115,7 +117,7 @@ class SchedulerBase(abc.ABC):
 
     def on_tag_retired(self, tag: Tag) -> None:
         """A tag completed and left the device queue."""
-        self.tags = [existing for existing in self.tags if existing.io_id != tag.io_id]
+        del self.tags[tag.io.io_id]
         if tag.io.force_unit_access:
             self._fua_live -= 1
 
@@ -155,30 +157,18 @@ class SchedulerBase(abc.ABC):
         # Inline ``not tag.fully_composed`` as plain attribute reads: this
         # comprehension runs once per composition over the whole queue, and
         # the property/descriptor machinery dominated its profile.
-        return [tag for tag in self.tags if tag.composed_count < len(tag.memory_requests)]
+        return [
+            tag
+            for tag in self.tags.values()
+            if tag.composed_count < len(tag.memory_requests)
+        ]
 
-    def _has_fua_barrier(self, tags: List[Tag], tag: Tag) -> bool:
-        """True when an earlier force-unit-access tag forbids reordering past it.
-
-        The paper's hazard control (Section 4.4): when the host issues a
-        force-unit-access command, I/Os are served without any reordering.
-        With no live FUA tag (the overwhelmingly common case) the scan is
-        skipped outright.
-        """
-        if not self._fua_live:
-            return False
-        tag_io_id = tag.io_id
-        for earlier in tags:
-            if earlier.io_id == tag_io_id:
-                return False
-            if earlier.io.force_unit_access and not earlier.fully_composed:
-                self._fua_barriers += 1
-                return True
-        return False
-
-    def has_backlog(self) -> bool:
-        """True while any registered tag still has uncomposed requests."""
-        return any(not tag.fully_composed for tag in self.tags)
+    def _busy_mask(self) -> int:
+        """OR of every controller's busy mask: chips holding outstanding work."""
+        busy = 0
+        for controller in self.context.controllers.values():
+            busy |= controller.busy_bits
+        return busy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(tags={len(self.tags)})"

@@ -263,7 +263,7 @@ class Sprinkler(SchedulerBase):
                     self._work_indices.add(self.traversal.index_of(new_chip))
                 else:
                     queue.extend(moved)
-        for tag in self.tags:
+        for tag in self.tags.values():
             moved: List[MemoryRequest] = []
             old_bucket = tag.by_chip.get(old.chip_key)
             if not old_bucket:

@@ -21,7 +21,6 @@ from typing import Dict, Optional
 
 from repro.core.scheduler import SchedulerBase, SchedulerContext
 from repro.flash.request import MemoryRequest
-from repro.nvmhc.tag import Tag
 
 
 class VirtualAddressScheduler(SchedulerBase):
@@ -49,27 +48,16 @@ class VirtualAddressScheduler(SchedulerBase):
         # so scan for it directly instead of materialising the whole pending
         # list on every composition.
         head = None
-        for tag in self.tags:
+        for tag in self.tags.values():
             if tag.composed_count < len(tag.memory_requests):
                 head = tag
                 break
         if head is None:
             return None
-        if head.composed_count == 0 and self._conflicts(head):
+        if head.composed_count == 0 and head.chip_mask & self._busy_mask():
             # The head I/O collides with outstanding work; VAS is unaware of
             # the physical layout, so it simply waits - nothing else may be
             # composed in the meantime (strict FIFO).
             self._hol_stalls += 1
             return None
         return head.next_uncomposed()
-
-    def _conflicts(self, tag: Tag) -> bool:
-        """True when any chip targeted by the I/O still holds outstanding work."""
-        # Set containment against the controller's busy set instead of a
-        # has_outstanding call: this runs for every target chip of the head
-        # I/O on every composition attempt while VAS is blocked.
-        controllers = self.context.controllers
-        for chip_key in tag.by_chip:
-            if chip_key in controllers[chip_key[0]].busy:
-                return True
-        return False

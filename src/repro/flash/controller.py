@@ -71,11 +71,16 @@ class FlashController:
         self.builder = builder
         self.pending: Dict[tuple, List[MemoryRequest]] = {key: [] for key in chips}
         self.active: Dict[tuple, Optional[FlashTransaction]] = {key: None for key in chips}
-        #: Chips with committed or in-flight work, kept exactly in sync with
-        #: ``bool(pending[chip]) or active[chip] is not None``.  VAS/PAS probe
-        #: every target chip of every queued I/O per composition; a set
-        #: containment check replaces a method call on that path.
-        self.busy: set = set()
+        #: Bit :meth:`SSDGeometry.chip_index` of each attached chip.
+        self.chip_bits: Dict[tuple, int] = {
+            key: builder.geometry.chip_mask((key,)) for key in chips
+        }
+        #: Chips with committed or in-flight work as a bitmask over
+        #: :attr:`chip_bits`, kept exactly in sync with
+        #: ``bool(pending[chip]) or active[chip] is not None``.  VAS/PAS test
+        #: an I/O for conflicts with one AND of its chip mask against the OR
+        #: of every controller's mask.
+        self.busy_bits = 0
         self.total_committed = 0
         self.total_transactions = 0
         #: Trace sink (simulator-attached) and busy->idle transition count.
@@ -95,7 +100,7 @@ class FlashController:
             raise KeyError(f"chip {chip_key} is not attached to channel {self.channel.channel_id}")
         request.committed_at_ns = now_ns
         self.pending[chip_key].append(request)
-        self.busy.add(chip_key)
+        self.busy_bits |= self.chip_bits[chip_key]
         self.total_committed += 1
 
     def pending_count(self, chip_key: tuple) -> int:
@@ -109,12 +114,8 @@ class FlashController:
         return len(self.pending[chip_key]) + in_flight
 
     def has_outstanding(self, chip_key: tuple) -> bool:
-        """True when the chip already holds committed or in-flight work.
-
-        Equivalent to probing :attr:`busy` directly, which the hot
-        conflict-checking loops of VAS/PAS do to skip the method call.
-        """
-        return chip_key in self.busy
+        """True when the chip already holds committed or in-flight work."""
+        return bool(self.busy_bits & self.chip_bits[chip_key])
 
     def pending_requests(self, chip_key: tuple) -> Sequence[MemoryRequest]:
         """Read-only view of the chip's commit queue (used by the readdressing callback)."""
@@ -131,8 +132,9 @@ class FlashController:
         kept = [req for req in queue if keep(req)]
         removed = len(queue) - len(kept)
         self.pending[chip_key] = kept
-        if not kept and self.active[chip_key] is None and chip_key in self.busy:
-            self.busy.remove(chip_key)
+        bit = self.chip_bits[chip_key]
+        if not kept and self.active[chip_key] is None and self.busy_bits & bit:
+            self.busy_bits &= ~bit
             self.idle_transitions += 1
         return removed
 
@@ -177,7 +179,7 @@ class FlashController:
         if not self.chip_available(chip_key, now_ns):
             return None
         self.active[chip_key] = transaction
-        self.busy.add(chip_key)
+        self.busy_bits |= self.chip_bits[chip_key]
         self.total_transactions += 1
         schedule = self._schedule_phases(transaction, now_ns)
         self._record(chip_key, schedule)
@@ -193,9 +195,9 @@ class FlashController:
             request.completed_at_ns = now_ns
         self.active[chip_key] = None
         if not self.pending[chip_key]:
-            # An active transaction implies membership, so this discard is a
-            # guaranteed busy->idle transition.
-            self.busy.discard(chip_key)
+            # An active transaction implies the chip's busy bit is set, so
+            # clearing it is a guaranteed busy->idle transition.
+            self.busy_bits &= ~self.chip_bits[chip_key]
             self.idle_transitions += 1
         if self.sink.enabled:
             self.sink.span(
@@ -218,11 +220,11 @@ class FlashController:
         """Idle->busy transitions of this controller's chips so far.
 
         Every chip that ever became busy either went idle again (counted in
-        :attr:`idle_transitions`) or is still in :attr:`busy`, so the sum of
-        the two is exactly the number of idle->busy transitions - without
-        touching the hot ``commit`` path.
+        :attr:`idle_transitions`) or still has its bit set in
+        :attr:`busy_bits`, so the sum of the two is exactly the number of
+        idle->busy transitions - without touching the hot ``commit`` path.
         """
-        return self.idle_transitions + len(self.busy)
+        return self.idle_transitions + self.busy_bits.bit_count()
 
     # ------------------------------------------------------------------
     # Internal helpers

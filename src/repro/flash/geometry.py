@@ -199,6 +199,17 @@ class SSDGeometry:
         channel = chip_index % self.num_channels
         return channel, chip
 
+    def chip_mask(self, chip_keys) -> int:
+        """Bitmask with bit :meth:`chip_index` set for every ``(channel, chip)`` key.
+
+        The conflict test of VAS/PAS is one AND of an I/O's chip mask with
+        the controllers' busy masks (:attr:`FlashController.busy_bits`).
+        """
+        mask = 0
+        for channel, chip in chip_keys:
+            mask |= 1 << self.chip_index(channel, chip)
+        return mask
+
     def iter_chip_keys(self):
         """Yield every ``(channel, chip)`` pair in RIOS traversal order."""
         for chip in range(self.chips_per_channel):

@@ -28,6 +28,11 @@ class Tag:
     #: Memory requests grouped by target chip, filled by the physical-layout
     #: preprocessor for schedulers that are layout aware (PAS and Sprinkler).
     by_chip: Dict[tuple, List[MemoryRequest]] = field(default_factory=dict)
+    #: :meth:`SSDGeometry.chip_mask` of ``by_chip``'s keys, recorded by the
+    #: preprocessor at admission.  VAS/PAS test it against the controllers'
+    #: busy masks; only Sprinkler's readdressing callback moves requests
+    #: between chips afterwards, and Sprinkler never reads the mask.
+    chip_mask: int = 0
     #: Number of memory requests handed to the composer so far.
     composed_count: int = 0
     #: Number of memory requests completed by the flash controllers so far.

@@ -2,7 +2,7 @@
 
 The design keeps the hot paths free of registry machinery: components count
 with plain integer attributes on branches they already own (the FUA branch of
-``register_tag``, the busy-set discard in ``finish_transaction``, the batch
+``register_tag``, the busy-bit clear in ``finish_transaction``, the batch
 loop of ``EventQueue.pop_batch``), and the simulator folds everything into
 one :class:`CounterRegistry` only when the final
 :class:`~repro.metrics.report.SimulationResult` is assembled.  The registry

@@ -420,6 +420,7 @@ class SSDSimulator:
                 by_chip[chip_key] = [request]
             else:
                 bucket.append(request)
+        tag.chip_mask = self.geometry.chip_mask(by_chip)
         self._tags_by_io[io_id] = tag
         self.scheduler.register_tag(tag, self.now_ns)
 

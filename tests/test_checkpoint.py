@@ -207,6 +207,14 @@ class TestRestoreValidation:
         with pytest.raises(CheckpointError, match="version 99"):
             SSDSimulator.resume(checkpoint)
 
+    def test_busy_set_era_checkpoint_rejected(self):
+        # Version 3 pickled controller busy sets and a list of scheduler
+        # tags; resuming one must fail by name, not deep inside a handler.
+        assert CHECKPOINT_VERSION == 4
+        checkpoint = dataclasses.replace(self.paused_checkpoint(), version=3)
+        with pytest.raises(CheckpointError, match="version 3 is not supported"):
+            SSDSimulator.resume(checkpoint)
+
     def test_corrupted_payload_rejected(self):
         checkpoint = self.paused_checkpoint()
         corrupted = dataclasses.replace(

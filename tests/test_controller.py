@@ -63,6 +63,22 @@ class TestCommitQueues:
         assert removed == 1
         assert controller.pending_count((0, 0)) == 1
 
+    def test_busy_bits_follow_commit_retarget_and_finish(self, controller, small_geometry):
+        bit = {key: small_geometry.chip_mask((key,)) for key in controller.chips}
+        assert controller.chip_bits == bit
+        controller.commit(make_request(chip=(0, 0)), 0)
+        controller.commit(make_request(chip=(0, 1)), 0)
+        assert controller.busy_bits == bit[(0, 0)] | bit[(0, 1)]
+        # Retargeting every pending request away idles the chip.
+        assert controller.retarget_pending((0, 1), lambda req: False) == 1
+        assert controller.busy_bits == bit[(0, 0)]
+        assert not controller.has_outstanding((0, 1))
+        schedule = controller.start_transaction((0, 0), 0)
+        assert controller.busy_bits == bit[(0, 0)]
+        controller.finish_transaction((0, 0), schedule.complete_ns)
+        assert controller.busy_bits == 0
+        assert controller.busy_transitions == controller.idle_transitions == 2
+
 
 class TestTransactionExecution:
     def test_start_transaction_selects_and_removes(self, controller):

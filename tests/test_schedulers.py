@@ -32,8 +32,11 @@ def context(small_geometry, fast_timing):
     return SchedulerContext(geometry=small_geometry, controllers=controllers)
 
 
-def build_tag(chip_pages, kind=IOKind.READ, arrival=0, fua=False):
-    """Build a tag whose memory requests target the given (chip, die, plane) tuples."""
+def build_tag(geometry, chip_pages, kind=IOKind.READ, arrival=0, fua=False):
+    """Build a tag whose memory requests target the given (chip, die, plane) tuples.
+
+    Records the chip mask the way the simulator's preprocessor does.
+    """
     io = IORequest(
         kind=kind,
         offset_bytes=0,
@@ -54,6 +57,7 @@ def build_tag(chip_pages, kind=IOKind.READ, arrival=0, fua=False):
         )
         tag.memory_requests.append(request)
         tag.by_chip.setdefault(chip, []).append(request)
+    tag.chip_mask = geometry.chip_mask(tag.by_chip)
     return tag
 
 
@@ -65,7 +69,7 @@ def drain(scheduler, limit=64, now=0):
         if request is None:
             break
         request.composed_at_ns = now
-        tag = next((t for t in scheduler.tags if t.io_id == request.io_id), None)
+        tag = scheduler.tags.get(request.io_id)
         if tag is not None:
             tag.composed_count += 1
         picked.append(request)
@@ -83,8 +87,8 @@ class TestSchedulerContext:
 class TestVAS:
     def test_strict_fifo_order(self, context):
         scheduler = VirtualAddressScheduler(context)
-        first = build_tag([((0, 0), 0, 0), ((1, 0), 0, 0)])
-        second = build_tag([((0, 1), 0, 0)])
+        first = build_tag(context.geometry, [((0, 0), 0, 0), ((1, 0), 0, 0)])
+        second = build_tag(context.geometry, [((0, 1), 0, 0)])
         scheduler.register_tag(first, 0)
         scheduler.register_tag(second, 0)
         picked = drain(scheduler)
@@ -93,28 +97,28 @@ class TestVAS:
 
     def test_blocks_on_chip_conflict(self, context):
         scheduler = VirtualAddressScheduler(context)
-        blocker = build_tag([((0, 0), 0, 0)])
+        blocker = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(blocker, 0)
         request = scheduler.next_composition(0)
         request.composed_at_ns = 0
         blocker.composed_count += 1
         # Commit the blocker to the controller: chip (0,0) now has outstanding work.
         context.controllers[0].commit(request, 0)
-        conflicting = build_tag([((0, 0), 1, 1), ((1, 1), 0, 0)])
+        conflicting = build_tag(context.geometry, [((0, 0), 1, 1), ((1, 1), 0, 0)])
         scheduler.register_tag(conflicting, 0)
         # VAS refuses to start the next I/O while any of its chips is busy.
         assert scheduler.next_composition(0) is None
 
     def test_unblocks_after_completion(self, context):
         scheduler = VirtualAddressScheduler(context)
-        blocker = build_tag([((0, 0), 0, 0)])
+        blocker = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(blocker, 0)
         request = scheduler.next_composition(0)
         request.composed_at_ns = 0
         blocker.composed_count += 1
         controller = context.controllers[0]
         controller.commit(request, 0)
-        conflicting = build_tag([((0, 0), 1, 1)])
+        conflicting = build_tag(context.geometry, [((0, 0), 1, 1)])
         scheduler.register_tag(conflicting, 0)
         assert scheduler.next_composition(0) is None
         controller.start_transaction((0, 0), 0)
@@ -127,23 +131,23 @@ class TestVAS:
 
     def test_retire_removes_tag(self, context):
         scheduler = VirtualAddressScheduler(context)
-        tag = build_tag([((0, 0), 0, 0)])
+        tag = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(tag, 0)
         scheduler.on_tag_retired(tag)
-        assert scheduler.tags == []
+        assert scheduler.tags == {}
 
 
 class TestPAS:
     def test_skips_conflicting_io(self, context):
         scheduler = PhysicalAddressScheduler(context)
-        blocker = build_tag([((0, 0), 0, 0)])
+        blocker = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(blocker, 0)
         request = scheduler.next_composition(0)
         request.composed_at_ns = 0
         blocker.composed_count += 1
         context.controllers[0].commit(request, 0)
-        conflicting = build_tag([((0, 0), 1, 1)])
-        independent = build_tag([((1, 1), 0, 0)])
+        conflicting = build_tag(context.geometry, [((0, 0), 1, 1)])
+        independent = build_tag(context.geometry, [((1, 1), 0, 0)])
         scheduler.register_tag(conflicting, 0)
         scheduler.register_tag(independent, 0)
         picked = scheduler.next_composition(0)
@@ -151,8 +155,8 @@ class TestPAS:
 
     def test_finishes_started_io_first(self, context):
         scheduler = PhysicalAddressScheduler(context)
-        big = build_tag([((0, 0), 0, 0), ((0, 0), 0, 1)])
-        other = build_tag([((1, 1), 0, 0)])
+        big = build_tag(context.geometry, [((0, 0), 0, 0), ((0, 0), 0, 1)])
+        other = build_tag(context.geometry, [((1, 1), 0, 0)])
         scheduler.register_tag(big, 0)
         scheduler.register_tag(other, 0)
         first = scheduler.next_composition(0)
@@ -163,26 +167,26 @@ class TestPAS:
 
     def test_stalls_when_everything_conflicts(self, context):
         scheduler = PhysicalAddressScheduler(context)
-        blocker = build_tag([((0, 0), 0, 0)])
+        blocker = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(blocker, 0)
         request = scheduler.next_composition(0)
         request.composed_at_ns = 0
         blocker.composed_count += 1
         context.controllers[0].commit(request, 0)
-        conflicting = build_tag([((0, 0), 1, 1)])
+        conflicting = build_tag(context.geometry, [((0, 0), 1, 1)])
         scheduler.register_tag(conflicting, 0)
         assert scheduler.next_composition(0) is None
 
     def test_does_not_bypass_fua(self, context):
         scheduler = PhysicalAddressScheduler(context)
-        blocker = build_tag([((0, 0), 0, 0)])
+        blocker = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(blocker, 0)
         request = scheduler.next_composition(0)
         request.composed_at_ns = 0
         blocker.composed_count += 1
         context.controllers[0].commit(request, 0)
-        fua_tag = build_tag([((0, 0), 1, 0)], fua=True)
-        later = build_tag([((1, 1), 0, 0)])
+        fua_tag = build_tag(context.geometry, [((0, 0), 1, 0)], fua=True)
+        later = build_tag(context.geometry, [((1, 1), 0, 0)])
         scheduler.register_tag(fua_tag, 0)
         scheduler.register_tag(later, 0)
         # The conflicting FUA request blocks reordering past it.
@@ -199,7 +203,7 @@ class TestSprinklerVariants:
     def test_spk2_spreads_across_chips(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=False)
         # One I/O with two requests per chip on two different chips.
-        tag = build_tag(
+        tag = build_tag(context.geometry, 
             [((0, 0), 0, 0), ((0, 0), 0, 1), ((1, 0), 0, 0), ((1, 0), 0, 1)]
         )
         scheduler.register_tag(tag, 0)
@@ -208,7 +212,7 @@ class TestSprinklerVariants:
 
     def test_spk3_bursts_per_chip(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        tag = build_tag(
+        tag = build_tag(context.geometry, 
             [((0, 0), 0, 0), ((0, 0), 1, 1), ((1, 0), 0, 0), ((1, 0), 1, 1)]
         )
         scheduler.register_tag(tag, 0)
@@ -218,7 +222,7 @@ class TestSprinklerVariants:
 
     def test_spk3_burst_extends_die_plane_coverage_first(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        tag = build_tag(
+        tag = build_tag(context.geometry, 
             [((0, 0), 0, 0), ((0, 0), 0, 0), ((0, 0), 1, 1)]
         )
         scheduler.register_tag(tag, 0)
@@ -228,8 +232,8 @@ class TestSprinklerVariants:
 
     def test_spk1_prefers_deepest_chip(self, context):
         scheduler = Sprinkler(context, use_rios=False, use_faro=True)
-        shallow = build_tag([((0, 0), 0, 0)])
-        deep = build_tag([((1, 1), 0, 0), ((1, 1), 1, 1), ((1, 1), 0, 1)])
+        shallow = build_tag(context.geometry, [((0, 0), 0, 0)])
+        deep = build_tag(context.geometry, [((1, 1), 0, 0), ((1, 1), 1, 1), ((1, 1), 0, 1)])
         scheduler.register_tag(shallow, 0)
         scheduler.register_tag(deep, 0)
         picked = scheduler.next_composition(0)
@@ -237,21 +241,21 @@ class TestSprinklerVariants:
 
     def test_spk_ignores_chip_conflicts(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        tag = build_tag([((0, 0), 0, 0)])
+        tag = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(tag, 0)
         request = scheduler.next_composition(0)
         request.composed_at_ns = 0
         tag.composed_count += 1
         context.controllers[0].commit(request, 0)
         # Over-commitment: a second request to the same chip is still composed.
-        second = build_tag([((0, 0), 1, 1)])
+        second = build_tag(context.geometry, [((0, 0), 1, 1)])
         scheduler.register_tag(second, 0)
         assert scheduler.next_composition(0) is not None
 
     def test_fua_forces_fifo(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        first = build_tag([((1, 1), 0, 0)], fua=True)
-        second = build_tag([((0, 0), 0, 0)])
+        first = build_tag(context.geometry, [((1, 1), 0, 0)], fua=True)
+        second = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(first, 0)
         scheduler.register_tag(second, 0)
         picked = scheduler.next_composition(0)
@@ -260,8 +264,8 @@ class TestSprinklerVariants:
     def test_every_request_composed_exactly_once(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
         tags = [
-            build_tag([((0, 0), 0, 0), ((1, 0), 0, 0)]),
-            build_tag([((0, 1), 0, 0), ((1, 1), 1, 1)]),
+            build_tag(context.geometry, [((0, 0), 0, 0), ((1, 0), 0, 0)]),
+            build_tag(context.geometry, [((0, 1), 0, 0), ((1, 1), 1, 1)]),
         ]
         for tag in tags:
             scheduler.register_tag(tag, 0)
@@ -272,7 +276,7 @@ class TestSprinklerVariants:
 
     def test_migration_moves_chip_bucket(self, context, small_geometry):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        tag = build_tag([((0, 0), 0, 0)])
+        tag = build_tag(context.geometry, [((0, 0), 0, 0)])
         scheduler.register_tag(tag, 0)
         request = tag.memory_requests[0]
         old = request.address
