@@ -52,8 +52,11 @@ from repro.sim.events import EventQueue
 #: tracker inside the metrics collector: a health-sampled, attributed run
 #: resumes with its series and slices intact.  Version 4 replaced the
 #: controllers' busy sets with chip bitmasks (``busy_bits``) and gave PAS its
-#: unstarted-tag index and the tags their ``chip_mask``.
-CHECKPOINT_VERSION = 4
+#: unstarted-tag index and the tags their ``chip_mask``.  Version 5 dropped
+#: the collector's windowed history mode: the metrics collector, attribution
+#: tracker and tail-window tracker lost their mode, window and per-kind
+#: counter fields.
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(Exception):

@@ -18,7 +18,6 @@ from repro.metrics.latency import (
     iops,
     merge_latency_stats,
     percentile,
-    tail_windows_from_samples,
 )
 from repro.metrics.parallelism import FLPBreakdown
 from repro.metrics.breakdown import ExecutionBreakdown
@@ -39,7 +38,6 @@ __all__ = [
     "iops",
     "merge_latency_stats",
     "percentile",
-    "tail_windows_from_samples",
     "FLPBreakdown",
     "ExecutionBreakdown",
     "IdlenessReport",

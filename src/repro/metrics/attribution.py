@@ -7,10 +7,10 @@ MetricsCollector` slices completions by that tag, so a multi-tenant run
 reports *who waited* instead of one blended distribution.
 
 The contract is exact reconciliation, not sampling: per-slice counts, byte
-totals and (in full-history mode) the pooled percentile sample populations
-sum to the aggregate figures precisely - :func:`reconcile_attribution`
-checks that invariant and the test suite enforces it on every tiny-suite
-scenario case.  Everything here is observational: the report rides on
+totals and the pooled percentile sample populations sum to the aggregate
+figures precisely - :func:`reconcile_attribution` checks that invariant and
+the test suite enforces it on every tiny-suite scenario case.  Everything
+here is observational: the report rides on
 :class:`~repro.metrics.report.SimulationResult` as a fingerprint-excluded
 field, so a tagged run stays digest-identical to an untagged one.
 """
@@ -21,9 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.latency import (
-    DEFAULT_TAIL_WINDOW_NS,
     LatencyStats,
-    StreamingLatencyStats,
     TailWindow,
     WindowedTailTracker,
     merge_latency_stats,
@@ -41,8 +39,7 @@ class TenantPhaseStats:
     writes: int
     read_bytes: int
     write_bytes: int
-    #: The slice's own latency distribution (full or streaming, matching the
-    #: collector's history mode).
+    #: The slice's own latency distribution.
     latency: LatencyStats
     #: Exact windowed p50/p99/p999 series of this slice alone.
     latency_windows: Tuple[TailWindow, ...]
@@ -136,34 +133,16 @@ class AttributionReport:
 class AttributionTracker:
     """Streams tagged completions into per-``(tenant, phase)`` accumulators.
 
-    Mirrors the collector's history contract: ``"full"`` keeps every sample
-    per slice, ``"windowed"`` bounds per-slice memory with streaming stats
-    and a capped tail-window series.  The hot path is one dict probe plus
-    the same accumulator work the aggregate stats already do - and the
-    collector only calls :meth:`record` for requests that carry a tag, so
-    untagged runs never enter this class at all.
+    Each slice keeps every latency sample and its own tail-window series.
+    The hot path is one dict probe plus the same accumulator work the
+    aggregate stats already do - and the collector only calls :meth:`record`
+    for requests that carry a tag, so untagged runs never enter this class
+    at all.
     """
 
-    def __init__(
-        self,
-        history: str = "full",
-        window: int = 4096,
-        tail_window_ns: int = DEFAULT_TAIL_WINDOW_NS,
-    ) -> None:
-        self.history = history
-        self.window = window
-        self.tail_window_ns = tail_window_ns
+    def __init__(self) -> None:
         # key -> [ios, reads, writes, read_bytes, write_bytes, latency, tail]
         self._slices: Dict[Tuple[str, int], list] = {}
-
-    def _new_slice(self) -> list:
-        if self.history == "windowed":
-            latency = StreamingLatencyStats(window_size=self.window)
-            tail = WindowedTailTracker(self.tail_window_ns, max_windows=self.window)
-        else:
-            latency = LatencyStats()
-            tail = WindowedTailTracker(self.tail_window_ns)
-        return [0, 0, 0, 0, 0, latency, tail]
 
     def record(
         self,
@@ -178,7 +157,7 @@ class AttributionTracker:
         key = (tenant, phase_index if phase_index is not None else -1)
         cell = self._slices.get(key)
         if cell is None:
-            cell = self._slices[key] = self._new_slice()
+            cell = self._slices[key] = [0, 0, 0, 0, 0, LatencyStats(), WindowedTailTracker()]
         cell[0] += 1
         if is_write:
             cell[2] += 1
@@ -344,9 +323,9 @@ def reconcile_attribution(result) -> List[str]:
     """Check a result's attribution against its aggregate stats, recursively.
 
     Returns a list of human-readable problems (empty = exact).  Counts and
-    byte totals must always reconcile; the pooled percentile inputs are
-    additionally compared sample-for-sample when the aggregate retained a
-    full history (slice sample counts matching the aggregate population).
+    byte totals must always reconcile; when every completion was tagged, the
+    pooled percentile inputs must also equal the aggregate population
+    sample-for-sample.
 
     Pooled results (arrays, fleets) expose their ``parts``; for those, every
     merged slice must also equal the sum of its parts' slices, and every
@@ -381,15 +360,9 @@ def reconcile_attribution(result) -> List[str]:
                 f"slice ({entry.tenant}, phase {entry.phase_index}): "
                 f"window counts sum to {window_count}, expected {entry.completed_ios}"
             )
-    # Pooled percentile inputs: only checkable sample-for-sample when both
-    # sides kept full histories (windowed mode truncates by design).
     pooled = report.pooled_samples()
     aggregate = result.latency.samples_ns
-    if (
-        report.untagged_ios == 0
-        and len(aggregate) == result.completed_ios
-        and sorted(pooled) != sorted(aggregate)
-    ):
+    if report.untagged_ios == 0 and sorted(pooled) != sorted(aggregate):
         problems.append(
             "pooled per-slice percentile inputs do not match the aggregate "
             f"sample population ({len(pooled)} vs {len(aggregate)} samples)"

@@ -7,7 +7,6 @@ final chip/channel statistics - into a :class:`~repro.metrics.report.SimulationR
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -16,18 +15,10 @@ from repro.flash.chip import FlashChip
 from repro.flash.transaction import FlashTransaction
 from repro.metrics.attribution import AttributionTracker
 from repro.metrics.breakdown import ExecutionBreakdown
-from repro.metrics.latency import (
-    DEFAULT_TAIL_WINDOW_NS,
-    LatencyStats,
-    StreamingLatencyStats,
-    WindowedTailTracker,
-)
+from repro.metrics.latency import LatencyStats, WindowedTailTracker
 from repro.metrics.parallelism import FLPBreakdown
 from repro.metrics.utilization import IdlenessReport, UtilizationReport
 from repro.workloads.request import IORequest
-
-#: Recognised completion-history modes (see :class:`MetricsCollector`).
-HISTORY_MODES = ("full", "windowed")
 
 
 @dataclass
@@ -43,64 +34,25 @@ class TimeSeriesPoint:
 class MetricsCollector:
     """Accumulates raw measurements during one simulation run.
 
-    ``history`` selects how completion history is retained:
-
-    * ``"full"`` (default) - every completion is kept, and the final report
-      is bit-identical to what this collector always produced.  Memory
-      grows linearly with the trace.
-    * ``"windowed"`` - fixed-size accumulators: latency count/mean/min/max
-      stay exact, but per-sample history (the time series and the
-      percentile population) is limited to the most recent ``window``
-      completions.  Peak memory is flat in trace length, which is what
-      makes day-long trace replays feasible.
+    Every completion is kept: the report's latency percentiles and the
+    per-I/O time series (Figures 10 and 12) are computed over the whole run.
     """
 
-    def __init__(
-        self,
-        history: str = "full",
-        window: int = 4096,
-        tail_window_ns: int = DEFAULT_TAIL_WINDOW_NS,
-    ) -> None:
-        if history not in HISTORY_MODES:
-            raise ValueError(
-                f"unknown history mode {history!r}; expected one of {HISTORY_MODES}"
-            )
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.history = history
-        self.window = window
+    def __init__(self) -> None:
         self.flp = FLPBreakdown()
-        # The windowed tail series keys on completion time, not sample
-        # position, so each recorded window is exact in either mode.  In
-        # windowed (memory-flat) mode the *number* of retained windows is
-        # bounded like the time series is - otherwise the sealed-window list
-        # would grow with the makespan and break the flatness contract.
-        self.tail = WindowedTailTracker(
-            tail_window_ns, max_windows=window if history == "windowed" else None
-        )
-        # Per-(tenant, phase) slices for scenario-stamped requests.  Shares
-        # this collector's history/window contract; untagged requests cost a
-        # single attribute test on the completion path and never touch it.
-        self.attribution = AttributionTracker(
-            history=history, window=window, tail_window_ns=tail_window_ns
-        )
+        self.tail = WindowedTailTracker()
+        # Per-(tenant, phase) slices for scenario-stamped requests; untagged
+        # requests cost a single attribute test on the completion path and
+        # never touch it.
+        self.attribution = AttributionTracker()
+        self.latency = LatencyStats()
         # Completion history as one append-only list of plain tuples: a
         # single append per completion on the hot path, materialised into
         # TimeSeriesPoint objects only when the final report is assembled
-        # (see :attr:`time_series`).  Windowed mode bounds the history with
-        # a ring (deque) instead.
-        if history == "windowed":
-            self.latency = StreamingLatencyStats(window_size=window)
-            self._ts: "deque[tuple]" = deque(maxlen=window)
-        else:
-            self.latency = LatencyStats()
-            self._ts: List[tuple] = []
+        # (see :attr:`time_series`).
+        self._ts: List[tuple] = []
         self.total_bytes = 0
-        self.read_bytes = 0
-        self.write_bytes = 0
         self.completed_ios = 0
-        self.completed_reads = 0
-        self.completed_writes = 0
         self.memory_requests_served = 0
         self.gc_transactions = 0
         self.gc_time_ns = 0
@@ -126,17 +78,10 @@ class MetricsCollector:
         self._ts.append((io.io_id, arrival, now_ns, latency))
         self.total_bytes += io.size_bytes
         self.completed_ios += 1
-        is_write = io.is_write
-        if is_write:
-            self.completed_writes += 1
-            self.write_bytes += io.size_bytes
-        else:
-            self.completed_reads += 1
-            self.read_bytes += io.size_bytes
         tenant = io.tenant
         if tenant is not None:
             self.attribution.record(
-                tenant, io.phase_index, is_write, io.size_bytes, now_ns, latency
+                tenant, io.phase_index, io.is_write, io.size_bytes, now_ns, latency
             )
         self.last_completion_ns = max(self.last_completion_ns, now_ns)
 
@@ -160,10 +105,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     @property
     def time_series(self) -> List[TimeSeriesPoint]:
-        """Latency of each completed I/O, in completion order (Figure 12).
-
-        In windowed mode this is only the most recent ``window`` completions.
-        """
+        """Latency of each completed I/O, in completion order (Figure 12)."""
         return [
             TimeSeriesPoint(
                 io_id=io_id,

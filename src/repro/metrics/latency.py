@@ -1,21 +1,18 @@
 """Latency, bandwidth and IOPS computations (Figure 10).
 
-Besides the end-of-run aggregates (:class:`LatencyStats`,
-:class:`StreamingLatencyStats`), this module provides *windowed tail
-latency*: :class:`WindowedTailTracker` seals completions into fixed
-wall-clock windows and records exact p50/p99/p999 per window
-(:class:`TailWindow`), so a run's tail behaviour *over time* is visible -
-the metric a single end-of-run percentile cannot show.  The tracker is
-streaming (it buffers one window of samples at a time), so it composes with
-the windowed collector mode without reintroducing O(trace) memory.
+Besides the end-of-run aggregate (:class:`LatencyStats`), this module
+provides *windowed tail latency*: :class:`WindowedTailTracker` seals
+completions into fixed wall-clock windows and records exact p50/p99/p999 per
+window (:class:`TailWindow`), so a run's tail behaviour *over time* is
+visible - the metric a single end-of-run percentile cannot show.  The
+tracker buffers one window of samples at a time.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 NS_PER_S = 1_000_000_000
 
@@ -95,94 +92,6 @@ class LatencyStats:
         """Latency percentile (e.g. 0.99 for the tail)."""
         return percentile(self.samples_ns, fraction)
 
-    def merged_with(self, other: "LatencyStats") -> "LatencyStats":
-        """Combine two distributions (used when aggregating workloads)."""
-        merged = LatencyStats()
-        merged.samples_ns = list(self.samples_ns) + list(other.samples_ns)
-        return merged
-
-
-@dataclass
-class StreamingLatencyStats:
-    """Bounded-memory latency accumulator (the collector's windowed mode).
-
-    ``count``, ``mean_ns``, ``min_ns`` and ``max_ns`` are exact over every
-    sample ever added; the sample buffer holds only the most recent
-    ``window_size`` values (a ring), so ``percentile_ns`` is computed over
-    that sliding window rather than the full history.  Peak memory is fixed
-    by ``window_size`` no matter how long the run is.  Quacks like
-    :class:`LatencyStats` (same read API, including ``samples_ns``).
-    """
-
-    window_size: int = 4096
-    total_count: int = 0
-    total_ns: int = 0
-    lowest_ns: int = 0
-    highest_ns: int = 0
-    _ring: List[int] = field(default_factory=list)
-    _cursor: int = 0
-
-    def add(self, latency_ns: int) -> None:
-        """Record the latency of one completed I/O request."""
-        if latency_ns < 0:
-            raise ValueError("latency must be non-negative")
-        if self.total_count == 0:
-            self.lowest_ns = self.highest_ns = latency_ns
-        else:
-            if latency_ns < self.lowest_ns:
-                self.lowest_ns = latency_ns
-            if latency_ns > self.highest_ns:
-                self.highest_ns = latency_ns
-        self.total_count += 1
-        self.total_ns += latency_ns
-        ring = self._ring
-        if len(ring) < self.window_size:
-            ring.append(latency_ns)
-        else:
-            ring[self._cursor] = latency_ns
-            self._cursor = (self._cursor + 1) % self.window_size
-
-    @property
-    def samples_ns(self) -> List[int]:
-        """The retained window, oldest first (most recent ``window_size``)."""
-        ring = self._ring
-        cursor = self._cursor
-        if cursor == 0 or len(ring) < self.window_size:
-            return list(ring)
-        return ring[cursor:] + ring[:cursor]
-
-    @property
-    def count(self) -> int:
-        """Number of recorded I/Os (exact, not windowed)."""
-        return self.total_count
-
-    @property
-    def mean_ns(self) -> float:
-        """Average latency over every recorded I/O (exact, not windowed)."""
-        if not self.total_count:
-            return 0.0
-        return self.total_ns / self.total_count
-
-    @property
-    def max_ns(self) -> int:
-        """Worst observed latency (exact, not windowed)."""
-        return self.highest_ns
-
-    @property
-    def min_ns(self) -> int:
-        """Best observed latency (exact, not windowed)."""
-        return self.lowest_ns
-
-    def percentile_ns(self, fraction: float) -> float:
-        """Latency percentile over the retained window (approximate)."""
-        return percentile(self._ring, fraction)
-
-    def merged_with(self, other) -> LatencyStats:
-        """Combine with another distribution over the retained windows."""
-        merged = LatencyStats()
-        merged.samples_ns = list(self.samples_ns) + list(other.samples_ns)
-        return merged
-
 
 @dataclass(frozen=True)
 class TailWindow:
@@ -191,7 +100,7 @@ class TailWindow:
     ``index`` is the window's ordinal position on the simulated clock
     (``completion_ns // window_ns``); empty windows produce no entry, so
     consecutive records may skip indices.  Percentiles use the same
-    ceil-based nearest-rank :func:`percentile` as the full-history stats,
+    ceil-based nearest-rank :func:`percentile` as the end-of-run stats,
     which is what makes the windowed series *exactly* reproducible from a
     full completion history (the validation contract the tests enforce).
     """
@@ -212,30 +121,16 @@ class WindowedTailTracker:
     Completion times must be non-decreasing (the simulator's clock is), so a
     window can be sealed the moment a later window's first sample arrives;
     only the in-progress window's samples are buffered.  The grouping key is
-    the completion time, making the series independent of how (or whether)
-    the collector truncates its per-sample history.
-
-    ``max_windows`` bounds how many *sealed* windows are retained (oldest
-    dropped first).  The memory-flat collector mode sets it so that the
-    series cannot grow with replay length - each retained window's
-    percentiles are still exact, only the tail of the series is kept.
-    Unbounded (``None``) retention is the full-history default.
+    the completion time.
     """
 
-    __slots__ = ("window_ns", "max_windows", "windows", "_current_index", "_samples")
+    __slots__ = ("window_ns", "windows", "_current_index", "_samples")
 
-    def __init__(
-        self,
-        window_ns: int = DEFAULT_TAIL_WINDOW_NS,
-        max_windows: Optional[int] = None,
-    ) -> None:
+    def __init__(self, window_ns: int = DEFAULT_TAIL_WINDOW_NS) -> None:
         if window_ns <= 0:
             raise ValueError("window_ns must be positive")
-        if max_windows is not None and max_windows <= 0:
-            raise ValueError("max_windows must be positive")
         self.window_ns = window_ns
-        self.max_windows = max_windows
-        self.windows: Deque[TailWindow] = deque(maxlen=max_windows)
+        self.windows: List[TailWindow] = []
         self._current_index: Optional[int] = None
         self._samples: List[int] = []
 
@@ -284,21 +179,6 @@ class WindowedTailTracker:
         if self._samples:
             self._seal()
         return tuple(self.windows)
-
-
-def tail_windows_from_samples(
-    samples: Iterable[Tuple[int, int]], window_ns: int = DEFAULT_TAIL_WINDOW_NS
-) -> Tuple[TailWindow, ...]:
-    """Windowed tail series from ``(completion_ns, latency_ns)`` pairs.
-
-    The full-history reference implementation the streaming tracker is
-    validated against: group every completion by ``completion_ns //
-    window_ns`` and compute the percentiles per group.
-    """
-    tracker = WindowedTailTracker(window_ns)
-    for completion_ns, latency_ns in samples:
-        tracker.add(completion_ns, latency_ns)
-    return tracker.finish()
 
 
 def merge_latency_stats(parts: Iterable[LatencyStats]) -> LatencyStats:

@@ -9,7 +9,7 @@ Three subcommands:
 ``top-spans PATH [-n N]``
     The N longest duration spans in a trace artifact.
 
-``export --case NAME -o PATH [--scale quick|full] [--tiny]``
+``export --case NAME -o PATH [--tiny]``
     Run every job of a perf-suite case with tracing enabled and write one
     Chrome-trace/Perfetto JSON document (open it at https://ui.perfetto.dev).
 
@@ -92,7 +92,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.obs.trace import MemoryTraceSink
     from repro.perf.suite import canonical_suite, tiny_suite
 
-    suite = tiny_suite() if args.tiny else canonical_suite(args.scale)
+    suite = tiny_suite() if args.tiny else canonical_suite()
     by_name = {case.name: case for case in suite}
     case = by_name.get(args.case)
     if case is None:
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser("export", help="run a perf-suite case traced and export")
     export.add_argument("--case", required=True, help="perf-suite case name")
     export.add_argument("-o", "--output", required=True, help="output trace JSON path")
-    export.add_argument("--scale", default="quick", help="canonical suite scale")
     export.add_argument(
         "--tiny", action="store_true", help="pick the case from the tiny suite instead"
     )

@@ -37,9 +37,7 @@ def reference_tail_windows(
     brute-force reference (bucket every completion by ``completion_ns //
     window_ns``, then take percentiles per bucket with the shared
     nearest-rank :func:`~repro.metrics.latency.percentile`) that the
-    tracker's output must match exactly.  Only meaningful for results
-    recorded with the collector's ``"full"`` history mode - a truncated
-    history would silently drop early windows.
+    tracker's output must match exactly.
     """
     if window_ns <= 0:
         raise ValueError("window_ns must be positive")

@@ -1,7 +1,7 @@
 """The canonical performance suite.
 
 Seven pinned-seed workloads chosen to cover every layer the simulator's hot
-path flows through, at two sizes:
+path flows through:
 
 ========  =============================================================
 case      exercises
@@ -17,7 +17,7 @@ zoo       a heterogeneous 2-device zoo array (mlc-gen2 + tlc-gen3)
 
 Every case is a tuple of ordinary :class:`~repro.experiments.spec.SimJob`
 objects, so a case runs exactly the code path the experiment engine runs in
-production.  Seeds, geometry and request counts are pinned: the quick cases'
+production.  Seeds, geometry and request counts are pinned: the cases'
 workload fingerprints and result digests are goldens
 (``tests/data/perf_golden.json``) that every commit must reproduce.
 """
@@ -41,11 +41,6 @@ from repro.sim.config import SimulationConfig
 KB = 1024
 MB = 1024 * KB
 
-#: Recognised suite sizes.  ``quick`` cases are digest goldens (seconds per
-#: case); ``full`` cases are four times larger (tens of seconds per case).
-SUITE_SCALES = ("quick", "full")
-
-
 @dataclass(frozen=True)
 class PerfCase:
     """One named, pinned-seed member of the canonical suite."""
@@ -67,16 +62,10 @@ class PerfCase:
         )
 
 
-def _scale_factor(scale: str) -> int:
-    if scale not in SUITE_SCALES:
-        raise ValueError(f"unknown suite scale {scale!r}; expected one of {SUITE_SCALES}")
-    return 1 if scale == "quick" else 4
-
-
-def _figure06_case(factor: int) -> PerfCase:
+def _figure06_case() -> PerfCase:
     spec = figure06.build_spec(
         ExperimentScale(
-            requests_per_trace=40 * factor,
+            requests_per_trace=40,
             requests_per_point=12,
             num_chips=64,
             traces=("cfs0", "msnfs1", "proj0"),
@@ -90,11 +79,11 @@ def _figure06_case(factor: int) -> PerfCase:
     )
 
 
-def _transfer_case(factor: int) -> PerfCase:
+def _transfer_case() -> PerfCase:
     config = SimulationConfig.paper_scale(64)
     workload = WorkloadSpec.random(
         "transfer-512k",
-        num_requests=24 * factor,
+        num_requests=24,
         size_bytes=512 * KB,
         seed=7,
     )
@@ -109,11 +98,11 @@ def _transfer_case(factor: int) -> PerfCase:
     )
 
 
-def _array_case(factor: int) -> PerfCase:
+def _array_case() -> PerfCase:
     config = SimulationConfig.paper_scale(16)
     workload = WorkloadSpec.random(
         "array-base",
-        num_requests=48 * factor,
+        num_requests=48,
         size_bytes=128 * KB,
         seed=7,
     )
@@ -132,9 +121,9 @@ def _array_case(factor: int) -> PerfCase:
     )
 
 
-def _bursty_case(factor: int) -> PerfCase:
+def _bursty_case() -> PerfCase:
     config = SimulationConfig.paper_scale(64)
-    scenario = bursty_multitenant_scenario(requests_per_tenant=32 * factor, seed=11)
+    scenario = bursty_multitenant_scenario(requests_per_tenant=32, seed=11)
     job = SimJob(
         workload=WorkloadSpec.scenario(scenario),
         scheduler="SPK3",
@@ -148,14 +137,14 @@ def _bursty_case(factor: int) -> PerfCase:
     )
 
 
-def _aged_case(factor: int) -> PerfCase:
+def _aged_case() -> PerfCase:
     base = SimulationConfig.paper_scale(64)
     geometry = base.geometry.scaled(blocks_per_plane=16, pages_per_block=32)
     state = aged_device_state(steady_state=True, seed=11)
     logical = int(geometry.total_pages * (1.0 - 0.15))
     live_bytes = int(logical * state.fill_fraction * geometry.page_size_bytes)
     scenario = sustained_write_scenario(
-        num_requests=64 * factor,
+        num_requests=64,
         size_bytes=16 * KB,
         address_space_bytes=max(live_bytes, 64 * KB),
         seed=11,
@@ -179,7 +168,7 @@ def _aged_case(factor: int) -> PerfCase:
     )
 
 
-def _gc_heavy_case(factor: int) -> PerfCase:
+def _gc_heavy_case() -> PerfCase:
     base = SimulationConfig.paper_scale(64)
     geometry = base.geometry.scaled(blocks_per_plane=16, pages_per_block=32)
     config = base.with_overrides(
@@ -190,7 +179,7 @@ def _gc_heavy_case(factor: int) -> PerfCase:
     address_space = int(geometry.total_pages * geometry.page_size_bytes * 0.5)
     workload = WorkloadSpec.mixed(
         "gc-overwrites",
-        num_requests=64 * factor,
+        num_requests=64,
         size_bytes=16 * KB,
         address_space_bytes=address_space,
         read_fraction=0.1,
@@ -206,10 +195,10 @@ def _gc_heavy_case(factor: int) -> PerfCase:
     )
 
 
-def _zoo_case(factor: int) -> PerfCase:
+def _zoo_case() -> PerfCase:
     spec = ArraySpec(
         workload=WorkloadSpec.scenario(
-            zoo_probe_scenario(num_requests=48 * factor, seed=11)
+            zoo_probe_scenario(num_requests=48, seed=11)
         ),
         num_devices=2,
         scheduler="SPK3",
@@ -224,17 +213,16 @@ def _zoo_case(factor: int) -> PerfCase:
     )
 
 
-def canonical_suite(scale: str = "quick") -> Tuple[PerfCase, ...]:
-    """The seven canonical cases at the requested ``quick``/``full`` size."""
-    factor = _scale_factor(scale)
+def canonical_suite() -> Tuple[PerfCase, ...]:
+    """The seven canonical cases."""
     return (
-        _figure06_case(factor),
-        _transfer_case(factor),
-        _array_case(factor),
-        _bursty_case(factor),
-        _aged_case(factor),
-        _gc_heavy_case(factor),
-        _zoo_case(factor),
+        _figure06_case(),
+        _transfer_case(),
+        _array_case(),
+        _bursty_case(),
+        _aged_case(),
+        _gc_heavy_case(),
+        _zoo_case(),
     )
 
 

@@ -43,10 +43,9 @@ from repro.lifetime.accounting import LifetimeAccounting, write_amplification
 from repro.lifetime.state import PreconditionReport, apply_device_state
 from repro.lifetime.steady import SteadyStateReport, age_to_steady_state
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.latency import DEFAULT_TAIL_WINDOW_NS
 from repro.metrics.report import SimulationResult
 from repro.obs.counters import CounterRegistry
-from repro.obs.health import DEFAULT_MAX_HEALTH_SAMPLES, HealthSampler
+from repro.obs.health import HealthSampler
 from repro.obs.trace import NULL_SINK, TraceSink
 from repro.nvmhc.dma import DmaEngine
 from repro.nvmhc.queue import DeviceQueue
@@ -65,17 +64,12 @@ class SSDSimulator:
         scheduler_name: str = "SPK3",
         scheduler_options: Optional[Dict[str, object]] = None,
         *,
-        metrics_history: str = "full",
-        metrics_window: int = 4096,
-        tail_window_ns: int = DEFAULT_TAIL_WINDOW_NS,
         trace_sink: Optional[TraceSink] = None,
         health_interval_ns: Optional[int] = None,
-        health_max_samples: int = DEFAULT_MAX_HEALTH_SAMPLES,
     ) -> None:
-        # ``metrics_history``/``metrics_window``/``tail_window_ns``/
         # ``trace_sink``/``health_interval_ns`` are deliberately NOT part of
-        # SimulationConfig: they change how much telemetry is retained,
-        # never the simulated behaviour, and config fields feed the result
+        # SimulationConfig: they change what telemetry is recorded, never
+        # the simulated behaviour, and config fields feed the result
         # fingerprints (see repro.sim.config.canonicalize).
         self.config = config
         self.geometry = config.geometry
@@ -144,15 +138,13 @@ class SSDSimulator:
         # Periodic health sampling, off by default: the hot loop pays one
         # ``is not None`` test per timestamp batch when disabled.
         self._health: Optional[HealthSampler] = (
-            HealthSampler(health_interval_ns, max_samples=health_max_samples)
+            HealthSampler(health_interval_ns)
             if health_interval_ns is not None
             else None
         )
 
         # --- bookkeeping ----------------------------------------------------------
-        self.metrics = MetricsCollector(
-            history=metrics_history, window=metrics_window, tail_window_ns=tail_window_ns
-        )
+        self.metrics = MetricsCollector()
         self.events = EventQueue()
         self.now_ns = 0
         self._tags_by_io: Dict[int, Tag] = {}

@@ -177,19 +177,6 @@ class TestAttributionReconciliation:
     def test_nothing_tagged_yields_no_report(self):
         assert AttributionTracker().finish(total_ios=7, total_bytes=1) is None
 
-    def test_windowed_history_mode_still_reconciles_counts(self):
-        job = bursty_job()
-        simulator = SSDSimulator(
-            job.config, job.scheduler, metrics_history="windowed"
-        )
-        result = simulator.run(job.workload.build(), workload_name="bursty")
-        report = result.attribution
-        assert report is not None
-        tagged = sum(entry.completed_ios for entry in report.entries)
-        assert tagged + report.untagged_ios == result.completed_ios
-        for entry in report.entries:
-            assert entry.latency.count == entry.completed_ios
-
 
 class TestAttributionDoesNotPerturb:
     def test_tagged_run_is_digest_identical_to_untagged(self):
@@ -244,19 +231,15 @@ class TestHealthSampler:
 
     def test_retention_is_bounded_ring_buffer_style(self):
         job = bursty_job()
-        bounded = SSDSimulator(
-            job.config,
-            job.scheduler,
-            health_interval_ns=50_000,
-            health_max_samples=8,
-        ).run(job.workload.build(), workload_name="bursty")
-        full = SSDSimulator(
-            job.config, job.scheduler, health_interval_ns=50_000
-        ).run(job.workload.build(), workload_name="bursty")
-        assert len(full.health) > 8
-        assert len(bounded.health) == 8
-        assert bounded.health == full.health[-8:]  # oldest dropped first
-        assert len(full.health) <= DEFAULT_MAX_HEALTH_SAMPLES
+        simulator = SSDSimulator(job.config, job.scheduler)
+        bounded = HealthSampler(50_000, max_samples=8)
+        full = HealthSampler(50_000)
+        for step in range(20):
+            for sampler in (bounded, full):
+                sampler.sample(simulator, step * 50_000)
+        assert len(full.finish()) == 20
+        assert bounded.finish() == full.finish()[-8:]  # oldest dropped first
+        assert full.max_samples == DEFAULT_MAX_HEALTH_SAMPLES
 
     def test_checkpoint_resume_produces_identical_series(self):
         job = bursty_job()

@@ -209,11 +209,14 @@ class TestRestoreValidation:
 
     def test_busy_set_era_checkpoint_rejected(self):
         # Version 3 pickled controller busy sets and a list of scheduler
-        # tags; resuming one must fail by name, not deep inside a handler.
-        assert CHECKPOINT_VERSION == 4
-        checkpoint = dataclasses.replace(self.paused_checkpoint(), version=3)
-        with pytest.raises(CheckpointError, match="version 3 is not supported"):
-            SSDSimulator.resume(checkpoint)
+        # tags; version 4 pickled the collector's history-mode fields and
+        # the tail tracker's window-cap slot.  Resuming either must fail by
+        # name, not deep inside a handler.
+        assert CHECKPOINT_VERSION == 5
+        for version in (3, 4):
+            checkpoint = dataclasses.replace(self.paused_checkpoint(), version=version)
+            with pytest.raises(CheckpointError, match=f"version {version} is not supported"):
+                SSDSimulator.resume(checkpoint)
 
     def test_corrupted_payload_rejected(self):
         checkpoint = self.paused_checkpoint()

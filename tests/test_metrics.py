@@ -109,12 +109,6 @@ class TestLatencyHelpers:
         assert stats.mean_ns == 0.0
         assert stats.max_ns == 0
 
-    def test_merged(self):
-        a, b = LatencyStats(), LatencyStats()
-        a.add(10)
-        b.add(30)
-        assert a.merged_with(b).count == 2
-
 
 class TestFLPBreakdown:
     def test_record_and_fractions(self):

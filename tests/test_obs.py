@@ -29,7 +29,6 @@ from repro.experiments.runner import (
     paper_config,
 )
 from repro.experiments.spec import ExperimentSpec
-from repro.metrics.collector import MetricsCollector
 from repro.obs import (
     NULL_SINK,
     CounterRegistry,
@@ -47,9 +46,6 @@ from repro.obs.windows import format_tail_windows
 from repro.perf.suite import tiny_suite
 from repro.sim.config import stable_fingerprint
 from repro.sim.ssd import SSDSimulator
-from repro.workloads.request import IOKind, IORequest
-
-KB = 1024
 
 
 def tiny_jobs():
@@ -139,24 +135,6 @@ class TestWindowedTailsAgainstReference:
         assert tuple(result.latency_windows) == tuple(reference)
         # Sanity: the windows partition all completions.
         assert sum(w.count for w in result.latency_windows) == result.completed_ios
-
-    def test_windowed_collector_mode_keeps_exact_recent_windows(self):
-        full = MetricsCollector(tail_window_ns=1_000)
-        bounded = MetricsCollector(history="windowed", window=4, tail_window_ns=1_000)
-        for i in range(200):
-            io = IORequest(
-                kind=IOKind.READ,
-                offset_bytes=0,
-                size_bytes=4 * KB,
-                arrival_ns=i * 500,
-            )
-            for collector in (full, bounded):
-                collector.on_io_arrival(io)
-                collector.on_io_complete(io, io.arrival_ns + 2_000 + (i % 3) * 100)
-        reference = full.tail.finish()
-        retained = bounded.tail.finish()
-        assert len(retained) == 4
-        assert retained == reference[-4:]
 
     def test_format_tail_windows_renders_every_window(self):
         result = one_tiny_job().execute()

@@ -2,9 +2,9 @@
 
 Covers the two contract surfaces:
 
-* suite definitions: the canonical suite's shape, scale handling and
-  stable case fingerprints;
-* bit-identity: every tiny and quick-scale case must reproduce the golden
+* suite definitions: the canonical suite's shape and stable case
+  fingerprints;
+* bit-identity: every tiny and canonical case must reproduce the golden
   result digest in ``tests/data/perf_golden.json`` - any semantic drift in
   the simulator shows up here as a digest mismatch.
 """
@@ -29,7 +29,7 @@ def result_digest(case: PerfCase) -> str:
 
 class TestSuiteDefinitions:
     def test_canonical_suite_shape(self):
-        suite = canonical_suite("quick")
+        suite = canonical_suite()
         names = [case.name for case in suite]
         assert names == [
             "figure06",
@@ -42,21 +42,9 @@ class TestSuiteDefinitions:
         ]
         assert all(case.jobs for case in suite)
 
-    def test_full_scale_grows_workloads(self):
-        quick = {case.name: case for case in canonical_suite("quick")}
-        full = {case.name: case for case in canonical_suite("full")}
-        assert quick.keys() == full.keys()
-        # Different request counts must change the case fingerprints.
-        for name in quick:
-            assert quick[name].fingerprint() != full[name].fingerprint()
-
-    def test_unknown_scale_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_suite("huge")
-
     def test_case_fingerprints_are_stable(self):
-        first = {case.name: case.fingerprint() for case in canonical_suite("quick")}
-        second = {case.name: case.fingerprint() for case in canonical_suite("quick")}
+        first = {case.name: case.fingerprint() for case in canonical_suite()}
+        second = {case.name: case.fingerprint() for case in canonical_suite()}
         assert first == second
 
 
@@ -85,13 +73,13 @@ class TestBitIdentity:
         case = {c.name: c for c in tiny_suite()}[case_name]
         self.assert_matches_golden(golden, case)
 
-    @pytest.mark.parametrize("case_name", [case.name for case in canonical_suite("quick")])
+    @pytest.mark.parametrize("case_name", [case.name for case in canonical_suite()])
     def test_quick_case_matches_golden(self, golden, case_name):
-        case = {c.name: c for c in canonical_suite("quick")}[case_name]
+        case = {c.name: c for c in canonical_suite()}[case_name]
         self.assert_matches_golden(golden, case)
 
     def test_every_golden_case_is_checked(self, golden):
-        checked = {case.name for case in (*tiny_suite(), *canonical_suite("quick"))}
+        checked = {case.name for case in (*tiny_suite(), *canonical_suite())}
         assert set(golden) == checked
 
     def test_repeat_runs_are_deterministic(self):

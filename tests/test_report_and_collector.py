@@ -48,7 +48,6 @@ class TestMetricsCollector:
         collector.on_io_arrival(io)
         collector.on_io_complete(io, 1100)
         assert collector.completed_ios == 1
-        assert collector.completed_reads == 1
         assert collector.total_bytes == 4096
         assert collector.makespan_ns == 1000
         assert collector.latency.mean_ns == 1000
@@ -59,9 +58,20 @@ class TestMetricsCollector:
         io = IORequest(kind=IOKind.WRITE, offset_bytes=0, size_bytes=2048, arrival_ns=0)
         collector.on_io_arrival(io)
         collector.on_io_complete(io, 50)
-        assert collector.completed_writes == 1
-        assert collector.write_bytes == 2048
-        assert collector.read_bytes == 0
+        assert collector.completed_ios == 1
+        assert collector.total_bytes == 2048
+        assert collector.latency.samples_ns == [50]
+
+    def test_time_series_keeps_every_completion(self):
+        collector = MetricsCollector()
+        ios = [
+            IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=4096, arrival_ns=i * 1_000)
+            for i in range(50)
+        ]
+        for io in ios:
+            collector.on_io_arrival(io)
+            collector.on_io_complete(io, io.arrival_ns + 10_000)
+        assert [point.io_id for point in collector.time_series] == [io.io_id for io in ios]
 
     def test_transaction_accounting_separates_gc(self):
         collector = MetricsCollector()
