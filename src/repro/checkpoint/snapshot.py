@@ -55,8 +55,10 @@ from repro.sim.events import EventQueue
 #: unstarted-tag index and the tags their ``chip_mask``.  Version 5 dropped
 #: the collector's windowed history mode: the metrics collector, attribution
 #: tracker and tail-window tracker lost their mode, window and per-kind
-#: counter fields.
-CHECKPOINT_VERSION = 5
+#: counter fields.  Version 6 dropped the bad-block flag from every block, the
+#: FTL's migration listeners (one ``migration_hook`` instead) and the
+#: readdressing callback's controller map and extra listeners.
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(Exception):

@@ -32,7 +32,6 @@ class PhysicalAddressScheduler(SchedulerBase):
     """Coarse-grain out-of-order scheduler at I/O granularity."""
 
     name = "PAS"
-    uses_physical_layout = True
     allows_overcommit = False
     uses_readdressing_callback = False
 

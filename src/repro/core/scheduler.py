@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.flash.controller import FlashController
-from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
+from repro.flash.geometry import SSDGeometry
 from repro.flash.request import MemoryRequest
 from repro.flash.transaction import FlashTransaction
 from repro.nvmhc.tag import Tag
@@ -60,11 +60,10 @@ class SchedulerBase(abc.ABC):
 
     #: Human-readable scheduler name (``VAS``, ``PAS``, ``SPK1`` ...).
     name: str = "base"
-    #: True when the scheduler uses physical layout information.
-    uses_physical_layout: bool = False
     #: True when the scheduler may over-commit requests to busy chips.
     allows_overcommit: bool = False
-    #: True when the scheduler registers the readdressing callback.
+    #: True when the readdressing callback retargets this scheduler's
+    #: committed requests (otherwise a migration charges the stale penalty).
     uses_readdressing_callback: bool = False
 
     def __init__(self, context: SchedulerContext) -> None:
@@ -135,19 +134,6 @@ class SchedulerBase(abc.ABC):
         self, chip_key: tuple, transaction: FlashTransaction, now_ns: int
     ) -> None:
         """A chip finished a transaction (default: nothing to update)."""
-
-    #: Migration-listener contract: ``on_migration`` is a no-op for moves
-    #: that stay on the same plane (the paper only requires readdressing
-    #: when data moves between different flash internal resources).  The
-    #: readdressing callback batches same-plane GC copyback past listeners
-    #: that keep this True; a subclass whose ``on_migration`` reacts to
-    #: same-plane moves must override it with False.
-    migration_ignores_same_plane = True
-
-    def on_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        """Live data migration observed (only layout-aware schedulers care)."""
 
     # ------------------------------------------------------------------
     # Shared helpers

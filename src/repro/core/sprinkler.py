@@ -35,7 +35,6 @@ from typing import Deque, Dict, List, Optional, Sequence
 from repro.core.faro import FaroPolicy
 from repro.core.rios import RiosTraversal
 from repro.core.scheduler import SchedulerBase, SchedulerContext
-from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 from repro.flash.transaction import FlashTransaction
 from repro.nvmhc.tag import Tag
@@ -44,7 +43,6 @@ from repro.nvmhc.tag import Tag
 class Sprinkler(SchedulerBase):
     """RIOS + FARO device-level scheduler (SPK1/SPK2/SPK3)."""
 
-    uses_physical_layout = True
     uses_readdressing_callback = True
 
     def __init__(
@@ -223,62 +221,6 @@ class Sprinkler(SchedulerBase):
                     if req.composed_at_ns is None:
                         by_chip.setdefault(chip_key, []).append(req)
         return by_chip
-
-    # ------------------------------------------------------------------
-    # Migration handling (readdressing callback)
-    # ------------------------------------------------------------------
-    def on_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        """Update the per-tag chip grouping after a live data migration.
-
-        Sprinkler schedules against the internal resource layout, so the
-        callback only has to act when the data moved between different flash
-        internal resources (different chip, die or plane).
-        """
-        if old.same_plane_as(new):
-            return
-        if self.use_rios and old.chip_key != new.chip_key:
-            # Move not-yet-handed-out requests between the per-chip indexes
-            # (keeping the non-empty-queue/work-index invariant intact).
-            old_chip = old.chip_key
-            old_queue = self._chip_queues.get(old_chip, [])
-            moved = [
-                req
-                for req in old_queue
-                if req.composed_at_ns is None and req.address == new
-            ]
-            if moved:
-                moved_ids = {req.request_id for req in moved}
-                remaining = [req for req in old_queue if req.request_id not in moved_ids]
-                if remaining:
-                    self._chip_queues[old_chip] = remaining
-                else:
-                    self._chip_queues.pop(old_chip, None)
-                    self._work_indices.discard(self.traversal.index_of(old_chip))
-                new_chip = new.chip_key
-                queue = self._chip_queues.get(new_chip)
-                if queue is None:
-                    self._chip_queues[new_chip] = moved
-                    self._work_indices.add(self.traversal.index_of(new_chip))
-                else:
-                    queue.extend(moved)
-        for tag in self.tags.values():
-            moved: List[MemoryRequest] = []
-            old_bucket = tag.by_chip.get(old.chip_key)
-            if not old_bucket:
-                continue
-            remaining: List[MemoryRequest] = []
-            for req in old_bucket:
-                if req.composed_at_ns is None and req.address == new:
-                    # The request was already retargeted by the readdressing
-                    # callback; move it to the new chip's bucket.
-                    moved.append(req)
-                else:
-                    remaining.append(req)
-            if moved:
-                tag.by_chip[old.chip_key] = remaining
-                tag.by_chip.setdefault(new.chip_key, []).extend(moved)
 
     def on_transaction_complete(
         self, chip_key: tuple, transaction: FlashTransaction, now_ns: int

@@ -27,7 +27,6 @@ class VirtualAddressScheduler(SchedulerBase):
     """FIFO scheduler with head-of-line blocking on chip conflicts."""
 
     name = "VAS"
-    uses_physical_layout = False
     allows_overcommit = False
     uses_readdressing_callback = False
 

@@ -29,7 +29,7 @@ until its last phase completes.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.flash.channel import Channel
 from repro.flash.chip import FlashChip
@@ -116,27 +116,6 @@ class FlashController:
     def has_outstanding(self, chip_key: tuple) -> bool:
         """True when the chip already holds committed or in-flight work."""
         return bool(self.busy_bits & self.chip_bits[chip_key])
-
-    def pending_requests(self, chip_key: tuple) -> Sequence[MemoryRequest]:
-        """Read-only view of the chip's commit queue (used by the readdressing callback)."""
-        return tuple(self.pending[chip_key])
-
-    def retarget_pending(self, chip_key: tuple, keep) -> int:
-        """Re-filter pending requests after a readdressing callback.
-
-        ``keep`` is a predicate; requests for which it returns ``False`` are
-        removed (the caller re-commits them at their new location).  Returns
-        the number of removed requests.
-        """
-        queue = self.pending[chip_key]
-        kept = [req for req in queue if keep(req)]
-        removed = len(queue) - len(kept)
-        self.pending[chip_key] = kept
-        bit = self.chip_bits[chip_key]
-        if not kept and self.active[chip_key] is None and self.busy_bits & bit:
-            self.busy_bits &= ~bit
-            self.idle_transitions += 1
-        return removed
 
     # ------------------------------------------------------------------
     # Execution-side interface (used by the simulator)

@@ -64,8 +64,8 @@ class PhysicalPageAddress(NamedTuple):
         """True when both addresses live on the same plane.
 
         Field-wise comparison: equivalent to ``plane_key == other.plane_key``
-        without constructing two tuples - migration listeners ask this once
-        per migrated page.
+        without constructing two tuples - the readdressing callback's
+        per-move form asks this once per migrated page.
         """
         return (
             self.plane == other.plane

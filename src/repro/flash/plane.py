@@ -29,7 +29,7 @@ class Block:
     (GC victim selection, plane aggregates) never pay a popcount.
 
     A block created by a :class:`Plane` carries a back-reference to it and
-    reports every free/used/bad transition so the plane's aggregate counters
+    reports every free/used transition so the plane's aggregate counters
     stay exact; standalone blocks (``owner=None``, used by unit tests) skip
     the notifications.
     """
@@ -41,7 +41,6 @@ class Block:
         "_valid_bits",
         "_valid_count",
         "erase_count",
-        "is_bad",
         "_owner",
     )
 
@@ -54,7 +53,6 @@ class Block:
         self._valid_bits = 0
         self._valid_count = 0
         self.erase_count = 0
-        self.is_bad = False
         self._owner = owner
 
     @property
@@ -107,7 +105,7 @@ class Block:
         self._valid_count += 1
         self.write_pointer = page + 1
         owner = self._owner
-        if owner is not None and not self.is_bad:
+        if owner is not None:
             if page == 0:
                 owner._free_blocks -= 1
             owner._free_pages -= 1
@@ -133,7 +131,7 @@ class Block:
         self._valid_count += count
         self.write_pointer = start + count
         owner = self._owner
-        if owner is not None and not self.is_bad:
+        if owner is not None:
             if start == 0:
                 owner._free_blocks -= 1
             owner._free_pages -= count
@@ -157,7 +155,7 @@ class Block:
         self._valid_bits = (1 << count) - 1
         self._valid_count = count
         owner = self._owner
-        if owner is not None and count > 0 and not self.is_bad:
+        if owner is not None and count > 0:
             owner._free_blocks -= 1
             owner._free_pages -= count
             owner._valid_pages += count
@@ -170,7 +168,7 @@ class Block:
         if self._valid_bits & bit:
             self._valid_bits &= ~bit
             self._valid_count -= 1
-            if self._owner is not None and not self.is_bad:
+            if self._owner is not None:
                 self._owner._valid_pages -= 1
 
     def invalidate_mask(self, mask: int) -> int:
@@ -186,14 +184,14 @@ class Block:
         removed = cleared.bit_count()
         self._valid_bits &= ~mask
         self._valid_count -= removed
-        if self._owner is not None and not self.is_bad:
+        if self._owner is not None:
             self._owner._valid_pages -= removed
         return removed
 
     def erase(self) -> None:
         """Erase the block: clear all pages and bump the erase count."""
         owner = self._owner
-        if owner is not None and not self.is_bad:
+        if owner is not None:
             if self.write_pointer > 0:
                 owner._free_blocks += 1
             owner._free_pages += self.write_pointer
@@ -203,19 +201,6 @@ class Block:
         self._valid_bits = 0
         self._valid_count = 0
         self.erase_count += 1
-
-    def mark_bad(self) -> None:
-        """Retire the block permanently (bad-block management)."""
-        if self.is_bad:
-            return
-        owner = self._owner
-        if owner is not None:
-            owner._num_good -= 1
-            if self.write_pointer == 0:
-                owner._free_blocks -= 1
-            owner._free_pages -= self.pages_per_block - self.write_pointer
-            owner._valid_pages -= self._valid_count
-        self.is_bad = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -235,7 +220,6 @@ class Plane:
         ]
         self.active_block_id: Optional[int] = None
         # Aggregates, maintained incrementally by the blocks (see Block).
-        self._num_good = blocks_per_plane
         self._free_blocks = blocks_per_plane
         self._free_pages = blocks_per_plane * pages_per_block
         self._valid_pages = 0
@@ -244,11 +228,6 @@ class Plane:
     # ------------------------------------------------------------------
     # Capacity queries (O(1) - backed by incrementally-updated counters)
     # ------------------------------------------------------------------
-    @property
-    def num_blocks(self) -> int:
-        """Number of (good) blocks in the plane, bad blocks excluded."""
-        return self._num_good
-
     @property
     def free_blocks(self) -> int:
         """Number of blocks with no programmed pages."""
@@ -266,7 +245,7 @@ class Plane:
 
     @property
     def total_erases(self) -> int:
-        """Erase operations performed on (then-good) blocks of this plane.
+        """Erase operations performed on blocks of this plane.
 
         Lets aggregate wear queries skip never-erased planes without
         scanning their blocks.
@@ -310,17 +289,17 @@ class Plane:
     def _active_block(self) -> Optional[Block]:
         if self.active_block_id is not None:
             block = self.blocks[self.active_block_id]
-            if not block.is_full and not block.is_bad:
+            if not block.is_full:
                 return block
         for block in self.blocks:
-            if block.is_bad or block.is_full:
+            if block.is_full:
                 continue
             if block.is_free or block.block_id == self.active_block_id:
                 self.active_block_id = block.block_id
                 return block
         # Fall back to any block with room (partially written, not active).
         for block in self.blocks:
-            if not block.is_bad and not block.is_full:
+            if not block.is_full:
                 self.active_block_id = block.block_id
                 return block
         return None
@@ -328,14 +307,6 @@ class Plane:
     # ------------------------------------------------------------------
     # Garbage collection support
     # ------------------------------------------------------------------
-    def victim_candidates(self) -> List[Block]:
-        """Blocks eligible for garbage collection (full, not bad, not active)."""
-        return [
-            block
-            for block in self.blocks
-            if block.is_full and not block.is_bad and block.block_id != self.active_block_id
-        ]
-
     def greedy_victim(self) -> Optional[Block]:
         """Victim with the fewest valid pages (greedy GC policy).
 
@@ -345,21 +316,15 @@ class Plane:
         identical victim sequences - a property the aged-device regression
         tests rely on.
         """
-        # Direct scan instead of victim_candidates() + min(key=...): the GC
-        # trigger runs this once per sub-watermark host write, and the
-        # listcomp + lambda + per-candidate key tuples dominated its cost.
-        # Ascending iteration with a strict ``<`` keeps the lowest-block-id
-        # tie-break exact.
+        # Direct scan of the full, non-active blocks: the GC trigger runs
+        # this once per sub-watermark host write.  Ascending iteration with
+        # a strict ``<`` keeps the lowest-block-id tie-break exact.
         best: Optional[Block] = None
         best_valid = 0
         active_id = self.active_block_id
         pages_per_block = self.pages_per_block
         for block in self.blocks:
-            if (
-                block.write_pointer < pages_per_block
-                or block.is_bad
-                or block.block_id == active_id
-            ):
+            if block.write_pointer < pages_per_block or block.block_id == active_id:
                 continue
             valid = block._valid_count
             if best is None or valid < best_valid:

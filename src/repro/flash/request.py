@@ -92,9 +92,9 @@ class MemoryRequest:
     def retarget(self, address: PhysicalPageAddress) -> None:
         """Re-point the request at a new physical address.
 
-        Used by the readdressing callback (paper Section 4.3) when live data
-        migration (garbage collection, wear levelling, bad-block replacement)
-        moves the physical location of a not-yet-served request.
+        Used by the readdressing callback (paper Section 4.3) when garbage
+        collection moves the physical location of a committed, not-yet-served
+        request.
         """
         self.address = address
 

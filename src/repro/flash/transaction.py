@@ -41,12 +41,6 @@ from repro.flash.timing import FlashTiming
 _transaction_ids = itertools.count()
 
 
-def reset_transaction_ids() -> None:
-    """Reset the global transaction id counter (used by tests)."""
-    global _transaction_ids
-    _transaction_ids = itertools.count()
-
-
 @dataclass(slots=True)
 class FlashTransaction:
     """A group of memory requests executed as one unit on a single chip."""

@@ -1,29 +1,28 @@
 """Readdressing callback (paper Section 4.3).
 
-Live data migration (garbage collection, wear levelling, bad-block
-replacement) changes physical addresses *while I/O requests are in flight*.
-A physical-address-aware scheduler whose committed memory requests point at
+Live data migration changes physical addresses *while I/O requests are in
+flight*.  The paper names three sources - garbage collection, wear levelling
+and bad-block replacement; this simulator models the first.  A
+physical-address-aware scheduler whose committed memory requests point at
 the old locations would execute stale accesses.
 
 Sprinkler solves this with a *readdressing callback*: whenever the FTL moves
-a live page between different flash internal resources, the callback updates
-the physical layout information held by the device-level scheduler and by the
-flash controllers' commit queues.  Schedulers without the callback (VAS and
-PAS in the paper's Section 5.9 experiment) pay a penalty instead: their stale
+a live page, the callback re-aims the committed memory requests that still
+point at the old location.  Schedulers without the callback (VAS and PAS in
+the paper's Section 5.9 experiment) pay a penalty instead: their stale
 requests must be re-translated and re-issued when they reach the chip.
 
-:class:`ReaddressingCallback` is registered as an FTL migration listener and
-keeps a per-simulation record of moves, retargets pending memory requests in
-the flash controllers, and counts how many in-flight requests would have gone
-stale (so the penalty model of the simulator can charge them).
+:class:`ReaddressingCallback` is the FTL's migration hook: it receives each
+garbage-collection pass's move list, retargets the committed requests it
+tracks, and counts how many of them would have gone stale (so the penalty
+model of the simulator can charge them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-from repro.flash.controller import FlashController
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 
@@ -39,7 +38,7 @@ class CallbackStats:
 
 
 class ReaddressingCallback:
-    """Keeps scheduler-side layout information consistent across migrations.
+    """Keeps committed requests aimed at their data across migrations.
 
     When ``enabled`` is False (VAS and PAS in the paper's GC experiment) the
     object still tracks committed requests, but a migration that hits one of
@@ -52,31 +51,11 @@ class ReaddressingCallback:
         self.enabled = enabled
         self.stale_penalty_ns = stale_penalty_ns
         self.stats = CallbackStats()
-        self._controllers: Dict[int, FlashController] = {}
         self._pending_index: Dict[PhysicalPageAddress, List[MemoryRequest]] = {}
-        self._extra_listeners: List[Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]] = []
-        #: True while every extra listener declared (via its owner's
-        #: ``migration_ignores_same_plane`` attribute) that same-plane moves
-        #: are no-ops for it - lets the batched path skip the listener round
-        #: trip for the common same-plane GC copyback.
-        self._listeners_ignore_same_plane = True
 
     # ------------------------------------------------------------------
-    # Wiring
+    # Request tracking
     # ------------------------------------------------------------------
-    def attach_controller(self, channel_id: int, controller: FlashController) -> None:
-        """Register the flash controller responsible for a channel."""
-        self._controllers[channel_id] = controller
-
-    def add_listener(
-        self, listener: Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]
-    ) -> None:
-        """Register an extra observer of migrations (e.g. the scheduler)."""
-        self._extra_listeners.append(listener)
-        owner = getattr(listener, "__self__", None)
-        if not getattr(owner, "migration_ignores_same_plane", False):
-            self._listeners_ignore_same_plane = False
-
     def track_request(self, request: MemoryRequest) -> None:
         """Start tracking a committed memory request for possible retargeting."""
         if request.address is None:
@@ -102,34 +81,18 @@ class ReaddressingCallback:
             del self._pending_index[request.address]
 
     # ------------------------------------------------------------------
-    # FTL migration listener
+    # FTL migration hook
     # ------------------------------------------------------------------
     def on_migration(
         self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
     ) -> None:
-        """FTL listener: a live page moved from ``old`` to ``new``."""
+        """A live page moved from ``old`` to ``new`` (the per-move form)."""
         self.stats.migrations_observed += 1
         if not old.same_plane_as(new):
             self.stats.cross_resource_migrations += 1
-        for listener in self._extra_listeners:
-            listener(lpn, old, new)
-        # The callback is only invoked for retargeting when data moved
-        # between different flash internal resources (paper Section 4.3);
-        # same-plane copyback keeps the resource layout unchanged.
         stale = self._pending_index.pop(old, None)
-        if stale is None:
-            return
-        for request in stale:
-            request.retarget(new)
-            if self.enabled:
-                self.stats.requests_retargeted += 1
-            else:
-                # Without the callback the scheduler keeps scheduling against
-                # stale layout information; the request pays a re-translation
-                # and re-issue penalty when it finally executes.
-                request.penalty_ns += self.stale_penalty_ns
-                self.stats.requests_penalized += 1
-            self._pending_index.setdefault(new, []).append(request)
+        if stale is not None:
+            self._retarget(stale, new)
 
     def on_migrations(
         self,
@@ -140,32 +103,28 @@ class ReaddressingCallback:
     ) -> None:
         """Batched :meth:`on_migration`: one call per garbage-collection pass.
 
-        Semantics and counters are identical to calling :meth:`on_migration`
-        once per ``(lpns[i], *moves[i])`` in order; the batch hoists the
-        per-move attribute walks and, when every extra listener declared
-        same-plane moves to be no-ops for it, skips their round trip for the
-        in-plane copyback that dominates GC relocation.
+        Precondition: the destinations of ``moves`` are distinct and none of
+        them is also a source in the batch.  Under it, the counters and
+        every request's final address and penalty equal calling
+        :meth:`on_migration` once per ``(lpns[i], *moves[i])`` in order;
+        without it, chained moves (``a -> b``, ``b -> c``) could retarget a
+        request once where the per-move loop retargets it twice.  A
+        garbage-collection pass satisfies it: destinations are fresh pages
+        outside the full victim block.
 
         ``all_same_plane=True`` is the caller's guarantee that every move
         stays within its source plane (the FTL knows this from its
         allocation runs); the batch then skips the per-move plane
-        comparison entirely and, when the listeners allow it, reduces to
-        pure pending-index maintenance.
+        comparison and reduces to pure pending-index maintenance.
         """
         stats = self.stats
         stats.migrations_observed += len(moves)
-        pending_pop = self._pending_index.pop
-        pending_setdefault = self._pending_index.setdefault
-        listeners = self._extra_listeners
-        skip_same_plane = self._listeners_ignore_same_plane
-        enabled = self.enabled
-        penalty_ns = self.stale_penalty_ns
-        if all_same_plane and (skip_same_plane or not listeners):
-            # Fast path: no cross-resource counting, no listener round
-            # trips - only in-flight requests aimed at a moved page need
-            # attention, and when nothing is tracked at all the whole pass
-            # is a no-op.
-            pending = self._pending_index
+        pending = self._pending_index
+        pending_pop = pending.pop
+        if all_same_plane:
+            # Fast path: no cross-resource counting - only in-flight
+            # requests aimed at a moved page need attention, and when
+            # nothing is tracked at all the whole pass is a no-op.
             if not pending:
                 return
             if len(pending) * 4 <= len(moves):
@@ -174,60 +133,43 @@ class ReaddressingCallback:
                 # dict(moves) builds at C speed; iteration order of the
                 # stale buckets does not matter because each old address
                 # retargets independently.
-                move_map = dict(moves)
-                move_get = move_map.get
+                move_get = dict(moves).get
                 for old in list(pending):
                     new = move_get(old)
-                    if new is None:
-                        continue
-                    stale = pending_pop(old)
-                    for request in stale:
-                        request.retarget(new)
-                        if enabled:
-                            stats.requests_retargeted += 1
-                        else:
-                            request.penalty_ns += penalty_ns
-                            stats.requests_penalized += 1
-                        pending_setdefault(new, []).append(request)
+                    if new is not None:
+                        self._retarget(pending_pop(old), new)
                 return
             for old, new in moves:
                 stale = pending_pop(old, None)
-                if stale is None:
-                    continue
-                for request in stale:
-                    request.retarget(new)
-                    if enabled:
-                        stats.requests_retargeted += 1
-                    else:
-                        request.penalty_ns += penalty_ns
-                        stats.requests_penalized += 1
-                    pending_setdefault(new, []).append(request)
+                if stale is not None:
+                    self._retarget(stale, new)
             return
-        for index, move in enumerate(moves):
-            old, new = move
-            same_plane = all_same_plane or (
+        for old, new in moves:
+            if not (
                 old[0] == new[0]
                 and old[1] == new[1]
                 and old[2] == new[2]
                 and old[3] == new[3]
-            )
-            if not same_plane:
+            ):
                 stats.cross_resource_migrations += 1
-            if listeners and not (same_plane and skip_same_plane):
-                lpn = lpns[index]
-                for listener in listeners:
-                    listener(lpn, old, new)
             stale = pending_pop(old, None)
-            if stale is None:
-                continue
-            for request in stale:
-                request.retarget(new)
-                if enabled:
-                    stats.requests_retargeted += 1
-                else:
-                    request.penalty_ns += penalty_ns
-                    stats.requests_penalized += 1
-                pending_setdefault(new, []).append(request)
+            if stale is not None:
+                self._retarget(stale, new)
+
+    def _retarget(self, stale: List[MemoryRequest], new: PhysicalPageAddress) -> None:
+        """Re-aim the requests tracked at a moved page at its new address."""
+        stats = self.stats
+        for request in stale:
+            request.retarget(new)
+            if self.enabled:
+                stats.requests_retargeted += 1
+            else:
+                # Without the callback the scheduler keeps scheduling against
+                # stale layout information; the request pays a re-translation
+                # and re-issue penalty when it finally executes.
+                request.penalty_ns += self.stale_penalty_ns
+                stats.requests_penalized += 1
+        self._pending_index.setdefault(new, []).extend(stale)
 
     # ------------------------------------------------------------------
     # Queries used by the simulator's penalty model

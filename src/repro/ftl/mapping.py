@@ -3,8 +3,9 @@
 The paper's evaluation uses "a pure page-level address mapping FTL" (Section
 5.1).  :class:`PageMapFTL` keeps a logical-to-physical map plus the reverse
 map needed by garbage collection, performs dynamic page allocation for
-writes, and exposes migration hooks used by GC, wear levelling and bad-block
-replacement.  All timing is handled elsewhere; the FTL is pure bookkeeping.
+writes, and relocates live pages for garbage collection, reporting each
+batch of moves through one migration hook (the readdressing callback).  All
+timing is handled elsewhere; the FTL is pure bookkeeping.
 
 Both ways of starting from a used device - the Figure 17 prefill
 (:meth:`PageMapFTL.fill`) and fast-forward aging
@@ -82,9 +83,6 @@ def prefill_plan(
     return int(total_pages * fraction) - overwrites, overwrites
 
 
-MigrationListener = Callable[[int, PhysicalPageAddress, PhysicalPageAddress], None]
-
-
 class PageMapFTL:
     """Pure page-mapped FTL with dynamic allocation and migration support."""
 
@@ -116,37 +114,10 @@ class PageMapFTL:
         #: overwrite/migration (see :func:`repro.flash.chip.planes_by_key`).
         self._planes = planes_by_key(chips)
         self.stats = FTLStats()
-        self._migration_listeners: List[MigrationListener] = []
-        #: Bound ``on_migrations`` of the sole listener's owner when that
-        #: batched form is available (see :meth:`add_migration_listener`);
-        #: ``None`` forces the per-move notification loop.
-        self._batch_notifier = None
-
-    # ------------------------------------------------------------------
-    # Listener registration (readdressing callback, metrics, ...)
-    # ------------------------------------------------------------------
-    def add_migration_listener(self, listener: MigrationListener) -> None:
-        """Register a callable invoked as (lpn, old_address, new_address)."""
-        self._migration_listeners.append(listener)
-        # Bulk migration can hand the whole move list to the listener in one
-        # call when there is exactly one listener, it is a bound
-        # ``on_migration``, and its owner also implements ``on_migrations``
-        # with identical per-move semantics (ReaddressingCallback does).
-        self._batch_notifier = None
-        if len(self._migration_listeners) == 1:
-            owner = getattr(listener, "__self__", None)
-            if (
-                owner is not None
-                and getattr(listener, "__func__", None)
-                is getattr(type(owner), "on_migration", None)
-            ):
-                self._batch_notifier = getattr(owner, "on_migrations", None)
-
-    def _notify_migration(
-        self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
-    ) -> None:
-        for listener in self._migration_listeners:
-            listener(lpn, old, new)
+        #: Called as ``hook(lpns, moves, *, all_same_plane)`` after every
+        #: :meth:`migrate_pages` batch; the simulator sets it to
+        #: :meth:`repro.ftl.callbacks.ReaddressingCallback.on_migrations`.
+        self.migration_hook: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # Translation
@@ -269,8 +240,8 @@ class PageMapFTL:
         implicit base layout (:meth:`install_base_layout`).
 
         Raises ``ValueError`` unless the device is factory-fresh: no mapped
-        page, the allocator at its first plane, and every block good and
-        erased (bad or programmed blocks break the arithmetic layout).
+        page, the allocator at its first plane, and every block erased
+        (programmed blocks break the arithmetic layout).
         """
         if self.mapped_pages or self.allocator.cursor != 0:
             raise ValueError(
@@ -281,7 +252,7 @@ class PageMapFTL:
             if plane.free_blocks != len(plane.blocks):
                 raise ValueError(
                     "base fill requires a factory-fresh FTL: every block must "
-                    "be good and erased (replay page by page instead)"
+                    "be erased (replay page by page instead)"
                 )
         self.install_base_layout(live)
         sequence = self.allocator.plane_sequence
@@ -414,29 +385,6 @@ class PageMapFTL:
         self._reverse.pop(address, None)
         self.stats.invalidations += 1
 
-    def migrate_page(
-        self, lpn: int, preferred_plane: Optional[tuple] = None
-    ) -> Tuple[PhysicalPageAddress, PhysicalPageAddress]:
-        """Move a live logical page to a new physical location.
-
-        Used by garbage collection, wear levelling and bad-block replacement.
-        Returns ``(old_address, new_address)`` and fires the migration
-        listeners (the readdressing callback among them).
-        """
-        old = self.lookup(lpn)
-        if old is None:
-            raise KeyError(f"lpn {lpn} has no live mapping to migrate")
-        new = self.allocator.allocate(preferred_plane=preferred_plane)
-        self._invalidate_physical(old)
-        if lpn < self._base_live:
-            self._mark_base_moved(lpn)
-        self._map[lpn] = new
-        self._reverse[new] = lpn
-        self.stats.migrations += 1
-        self.stats.gc_writes += 1
-        self._notify_migration(lpn, old, new)
-        return old, new
-
     def valid_lpns_in_block(
         self, plane_key: tuple, block_id: int, valid_mask: int
     ) -> Tuple[List[int], List[Optional[int]]]:
@@ -485,19 +433,23 @@ class PageMapFTL:
         """Bulk-migrate live pages out of one victim block.
 
         ``lpns[i]`` currently lives at ``pages[i]`` of ``block_id`` on
-        ``plane_key``.  Equivalent to calling :meth:`migrate_page` for each
-        LPN in order with ``preferred_plane=plane_key`` - identical
-        destination addresses, counters and listener notifications - but
-        with the per-page round trips batched: destinations come from whole
-        active-block runs (:meth:`repro.flash.plane.Plane.allocate_run`),
-        the victim's valid bits clear in one mask update, and the
-        overlay/reverse-map bookkeeping is a single pass.  Returns the
-        ``(old, new)`` move list.
+        ``plane_key``; the victim block must be full.  Equivalent to
+        migrating each LPN in order on its own - ``allocate(preferred_plane=
+        plane_key)``, invalidate the old page, remap - with identical
+        destination addresses and counters (``tests/test_mapping.py`` keeps
+        that per-page reference), but with the per-page round trips batched:
+        destinations come from whole active-block runs
+        (:meth:`repro.flash.plane.Plane.allocate_run`), the victim's valid
+        bits clear in one mask update, and the overlay/reverse-map
+        bookkeeping is a single pass.  Returns the ``(old, new)`` move list
+        and hands it to :attr:`migration_hook`, if set.
 
         The batching is legal because nothing a migration mutates feeds back
         into the pass itself: destinations never land in the (full) victim
-        block, each LPN appears at most once, and the migration listeners
-        only touch scheduler/controller state, never the FTL maps.
+        block, each LPN appears at most once, and the hook only touches
+        scheduler-side request state, never the FTL maps.  For the same
+        reason the destinations are distinct and none is also a source, the
+        precondition of the hook's batched form.
 
         ``runs_out``, when given, receives one ``(start_page, count)`` entry
         per destination page span (covering every move, in order) so the
@@ -597,18 +549,12 @@ class PageMapFTL:
         stats.invalidations += count
         stats.migrations += count
         stats.gc_writes += count
-        # 3. Notifications preserve exact per-move order.  The batch
-        #    notifier learns whether every move stayed in the victim's plane
+        # 3. The hook learns whether every move stayed in the victim's plane
         #    so it can skip the per-move plane comparison (the common case:
         #    GC copyback with no allocator fallback).
-        if self._batch_notifier is not None:
-            self._batch_notifier(lpns, moves, all_same_plane=all_same_plane)
-        else:
-            listeners = self._migration_listeners
-            if listeners:
-                for index, (old, new) in enumerate(moves):
-                    for listener in listeners:
-                        listener(lpns[index], old, new)
+        hook = self.migration_hook
+        if hook is not None:
+            hook(lpns, moves, all_same_plane=all_same_plane)
         return moves
 
     def erase_block(

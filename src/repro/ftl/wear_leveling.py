@@ -1,21 +1,18 @@
-"""Wear levelling.
+"""Wear accounting.
 
-The paper lists wear levelling as one of the firmware activities that causes
-live data migration (Section 4.3) and therefore triggers the readdressing
-callback.  This module implements a simple static wear leveller: it tracks
-per-block erase counts and, when the gap between the most- and least-worn
-blocks of a plane exceeds a threshold, migrates the cold block's live data so
-the cold block can be recycled into the hot allocation pool.
+The paper lists wear levelling as one of the firmware activities that
+causes live data migration (Section 4.3).  This simulator runs no wear
+leveller - garbage collection is its only migration source - but it does
+measure wear: :func:`wear_stats` summarises per-block erase counts for every
+:class:`~repro.metrics.report.SimulationResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.flash.chip import FlashChip
-from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
-from repro.ftl.mapping import PageMapFTL
 
 
 @dataclass
@@ -34,33 +31,22 @@ class WearStats:
 
 
 def wear_stats(chips: Dict[tuple, FlashChip]) -> WearStats:
-    """Erase-count statistics across every good block of a chip set.
-
-    Free function so the simulator can stamp wear onto every
-    :class:`~repro.metrics.report.SimulationResult` without instantiating a
-    :class:`WearLeveler` (levelling policy and wear *measurement* are
-    independent concerns).
-    """
+    """Erase-count statistics across every block of a chip set."""
     lowest: Optional[int] = None
     highest = 0
     total = 0
     blocks = 0
     for chip in chips.values():
         for plane in chip.iter_planes():
-            good = plane.num_blocks
-            if good == 0:
-                continue
             if plane.total_erases == 0:
-                # No good block of this plane was ever erased - the common
-                # case for most planes of a fresh or lightly-aged device.
-                # They all sit at erase count zero; skip the block scan.
-                blocks += good
+                # No block of this plane was ever erased - the common case
+                # for most planes of a fresh or lightly-aged device.  They
+                # all sit at erase count zero; skip the block scan.
+                blocks += len(plane.blocks)
                 lowest = 0
                 continue
-            counts = [
-                block.erase_count for block in plane.blocks if not block.is_bad
-            ]
-            blocks += good
+            counts = [block.erase_count for block in plane.blocks]
+            blocks += len(counts)
             total += sum(counts)
             low = min(counts)
             if lowest is None or low < lowest:
@@ -76,84 +62,3 @@ def wear_stats(chips: Dict[tuple, FlashChip]) -> WearStats:
         mean_erase_count=total / blocks,
         total_erases=total,
     )
-
-
-class WearLeveler:
-    """Static wear levelling based on erase-count spread."""
-
-    def __init__(
-        self,
-        geometry: SSDGeometry,
-        ftl: PageMapFTL,
-        chips: Dict[tuple, FlashChip],
-        *,
-        spread_threshold: int = 16,
-        enabled: bool = True,
-    ) -> None:
-        self.geometry = geometry
-        self.ftl = ftl
-        self.chips = chips
-        self.spread_threshold = max(1, spread_threshold)
-        self.enabled = enabled
-        self.swaps_performed = 0
-
-    # ------------------------------------------------------------------
-    # Monitoring
-    # ------------------------------------------------------------------
-    def wear_stats(self) -> WearStats:
-        """Erase-count statistics across every good block of the SSD."""
-        return wear_stats(self.chips)
-
-    def plane_spread(self, chip_key: tuple, die: int, plane: int) -> int:
-        """Erase-count spread inside one plane."""
-        plane_obj = self.chips[chip_key].plane(die, plane)
-        counts = [block.erase_count for block in plane_obj.blocks if not block.is_bad]
-        if not counts:
-            return 0
-        return max(counts) - min(counts)
-
-    def needs_leveling(self, chip_key: tuple, die: int, plane: int) -> bool:
-        """True when the plane's wear spread exceeds the threshold."""
-        if not self.enabled:
-            return False
-        return self.plane_spread(chip_key, die, plane) >= self.spread_threshold
-
-    # ------------------------------------------------------------------
-    # Levelling action
-    # ------------------------------------------------------------------
-    def level_plane(self, chip_key: tuple, die: int, plane: int) -> List[Tuple[PhysicalPageAddress, PhysicalPageAddress]]:
-        """Migrate live data out of the coldest block of a plane.
-
-        Returns the list of (old, new) moves performed (possibly empty).  The
-        freed cold block re-enters the allocation pool, so future hot writes
-        land on it and the wear spread narrows.
-        """
-        if not self.needs_leveling(chip_key, die, plane):
-            return []
-        plane_obj = self.chips[chip_key].plane(die, plane)
-        candidates = [
-            block
-            for block in plane_obj.blocks
-            if not block.is_bad and block.write_pointer > 0 and block.valid_count > 0
-        ]
-        if not candidates:
-            return []
-        cold = min(candidates, key=lambda block: (block.erase_count, block.block_id))
-        channel, chip_idx = chip_key
-        moves: List[Tuple[PhysicalPageAddress, PhysicalPageAddress]] = []
-        for page in range(cold.pages_per_block):
-            if not cold.is_valid(page):
-                continue
-            address = PhysicalPageAddress(
-                channel=channel, chip=chip_idx, die=die, plane=plane,
-                block=cold.block_id, page=page,
-            )
-            lpn = self.ftl.reverse_lookup(address)
-            if lpn is None:
-                continue
-            moves.append(self.ftl.migrate_page(lpn))
-        if cold.valid_count == 0 and cold.write_pointer > 0:
-            self.ftl.erase_block(chip_key, die, plane, cold.block_id)
-        if moves:
-            self.swaps_performed += 1
-        return moves

@@ -1,8 +1,9 @@
 """Lifetime accounting: host vs flash writes and write amplification.
 
 An SSD's firmware writes more pages than the host asks for: garbage
-collection, wear levelling and bad-block replacement all relocate live data,
-and every relocation is an extra flash program.  The ratio
+collection (the one relocation source modelled here; wear levelling and
+bad-block replacement would be others) relocates live data, and every
+relocation is an extra flash program.  The ratio
 
     write_amplification = flash_writes / host_writes
 
@@ -34,11 +35,11 @@ class LifetimeAccounting:
     #: Host page programs performed during the run (FTL ``translate_write``).
     host_writes: int = 0
     #: Total flash page programs: host writes plus every live-page relocation
-    #: (GC migrations, wear levelling, bad-block replacement).
+    #: (GC migrations).
     flash_writes: int = 0
     #: ``flash_writes / host_writes`` (1.0 when the run performed no writes).
     write_amplification: float = 1.0
-    #: Live-page relocations during the run (all migration sources).
+    #: Live-page relocations during the run (GC migrations).
     pages_relocated: int = 0
     #: Host page reads translated during the run.
     host_reads: int = 0

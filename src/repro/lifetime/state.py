@@ -219,9 +219,7 @@ def replay_device_state(
     """Reference preconditioner: every write through ``translate_write``.
 
     Semantically *defines* what :func:`apply_device_state` fast-forwards;
-    the equivalence tests compare the two occupancy fingerprints.  Also the
-    correct fallback for non-pristine devices (e.g. factory bad blocks),
-    where the base-fill layout is no longer arithmetic.
+    the equivalence tests compare the two occupancy fingerprints.
     """
     geometry = ftl.geometry
     live, overwrites = state.precondition_plan(geometry, logical_pages)
@@ -294,7 +292,7 @@ def occupancy_snapshot(ftl: PageMapFTL) -> tuple:
     """Canonical value capturing the complete FTL/flash occupancy state.
 
     Covers the logical map (as flat PPNs), every block's write pointer,
-    valid bitmask, erase count and bad flag, each plane's active block and
+    valid bitmask and erase count, each plane's active block and
     the allocator cursor - everything that influences future allocation and
     collection.  Two devices with equal snapshots are behaviourally
     indistinguishable.
@@ -316,7 +314,7 @@ def occupancy_snapshot(ftl: PageMapFTL) -> tuple:
                         plane,
                         plane_obj.active_block_id,
                         tuple(
-                            (block.write_pointer, block.valid_mask, block.erase_count, block.is_bad)
+                            (block.write_pointer, block.valid_mask, block.erase_count)
                             for block in plane_obj.blocks
                         ),
                     )

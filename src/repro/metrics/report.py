@@ -59,7 +59,7 @@ class SimulationResult:
     #: Garbage collection activity of the measured run (invocations, blocks
     #: erased, pages migrated, orphans) - preconditioning work excluded.
     gc_stats: Optional[GCStats] = None
-    #: End-of-run erase-count distribution across the device's good blocks.
+    #: End-of-run erase-count distribution across the device's blocks.
     wear: Optional[WearStats] = None
     #: Host vs flash writes, write amplification and precondition bookkeeping.
     lifetime: Optional[LifetimeAccounting] = None

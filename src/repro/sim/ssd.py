@@ -118,10 +118,7 @@ class SSDSimulator:
         self.callback = ReaddressingCallback(
             enabled=callback_enabled, stale_penalty_ns=config.stale_penalty_ns
         )
-        for channel_id, controller in self.controllers.items():
-            self.callback.attach_controller(channel_id, controller)
-        self.ftl.add_migration_listener(self.callback.on_migration)
-        self.callback.add_listener(self.scheduler.on_migration)
+        self.ftl.migration_hook = self.callback.on_migrations
 
         # --- observability --------------------------------------------------------
         # One sink shared by every component; with the default null sink the

@@ -210,10 +210,11 @@ class TestRestoreValidation:
     def test_busy_set_era_checkpoint_rejected(self):
         # Version 3 pickled controller busy sets and a list of scheduler
         # tags; version 4 pickled the collector's history-mode fields and
-        # the tail tracker's window-cap slot.  Resuming either must fail by
-        # name, not deep inside a handler.
-        assert CHECKPOINT_VERSION == 5
-        for version in (3, 4):
+        # the tail tracker's window-cap slot; version 5 pickled bad-block
+        # flags, FTL migration listeners and the callback's controller map.
+        # Resuming any of them must fail by name, not deep inside a handler.
+        assert CHECKPOINT_VERSION == 6
+        for version in (3, 4, 5):
             checkpoint = dataclasses.replace(self.paused_checkpoint(), version=version)
             with pytest.raises(CheckpointError, match=f"version {version} is not supported"):
                 SSDSimulator.resume(checkpoint)

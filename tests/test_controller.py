@@ -50,32 +50,21 @@ class TestCommitQueues:
         with pytest.raises(KeyError):
             controller.commit(request, 0)
 
-    def test_pending_requests_view(self, controller):
-        request = make_request()
-        controller.commit(request, 0)
-        assert controller.pending_requests((0, 0)) == (request,)
-
-    def test_retarget_pending_removes_filtered(self, controller):
-        first, second = make_request(page=0), make_request(page=1)
-        controller.commit(first, 0)
-        controller.commit(second, 0)
-        removed = controller.retarget_pending((0, 0), lambda req: req is first)
-        assert removed == 1
-        assert controller.pending_count((0, 0)) == 1
-
-    def test_busy_bits_follow_commit_retarget_and_finish(self, controller, small_geometry):
+    def test_busy_bits_follow_commit_and_finish(self, controller, small_geometry):
         bit = {key: small_geometry.chip_mask((key,)) for key in controller.chips}
         assert controller.chip_bits == bit
         controller.commit(make_request(chip=(0, 0)), 0)
         controller.commit(make_request(chip=(0, 1)), 0)
         assert controller.busy_bits == bit[(0, 0)] | bit[(0, 1)]
-        # Retargeting every pending request away idles the chip.
-        assert controller.retarget_pending((0, 1), lambda req: False) == 1
+        # A started transaction keeps its chip busy until it finishes.
+        first = controller.start_transaction((0, 1), 0)
+        assert controller.busy_bits == bit[(0, 0)] | bit[(0, 1)]
+        controller.finish_transaction((0, 1), first.complete_ns)
         assert controller.busy_bits == bit[(0, 0)]
         assert not controller.has_outstanding((0, 1))
-        schedule = controller.start_transaction((0, 0), 0)
+        second = controller.start_transaction((0, 0), first.complete_ns)
         assert controller.busy_bits == bit[(0, 0)]
-        controller.finish_transaction((0, 0), schedule.complete_ns)
+        controller.finish_transaction((0, 0), second.complete_ns)
         assert controller.busy_bits == 0
         assert controller.busy_transitions == controller.idle_transitions == 2
 

@@ -1,12 +1,43 @@
 """Docs stay truthful: links resolve, packages are documented."""
 
+import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+#: A package section of ARCHITECTURE.md and its "Entry points:" paragraph.
+ENTRY_POINTS = re.compile(r"^### `(repro\.\w+)`[^\n]*\n\nEntry points: (.*?)\n\n", re.M | re.S)
+
+
+def _resolves(package, name):
+    """True when a backticked entry point exists.
+
+    ``python -m pkg`` names a runnable package, a ``repro.``-dotted name is
+    imported (module part) and walked (attribute part), and a bare name must
+    be an attribute of the section's package itself.
+    """
+    if name.startswith("python -m "):
+        return importlib.util.find_spec(name.split()[-1] + ".__main__") is not None
+    if not name.startswith("repro."):
+        return hasattr(package, name)
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
 
 
 def _load_check_links():
@@ -65,6 +96,18 @@ class TestDocsCoverage:
         )
         missing = [name for name in packages if f"repro.{name}" not in text]
         assert not missing, f"packages missing from ARCHITECTURE.md: {missing}"
+
+    def test_entry_points_resolve(self):
+        text = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        sections = ENTRY_POINTS.findall(text)
+        assert len(sections) == text.count("\nEntry points: ")
+        unresolved = [
+            f"{package_name}: {name}"
+            for package_name, line in sections
+            for name in re.findall(r"`([^`]+)`", line)
+            if not _resolves(importlib.import_module(package_name), name)
+        ]
+        assert not unresolved, f"ARCHITECTURE.md entry points that do not resolve: {unresolved}"
 
     def test_readme_links_both_docs(self):
         text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -1,5 +1,6 @@
 """Tests for the page-mapped FTL."""
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,39 @@ def ftl_state(ftl):
         bytes(ftl._base_moved),
         ftl._base_moved_count,
     )
+
+
+def migrate_page(ftl, lpn, preferred_plane=None):
+    """Per-page reference for ``PageMapFTL.migrate_pages``.
+
+    Moves one live logical page to a freshly allocated page (in
+    ``preferred_plane`` while it has room) and returns ``(old, new)``.
+    ``migrate_pages`` must equal a loop of these over a victim block's valid
+    pages with ``preferred_plane`` set to the victim's plane.
+    """
+    old = ftl.lookup(lpn)
+    if old is None:
+        raise KeyError(f"lpn {lpn} has no live mapping to migrate")
+    new = ftl.allocator.allocate(preferred_plane=preferred_plane)
+    ftl._invalidate_physical(old)
+    if lpn < ftl._base_live:
+        ftl._mark_base_moved(lpn)
+    ftl._map[lpn] = new
+    ftl._reverse[new] = lpn
+    ftl.stats.migrations += 1
+    ftl.stats.gc_writes += 1
+    return old, new
+
+
+def record_hook(ftl):
+    """Install a migration hook on ``ftl`` that records its calls."""
+    calls = []
+
+    def hook(lpns, moves, *, all_same_plane):
+        calls.append((list(lpns), list(moves), all_same_plane))
+
+    ftl.migration_hook = hook
+    return calls
 
 
 @pytest.fixture
@@ -74,7 +108,7 @@ class TestTranslation:
 class TestMigration:
     def test_migrate_updates_both_maps(self, ftl):
         original = ftl.translate_write(5)
-        old, new = ftl.migrate_page(5)
+        old, new = migrate_page(ftl, 5)
         assert old == original
         assert new != original
         assert ftl.lookup(5) == new
@@ -83,25 +117,28 @@ class TestMigration:
 
     def test_migrate_unmapped_raises(self, ftl):
         with pytest.raises(KeyError):
-            ftl.migrate_page(77)
+            migrate_page(ftl, 77)
 
     def test_migrate_prefers_plane(self, ftl):
         ftl.translate_write(5)
         preferred = (1, 1, 0, 1)
-        _, new = ftl.migrate_page(5, preferred_plane=preferred)
+        _, new = migrate_page(ftl, 5, preferred_plane=preferred)
         assert new.plane_key == preferred
 
-    def test_migration_listener_invoked(self, ftl):
-        events = []
-        ftl.add_migration_listener(lambda lpn, old, new: events.append((lpn, old, new)))
-        ftl.translate_write(9)
-        ftl.migrate_page(9)
-        assert len(events) == 1
-        assert events[0][0] == 9
+    def test_migration_listener_invoked(self, ftl, small_geometry):
+        # The one migration hook hears each migrate_pages batch once.
+        calls = record_hook(ftl)
+        ftl.install_base_fill(small_geometry.num_planes * small_geometry.pages_per_block * 2)
+        plane_key = ftl.allocator.plane_sequence[0]
+        victim = ftl.chips[plane_key[:2]].plane(*plane_key[2:]).blocks[0]
+        pages, lpns = ftl.valid_lpns_in_block(plane_key, 0, victim.valid_mask)
+        moves = ftl.migrate_pages(plane_key, 0, pages, lpns)
+        assert len(moves) == small_geometry.pages_per_block
+        assert calls == [(lpns, moves, True)]
 
     def test_migration_counters(self, ftl):
         ftl.translate_write(4)
-        ftl.migrate_page(4)
+        migrate_page(ftl, 4)
         assert ftl.stats.migrations == 1
         assert ftl.stats.gc_writes == 1
 
@@ -162,7 +199,7 @@ class TestFill:
     def test_fill_rejects_programmed_blocks(self, ftl, small_chips):
         plane = next(iter(small_chips.values())).plane(0, 0)
         plane.blocks[3].program_bulk(1)
-        with pytest.raises(ValueError, match="good and erased"):
+        with pytest.raises(ValueError, match="every block must be erased"):
             ftl.fill(0.5)
 
     def test_utilization_empty(self, ftl):
@@ -206,7 +243,7 @@ class TestBaseLayout:
 
     def test_migrate_base_page(self, ftl, small_geometry):
         self.install(ftl, small_geometry)
-        old, new = ftl.migrate_page(2)
+        old, new = migrate_page(ftl, 2)
         assert old == ftl.allocator.static_address(2)
         assert ftl.lookup(2) == new
         assert ftl.reverse_lookup(old) is None
@@ -327,7 +364,7 @@ class TestWriteMany:
             lpn = num_planes
             while ftl.chips[first_plane[:2]].plane(*first_plane[2:]).free_pages > 1:
                 ftl.translate_write(lpn)
-                ftl.migrate_page(lpn, preferred_plane=first_plane)
+                migrate_page(ftl, lpn, preferred_plane=first_plane)
                 lpn += 1
         plane = bulk.chips[first_plane[:2]].plane(*first_plane[2:])
         batch = [lpn % 50 for lpn in range(2 * num_planes)]
@@ -339,6 +376,116 @@ class TestWriteMany:
             reference.translate_write(lpn)
         assert plane.free_pages == 0
         assert ftl_state(bulk) == ftl_state(reference)
+
+
+#: Geometries for the generated migrate_pages cases: the write_many ones and
+#: a 2-plane device whose small planes fill up (and fall back) quickly.
+MIGRATE_GEOMETRIES = WRITE_MANY_GEOMETRIES + (
+    SSDGeometry(
+        num_channels=2,
+        chips_per_channel=1,
+        dies_per_chip=1,
+        planes_per_die=1,
+        blocks_per_plane=10,
+        pages_per_block=8,
+        page_size_bytes=2048,
+    ),
+)
+
+
+def fill_plane(ftls, plane_key, victim_block, free_pages, rng):
+    """Migrate live pages into ``plane_key`` on every FTL of ``ftls``.
+
+    Each migration takes one of the plane's free pages; pages of
+    ``victim_block`` are left alone (nothing lands in that full block, so a
+    donor can move again).  Stops once the plane has ``free_pages`` free
+    pages.  The donors and their order come from the first FTL's state,
+    which every FTL in ``ftls`` shares.
+    """
+    first = ftls[0]
+    plane = first._planes[plane_key]
+    victim = plane_key + (victim_block,)
+    donors = sorted(
+        lpn for lpn, address in first.mapping_items() if address[:5] != victim
+    )
+    rng.shuffle(donors)
+    for lpn in itertools.cycle(donors):
+        if plane.free_pages <= free_pages:
+            break
+        for ftl in ftls:
+            migrate_page(ftl, lpn, preferred_plane=plane_key)
+
+
+class TestMigratePages:
+    """migrate_pages against the per-page migrate_page loop it batches.
+
+    Each seeded case starts from a base-layout fill plus overwrites, then
+    runs garbage-collection-shaped passes (migrate a full victim's valid
+    pages, erase it); every other pass first fills the victim's plane so
+    the tail of the batch takes the allocator's cross-plane fallback.
+    """
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_generated_passes_match_per_page_reference(self, seed):
+        rng = random.Random(seed)
+        geometry = MIGRATE_GEOMETRIES[seed % len(MIGRATE_GEOMETRIES)]
+        bulk, reference = fresh_ftl(geometry), fresh_ftl(geometry)
+        calls = record_hook(bulk)
+        total = geometry.total_pages
+        live = rng.randrange(total // 4, total // 2)
+        span = live + rng.randrange(1, 64)
+        prelude = [rng.randrange(span) for _ in range(rng.randrange(total // 8))]
+        for ftl in (bulk, reference):
+            ftl.install_base_fill(live)
+            for lpn in prelude:
+                ftl.translate_write(lpn)
+        fallbacks = 0
+        passes = 0
+        for pass_index in range(8):
+            plane_key = rng.choice(reference.allocator.plane_sequence)
+            plane = reference._planes[plane_key]
+            victims = [
+                block.block_id
+                for block in plane.blocks
+                if block.is_full and block.block_id != plane.active_block_id
+            ]
+            if not victims:
+                continue
+            block_id = rng.choice(victims)
+            valid = plane.blocks[block_id].valid_count
+            elsewhere = reference.allocator.free_pages() - plane.free_pages
+            if pass_index % 2 and 0 < valid <= elsewhere:
+                # Leave fewer free pages than the victim has valid ones, so
+                # the tail of the batch falls back to other planes.
+                fill_plane((reference, bulk), plane_key, block_id, rng.randrange(valid), rng)
+            same_plane = plane.free_pages >= valid
+            fallbacks += not same_plane
+            passes += 1
+            mask = plane.blocks[block_id].valid_mask
+            pages, lpns = bulk.valid_lpns_in_block(plane_key, block_id, mask)
+            assert (pages, lpns) == reference.valid_lpns_in_block(plane_key, block_id, mask)
+            assert None not in lpns
+            expected = [migrate_page(reference, lpn, preferred_plane=plane_key) for lpn in lpns]
+            runs = []
+            moves = bulk.migrate_pages(plane_key, block_id, pages, lpns, runs_out=runs)
+            assert moves == expected
+            assert calls[-1] == (lpns, expected, same_plane)
+            # The runs cover every move in order, each a page span of one
+            # destination block.
+            index = 0
+            for start, count in runs:
+                span_moves = moves[index : index + count]
+                assert [new.page for _, new in span_moves] == list(range(start, start + count))
+                assert len({new[:5] for _, new in span_moves}) == 1
+                index += count
+            assert index == len(moves)
+            assert ftl_state(bulk) == ftl_state(reference)
+            for ftl in (bulk, reference):
+                ftl.erase_block(plane_key[:2], plane_key[2], plane_key[3], block_id, swept=True)
+            assert ftl_state(bulk) == ftl_state(reference)
+        # One hook call per pass, and at least one pass fell back.
+        assert len(calls) == passes
+        assert fallbacks
 
 
 def reference_fill(ftl, fraction, overwrite_fraction, seed=12345):

@@ -36,7 +36,6 @@ class ReferencePAS(SchedulerBase):
     """Arrival-order PAS over a from-scratch busy set (the pre-mask policy)."""
 
     name = "PAS"
-    uses_physical_layout = True
 
     def __init__(self, context) -> None:
         super().__init__(context)

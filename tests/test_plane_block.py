@@ -64,11 +64,6 @@ class TestBlock:
         block.invalidate(0)
         assert block.valid == [False, True, False, False]
 
-    def test_mark_bad(self):
-        block = Block(0, 4)
-        block.mark_bad()
-        assert block.is_bad
-
 
 class TestPlane:
     def make_plane(self, blocks=4, pages=4):
@@ -92,26 +87,21 @@ class TestPlane:
         with pytest.raises(RuntimeError):
             plane.allocate_page()
 
-    def test_allocate_skips_bad_blocks(self):
-        plane = self.make_plane(blocks=2, pages=1)
-        plane.blocks[0].mark_bad()
-        block_id, _ = plane.allocate_page()
-        assert block_id == 1
-
-    def test_free_pages_excludes_bad_blocks(self):
-        plane = self.make_plane(blocks=2, pages=4)
-        plane.blocks[0].mark_bad()
-        assert plane.free_pages == 4
-        assert plane.num_blocks == 1
-
     def test_victim_candidates_exclude_active_and_partial(self):
         plane = self.make_plane(blocks=3, pages=2)
-        # Fill block 0 entirely, block 1 partially.
+        # Fill block 0 entirely, block 1 (the active block) partially.  The
+        # partial block holds fewer valid pages, yet only block 0 is a
+        # candidate.
         plane.allocate_page()
         plane.allocate_page()
         plane.allocate_page()
-        candidates = plane.victim_candidates()
-        assert [block.block_id for block in candidates] == [0]
+        assert plane.active_block_id == 1
+        assert plane.greedy_victim().block_id == 0
+        # A full active block is no candidate either.
+        plane.allocate_page()
+        plane.blocks[1].invalidate(0)
+        assert plane.active_block_id == 1
+        assert plane.greedy_victim().block_id == 0
 
     def test_greedy_victim_picks_fewest_valid(self):
         plane = self.make_plane(blocks=3, pages=2)

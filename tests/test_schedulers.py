@@ -274,19 +274,6 @@ class TestSprinklerVariants:
         assert len(picked) == expected
         assert len({req.request_id for req in picked}) == expected
 
-    def test_migration_moves_chip_bucket(self, context, small_geometry):
-        scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        tag = build_tag(context.geometry, [((0, 0), 0, 0)])
-        scheduler.register_tag(tag, 0)
-        request = tag.memory_requests[0]
-        old = request.address
-        new = PhysicalPageAddress(1, 1, 0, 0, 0, 0)
-        request.retarget(new)
-        scheduler.on_migration(request.lpn, old, new)
-        assert request in tag.by_chip[(1, 1)]
-        picked = scheduler.next_composition(0)
-        assert picked.chip_key == (1, 1)
-
 
 class TestFactory:
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
