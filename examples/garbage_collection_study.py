@@ -13,13 +13,13 @@ Run with (add ``--backend process`` to parallelise over cores)::
 """
 
 from repro import format_table
-from repro.experiments import figure17
 from repro.experiments.engine import engine_from_cli
+from repro.experiments.figures import ARTIFACTS, fragmented_advantage, gc_degradation
 
 
 def main() -> None:
     engine = engine_from_cli("Garbage collection impact (Figure 17)")
-    rows = figure17.run_figure17(
+    rows = ARTIFACTS["figure17"].run(
         chip_counts=(64,),
         transfer_sizes_kb=(16, 64, 256),
         schedulers=("VAS", "PAS", "SPK3"),
@@ -29,11 +29,11 @@ def main() -> None:
     print(format_table(rows, title="Garbage collection impact (Figure 17)"))
     print()
     print("Bandwidth degradation caused by GC (pristine -> fragmented):")
-    for (chips, size, scheduler), value in sorted(figure17.gc_degradation(rows).items()):
+    for (chips, size, scheduler), value in sorted(gc_degradation(rows).items()):
         print(f"  {size:4d} KB  {scheduler:4s} : {100 * value:5.1f} %")
     print()
     print("SPK3 bandwidth advantage over VAS while GC is active:")
-    for (chips, size), value in sorted(figure17.fragmented_advantage(rows).items()):
+    for (chips, size), value in sorted(fragmented_advantage(rows).items()):
         print(f"  {size:4d} KB : {value:.2f}x")
 
 

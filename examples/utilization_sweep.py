@@ -13,15 +13,15 @@ Run with (add ``--backend process`` to parallelise over cores)::
 """
 
 from repro import format_table
-from repro.experiments import figure15
 from repro.experiments.engine import engine_from_cli
+from repro.experiments.figures import ARTIFACTS, column_means
 
 KB = 1024
 
 
 def main() -> None:
     engine = engine_from_cli("Chip utilisation vs transfer size (Figure 15)")
-    rows = figure15.run_figure15(
+    rows = ARTIFACTS["figure15"].run(
         chip_counts=(64, 256),
         transfer_sizes_kb=(4, 16, 64, 256, 1024),
         schedulers=("VAS", "SPK1", "SPK2", "SPK3"),
@@ -30,7 +30,7 @@ def main() -> None:
     )
     print(format_table(rows, title="Chip utilisation vs transfer size (Figure 15)"))
     print()
-    averages = figure15.average_utilization(rows)
+    averages = column_means(rows, "chip_utilization_pct", "num_chips", "scheduler")
     print("Average utilisation across the sweep:")
     for (chips, scheduler), value in sorted(averages.items()):
         print(f"  {chips:4d} chips  {scheduler:5s} : {value:5.1f} %")

@@ -12,7 +12,8 @@ The package provides:
 * the scenario engine - arrival processes, trace transforms, multi-tenant
   phases and workload characterization - in :mod:`repro.scenarios`,
 * the metrics the paper reports in :mod:`repro.metrics`,
-* one experiment module per paper table/figure in :mod:`repro.experiments`.
+* the paper's tables and figures as one artifact table in
+  :mod:`repro.experiments` (``python -m repro.experiments <artifact>``).
 
 Quickstart::
 
@@ -40,7 +41,7 @@ __version__ = "1.0.0"
 
 #: Experiment-layer classes re-exported lazily so that plain ``import repro``
 #: (the single-simulation quickstart path) does not pay for importing the
-#: whole experiment suite (all figure modules, argparse, concurrent.futures).
+#: whole experiment suite (the artifact table, argparse, concurrent.futures).
 _LAZY_EXPORTS = {
     "ExecutionEngine": "repro.experiments.engine",
     "ExperimentSpec": "repro.experiments.spec",

@@ -1,13 +1,14 @@
-"""Experiment harness: one module per table/figure of the paper's evaluation.
+"""Experiment harness for the paper's evaluation and the beyond-the-paper grids.
 
-Every figure module *declares* its grid of (workload, scheduler, config)
-cells as an :class:`~repro.experiments.spec.ExperimentSpec` (``build_spec``)
-and exposes a ``run_*`` function that executes the spec through the shared
-:class:`~repro.experiments.engine.ExecutionEngine` and returns plain row
-dictionaries (easy to print, assert on, or dump to CSV), plus a ``main``
-entry point that prints the table and accepts the engine flags
-(``--backend process --workers N --cache-dir DIR``) for parallel,
-memoized runs.
+Every experiment *declares* its grid of (workload, scheduler, config)
+cells as an :class:`~repro.experiments.spec.ExperimentSpec`, executes it
+through the shared :class:`~repro.experiments.engine.ExecutionEngine` and
+returns plain row dictionaries (easy to print, assert on, or dump to CSV).
+:data:`~repro.experiments.figures.ARTIFACTS` is the one table of printable
+artifacts - Table 1, the paper's figures and the array, scenario and
+steady-state grids - and ``python -m repro.experiments <artifact>`` prints
+one, with the engine flags (``--backend process --workers N --cache-dir
+DIR``) for parallel, memoized runs.
 """
 
 from repro.experiments.engine import (
@@ -23,25 +24,12 @@ from repro.experiments.runner import (
     paper_config,
 )
 from repro.experiments.spec import ArraySpec, ExperimentSpec, SimJob, WorkloadSpec
-from repro.experiments import (
-    array_scaling,
-    scenario_matrix,
-    steady_state,
-    figure01,
-    figure06,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    figure17,
-    table01,
-)
+from repro.experiments import array_scaling, figures, scenario_matrix, steady_state
+from repro.experiments.figures import ARTIFACTS
 
 __all__ = [
     "ALL_SCHEDULERS",
+    "ARTIFACTS",
     "ArraySpec",
     "ExecutionEngine",
     "ExperimentScale",
@@ -54,17 +42,7 @@ __all__ = [
     "default_workload_specs",
     "paper_config",
     "array_scaling",
+    "figures",
     "scenario_matrix",
     "steady_state",
-    "figure01",
-    "figure06",
-    "figure10",
-    "figure11",
-    "figure12",
-    "figure13",
-    "figure14",
-    "figure15",
-    "figure16",
-    "figure17",
-    "table01",
 ]

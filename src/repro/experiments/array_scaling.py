@@ -20,9 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.array.host import ArrayResult, merge_device_results
 from repro.array.layout import split_trace
-from repro.experiments.engine import ExecutionEngine, engine_from_cli
+from repro.experiments.engine import ExecutionEngine
 from repro.experiments.spec import ArraySpec, WorkloadSpec
-from repro.metrics.report import format_table
 from repro.sim.config import SimulationConfig
 
 KB = 1024
@@ -191,16 +190,3 @@ def scaling_efficiency(rows: Sequence[Dict[str, object]]) -> Dict[Tuple, float]:
             continue
         efficiency[cell] = round(curve[largest] / curve[smallest], 2)
     return efficiency
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print the array-scaling table plus bandwidth-scaling factors."""
-    engine = engine_from_cli("Array scaling: device count x placement x scheduler", argv)
-    rows = run_array_scaling(engine=engine)
-    print(format_table(rows, title="Array scaling: device count x placement x scheduler"))
-    print()
-    print("Bandwidth scaling (largest vs smallest array):", scaling_efficiency(rows))
-
-
-if __name__ == "__main__":
-    main()

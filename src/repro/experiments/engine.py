@@ -19,7 +19,7 @@ Command-line entry points share the ``--backend/--workers/--cache-dir``
 (and ``--checkpoint-dir/--checkpoint-every``) flags via
 :func:`add_engine_arguments` / :func:`engine_from_cli`::
 
-    PYTHONPATH=src python -m repro.experiments.figure10 --backend process --workers 8
+    PYTHONPATH=src python -m repro.experiments figure10 --backend process --workers 8
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ class ExecutionEngine:
 
 
 # ----------------------------------------------------------------------
-# Command-line plumbing shared by every figure module's ``main``
+# Command-line plumbing shared by the experiments CLI, the fleet sweep and the examples
 # ----------------------------------------------------------------------
 def add_engine_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Attach the standard ``--backend/--workers/--cache-dir`` flags."""

@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.array_scaling import run_array_specs
-from repro.experiments.engine import ExecutionEngine, engine_from_cli
+from repro.experiments.engine import ExecutionEngine
 from repro.experiments.spec import ArraySpec, ExperimentSpec, SimJob, WorkloadSpec
-from repro.metrics.report import format_table
 from repro.scenarios.library import default_scenarios
 from repro.scenarios.scenario import Scenario
 from repro.sim.config import SimulationConfig
@@ -164,21 +163,3 @@ def scheduler_ranking(rows: Sequence[Dict[str, object]]) -> Dict[Tuple[str, int]
         cell: tuple(name for _, name in sorted(entries, reverse=True))
         for cell, entries in cells.items()
     }
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print scenario characterizations and the scenario x scheduler matrix."""
-    engine = engine_from_cli("Scenario matrix: scenario x scheduler x devices", argv)
-    scenarios = default_scenarios()
-    print(format_table(characterization_rows(scenarios), title="Scenario characterization"))
-    print()
-    rows = run_scenario_matrix(scenarios, engine=engine)
-    print(format_table(rows, title="Scenario matrix: scenario x scheduler x devices"))
-    print()
-    print("Bandwidth ranking per cell:")
-    for (scenario, devices), ranking in sorted(scheduler_ranking(rows).items()):
-        print(f"  {scenario:8s} x{devices}: {' > '.join(ranking)}")
-
-
-if __name__ == "__main__":
-    main()

@@ -1,8 +1,8 @@
 """Declarative experiment specifications.
 
 The paper's evaluation is one big matrix of ``(workload x scheduler x
-config)`` simulations.  Instead of every figure module hand-rolling a serial
-loop, a figure now *declares* its grid as data:
+config)`` simulations.  Instead of hand-rolling a serial loop, every
+experiment *declares* its grid as data:
 
 * :class:`WorkloadSpec` - a picklable recipe for a workload.  Workers rebuild
   the trace from ``(generator, params, seed)``, so the request objects

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.engine import ExecutionEngine, engine_from_cli
+from repro.experiments.engine import ExecutionEngine
+from repro.experiments.runner import ratios
 from repro.experiments.spec import ExperimentSpec, SimJob, WorkloadSpec
 from repro.lifetime.state import DeviceState
-from repro.metrics.report import format_table
 from repro.scenarios.library import aged_device_state, sustained_write_scenario
 from repro.sim.config import SimulationConfig
 
@@ -188,34 +188,9 @@ def wa_by_overprovisioning(
 
 def aging_cost(rows: Sequence[Dict[str, object]]) -> Dict[tuple, float]:
     """Relative bandwidth lost going fresh -> steady, per ``(op, scheduler)``."""
-    by_key = {
-        (float(row["overprovisioning"]), str(row["state"]), str(row["scheduler"])): row
-        for row in rows
+    pairs = ratios(rows, "bandwidth_kb_s", "state", "fresh", ("overprovisioning", "scheduler"))
+    return {
+        (op, scheduler): round(1.0 - ratio, 3)
+        for (op, scheduler, state), ratio in pairs.items()
+        if state == "steady"
     }
-    cost: Dict[tuple, float] = {}
-    for (op, state, scheduler), row in by_key.items():
-        if state != "steady":
-            continue
-        fresh = by_key.get((op, "fresh", scheduler))
-        if fresh is None or float(fresh["bandwidth_kb_s"]) <= 0:
-            continue
-        cost[(op, scheduler)] = round(
-            1.0 - float(row["bandwidth_kb_s"]) / float(fresh["bandwidth_kb_s"]), 3
-        )
-    return cost
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print the steady-state table plus WA curves and aging-cost summary."""
-    engine = engine_from_cli(
-        "Steady-state sweep: over-provisioning x fill-state x scheduler", argv
-    )
-    rows = run_steady_state(engine=engine)
-    print(format_table(rows, title="Steady state: over-provisioning x fill x scheduler"))
-    print()
-    print("WA vs over-provisioning (steady):", wa_by_overprovisioning(rows))
-    print("Bandwidth cost of aging:", aging_cost(rows))
-
-
-if __name__ == "__main__":
-    main()

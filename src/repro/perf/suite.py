@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.experiments import figure06
+from repro.experiments.figures import trace_grid
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.spec import ArraySpec, SimJob, WorkloadSpec
 from repro.scenarios.library import (
@@ -63,14 +63,15 @@ class PerfCase:
 
 
 def _figure06_case() -> PerfCase:
-    spec = figure06.build_spec(
+    spec = trace_grid(
         ExperimentScale(
             requests_per_trace=40,
             requests_per_point=12,
             num_chips=64,
             traces=("cfs0", "msnfs1", "proj0"),
             seed=7,
-        )
+        ),
+        ("VAS", "PAS", "SPK3"),
     )
     return PerfCase(
         name="figure06",

@@ -40,6 +40,39 @@ def _resolves(package, name):
     return False
 
 
+#: Files whose ``python -m repro...`` commands must run.
+COMMAND_FILES = (
+    "README.md",
+    "docs/*.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+)
+
+#: ``python -m <module>`` and, when it follows, the first positional word.
+MODULE_COMMAND = re.compile(r"python3? -m (repro[\w.]*)(?:[ \t]+([a-z]\w*))?")
+
+
+def _runnable(module_name):
+    """True when ``python -m module_name`` has something to run."""
+    try:
+        module = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    if hasattr(module, "__path__"):
+        return importlib.util.find_spec(module_name + ".__main__") is not None
+    return callable(getattr(module, "main", None))
+
+
+def _doc_commands():
+    """``(file:line, module, first word)`` of every documented repro command."""
+    for pattern in COMMAND_FILES:
+        for path in sorted(REPO_ROOT.glob(pattern)):
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for number, line in enumerate(lines, 1):
+                for module, word in MODULE_COMMAND.findall(line):
+                    yield f"{path.relative_to(REPO_ROOT)}:{number}", module, word
+
+
 def _load_check_links():
     path = REPO_ROOT / "tools" / "check_links.py"
     spec = importlib.util.spec_from_file_location("check_links", path)
@@ -108,6 +141,19 @@ class TestDocsCoverage:
             if not _resolves(importlib.import_module(package_name), name)
         ]
         assert not unresolved, f"ARCHITECTURE.md entry points that do not resolve: {unresolved}"
+
+    def test_documented_commands_run(self):
+        from repro.experiments.figures import ARTIFACTS
+
+        commands = list(_doc_commands())
+        assert any(module == "repro.experiments" for _, module, _ in commands)
+        broken = [
+            f"{where}: python -m {module} {word}".rstrip()
+            for where, module, word in commands
+            if not _runnable(module)
+            or (module == "repro.experiments" and word and word not in ARTIFACTS)
+        ]
+        assert not broken, f"documented commands that do not run: {broken}"
 
     def test_readme_links_both_docs(self):
         text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -3,8 +3,10 @@
 ``CLAIMS`` is the ledger: one row per claim, naming the artifact it comes
 from (a figure, Table 1, or one of the beyond-the-paper grids), the claim in
 words, the paper's own value or range (``None`` for a pure ordering claim)
-and a predicate over the rows that artifact's experiment module returns.
-One parametrised test walks the table.
+and a predicate over the rows that artifact's run function returns
+(``repro.experiments.figures.ARTIFACTS`` for the paper's artifacts).  One
+parametrised test walks the table; another checks that no claim over rows
+holds over an empty row list.
 
 The predicates check *direction*, never the paper's absolute numbers: the
 model has no hardware reference data, and the reduced scales here (64
@@ -26,21 +28,7 @@ from typing import Any, Callable, Optional
 
 import pytest
 
-from repro.experiments import (
-    array_scaling,
-    figure01,
-    figure06,
-    figure10,
-    figure11,
-    figure12,
-    figure13,
-    figure14,
-    figure15,
-    figure16,
-    figure17,
-    scenario_matrix,
-    table01,
-)
+from repro.experiments import array_scaling, figures, scenario_matrix
 from repro.experiments.engine import ExecutionEngine
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.spec import SimJob, WorkloadSpec
@@ -81,37 +69,41 @@ def _ablations(engine: ExecutionEngine) -> dict:
     return dict(zip(variants, engine.run_jobs(jobs)))
 
 
+#: The registry's run functions, keyed like ``python -m repro.experiments``.
+RUN = {key: artifact.run for key, artifact in figures.ARTIFACTS.items()}
+
 #: How to produce each artifact's rows, given the shared engine.
 ARTIFACTS: dict[str, Callable[[ExecutionEngine], Any]] = {
-    "Table 1": lambda engine: table01.run_table01(
+    "Table 1": lambda engine: RUN["table01"](
         scale=ExperimentScale(requests_per_trace=120), engine=engine
     ),
-    "Fig. 1": lambda engine: figure01.run_figure01(
+    "Fig. 1": lambda engine: RUN["figure01"](
         die_counts=(16, 64, 256), transfer_sizes_kb=(4, 64), requests_per_point=16, engine=engine
     ),
-    "Fig. 6": lambda engine: figure06.run_figure06(scale=TRACE_SCALE, engine=engine),
-    "Fig. 10": lambda engine: figure10.run_figure10(scale=TRACE_SCALE, engine=engine),
-    "Fig. 11": lambda engine: figure11.run_figure11(scale=TRACE_SCALE, engine=engine),
-    "Fig. 12": lambda engine: figure12.run_figure12(
-        trace_name="msnfs1", num_requests=150, num_chips=64, engine=engine
+    "Fig. 6": lambda engine: RUN["figure06"](scale=TRACE_SCALE, engine=engine),
+    "Fig. 10": lambda engine: RUN["figure10"](scale=TRACE_SCALE, engine=engine),
+    "Fig. 11": lambda engine: RUN["figure11"](scale=TRACE_SCALE, engine=engine),
+    "Fig. 12": lambda engine: RUN["figure12"](
+        scale=ExperimentScale(requests_per_trace=150, num_chips=64, traces=("msnfs1",)),
+        engine=engine,
     ),
-    "Fig. 13": lambda engine: figure13.run_figure13(scale=TRACE_SCALE, engine=engine),
-    "Fig. 14": lambda engine: figure14.run_figure14(scale=TRACE_SCALE, engine=engine),
-    "Fig. 15": lambda engine: figure15.run_figure15(
+    "Fig. 13": lambda engine: RUN["figure13"](scale=TRACE_SCALE, engine=engine),
+    "Fig. 14": lambda engine: RUN["figure14"](scale=TRACE_SCALE, engine=engine),
+    "Fig. 15": lambda engine: RUN["figure15"](
         chip_counts=(64, 256),
         transfer_sizes_kb=SWEEP_SIZES_KB,
         schedulers=SWEEP_SCHEDULERS,
         requests_per_point=16,
         engine=engine,
     ),
-    "Fig. 16": lambda engine: figure16.run_figure16(
+    "Fig. 16": lambda engine: RUN["figure16"](
         chip_counts=(64,),
         transfer_sizes_kb=SWEEP_SIZES_KB,
         schedulers=SWEEP_SCHEDULERS,
         requests_per_point=16,
         engine=engine,
     ),
-    "Fig. 17": lambda engine: figure17.run_figure17(
+    "Fig. 17": lambda engine: RUN["figure17"](
         chip_counts=(64,),
         transfer_sizes_kb=(64, 256),
         schedulers=("VAS", "PAS", "SPK3"),
@@ -161,8 +153,26 @@ def _fig01_utilization(rows, pick):
     return max(row["chip_utilization_pct"] for row in rows if row["num_dies"] == dies)
 
 
+def _all_of(checks):
+    """``all(checks)``, but False when there is nothing to check.
+
+    A projection that comes back empty (a drifted key or ``state`` label)
+    must fail its claim, not pass it vacuously.
+    """
+    checks = list(checks)
+    return bool(checks) and all(checks)
+
+
 def _fig16_reductions(rows, scheduler):
-    return [v for key, v in figure16.reduction_vs_vas(rows).items() if key[2] == scheduler]
+    return [v for key, v in figures.reduction_vs_vas(rows).items() if key[2] == scheduler]
+
+
+def _high_flp(rows):
+    return figures.column_means(rows, "high_flp_pct", "scheduler")
+
+
+def _fig15_utilization(rows):
+    return figures.column_means(rows, "chip_utilization_pct", "num_chips", "scheduler")
 
 
 def _fig16_mean_reduction(rows, scheduler):
@@ -174,64 +184,64 @@ CLAIMS = (
     Claim("Table 1", "sixteen datacenter traces are characterised", "16 traces",
           lambda rows: len(rows) == 16),
     Claim("Fig. 1", "16x more dies buy far less than 16x VAS bandwidth", None,
-          lambda rows: all(gain < 16.0 for gain in figure01.stagnation_summary(rows).values())),
+          lambda rows: _all_of(gain < 16.0 for gain in figures.stagnation_summary(rows).values())),
     Claim("Fig. 1", "VAS chip utilisation falls as dies are added", None,
           lambda rows: _fig01_utilization(rows, max) < _fig01_utilization(rows, min)),
     Claim("Fig. 6", "potential (SPK3) utilisation above PAS", "~55% vs ~24%",
-          lambda rows: figure06.averages(rows)["utilization_potential_pct"]
-          > figure06.averages(rows)["utilization_pas_pct"]),
+          lambda rows: figures.utilization_averages(rows)["utilization_potential_pct"]
+          > figures.utilization_averages(rows)["utilization_pas_pct"]),
     Claim("Fig. 6", "potential (SPK3) utilisation above VAS", "~55% vs ~17%",
-          lambda rows: figure06.averages(rows)["utilization_potential_pct"]
-          > figure06.averages(rows)["utilization_vas_pct"]),
+          lambda rows: figures.utilization_averages(rows)["utilization_potential_pct"]
+          > figures.utilization_averages(rows)["utilization_vas_pct"]),
     Claim("Fig. 10", "SPK3 bandwidth above VAS on every trace", ">=2.2x",
-          lambda rows: all(r > 1.0 for r in figure10.speedups_over(rows, "VAS", "SPK3").values())),
+          lambda rows: _all_of(r > 1.0
+                               for r in figures.speedups_over(rows, "VAS", "SPK3").values())),
     Claim("Fig. 10", "SPK3 bandwidth at least PAS on every trace", ">=1.8x",
-          lambda rows: all(r >= 1.0 for r in figure10.speedups_over(rows, "PAS", "SPK3").values())),
+          lambda rows: _all_of(r >= 1.0
+                               for r in figures.speedups_over(rows, "PAS", "SPK3").values())),
     Claim("Fig. 10", "SPK3 cuts mean latency vs VAS by more than 20%", "56.6%-92.3%",
-          lambda rows: statistics.mean(figure10.latency_reduction(rows, "VAS", "SPK3").values())
+          lambda rows: statistics.mean(figures.latency_reduction(rows, "VAS", "SPK3").values())
           > 0.2),
     Claim("Fig. 11", "SPK3 cuts inter-chip idleness vs VAS", "~46.1%",
-          lambda rows: figure11.average_reduction(rows, "inter_chip_idleness_pct", "VAS", "SPK3")
+          lambda rows: figures.mean_reduction(rows, "inter_chip_idleness_pct", "VAS", "SPK3")
           > 0.0),
     Claim("Fig. 11", "SPK1 cuts intra-chip idleness vs VAS", None,
-          lambda rows: figure11.average_reduction(rows, "intra_chip_idleness_pct", "VAS", "SPK1")
+          lambda rows: figures.mean_reduction(rows, "intra_chip_idleness_pct", "VAS", "SPK1")
           > 0.0),
     Claim("Fig. 12", "msnfs1: SPK3 latency more than 20% below VAS", "~80%",
           lambda data: data["latency_reduction"]["SPK3_vs_VAS"] > 0.2),
     Claim("Fig. 12", "msnfs1: SPK3 latency below PAS", "~64%",
           lambda data: data["latency_reduction"]["SPK3_vs_PAS"] > 0.0),
     Claim("Fig. 13", "SPK3 eliminates system idle time vs PAS", "40.5%",
-          lambda rows: figure13.idleness_elimination(rows, "PAS", "SPK3") > 0.0),
+          lambda rows: figures.mean_reduction(rows, "system_idle_pct", "PAS", "SPK3") > 0.0),
     Claim("Fig. 13", "SPK3 eliminates system idle time vs VAS", "50.7%",
-          lambda rows: figure13.idleness_elimination(rows, "VAS", "SPK3") > 0.0),
+          lambda rows: figures.mean_reduction(rows, "system_idle_pct", "VAS", "SPK3") > 0.0),
     Claim("Fig. 14", "SPK3 high-FLP share at least PAS", None,
-          lambda rows: figure14.average_high_flp(rows)["SPK3"]
-          >= figure14.average_high_flp(rows)["PAS"]),
+          lambda rows: _high_flp(rows)["SPK3"] >= _high_flp(rows)["PAS"]),
     Claim("Fig. 14", "SPK1 high-FLP share at least PAS", None,
-          lambda rows: figure14.average_high_flp(rows)["SPK1"]
-          >= figure14.average_high_flp(rows)["PAS"]),
+          lambda rows: _high_flp(rows)["SPK1"] >= _high_flp(rows)["PAS"]),
     Claim("Fig. 15", "64 chips: SPK3 utilisation above VAS", "71.2% vs 37%",
-          lambda rows: figure15.average_utilization(rows)[(64, "SPK3")]
-          > figure15.average_utilization(rows)[(64, "VAS")]),
+          lambda rows: _fig15_utilization(rows)[(64, "SPK3")]
+          > _fig15_utilization(rows)[(64, "VAS")]),
     Claim("Fig. 15", "256 chips: SPK3 utilisation above VAS", "61.5% vs 21.2%",
-          lambda rows: figure15.average_utilization(rows)[(256, "SPK3")]
-          > figure15.average_utilization(rows)[(256, "VAS")]),
+          lambda rows: _fig15_utilization(rows)[(256, "SPK3")]
+          > _fig15_utilization(rows)[(256, "VAS")]),
     Claim("Fig. 15", "VAS utilisation falls from 64 to 256 chips", "37% -> 21.2%",
-          lambda rows: figure15.average_utilization(rows)[(256, "VAS")]
-          < figure15.average_utilization(rows)[(64, "VAS")]),
+          lambda rows: _fig15_utilization(rows)[(256, "VAS")]
+          < _fig15_utilization(rows)[(64, "VAS")]),
     Claim("Fig. 16", "SPK3 cuts transactions vs VAS by over 30% at some size", "~50.2% average",
           lambda rows: max(_fig16_reductions(rows, "SPK3")) > 0.3),
     Claim("Fig. 16", "SPK3 never needs more transactions than VAS", None,
-          lambda rows: all(value >= 0.0 for value in _fig16_reductions(rows, "SPK3"))),
+          lambda rows: _all_of(value >= 0.0 for value in _fig16_reductions(rows, "SPK3"))),
     Claim("Fig. 16", "SPK3 cuts more transactions than SPK2, averaged over transfer sizes", None,
           lambda rows: _fig16_mean_reduction(rows, "SPK3") > _fig16_mean_reduction(rows, "SPK2")),
     Claim("Fig. 17", "GC costs every scheduler some but not all bandwidth", "SPK3 loses 33-78%",
-          lambda rows: all(0.0 < v < 1.0 for v in figure17.gc_degradation(rows).values())),
+          lambda rows: _all_of(0.0 < v < 1.0 for v in figures.gc_degradation(rows).values())),
     Claim("Fig. 17", "under GC, SPK3 with the callback stays above 1.2x VAS", "~2x",
-          lambda rows: all(v > 1.2 for v in figure17.fragmented_advantage(rows).values())),
+          lambda rows: _all_of(v > 1.2 for v in figures.fragmented_advantage(rows).values())),
     Claim("Fig. 17", "GC fires on every fragmented run", None,
-          lambda rows: all(row["gc_invocations"] > 0
-                           for row in rows if row["state"] == "fragmented")),
+          lambda rows: _all_of(row["gc_invocations"] > 0
+                               for row in rows if row["state"] == "fragmented")),
     Claim("array", "4-device stripe out-runs 1 device under SPK3", None,
           lambda rows: _array_mb_s(rows)[(4, "stripe", "SPK3")]
           > _array_mb_s(rows)[(1, "stripe", "SPK3")]),
@@ -271,3 +281,17 @@ def test_claim_holds(claim, artifact_rows):
     assert claim.holds(artifact_rows(claim.artifact)), (
         f"{claim.artifact}: {claim.claim} (paper: {claim.paper or 'ordering only'})"
     )
+
+
+#: Claims over a list of rows (Fig. 12 and the ablations produce dicts).
+ROW_CLAIMS = [claim for claim in CLAIMS if claim.artifact not in ("Fig. 12", "ablation")]
+
+
+@pytest.mark.parametrize("claim", ROW_CLAIMS, ids=lambda c: f"{c.artifact}: {c.claim}")
+def test_claim_fails_on_no_rows(claim):
+    """A claim never holds over no rows: it returns False or raises."""
+    try:
+        holds = claim.holds([])
+    except Exception:
+        return
+    assert holds is False, f"{claim.artifact}: {claim.claim} holds over no rows"

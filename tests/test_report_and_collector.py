@@ -1,9 +1,10 @@
 """Tests for the metrics collector, the result container and the
-pure helper functions of the experiment modules."""
+pure summary helpers of the experiment artifacts."""
 
 import pytest
 
-from repro.experiments import figure06, figure10, figure11, figure16, figure17
+from repro.experiments import figures
+from repro.experiments.runner import ratios
 from repro.flash.chip import FlashChip
 from repro.flash.channel import Channel
 from repro.flash.commands import FlashOp, ParallelismClass, TransactionKind
@@ -189,15 +190,30 @@ class TestExperimentHelperFunctions:
 
     def test_speedups_and_latency_reduction(self):
         rows = self.make_fig10_rows()
-        assert figure10.speedups_over(rows, "VAS", "SPK3") == {"t": 2.5}
-        assert figure10.latency_reduction(rows, "VAS", "SPK3") == {"t": 0.6}
+        assert figures.speedups_over(rows, "VAS", "SPK3") == {"t": 2.5}
+        assert figures.latency_reduction(rows, "VAS", "SPK3") == {"t": 0.6}
+
+    def test_ratios_pair_each_row_with_its_baseline(self):
+        rows = [
+            {"trace": "a", "scheduler": "VAS", "bw": 100.0},
+            {"trace": "a", "scheduler": "SPK3", "bw": 250.0},
+            {"trace": "a", "scheduler": "PAS", "bw": 150.0},
+            {"trace": "b", "scheduler": "VAS", "bw": 0.0},
+            {"trace": "b", "scheduler": "SPK3", "bw": 50.0},
+            {"trace": "c", "scheduler": "SPK3", "bw": 70.0},
+        ]
+        # Trace b's baseline is zero and trace c has none: both are left out.
+        assert ratios(rows, "bw", "scheduler", "VAS", ("trace",)) == {
+            ("a", "SPK3"): 2.5,
+            ("a", "PAS"): 1.5,
+        }
 
     def test_figure06_averages(self):
         rows = [
             {"trace": "a", "utilization_vas_pct": 10.0, "utilization_pas_pct": 20.0, "utilization_potential_pct": 40.0},
             {"trace": "b", "utilization_vas_pct": 30.0, "utilization_pas_pct": 40.0, "utilization_potential_pct": 60.0},
         ]
-        averages = figure06.averages(rows)
+        averages = figures.utilization_averages(rows)
         assert averages["utilization_vas_pct"] == 20.0
         assert averages["utilization_potential_pct"] == 50.0
 
@@ -206,14 +222,14 @@ class TestExperimentHelperFunctions:
             {"trace": "a", "scheduler": "VAS", "inter_chip_idleness_pct": 50.0, "intra_chip_idleness_pct": 40.0},
             {"trace": "a", "scheduler": "SPK3", "inter_chip_idleness_pct": 25.0, "intra_chip_idleness_pct": 30.0},
         ]
-        assert figure11.average_reduction(rows, "inter_chip_idleness_pct", "VAS", "SPK3") == 0.5
+        assert figures.mean_reduction(rows, "inter_chip_idleness_pct", "VAS", "SPK3") == 0.5
 
     def test_figure16_reduction_vs_vas(self):
         rows = [
             {"num_chips": 64, "transfer_kb": 16, "scheduler": "VAS", "transactions": 100},
             {"num_chips": 64, "transfer_kb": 16, "scheduler": "SPK3", "transactions": 50},
         ]
-        assert figure16.reduction_vs_vas(rows)[(64, 16, "SPK3")] == 0.5
+        assert figures.reduction_vs_vas(rows)[(64, 16, "SPK3")] == 0.5
 
     def test_figure17_degradation_and_advantage(self):
         rows = [
@@ -222,7 +238,7 @@ class TestExperimentHelperFunctions:
             {"num_chips": 64, "transfer_kb": 16, "scheduler": "SPK3", "state": "pristine", "bandwidth_kb_s": 400.0},
             {"num_chips": 64, "transfer_kb": 16, "scheduler": "SPK3", "state": "fragmented", "bandwidth_kb_s": 250.0},
         ]
-        degradation = figure17.gc_degradation(rows)
+        degradation = figures.gc_degradation(rows)
         assert degradation[(64, 16, "VAS")] == 0.5
-        advantage = figure17.fragmented_advantage(rows)
+        advantage = figures.fragmented_advantage(rows)
         assert advantage[(64, 16)] == 2.5
