@@ -57,8 +57,11 @@ from repro.sim.events import EventQueue
 #: tracker and tail-window tracker lost their mode, window and per-kind
 #: counter fields.  Version 6 dropped the bad-block flag from every block, the
 #: FTL's migration listeners (one ``migration_hook`` instead) and the
-#: readdressing callback's controller map and extra listeners.
-CHECKPOINT_VERSION = 6
+#: readdressing callback's controller map and extra listeners.  Version 7
+#: dropped the memory requests' GC flag and per-request start/completion
+#: stamps, and gave flash transactions their builder-filled ``num_dies``/
+#: ``total_bytes`` fields in place of the derived properties.
+CHECKPOINT_VERSION = 7
 
 
 class CheckpointError(Exception):

@@ -10,8 +10,6 @@ interface:
   idle; return the next memory request to compose and commit, or ``None`` if
   the policy has nothing eligible right now (e.g. VAS blocked on a chip
   conflict).
-* :meth:`SchedulerBase.on_transaction_complete` - a chip finished a
-  transaction; conflict-based policies may now have new eligible work.
 * :meth:`SchedulerBase.on_tag_retired` - an I/O fully completed and left the
   device queue.
 
@@ -29,7 +27,6 @@ from typing import Dict, List, Optional
 from repro.flash.controller import FlashController
 from repro.flash.geometry import SSDGeometry
 from repro.flash.request import MemoryRequest
-from repro.flash.transaction import FlashTransaction
 from repro.nvmhc.tag import Tag
 from repro.obs.trace import NULL_SINK, TraceSink
 
@@ -45,14 +42,6 @@ class SchedulerContext:
         """Flash controller responsible for a chip."""
         channel, _ = chip_key
         return self.controllers[channel]
-
-    def outstanding(self, chip_key: tuple) -> int:
-        """Committed-but-uncompleted memory requests currently on a chip."""
-        return self.controller_for(chip_key).outstanding_count(chip_key)
-
-    def chip_has_outstanding(self, chip_key: tuple) -> bool:
-        """True when the chip already holds committed or in-flight work."""
-        return self.controller_for(chip_key).has_outstanding(chip_key)
 
 
 class SchedulerBase(abc.ABC):
@@ -126,14 +115,6 @@ class SchedulerBase(abc.ABC):
     @abc.abstractmethod
     def next_composition(self, now_ns: int) -> Optional[MemoryRequest]:
         """Return the next memory request to compose/commit, or ``None``."""
-
-    # ------------------------------------------------------------------
-    # Downstream notifications
-    # ------------------------------------------------------------------
-    def on_transaction_complete(
-        self, chip_key: tuple, transaction: FlashTransaction, now_ns: int
-    ) -> None:
-        """A chip finished a transaction (default: nothing to update)."""
 
     # ------------------------------------------------------------------
     # Shared helpers

@@ -36,7 +36,6 @@ from repro.core.faro import FaroPolicy
 from repro.core.rios import RiosTraversal
 from repro.core.scheduler import SchedulerBase, SchedulerContext
 from repro.flash.request import MemoryRequest
-from repro.flash.transaction import FlashTransaction
 from repro.nvmhc.tag import Tag
 
 
@@ -221,11 +220,6 @@ class Sprinkler(SchedulerBase):
                     if req.composed_at_ns is None:
                         by_chip.setdefault(chip_key, []).append(req)
         return by_chip
-
-    def on_transaction_complete(
-        self, chip_key: tuple, transaction: FlashTransaction, now_ns: int
-    ) -> None:
-        """Nothing to do: Sprinkler does not gate composition on completions."""
 
     # ------------------------------------------------------------------
     # Observability

@@ -5,12 +5,18 @@ Each channel has one flash controller (paper Figure 2).  The controller:
 * accepts *committed* memory requests from the NVMHC scheduler and stores
   them per target chip (the commit order encodes the scheduler's priority,
   e.g. FARO's overlap-depth/connectivity order),
-* when a chip is available, coalesces pending requests into one flash
-  transaction using the shared :class:`TransactionBuilder`,
-* sequences the bus and cell phases of the transaction on the shared
-  channel, producing the timing information the simulator turns into events
-  and the metrics collector turns into the paper's utilisation/idleness/
-  breakdown figures.
+* when a chip is available, :meth:`FlashController.start_transaction` goes
+  from the commit queue to a scheduled transaction in one call: the shared
+  :class:`TransactionBuilder` takes and prices the transaction in one walk
+  over the queue, then the controller reserves the channel in phase order,
+  occupies the chip and records the chip statistics the metrics collector
+  turns into the paper's utilisation/idleness/breakdown figures,
+* starts garbage-collection passes the same way
+  (:meth:`FlashController.execute_prebuilt`), from a transaction the same
+  builder makes out of the :class:`~repro.ftl.garbage_collector.GCJob`.
+
+Both calls return the completion time the simulator schedules its
+transaction-done event at, or ``None`` when nothing started.
 
 Phase model
 -----------
@@ -29,32 +35,16 @@ until its last phase completes.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.flash.channel import Channel
 from repro.flash.chip import FlashChip
-from repro.flash.commands import FlashOp
 from repro.flash.request import MemoryRequest
 from repro.flash.transaction import FlashTransaction, TransactionBuilder
 from repro.obs.trace import NULL_SINK
 
-
-class TransactionSchedule(NamedTuple):
-    """Resolved timing of one transaction's phases.
-
-    A NamedTuple rather than a dataclass: one is built per chip activation
-    and immediately consumed, and the tuple constructor is measurably
-    cheaper than dataclass ``__init__`` on that path.
-    """
-
-    transaction: FlashTransaction
-    issue_ns: int
-    bus_start_ns: int
-    bus_end_ns: int
-    cell_start_ns: int
-    cell_end_ns: int
-    complete_ns: int
-    bus_wait_ns: int
+if TYPE_CHECKING:
+    from repro.ftl.garbage_collector import GCJob
 
 
 class FlashController:
@@ -107,16 +97,6 @@ class FlashController:
         """Number of committed-but-not-started requests for a chip."""
         return len(self.pending[chip_key])
 
-    def outstanding_count(self, chip_key: tuple) -> int:
-        """Committed requests that have not completed yet (pending + in flight)."""
-        active = self.active[chip_key]
-        in_flight = active.num_requests if active is not None else 0
-        return len(self.pending[chip_key]) + in_flight
-
-    def has_outstanding(self, chip_key: tuple) -> bool:
-        """True when the chip already holds committed or in-flight work."""
-        return bool(self.busy_bits & self.chip_bits[chip_key])
-
     # ------------------------------------------------------------------
     # Execution-side interface (used by the simulator)
     # ------------------------------------------------------------------
@@ -128,50 +108,35 @@ class FlashController:
             self.active[chip_key] is None and now_ns >= self.chips[chip_key].busy_until
         )
 
-    def start_transaction(self, chip_key: tuple, now_ns: int) -> Optional[TransactionSchedule]:
-        """Build the next transaction for a chip and resolve its phase timing.
+    def start_transaction(self, chip_key: tuple, now_ns: int) -> Optional[int]:
+        """Start the next transaction off a chip's commit queue.
 
-        Returns ``None`` when the chip is busy or has nothing pending.  The
-        selected requests are removed from the commit queue and the chip is
-        marked busy for the whole duration.
+        The builder takes and prices the transaction in one walk over the
+        queue; the controller then reserves the channel in phase order and
+        occupies the chip.  Returns the completion time, or ``None`` exactly
+        when nothing started (chip busy or nothing pending).
         """
         if not self.chip_available(chip_key, now_ns):
             return None
-        queue = self.pending[chip_key]
-        if not queue:
+        built = self.builder.from_queue(chip_key, self.pending[chip_key])
+        if built is None:
             return None
-        selected, remaining = self.builder.select_partition(queue)
-        if not selected:
-            return None
-        transaction = self.builder.build(chip_key, selected)
-        self.pending[chip_key] = remaining
-        self.active[chip_key] = transaction
-        self.total_transactions += 1
-        schedule = self._schedule_phases(transaction, now_ns)
-        self._record(chip_key, schedule)
-        return schedule
+        transaction, self.pending[chip_key] = built
+        return self._issue(chip_key, transaction, now_ns)
 
-    def execute_prebuilt(
-        self, chip_key: tuple, transaction: FlashTransaction, now_ns: int
-    ) -> Optional[TransactionSchedule]:
-        """Execute a transaction built outside the commit queues (GC work)."""
+    def execute_prebuilt(self, job: GCJob, now_ns: int) -> Optional[int]:
+        """Start a garbage-collection pass on its chip; ``None`` if the chip is busy."""
+        chip_key = job.chip_key
         if not self.chip_available(chip_key, now_ns):
             return None
-        self.active[chip_key] = transaction
         self.busy_bits |= self.chip_bits[chip_key]
-        self.total_transactions += 1
-        schedule = self._schedule_phases(transaction, now_ns)
-        self._record(chip_key, schedule)
-        return schedule
+        return self._issue(chip_key, self.builder.from_gc_job(job), now_ns)
 
     def finish_transaction(self, chip_key: tuple, now_ns: int) -> FlashTransaction:
         """Mark the active transaction of a chip as completed."""
         transaction = self.active[chip_key]
         if transaction is None:
             raise RuntimeError(f"chip {chip_key} has no active transaction")
-        transaction.completed_at_ns = now_ns
-        for request in transaction.requests:
-            request.completed_at_ns = now_ns
         self.active[chip_key] = None
         if not self.pending[chip_key]:
             # An active transaction implies the chip's busy bit is set, so
@@ -208,76 +173,36 @@ class FlashController:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _schedule_phases(self, transaction: FlashTransaction, now_ns: int) -> TransactionSchedule:
-        has_bus = transaction.bus_time_ns > 0
-        if transaction.is_gc or not has_bus:
-            # Pure cell work (GC copyback + erase): no channel traffic.
-            # is_write is irrelevant here, so the request walk that computes
-            # it when the builder didn't is deferred to the bus branches.
-            bus_start = bus_end = now_ns
-            cell_start = now_ns
-            cell_end = cell_start + transaction.cell_time_ns
-            complete = cell_end
-            wait = 0
-        elif (
-            transaction.has_program
-            if transaction.has_program is not None
-            else any(req.op is FlashOp.PROGRAM for req in transaction.requests)
-        ):
+    def _issue(self, chip_key: tuple, transaction: FlashTransaction, now_ns: int) -> int:
+        """Run a priced transaction's phases, occupy its chip, record its stats."""
+        bus_ns = transaction.bus_time_ns
+        cell_ns = transaction.cell_time_ns
+        if transaction.is_gc:
+            bus_start, wait = now_ns, 0
+            complete = now_ns + cell_ns
+        elif transaction.has_program:
             bus_start, bus_end, wait = self.channel.reserve(
-                now_ns, transaction.bus_time_ns, transaction.total_bytes
+                now_ns, bus_ns, transaction.total_bytes
             )
-            cell_start = bus_end
-            cell_end = cell_start + transaction.cell_time_ns
-            complete = cell_end
+            complete = bus_end + cell_ns
         else:
-            cell_start = now_ns
-            cell_end = cell_start + transaction.cell_time_ns
-            bus_start, bus_end, wait = self.channel.reserve(
-                cell_end, transaction.bus_time_ns, transaction.total_bytes
+            bus_start, complete, wait = self.channel.reserve(
+                now_ns + cell_ns, bus_ns, transaction.total_bytes
             )
-            complete = bus_end
         transaction.issued_at_ns = now_ns
         transaction.bus_started_at_ns = bus_start
         transaction.bus_wait_ns = wait
-        for request in transaction.requests:
-            request.started_at_ns = now_ns
-        return TransactionSchedule(
-            transaction=transaction,
-            issue_ns=now_ns,
-            bus_start_ns=bus_start,
-            bus_end_ns=bus_end,
-            cell_start_ns=cell_start,
-            cell_end_ns=cell_end,
-            complete_ns=complete,
-            bus_wait_ns=wait,
-        )
-
-    def _record(self, chip_key: tuple, schedule: TransactionSchedule) -> None:
-        transaction = schedule.transaction
+        self.active[chip_key] = transaction
+        self.total_transactions += 1
         chip = self.chips[chip_key]
-        chip.occupy(schedule.issue_ns, schedule.complete_ns)
-        # The builder computes die activity alongside cell pricing; only
-        # transactions assembled outside it (GC placeholders) fall back to
-        # the explicit per-request walk.
-        die_active = transaction.die_active_time_ns
-        if die_active is None:
-            die_active = self._die_active_time(transaction)
+        chip.occupy(now_ns, complete)
         chip.record_transaction(
-            num_requests=transaction.num_requests,
-            num_dies=len(transaction.dies),
-            cell_time_ns=transaction.cell_time_ns,
-            bus_time_ns=transaction.bus_time_ns,
-            bus_wait_ns=schedule.bus_wait_ns,
-            die_active_time_ns=die_active,
+            num_requests=len(transaction.requests),
+            num_dies=transaction.num_dies,
+            cell_time_ns=cell_ns,
+            bus_time_ns=bus_ns,
+            bus_wait_ns=wait,
+            die_active_time_ns=transaction.die_active_time_ns,
             is_gc=transaction.is_gc,
         )
-
-    def _die_active_time(self, transaction: FlashTransaction) -> int:
-        """Sum of per-die cell activity, used for intra-chip idleness."""
-        per_die: Dict[int, int] = {}
-        timing = self.builder.timing
-        for req in transaction.requests:
-            latency = timing.cell_latency_ns(req.op, req.address.page)
-            per_die[req.address.die] = max(per_die.get(req.address.die, 0), latency)
-        return sum(per_die.values())
+        return complete

@@ -42,11 +42,7 @@ class MemoryRequest:
         has translated the request; schedulers that are aware of the
         physical layout (PAS and Sprinkler) translate eagerly.
     size_bytes:
-        Payload size; always one page for regular traffic, but garbage
-        collection migrations reuse the same type.
-    is_gc:
-        True when the request was generated internally by garbage
-        collection rather than by the host.
+        Payload size; always one page for regular traffic.
     """
 
     io_id: int
@@ -54,7 +50,6 @@ class MemoryRequest:
     lpn: int
     size_bytes: int
     address: Optional[PhysicalPageAddress] = None
-    is_gc: bool = False
     request_id: int = field(default_factory=lambda: next(_memory_request_ids))
     #: Extra service time charged when the request went stale because live
     #: data migration moved its target and no readdressing callback fixed it.
@@ -63,8 +58,6 @@ class MemoryRequest:
     # Lifecycle timestamps (nanoseconds), filled in by the simulator.
     composed_at_ns: Optional[int] = None
     committed_at_ns: Optional[int] = None
-    started_at_ns: Optional[int] = None
-    completed_at_ns: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -83,11 +76,6 @@ class MemoryRequest:
     def is_translated(self) -> bool:
         """True once the FTL has assigned a physical address."""
         return self.address is not None
-
-    @property
-    def is_completed(self) -> bool:
-        """True once the flash controller has finished serving the request."""
-        return self.completed_at_ns is not None
 
     def retarget(self, address: PhysicalPageAddress) -> None:
         """Re-point the request at a new physical address.

@@ -82,23 +82,6 @@ class FlashTiming:
         """Latency of erasing one block."""
         return self.erase_ns
 
-    def cell_latency_ns(self, op, page_in_block: int = 0) -> int:
-        """Cell latency for an arbitrary flash operation.
-
-        ``op`` is a :class:`repro.flash.commands.FlashOp`; the import is done
-        lazily to avoid a circular dependency between the timing and command
-        modules.
-        """
-        from repro.flash.commands import FlashOp
-
-        if op is FlashOp.READ:
-            return self.read_latency_ns()
-        if op is FlashOp.PROGRAM:
-            return self.program_latency_ns(page_in_block)
-        if op is FlashOp.ERASE:
-            return self.erase_latency_ns()
-        raise ValueError(f"unsupported flash operation: {op!r}")
-
     # ------------------------------------------------------------------
     # Bus transfer latencies
     # ------------------------------------------------------------------

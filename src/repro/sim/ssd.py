@@ -30,7 +30,7 @@ from repro.core.policies import make_scheduler
 from repro.core.scheduler import SchedulerBase, SchedulerContext
 from repro.flash.channel import Channel
 from repro.flash.chip import FlashChip
-from repro.flash.commands import FlashOp, ParallelismClass, TransactionKind
+from repro.flash.commands import FlashOp
 from repro.flash.controller import FlashController
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
@@ -360,7 +360,7 @@ class SSDSimulator:
 
     def _handle_decision(self, chip_key: tuple) -> None:
         self._decision_pending.discard(chip_key)
-        self._try_start_chip(chip_key, immediate=True)
+        self._try_start_chip(chip_key)
         self._pump()
 
     def _handle_transaction_done(self, chip_key: tuple) -> None:
@@ -369,8 +369,7 @@ class SSDSimulator:
         self.metrics.on_transaction_complete(transaction)
         if not transaction.is_gc:
             self._retire_requests(transaction)
-        self.scheduler.on_transaction_complete(chip_key, transaction, self.now_ns)
-        self._try_start_chip(chip_key, immediate=True)
+        self._try_start_chip(chip_key)
         self._pump()
 
     # ======================================================================
@@ -421,7 +420,7 @@ class SSDSimulator:
         if job is None:
             return
         self._gc_backlog[address.chip_key].append(job)
-        self._try_start_chip(address.chip_key, immediate=True)
+        self._try_start_chip(address.chip_key)
 
     # ======================================================================
     # Composition pipeline and chip activation
@@ -457,59 +456,24 @@ class SSDSimulator:
             chip_key,
         )
 
-    def _try_start_chip(self, chip_key: tuple, immediate: bool = False) -> None:
+    def _try_start_chip(self, chip_key: tuple) -> None:
         """Start GC or a host transaction on a chip if it is available."""
         controller = self.controllers[chip_key[0]]
         if not controller.chip_available(chip_key, self.now_ns):
             return
         backlog = self._gc_backlog[chip_key]
         if backlog:
-            job = backlog.popleft()
-            schedule = controller.execute_prebuilt(
-                chip_key, self._gc_transaction(job), self.now_ns
-            )
-            if schedule is not None:
-                self.events.push(schedule.complete_ns, EventKind.TRANSACTION_DONE, chip_key)
+            complete_ns = controller.execute_prebuilt(backlog.popleft(), self.now_ns)
+            if complete_ns is not None:
+                self.events.push(complete_ns, EventKind.TRANSACTION_DONE, chip_key)
             return
         if controller.pending_count(chip_key) == 0:
             return
-        if not immediate:
-            self._maybe_schedule_decision(chip_key)
-            return
-        schedule = controller.start_transaction(chip_key, self.now_ns)
-        if schedule is not None:
-            for request in schedule.transaction.requests:
+        complete_ns = controller.start_transaction(chip_key, self.now_ns)
+        if complete_ns is not None:
+            for request in controller.active[chip_key].requests:
                 self.callback.untrack_request(request)
-            self.events.push(schedule.complete_ns, EventKind.TRANSACTION_DONE, chip_key)
-
-    def _gc_transaction(self, job: GCJob) -> FlashTransaction:
-        """Wrap a GC job into a chip-occupying transaction."""
-        channel, chip = job.chip_key
-        placeholder = MemoryRequest(
-            io_id=-1,
-            op=FlashOp.ERASE,
-            lpn=0,
-            size_bytes=self.geometry.page_size_bytes,
-            address=PhysicalPageAddress(
-                channel=channel,
-                chip=chip,
-                die=job.die,
-                plane=job.plane,
-                block=job.victim_block,
-                page=0,
-            ),
-            is_gc=True,
-        )
-        transaction = FlashTransaction(
-            chip_key=job.chip_key,
-            requests=[placeholder],
-            kind=TransactionKind.ERASE,
-            parallelism=ParallelismClass.NON_PAL,
-        )
-        transaction.is_gc = True
-        transaction.bus_time_ns = 0
-        transaction.cell_time_ns = job.duration_ns
-        return transaction
+            self.events.push(complete_ns, EventKind.TRANSACTION_DONE, chip_key)
 
     # ======================================================================
     # Completion propagation

@@ -102,8 +102,9 @@ class TestTransactionBuilderProperties:
             )
             for index, (die, plane) in enumerate(footprint)
         ]
-        transaction = builder.build_from_pending((0, 0), pending)
-        assert transaction is not None
+        built = builder.from_queue((0, 0), pending)
+        assert built is not None
+        transaction, _ = built
         plane_targets = [(req.address.die, req.address.plane) for req in transaction.requests]
         assert len(plane_targets) == len(set(plane_targets))
         # Classification is consistent with the footprint actually selected.
@@ -134,7 +135,7 @@ class TestTransactionBuilderProperties:
             )
             for i in range(num_requests)
         ]
-        transaction = builder.build_from_pending((0, 0), pending)
+        transaction, _ = builder.from_queue((0, 0), pending)
         slowest = max(
             timing.program_latency_ns(req.address.page) for req in transaction.requests
         )

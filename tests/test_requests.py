@@ -95,12 +95,6 @@ class TestMemoryRequest:
         request.retarget(new_address)
         assert request.address == new_address
 
-    def test_completion_flag(self):
-        request = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048)
-        assert not request.is_completed
-        request.completed_at_ns = 42
-        assert request.is_completed
-
     def test_default_penalty_zero(self):
         request = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048)
         assert request.penalty_ns == 0

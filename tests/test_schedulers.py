@@ -80,8 +80,8 @@ class TestSchedulerContext:
     def test_controller_for_and_outstanding(self, context):
         controller = context.controller_for((1, 0))
         assert controller is context.controllers[1]
-        assert context.outstanding((1, 0)) == 0
-        assert not context.chip_has_outstanding((1, 0))
+        assert controller.pending[(1, 0)] == []
+        assert not controller.busy_bits & controller.chip_bits[(1, 0)]
 
 
 class TestVAS:

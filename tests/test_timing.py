@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.flash.commands import FlashOp
 from repro.flash.timing import FlashTiming
 
 
@@ -31,16 +30,6 @@ class TestCellLatencies:
 
     def test_erase_latency(self):
         assert FlashTiming(erase_ns=2_000_000).erase_latency_ns() == 2_000_000
-
-    def test_cell_latency_dispatch(self):
-        timing = FlashTiming()
-        assert timing.cell_latency_ns(FlashOp.READ) == timing.read_latency_ns()
-        assert timing.cell_latency_ns(FlashOp.PROGRAM, 0) == timing.program_fast_ns
-        assert timing.cell_latency_ns(FlashOp.ERASE) == timing.erase_latency_ns()
-
-    def test_cell_latency_rejects_bad_op(self):
-        with pytest.raises(ValueError):
-            FlashTiming().cell_latency_ns("not-an-op")
 
 
 class TestBusLatencies:
