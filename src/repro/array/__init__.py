@@ -12,7 +12,7 @@ The device-count axis this opens is swept by
 """
 
 from repro.array.layout import KB, PLACEMENT_POLICIES, ArrayLayout, split_trace
-from repro.array.host import ArrayResult, ArraySimulation, merge_device_results
+from repro.array.host import ArrayResult, merge_device_results
 
 __all__ = [
     "KB",
@@ -20,6 +20,5 @@ __all__ = [
     "ArrayLayout",
     "split_trace",
     "ArrayResult",
-    "ArraySimulation",
     "merge_device_results",
 ]

@@ -1,13 +1,11 @@
-"""Host-side array simulation: N independent SSDs behind one volume manager.
+"""Host-side array results: N independent SSDs behind one volume manager.
 
-:class:`ArraySimulation` is the array analogue of
-:class:`~repro.sim.ssd.SSDSimulator`: it takes a placement layout plus a
-per-device ``(scheduler, config)`` setup, expands a workload into one
-:class:`~repro.experiments.spec.SimJob` per device (via
-:class:`~repro.experiments.spec.ArraySpec`) and runs those jobs through the
-existing :class:`~repro.experiments.engine.ExecutionEngine`.  Because every
-device is an ordinary cache-aware job, arrays parallelize over the process
-backend and memoize per device for free.
+An :class:`~repro.experiments.spec.ArraySpec` expands a workload into one
+:class:`~repro.experiments.spec.SimJob` per device, and
+:func:`~repro.experiments.array_scaling.run_array_specs` runs those jobs
+through the existing :class:`~repro.experiments.engine.ExecutionEngine`.
+Because every device is an ordinary cache-aware job, arrays parallelize
+over the process backend and memoize per device for free.
 
 Device results merge into an :class:`ArrayResult`.  Devices operate
 concurrently and independently (their event clocks never interact), so the
@@ -19,9 +17,8 @@ the pooled array-wide populations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.array.layout import ArrayLayout
 from repro.metrics.attribution import AttributionReport, pool_attribution
 from repro.metrics.latency import LatencyStats, merge_latency_stats
 from repro.metrics.report import SimulationResult
@@ -85,8 +82,8 @@ class PooledResult:
     def byte_imbalance(self) -> float:
         """Max-to-mean ratio of bytes served per part; 1.0 is balanced.
 
-        Returns the ``0.0`` sentinel when nothing was served (mirrors
-        :meth:`UtilizationReport.imbalance`).
+        Returns the ``0.0`` sentinel when nothing was served: "no imbalance
+        measurable", not the 1.0 of a perfectly balanced run.
         """
         return _max_to_mean([part.total_bytes for part in self.parts])
 
@@ -136,12 +133,6 @@ class ArrayResult(PooledResult):
     def chip_utilization(self) -> float:
         """Mean chip utilisation over every chip of every device."""
         return self.utilization.mean
-
-    def aggregate_counters(self) -> Dict[str, int]:
-        """Counters summed across devices (un-namespaced dotted names)."""
-        return merge_counter_snapshots(
-            [result.counters for result in self.device_results]
-        )
 
     @property
     def avg_latency_ns(self) -> float:
@@ -203,69 +194,3 @@ def merge_device_results(
         attribution=pool_attribution(results),
     )
 
-
-class ArraySimulation:
-    """Runs one workload across a multi-SSD array through the engine."""
-
-    def __init__(
-        self,
-        layout: ArrayLayout,
-        config=None,
-        scheduler: str = "SPK3",
-        scheduler_options: Optional[Dict[str, Any]] = None,
-        *,
-        devices: Sequence[str] = (),
-    ) -> None:
-        """``config`` is the shared per-device configuration (homogeneous
-        arrays); ``devices`` is one device-zoo id per slot (heterogeneous
-        arrays).  Exactly one of the two must be given - the constraint is
-        enforced by :class:`~repro.experiments.spec.ArraySpec` when the spec
-        is built.
-        """
-        self.layout = layout
-        self.config = config
-        self.scheduler = scheduler
-        self.scheduler_options = scheduler_options or {}
-        self.devices = tuple(devices)
-
-    def spec(self, workload, key: Tuple[Any, ...] = ()):
-        """The :class:`~repro.experiments.spec.ArraySpec` for one workload."""
-        # Imported lazily: repro.experiments imports this package back (the
-        # array_scaling experiment), so the edge must not exist at load time.
-        from repro.experiments.spec import ArraySpec
-
-        return ArraySpec(
-            workload=workload,
-            num_devices=self.layout.num_devices,
-            scheduler=self.scheduler,
-            config=self.config,
-            policy=self.layout.policy,
-            chunk_bytes=self.layout.chunk_bytes,
-            shard_bytes=self.layout.shard_bytes,
-            scheduler_options=tuple(sorted(self.scheduler_options.items())),
-            key=key,
-            devices=self.devices,
-        )
-
-    def run(self, workload, engine=None) -> ArrayResult:
-        """Simulate ``workload`` on every device and merge the results.
-
-        ``workload`` is a :class:`~repro.experiments.spec.WorkloadSpec`;
-        ``engine`` defaults to a serial :class:`ExecutionEngine`.  Device
-        jobs go through ``engine.run_jobs``, so backend choice and result
-        caching apply per device.
-        """
-        from repro.experiments.engine import ExecutionEngine
-
-        spec = self.spec(workload)
-        jobs = list(spec.device_jobs())
-        results = (engine or ExecutionEngine()).run_jobs(jobs)
-        return merge_device_results(
-            results,
-            scheduler=self.scheduler,
-            workload=workload.name,
-            # The bare policy name, matching run_array_specs, so rows from
-            # either entry point group together; layout.describe() remains
-            # the human-facing label.
-            policy=self.layout.policy,
-        )

@@ -79,12 +79,6 @@ class ArrayLayout:
         if self.shard_bytes is not None and self.shard_bytes <= 0:
             raise ValueError("shard_bytes must be positive when given")
 
-    def describe(self) -> str:
-        """Short human label used in tables (``stripe(4x64KB)``)."""
-        if self.policy == "range":
-            return f"range({self.num_devices})"
-        return f"{self.policy}({self.num_devices}x{self.chunk_bytes // KB}KB)"
-
 
 #: One placement fragment: ``(device, device_local_offset, size_bytes)``.
 _Fragment = Tuple[int, int, int]

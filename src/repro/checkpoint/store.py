@@ -55,15 +55,6 @@ class CheckpointStore:
                 events.append(int(match.group("events")))
         return sorted(events)
 
-    def fingerprints(self) -> List[str]:
-        """Every fingerprint with at least one stored checkpoint, sorted."""
-        seen = set()
-        for entry in self.directory.glob("*.ckpt"):
-            match = _NAME_RE.match(entry.name)
-            if match:
-                seen.add(match.group("fingerprint"))
-        return sorted(seen)
-
     # ------------------------------------------------------------------
     # Save / load
     # ------------------------------------------------------------------
@@ -82,13 +73,6 @@ class CheckpointStore:
                 pass
             raise
         return path
-
-    def load(self, fingerprint: str, events_processed: int) -> SimulatorCheckpoint:
-        """Load one exact ``(fingerprint, T)`` checkpoint."""
-        path = self.path(fingerprint, events_processed)
-        if not path.exists():
-            raise CheckpointError(f"no checkpoint at {path}")
-        return SimulatorCheckpoint.load(path)
 
     def latest(self, fingerprint: str) -> Optional[Tuple[int, SimulatorCheckpoint]]:
         """The highest-``T`` checkpoint for a fingerprint, or ``None``.

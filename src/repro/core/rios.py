@@ -18,7 +18,7 @@ asks it for the next chip that currently has composable work.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.flash.geometry import SSDGeometry
 
@@ -47,43 +47,8 @@ class RiosTraversal:
             yield from self.geometry.iter_chip_keys()
 
     # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def order(self) -> Sequence[tuple]:
-        """The full traversal order of chip keys."""
-        return tuple(self._order)
-
-    @property
-    def cursor(self) -> int:
-        """Current position of the traversal cursor."""
-        return self._cursor
-
-    def reset(self) -> None:
-        """Move the cursor back to the first chip."""
-        self._cursor = 0
-
-    # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def next_chip(self, has_work: Callable[[tuple], bool]) -> Optional[tuple]:
-        """Return the next chip (in traversal order) for which ``has_work``.
-
-        Scans at most one full cycle starting at the cursor; the cursor is
-        left pointing *after* the returned chip so successive calls visit
-        different chips before revisiting (breadth-first across the SSD).
-        Returns ``None`` when no chip currently has work.
-        """
-        total = len(self._order)
-        for step in range(total):
-            index = (self._cursor + step) % total
-            chip_key = self._order[index]
-            if has_work(chip_key):
-                self._cursor = (index + 1) % total
-                self.visits += 1
-                return chip_key
-        return None
-
     def index_of(self, chip_key: tuple) -> int:
         """Position of a chip in the traversal order."""
         return self._index[chip_key]
@@ -91,8 +56,10 @@ class RiosTraversal:
     def next_chip_indexed(self, indices) -> Optional[tuple]:
         """Next chip at a traversal index in ``indices``, cyclically from the cursor.
 
-        Equivalent to :meth:`next_chip` with ``has_work = index in indices``
-        but O(len(indices)) instead of a scan over every chip of the SSD:
+        Returns ``None`` when ``indices`` is empty.  The cursor is left
+        pointing *after* the returned chip, so successive calls visit
+        different chips before revisiting (breadth-first across the SSD).
+        The cost is O(len(indices)), not a scan over every chip of the SSD:
         the caller (Sprinkler) maintains the set of traversal indices that
         currently hold composable work, so an SSD with work on 3 of 1024
         chips inspects 3 candidates, not 1024.

@@ -38,11 +38,6 @@ class SchedulerContext:
     geometry: SSDGeometry
     controllers: Dict[int, FlashController]
 
-    def controller_for(self, chip_key: tuple) -> FlashController:
-        """Flash controller responsible for a chip."""
-        channel, _ = chip_key
-        return self.controllers[channel]
-
 
 class SchedulerBase(abc.ABC):
     """Base class for device-level I/O schedulers."""
@@ -121,9 +116,9 @@ class SchedulerBase(abc.ABC):
     # ------------------------------------------------------------------
     def _pending_tags(self) -> List[Tag]:
         """Tags that still have uncomposed memory requests, in arrival order."""
-        # Inline ``not tag.fully_composed`` as plain attribute reads: this
-        # comprehension runs once per composition over the whole queue, and
-        # the property/descriptor machinery dominated its profile.
+        # Plain attribute reads, no property: this comprehension runs once
+        # per composition over the whole queue, and descriptor lookups
+        # dominated its profile.
         return [
             tag
             for tag in self.tags.values()

@@ -56,10 +56,6 @@ class DeviceRegistry:
         """Every registered device id, sorted."""
         return tuple(sorted(self._models))
 
-    def models(self) -> Tuple[DeviceModel, ...]:
-        """Every registered model, in name order."""
-        return tuple(self._models[name] for name in self.names())
-
     def get(self, name: str) -> DeviceModel:
         """The model registered under ``name``; unknown ids list the zoo."""
         try:

@@ -92,12 +92,6 @@ class WorkloadSpec:
         return cls("mixed", name, _as_items(config_fields))
 
     @classmethod
-    def sequential(cls, name: str, *, num_requests: int, size_bytes: int, **extra) -> "WorkloadSpec":
-        """Back-to-back sequential workload."""
-        params = {"num_requests": num_requests, "size_bytes": size_bytes, **extra}
-        return cls("sequential", name, _as_items(params))
-
-    @classmethod
     def scenario(cls, scenario: Scenario) -> "WorkloadSpec":
         """A composed :class:`~repro.scenarios.scenario.Scenario` as a workload.
 

@@ -50,15 +50,5 @@ class Channel:
         self.stats.bytes_moved += num_bytes
         return start_ns, end_ns, wait_ns
 
-    def is_busy(self, now_ns: int) -> bool:
-        """True while a transfer occupies the bus."""
-        return now_ns < self.free_at_ns
-
-    def utilization(self, makespan_ns: int) -> float:
-        """Fraction of the observation window the bus spent transferring data."""
-        if makespan_ns <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_time_ns / makespan_ns)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Channel(id={self.channel_id}, free_at={self.free_at_ns})"

@@ -60,10 +60,6 @@ class FlashChip:
     # ------------------------------------------------------------------
     # Busy / idle state
     # ------------------------------------------------------------------
-    def is_busy(self, now_ns: int) -> bool:
-        """True while the chip's R/B signal is asserted."""
-        return now_ns < self.busy_until
-
     def occupy(self, start_ns: int, end_ns: int) -> None:
         """Mark the chip busy for the interval [start_ns, end_ns]."""
         if end_ns < start_ns:
@@ -83,16 +79,6 @@ class FlashChip:
     def iter_planes(self):
         """Iterate over all plane objects of this chip."""
         return iter(self.planes.values())
-
-    @property
-    def free_pages(self) -> int:
-        """Total number of programmable pages left in the chip."""
-        return sum(plane.free_pages for plane in self.planes.values())
-
-    @property
-    def total_pages(self) -> int:
-        """Total number of physical pages in the chip."""
-        return self.geometry.pages_per_chip
 
     # ------------------------------------------------------------------
     # Statistics helpers

@@ -25,16 +25,6 @@ class FlashOp(enum.Enum):
     PROGRAM = "program"
     ERASE = "erase"
 
-    @property
-    def is_write(self) -> bool:
-        """True for operations that consume a free page."""
-        return self is FlashOp.PROGRAM
-
-    @property
-    def moves_data(self) -> bool:
-        """True for operations that occupy the channel bus with page data."""
-        return self in (FlashOp.READ, FlashOp.PROGRAM)
-
 
 class TransactionKind(enum.Enum):
     """Kind of flash transaction the controller builds for a chip."""

@@ -102,8 +102,8 @@ class FlashController:
     # ------------------------------------------------------------------
     def chip_available(self, chip_key: tuple, now_ns: int) -> bool:
         """True when the chip can start a new transaction."""
-        # Inline FlashChip.is_busy - this gate runs on every commit,
-        # decision window and completion.
+        # Plain attribute reads, no chip method call: this gate runs on
+        # every commit, decision window and completion.
         return (
             self.active[chip_key] is None and now_ns >= self.chips[chip_key].busy_until
         )

@@ -5,7 +5,7 @@ blocks are free, which pages inside a block still hold valid data, and how
 many erase cycles each block has seen.  The classes here hold exactly that
 state; they perform no timing - timing lives in the controller/simulator.
 
-Aggregate queries (``free_blocks``, ``free_pages``, ``valid_pages``) are
+Aggregate queries (``free_blocks``, ``free_pages``) are
 answered from counters the plane maintains incrementally as its blocks
 change state.  The GC trigger asks "is this plane below the free-block
 watermark?" once per host write, and the previous implementation re-scanned
@@ -66,30 +66,9 @@ class Block:
         return self.write_pointer == 0
 
     @property
-    def valid(self) -> List[bool]:
-        """Per-page valid bits as a list (convenience view for callers/tests)."""
-        return [bool(self._valid_bits & (1 << page)) for page in range(self.pages_per_block)]
-
-    @property
     def valid_mask(self) -> int:
         """The raw valid bitmask (bit ``p`` set iff page ``p`` is live)."""
         return self._valid_bits
-
-    def is_valid(self, page: int) -> bool:
-        """True when ``page`` currently holds live data."""
-        if not 0 <= page < self.pages_per_block:
-            raise ValueError(f"page {page} out of range")
-        return bool(self._valid_bits & (1 << page))
-
-    @property
-    def valid_count(self) -> int:
-        """Number of pages currently holding valid (live) data."""
-        return self._valid_count
-
-    @property
-    def invalid_count(self) -> int:
-        """Number of programmed pages whose data has been superseded."""
-        return self.write_pointer - self._valid_count
 
     def program_next(self) -> int:
         """Consume the next free page of the block and mark it valid.
@@ -205,7 +184,7 @@ class Block:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Block(id={self.block_id}, used={self.write_pointer}/{self.pages_per_block}, "
-            f"valid={self.valid_count}, erases={self.erase_count})"
+            f"valid={self._valid_count}, erases={self.erase_count})"
         )
 
 
@@ -237,11 +216,6 @@ class Plane:
     def free_pages(self) -> int:
         """Total number of programmable pages remaining in the plane."""
         return self._free_pages
-
-    @property
-    def valid_pages(self) -> int:
-        """Total number of live pages in the plane."""
-        return self._valid_pages
 
     @property
     def total_erases(self) -> int:

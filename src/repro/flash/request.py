@@ -18,12 +18,6 @@ from repro.flash.geometry import PhysicalPageAddress
 _memory_request_ids = itertools.count()
 
 
-def reset_memory_request_ids() -> None:
-    """Reset the global memory request id counter (used by tests)."""
-    global _memory_request_ids
-    _memory_request_ids = itertools.count()
-
-
 @dataclass(slots=True)
 class MemoryRequest:
     """One page-sized flash access derived from a host I/O request.
@@ -32,7 +26,8 @@ class MemoryRequest:
     ----------
     io_id:
         Identifier of the host I/O request this memory request belongs to.
-        Used by FARO's *connectivity* metric and by the completion bitmap.
+        Used by FARO's *connectivity* metric and to count the I/O's
+        completed memory requests.
     op:
         Flash operation (read or program) the request performs.
     lpn:
@@ -71,11 +66,6 @@ class MemoryRequest:
         if self.address is None:
             raise ValueError("memory request has not been translated yet")
         return self.address.chip_key
-
-    @property
-    def is_translated(self) -> bool:
-        """True once the FTL has assigned a physical address."""
-        return self.address is not None
 
     def retarget(self, address: PhysicalPageAddress) -> None:
         """Re-point the request at a new physical address.

@@ -55,10 +55,6 @@ class FlashTiming:
     # ------------------------------------------------------------------
     # Cell (array) operation latencies
     # ------------------------------------------------------------------
-    def read_latency_ns(self) -> int:
-        """Latency of sensing one page out of the array into the register."""
-        return self.read_ns
-
     def program_latency_ns(self, page_in_block: int) -> int:
         """Latency of programming a page, depending on its index in the block.
 
@@ -96,18 +92,3 @@ class FlashTiming:
     def request_bus_time_ns(self, num_bytes: int) -> int:
         """Bus occupancy of one memory request: command cycles + data."""
         return self.command_overhead_ns + self.transfer_latency_ns(num_bytes)
-
-    def scaled(self, **overrides) -> "FlashTiming":
-        """Return a copy of this timing model with selected fields replaced."""
-        values = {
-            "read_ns": self.read_ns,
-            "program_fast_ns": self.program_fast_ns,
-            "program_slow_ns": self.program_slow_ns,
-            "erase_ns": self.erase_ns,
-            "bus_bytes_per_sec": self.bus_bytes_per_sec,
-            "command_overhead_ns": self.command_overhead_ns,
-            "transaction_overhead_ns": self.transaction_overhead_ns,
-            "mlc_fast_page_fraction": self.mlc_fast_page_fraction,
-        }
-        values.update(overrides)
-        return FlashTiming(**values)

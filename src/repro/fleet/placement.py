@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.fleet.spec import FleetSpec
 from repro.workloads.request import IORequest
@@ -47,22 +47,9 @@ class PlacementPlan:
     #: ``(tenant, node index)`` in tenant declaration order.
     assignments: Tuple[Tuple[str, int], ...]
 
-    def node_of(self, tenant: str) -> int:
-        """The node index serving one tenant."""
-        for name, node in self.assignments:
-            if name == tenant:
-                return node
-        raise KeyError(f"tenant {tenant!r} is not placed")
-
     def tenants_on(self, node: int) -> Tuple[str, ...]:
         """Tenants assigned to one node, in declaration order."""
         return tuple(name for name, index in self.assignments if index == node)
-
-    def rows(self) -> List[Dict[str, object]]:
-        """Printable rows (one per tenant)."""
-        return [
-            {"tenant": name, "node": index} for name, index in self.assignments
-        ]
 
 
 def tenant_demands(

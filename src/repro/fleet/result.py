@@ -75,11 +75,6 @@ class FleetResult(PooledResult):
     # Admission / background roll-ups
     # ------------------------------------------------------------------
     @property
-    def offered_ios(self) -> int:
-        """Host requests the scenario offered (before admission)."""
-        return sum(stats.offered for stats in self.admission)
-
-    @property
     def rejected_ios(self) -> int:
         """Host requests dropped by admission control."""
         return sum(stats.rejected for stats in self.admission)

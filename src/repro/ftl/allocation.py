@@ -107,10 +107,6 @@ class PageAllocator:
             raise ValueError(f"cursor {value} out of range")
         self._cursor = value
 
-    def plane_for_stripe(self, stripe_index: int) -> tuple:
-        """Plane key hosting the ``stripe_index``-th page of a striped layout."""
-        return self._plane_sequence[stripe_index % len(self._plane_sequence)]
-
     # ------------------------------------------------------------------
     # Static layout
     # ------------------------------------------------------------------
@@ -167,7 +163,3 @@ class PageAllocator:
             return None
         channel, chip, die, plane = plane_key
         return PhysicalPageAddress(channel, chip, die, plane, block, page)
-
-    def free_pages(self) -> int:
-        """Total number of free pages across the SSD."""
-        return sum(chip.free_pages for chip in self.chips.values())

@@ -170,14 +170,3 @@ class ReaddressingCallback:
                 request.penalty_ns += self.stale_penalty_ns
                 stats.requests_penalized += 1
         self._pending_index.setdefault(new, []).extend(stale)
-
-    # ------------------------------------------------------------------
-    # Queries used by the simulator's penalty model
-    # ------------------------------------------------------------------
-    def tracked_requests(self) -> int:
-        """Number of memory requests currently tracked."""
-        return sum(len(bucket) for bucket in self._pending_index.values())
-
-    def clear(self) -> None:
-        """Drop all tracked state (between simulation runs)."""
-        self._pending_index.clear()

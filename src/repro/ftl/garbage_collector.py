@@ -37,11 +37,6 @@ class GCJob:
     moves: List[Tuple[PhysicalPageAddress, PhysicalPageAddress]]
     duration_ns: int
 
-    @property
-    def pages_moved(self) -> int:
-        """Number of valid pages copied out of the victim block."""
-        return len(self.migrated_lpns)
-
 
 @dataclass
 class GCStats:
@@ -111,43 +106,18 @@ class GarbageCollector:
         #: preconditioning/aging sweeps never reach the sink.
         self.sink = NULL_SINK
         #: Ordered log of recent collection passes as
-        #: ``(chip_key, die, plane, victim_block, pages_moved)`` - the GC job
-        #: sequence.  Victim selection ties break on ``(valid_pages,
-        #: block_id)`` and plane iteration is ascending ``(die, plane)``, so
-        #: identically-seeded runs must produce identical histories (the
-        #: determinism regression tests compare these logs directly).  The
+        #: ``(chip_key, die, plane, victim_block, migrated page count)`` - the
+        #: GC job sequence.  Victim selection ties break on ``(valid_pages,
+        #: block_id)`` and each trigger collects only the plane a write just
+        #: consumed a page on, so identically-seeded runs must produce
+        #: identical histories (the determinism regression tests compare
+        #: these logs directly).  The
         #: log is a ring of the most recent :data:`HISTORY_LIMIT` passes so
         #: a GC-heavy trace replay does not accumulate O(invocations)
         #: memory; aggregate counts live in :attr:`stats`.
         self.history: Deque[Tuple[tuple, int, int, int, int]] = deque(
             maxlen=self.HISTORY_LIMIT
         )
-
-    # ------------------------------------------------------------------
-    # Trigger policy
-    # ------------------------------------------------------------------
-    def plane_needs_gc(self, chip_key: tuple, die: int, plane: int) -> bool:
-        """True when the plane's free-block count fell below the watermark."""
-        if not self.enabled:
-            return False
-        chip = self.chips[chip_key]
-        plane_obj = chip.plane(die, plane)
-        if plane_obj.free_blocks >= self.free_block_watermark:
-            return False
-        return plane_obj.greedy_victim() is not None
-
-    def planes_needing_gc(self, chip_key: tuple) -> List[tuple]:
-        """All ``(die, plane)`` pairs of a chip currently below the watermark.
-
-        The result is explicitly ordered ascending by ``(die, plane)`` so
-        multi-plane collection sweeps are deterministic across runs.
-        """
-        needing = []
-        for die in range(self.geometry.dies_per_chip):
-            for plane in range(self.geometry.planes_per_die):
-                if self.plane_needs_gc(chip_key, die, plane):
-                    needing.append((die, plane))
-        return needing
 
     # ------------------------------------------------------------------
     # Collection
@@ -242,15 +212,6 @@ class GarbageCollector:
                 duration_ns=duration,
             )
         return job
-
-    def collect_if_needed(self, chip_key: tuple) -> List[GCJob]:
-        """Collect every plane of a chip that is below the watermark."""
-        jobs: List[GCJob] = []
-        for die, plane in self.planes_needing_gc(chip_key):
-            job = self.collect(chip_key, die, plane)
-            if job is not None:
-                jobs.append(job)
-        return jobs
 
     def collect_plane_if_needed(
         self, chip_key: tuple, die: int, plane: int, now_ns: Optional[int] = None

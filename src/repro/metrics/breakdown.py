@@ -50,14 +50,6 @@ class ExecutionBreakdown:
             "system_idle": self.system_idle_ns / total,
         }
 
-    @property
-    def busy_fraction(self) -> float:
-        """Fraction of chip-time doing useful (bus or cell) work."""
-        total = self.total_chip_time_ns
-        if total <= 0:
-            return 0.0
-        return (self.bus_operation_ns + self.memory_operation_ns) / total
-
     def __add__(self, other: "ExecutionBreakdown") -> "ExecutionBreakdown":
         return ExecutionBreakdown(
             bus_operation_ns=self.bus_operation_ns + other.bus_operation_ns,

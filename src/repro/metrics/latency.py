@@ -83,11 +83,6 @@ class LatencyStats:
         """Worst observed latency."""
         return max(self.samples_ns) if self.samples_ns else 0
 
-    @property
-    def min_ns(self) -> int:
-        """Best observed latency."""
-        return min(self.samples_ns) if self.samples_ns else 0
-
     def percentile_ns(self, fraction: float) -> float:
         """Latency percentile (e.g. 0.99 for the tail)."""
         return percentile(self.samples_ns, fraction)

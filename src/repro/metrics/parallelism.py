@@ -41,13 +41,6 @@ class FLPBreakdown:
             return {cls.label: 0.0 for cls in ParallelismClass}
         return {cls.label: self.transactions[cls] / total for cls in ParallelismClass}
 
-    def request_fractions(self) -> Dict[str, float]:
-        """Share of served memory requests per FLP class."""
-        total = self.total_requests
-        if total == 0:
-            return {cls.label: 0.0 for cls in ParallelismClass}
-        return {cls.label: self.requests[cls] / total for cls in ParallelismClass}
-
     @property
     def high_flp_fraction(self) -> float:
         """Fraction of transactions with any flash-level parallelism (PAL1-3)."""
@@ -64,9 +57,3 @@ class FLPBreakdown:
         if total == 0:
             return 0.0
         return self.total_requests / total
-
-    def transaction_reduction_vs(self, baseline_transactions: int) -> float:
-        """Fractional reduction in transaction count relative to a baseline."""
-        if baseline_transactions <= 0:
-            return 0.0
-        return 1.0 - self.total_transactions / baseline_transactions

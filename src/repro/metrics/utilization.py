@@ -23,35 +23,6 @@ class UtilizationReport:
             return 0.0
         return sum(self.per_chip.values()) / len(self.per_chip)
 
-    @property
-    def minimum(self) -> float:
-        """Utilisation of the least-used chip."""
-        return min(self.per_chip.values()) if self.per_chip else 0.0
-
-    @property
-    def maximum(self) -> float:
-        """Utilisation of the most-used chip."""
-        return max(self.per_chip.values()) if self.per_chip else 0.0
-
-    @property
-    def active_chip_fraction(self) -> float:
-        """Fraction of chips that served at least some work."""
-        if not self.per_chip:
-            return 0.0
-        active = sum(1 for value in self.per_chip.values() if value > 0.0)
-        return active / len(self.per_chip)
-
-    def imbalance(self) -> float:
-        """Max-to-mean utilisation ratio; 1.0 means perfectly balanced.
-
-        An empty report (or one where no chip did any work) returns the
-        sentinel ``0.0`` - "no imbalance measurable" - rather than 1.0.
-        """
-        mean = self.mean
-        if mean <= 0.0:
-            return 0.0
-        return self.maximum / mean
-
 
 @dataclass
 class IdlenessReport:
@@ -79,11 +50,6 @@ class IdlenessReport:
         busy_values = [value for value in intra_chip_values if value >= 0.0]
         intra = sum(busy_values) / len(busy_values) if busy_values else 0.0
         return cls(inter_chip=max(0.0, min(1.0, inter)), intra_chip=max(0.0, min(1.0, intra)))
-
-    @property
-    def combined(self) -> float:
-        """A single idleness figure weighting both components equally."""
-        return 0.5 * (self.inter_chip + self.intra_chip)
 
 
 def merge_utilization_reports(reports: List[UtilizationReport]) -> UtilizationReport:

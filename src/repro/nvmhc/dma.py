@@ -64,7 +64,3 @@ class DmaEngine:
         self.stats.bytes_moved += size_bytes
         self.stats.busy_time_ns += cost
         return self.busy_until_ns
-
-    def reset(self) -> None:
-        """Forget in-flight state (between simulation runs)."""
-        self.busy_until_ns = 0

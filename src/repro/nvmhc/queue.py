@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.nvmhc.tag import Tag
 from repro.workloads.request import IORequest
@@ -56,19 +56,9 @@ class DeviceQueue:
         return self.occupancy >= self.depth
 
     @property
-    def is_empty(self) -> bool:
-        """True when the device queue holds no tags."""
-        return not self._tags
-
-    @property
     def backlog_size(self) -> int:
         """Number of host requests waiting for a queue slot."""
         return len(self._backlog)
-
-    @property
-    def has_work(self) -> bool:
-        """True while any request is queued or waiting in the backlog."""
-        return bool(self._tags) or bool(self._backlog)
 
     # ------------------------------------------------------------------
     # Admission
@@ -101,23 +91,6 @@ class DeviceQueue:
         self._tags[io.io_id] = tag
         self.stats.enqueued += 1
         return tag
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    def get(self, io_id: int) -> Tag:
-        """Tag for a given I/O id (KeyError if not queued)."""
-        return self._tags[io_id]
-
-    def tags_in_order(self) -> List[Tag]:
-        """Tags in arrival order (the order VAS/PAS scan them)."""
-        return list(self._tags.values())
-
-    def __iter__(self) -> Iterable[Tag]:
-        return iter(self.tags_in_order())
-
-    def __len__(self) -> int:
-        return self.occupancy
 
     # ------------------------------------------------------------------
     # Completion

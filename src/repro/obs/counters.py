@@ -18,7 +18,7 @@ value-comparable and deterministic across backends.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping
 
 
 class CounterRegistry:
@@ -43,33 +43,14 @@ class CounterRegistry:
         if value > self._values.get(name, 0):
             self._values[name] = value
 
-    def set(self, name: str, value: int) -> None:
-        """Overwrite a counter."""
-        self._values[name] = int(value)
-
     def update(self, values: Mapping[str, int]) -> None:
         """Merge a mapping of counters (overwriting existing names)."""
         for name, value in values.items():
             self._values[name] = int(value)
 
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-    def get(self, name: str, default: int = 0) -> int:
-        return self._values.get(name, default)
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._values))
-
     def snapshot(self) -> Dict[str, int]:
         """Plain dict of every counter, in sorted name order."""
         return {name: self._values[name] for name in sorted(self._values)}
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CounterRegistry({self.snapshot()!r})"

@@ -21,7 +21,7 @@ trace-event / Perfetto export lives in :mod:`repro.obs.export`.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple
+from typing import List, NamedTuple
 
 #: ``phase`` values of a :class:`SpanRecord`, matching the Chrome trace-event
 #: phases they export to: ``"X"`` complete (duration) events, ``"i"`` instant
@@ -122,13 +122,6 @@ class MemoryTraceSink(TraceSink):
     def total_records(self) -> int:
         """Spans plus instants emitted so far."""
         return len(self.records)
-
-    def counts_by_name(self) -> Dict[str, int]:
-        """Emission count per span name (reconciles with the counter registry)."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.name] = counts.get(record.name, 0) + 1
-        return counts
 
     def longest(self, limit: int = 10) -> List[SpanRecord]:
         """The ``limit`` longest duration spans, longest first.

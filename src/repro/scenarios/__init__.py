@@ -16,7 +16,6 @@ from repro.scenarios.arrivals import (
     ArrivalProcess,
     BurstyArrivals,
     DiurnalArrivals,
-    FixedArrivals,
     PoissonArrivals,
 )
 from repro.scenarios.characterize import WorkloadCharacterization, characterize
@@ -48,7 +47,6 @@ __all__ = [
     "BuiltScenario",
     "BurstyArrivals",
     "DiurnalArrivals",
-    "FixedArrivals",
     "Phase",
     "PoissonArrivals",
     "Scenario",

@@ -11,7 +11,6 @@ the same timestamp sequence in any process for a given RNG seed.
 
 Models:
 
-* :class:`FixedArrivals` - the legacy constant gap (first arrival at t=0),
 * :class:`PoissonArrivals` - memoryless exponential gaps,
 * :class:`BurstyArrivals` - MMPP-style two-state on/off modulation: dense
   exponential gaps inside a burst, sparse gaps between bursts, with
@@ -43,14 +42,6 @@ class ArrivalProcess:
         """
         raise NotImplementedError
 
-    def mean_gap_ns(self) -> float:
-        """Long-run average inter-arrival gap, for reporting and scaling."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """Short human-readable label for tables."""
-        return f"{type(self).__name__}(~{self.mean_gap_ns():.0f}ns)"
-
 
 def _cumulative(gaps: List[float]) -> List[int]:
     """Turn non-negative gaps into integer, non-decreasing timestamps."""
@@ -60,28 +51,6 @@ def _cumulative(gaps: List[float]) -> List[int]:
         now += max(0.0, gap)
         times.append(int(now))
     return times
-
-
-@dataclass(frozen=True)
-class FixedArrivals(ArrivalProcess):
-    """Constant inter-arrival gap; request ``i`` arrives at ``i * gap``.
-
-    Matches the legacy ``interarrival_ns`` behaviour of the synthetic
-    generators (first arrival at t=0), so existing workloads can be expressed
-    as one-phase scenarios without changing a single timestamp.
-    """
-
-    interarrival_ns: int = 2_000
-
-    def __post_init__(self) -> None:
-        if self.interarrival_ns < 0:
-            raise ValueError("interarrival_ns must be non-negative")
-
-    def sample(self, num_requests: int, rng: random.Random) -> List[int]:
-        return [i * self.interarrival_ns for i in range(num_requests)]
-
-    def mean_gap_ns(self) -> float:
-        return float(self.interarrival_ns)
 
 
 @dataclass(frozen=True)
@@ -97,9 +66,6 @@ class PoissonArrivals(ArrivalProcess):
     def sample(self, num_requests: int, rng: random.Random) -> List[int]:
         rate = 1.0 / self.mean_interarrival_ns
         return _cumulative([rng.expovariate(rate) for _ in range(num_requests)])
-
-    def mean_gap_ns(self) -> float:
-        return float(self.mean_interarrival_ns)
 
 
 @dataclass(frozen=True)
@@ -138,14 +104,6 @@ class BurstyArrivals(ArrivalProcess):
             if rng.random() < flip:
                 in_burst = not in_burst
         return _cumulative(gaps)
-
-    def mean_gap_ns(self) -> float:
-        # Stationary request-weighted mix of the two states.
-        weight_burst = self.mean_burst_length / (self.mean_burst_length + self.mean_idle_length)
-        return (
-            weight_burst * self.burst_interarrival_ns
-            + (1.0 - weight_burst) * self.idle_interarrival_ns
-        )
 
 
 @dataclass(frozen=True)
@@ -188,6 +146,3 @@ class DiurnalArrivals(ArrivalProcess):
             now += rng.expovariate(self.rate_at(now))
             times.append(int(now))
         return times
-
-    def mean_gap_ns(self) -> float:
-        return float(self.base_interarrival_ns)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.characterize import WorkloadCharacterization, characterize
@@ -51,7 +51,7 @@ from repro.scenarios.transforms import (
     time_dilate,
 )
 from repro.sim.config import stable_fingerprint
-from repro.workloads.build import build_generator, freeze_requests
+from repro.workloads.build import build_generator
 from repro.workloads.request import IORequest
 from repro.workloads.traces import load_msr_trace, records_to_requests
 
@@ -147,14 +147,6 @@ class Tenant:
         remap, extra = cls._split_remap(extra)
         params = {"path": str(path), **extra}
         return cls("msr", name, _as_items(params), **remap)
-
-    @classmethod
-    def inline(cls, name: str, requests: Sequence[IORequest], **extra) -> "Tenant":
-        """Freeze an already-materialised request list into a tenant."""
-        remap, extra = cls._split_remap(extra)
-        if extra:
-            raise TypeError(f"unexpected arguments {sorted(extra)!r}")
-        return cls("inline", name, (("requests", freeze_requests(requests)),), **remap)
 
     @staticmethod
     def _split_remap(extra: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:

@@ -6,12 +6,11 @@ channels and chips) and replays a workload against it, producing a
 :class:`repro.metrics.report.SimulationResult`.
 """
 
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.config import SimulationConfig
 from repro.sim.ssd import SSDSimulator
 
 __all__ = [
-    "Event",
     "EventKind",
     "EventQueue",
     "SimulationConfig",

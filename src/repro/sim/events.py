@@ -4,11 +4,11 @@ The simulator is a classic discrete-event loop: events are stored in a heap
 ordered by (time, sequence number) so that simultaneous events are processed
 in insertion order, which keeps runs fully deterministic.
 
-``Event`` is a :class:`typing.NamedTuple` rather than an ordered dataclass:
-the heap then compares plain tuples in C instead of calling a generated
-``__lt__`` per sift step, which measurably speeds up the simulator's inner
-loop.  The sequence number is unique per queue, so a comparison never falls
-through to the (unorderable) ``kind``/``payload`` fields.
+Heap entries are plain ``(time_ns, sequence, kind, payload)`` tuples: the
+heap then compares them in C instead of calling a generated ``__lt__`` per
+sift step, which measurably speeds up the simulator's inner loop.  The
+sequence number is unique per queue, so a comparison never falls through to
+the (unorderable) ``kind``/``payload`` fields.
 """
 
 from __future__ import annotations
@@ -16,36 +16,23 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import Any, Iterator, List, NamedTuple, Optional
+from typing import Any, List, Optional
 
 
 class EventKind(enum.Enum):
-    """Kinds of events the SSD simulator processes."""
+    """Kinds of events the SSD simulator processes.
 
-    IO_ARRIVAL = "io_arrival"
+    Host arrivals are not events: the simulator merges them in from the
+    sorted workload, so the heap only holds the kinds below.
+    """
+
     COMPOSE_DONE = "compose_done"
     TRANSACTION_DONE = "transaction_done"
     TRANSACTION_DECISION = "transaction_decision"
 
 
-class Event(NamedTuple):
-    """One scheduled event.  Ordering is (time, sequence)."""
-
-    time_ns: int
-    sequence: int
-    kind: EventKind
-    payload: Any = None
-
-
 class EventQueue:
-    """Deterministic min-heap of events.
-
-    Internally the heap stores plain ``(time_ns, sequence, kind, payload)``
-    tuples - value-identical to :class:`Event` (a NamedTuple *is* a tuple)
-    but constructed by the C tuple display instead of the generated
-    ``__new__`` wrapper, once per scheduled event.  The reading API
-    (:meth:`pop`, iteration) still hands out :class:`Event` objects.
-    """
+    """Deterministic min-heap of ``(time_ns, sequence, kind, payload)`` tuples."""
 
     def __init__(self) -> None:
         self._heap: List[tuple] = []
@@ -62,7 +49,7 @@ class EventQueue:
 
         Returns ``None`` deliberately: the heap entry is an internal
         representation (callers held onto the raw tuple and compared it
-        against drained events, which broke the moment the entry layout
+        against popped events, which broke the moment the entry layout
         changed).  Scheduling is fire-and-forget; cancellation does not
         exist in this simulator.
         """
@@ -73,11 +60,20 @@ class EventQueue:
     def pop_batch(self) -> Optional[tuple]:
         """Pop every event at the earliest timestamp, or ``None`` when empty.
 
-        Non-generator single step of :meth:`drain_batch`: returns
-        ``(time_ns, batch)`` with the batch in sequence order and commits
-        ``processed``.  Used by callers that interleave heap batches with
-        another event source (the simulator merges workload arrivals in from
-        a sorted list so the heap never has to hold the whole trace).
+        Returns ``(time_ns, batch)`` with the batch in sequence order and
+        commits ``processed``, so the caller advances its clock and
+        re-enters its dispatch loop once per *timestamp* instead of once per
+        event.  The simulator interleaves these batches with the workload
+        arrivals it merges in from a sorted list, so the heap never has to
+        hold the whole trace.
+
+        Re-entrancy contract: handlers may push while a batch is being
+        processed.  A push at the current batch timestamp lands in the
+        *next* batch (sequence numbers are monotonic, so events still run in
+        exact ``(time, sequence)`` order); a push at an earlier timestamp is
+        a contract violation - it is still processed, but only after the
+        current batch, i.e. out of timestamp order.  Handlers must never
+        schedule into the past.
         """
         heap = self._heap
         if not heap:
@@ -95,53 +91,6 @@ class EventQueue:
             self.largest_batch = size
         return time_ns, batch
 
-    def pop(self) -> Event:
-        """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        self.processed += 1
-        return Event._make(heapq.heappop(self._heap))
-
-    def drain(self) -> Iterator[tuple]:
-        """Pop raw event tuples in order until the queue is empty.
-
-        The simulator's inner loop: handlers may push new events while the
-        generator is live - each ``next()`` re-checks the heap.  Compared
-        with calling :meth:`pop` per event this hoists the heap list and
-        ``heappop`` lookups out of the loop and skips the Event wrapper,
-        which is measurable at millions of events.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            self.processed += 1
-            yield pop(heap)
-
-    def drain_batch(self) -> Iterator[tuple]:
-        """Pop runs of same-timestamp raw event tuples until the queue is empty.
-
-        Yields ``(time_ns, batch)`` where ``batch`` is every event currently
-        scheduled at ``time_ns``, in sequence order.  Equivalent to
-        :meth:`drain` - events are still handed out in exact ``(time,
-        sequence)`` order - but the caller advances its clock and re-enters
-        the dispatch loop once per *timestamp* instead of once per event.
-
-        Re-entrancy contract: handlers may push while a batch is being
-        processed.  A push at the current batch timestamp lands in the
-        *next* batch (sequence numbers are monotonic, so this is exactly
-        where :meth:`drain` would have processed it); a push at an earlier
-        timestamp is a contract violation - it is still processed, but only
-        after the current batch, i.e. out of timestamp order.  Handlers must
-        never schedule into the past.
-
-        ``processed`` is committed per batch, when the batch is handed out.
-        """
-        while True:
-            step = self.pop_batch()
-            if step is None:
-                return
-            yield step
-
     def peek_time(self) -> Optional[int]:
         """Time of the earliest event, or ``None`` when empty."""
         if not self._heap:
@@ -153,6 +102,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def __iter__(self) -> Iterator[Event]:  # pragma: no cover - debugging helper
-        return iter(Event._make(entry) for entry in sorted(self._heap))

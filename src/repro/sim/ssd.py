@@ -287,8 +287,6 @@ class SSDSimulator:
                     handle_done(event[3])
                 elif kind is decision:
                     handle_decision(event[3])
-                else:
-                    handle_arrival(event[3])
         self._pending = []
         self._pending_index = 0
         self._run_active = False
@@ -490,7 +488,8 @@ class SSDSimulator:
                 continue
             completed = tag.completed_count + 1
             tag.completed_count = completed
-            # Inline Tag.fully_completed (every request retires through here).
+            # Plain attribute reads: every memory request retires through
+            # here, and the I/O completes with its last one.
             if completed >= len(tag.memory_requests) and tag.memory_requests:
                 self._complete_io(tag)
 

@@ -14,7 +14,6 @@ from repro.workloads.synthetic import (
     generate_mixed_workload,
     generate_random_workload,
     generate_sequential_workload,
-    generate_transfer_size_sweep,
 )
 from repro.workloads.datacenter import (
     DATACENTER_TRACE_NAMES,
@@ -38,7 +37,6 @@ __all__ = [
     "generate_mixed_workload",
     "generate_random_workload",
     "generate_sequential_workload",
-    "generate_transfer_size_sweep",
     "DATACENTER_TRACE_NAMES",
     "TraceProfile",
     "datacenter_profile",

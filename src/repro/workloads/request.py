@@ -16,12 +16,6 @@ from typing import Optional
 _io_ids = itertools.count()
 
 
-def reset_io_ids() -> None:
-    """Reset the global I/O id counter (used by tests)."""
-    global _io_ids
-    _io_ids = itertools.count()
-
-
 class IOKind(enum.Enum):
     """Direction of a host I/O request."""
 
@@ -74,33 +68,11 @@ class IORequest:
         """First byte past the end of the request."""
         return self.offset_bytes + self.size_bytes
 
-    def num_pages(self, page_size_bytes: int) -> int:
-        """Number of flash pages the request spans for a given page size."""
-        if page_size_bytes <= 0:
-            raise ValueError("page_size_bytes must be positive")
-        first = self.offset_bytes // page_size_bytes
-        last = (self.end_offset_bytes - 1) // page_size_bytes
-        return last - first + 1
-
     def logical_pages(self, page_size_bytes: int) -> range:
         """Range of logical page numbers the request touches."""
         first = self.offset_bytes // page_size_bytes
         last = (self.end_offset_bytes - 1) // page_size_bytes
         return range(first, last + 1)
-
-    @property
-    def latency_ns(self) -> Optional[int]:
-        """Device-level latency (arrival to completion), if completed."""
-        if self.completed_at_ns is None:
-            return None
-        return self.completed_at_ns - self.arrival_ns
-
-    @property
-    def queue_latency_ns(self) -> Optional[int]:
-        """Time from arrival to admission into the device queue."""
-        if self.enqueued_at_ns is None:
-            return None
-        return self.enqueued_at_ns - self.arrival_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -3,7 +3,8 @@
 These generators drive the sensitivity studies of the paper:
 
 * Figure 1 and Figure 15/16/17 sweep the *data transfer size* from 4 KB to
-  4 MB with back-to-back requests;
+  4 MB with back-to-back requests (one random workload per size, declared
+  by :func:`repro.experiments.figures.transfer_sweep`);
 * the motivational examples use small bursts of mixed-size requests.
 
 All generators are deterministic for a given seed so experiments are
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.workloads.request import IOKind, IORequest
 
@@ -147,32 +148,3 @@ def generate_sequential_workload(
         offset += size_bytes
         now += interarrival_ns
     return requests
-
-
-def generate_transfer_size_sweep(
-    transfer_sizes_bytes: Sequence[int],
-    *,
-    requests_per_size: int = 64,
-    read_fraction: float = 1.0,
-    randomness: float = 1.0,
-    address_space_bytes: int = 512 * MB,
-    interarrival_ns: int = 2_000,
-    seed: int = 42,
-) -> List[tuple]:
-    """Generate one workload per transfer size (Figures 1, 15, 16, 17).
-
-    Returns a list of ``(size_bytes, [IORequest, ...])`` tuples.
-    """
-    sweeps: List[tuple] = []
-    for index, size in enumerate(transfer_sizes_bytes):
-        config = SyntheticWorkloadConfig(
-            num_requests=requests_per_size,
-            size_bytes=size,
-            address_space_bytes=max(address_space_bytes, 4 * size),
-            read_fraction=read_fraction,
-            randomness=randomness,
-            interarrival_ns=interarrival_ns,
-            seed=seed + index,
-        )
-        sweeps.append((size, generate_mixed_workload(config)))
-    return sweeps

@@ -35,10 +35,10 @@ class TestStaticLayout:
         small_geometry._validate_address(address)  # must be a legal address
 
     def test_plane_for_stripe_matches_sequence(self, allocator):
-        assert allocator.plane_for_stripe(0) == allocator.plane_sequence[0]
-        assert allocator.plane_for_stripe(len(allocator.plane_sequence)) == (
-            allocator.plane_sequence[0]
-        )
+        sequence = allocator.plane_sequence
+        assert allocator.static_address(0).plane_key == sequence[0]
+        assert allocator.static_address(1).plane_key == sequence[1]
+        assert allocator.static_address(len(sequence)).plane_key == sequence[0]
 
 
 class TestDynamicAllocation:
@@ -73,10 +73,15 @@ class TestDynamicAllocation:
         with pytest.raises(RuntimeError):
             allocator.allocate()
 
-    def test_free_pages_decreases(self, allocator, small_geometry):
-        before = allocator.free_pages()
+    def test_free_pages_decreases(self, allocator, small_chips):
+        def free_pages():
+            return sum(
+                plane.free_pages for chip in small_chips.values() for plane in chip.iter_planes()
+            )
+
+        before = free_pages()
         allocator.allocate()
-        assert allocator.free_pages() == before - 1
+        assert free_pages() == before - 1
 
 
 class TestAllocationOrders:

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.array.host import ArrayResult, ArraySimulation, merge_device_results
+from repro.array.host import ArrayResult, merge_device_results
 from repro.array.layout import ArrayLayout, split_trace
 from repro.experiments import array_scaling
 from repro.experiments.engine import ExecutionEngine
@@ -25,6 +25,15 @@ def demo_workload(num_requests=16, size_bytes=96 * KB, seed=5) -> WorkloadSpec:
         read_fraction=1.0,
         seed=seed,
     )
+
+
+def run_array(workload, *, num_devices, engine=None, **layout) -> ArrayResult:
+    """One SPK3 array cell through the engine, as ``array_scaling`` runs it."""
+    spec = ArraySpec(
+        workload, num_devices=num_devices, scheduler="SPK3", config=SMALL_ARRAY_CONFIG, **layout
+    )
+    (result,) = array_scaling.run_array_specs([spec], engine=engine).values()
+    return result
 
 
 def one_request(offset, size, *, kind=IOKind.READ, arrival=0) -> IORequest:
@@ -121,10 +130,6 @@ class TestArrayLayout:
                 4 * KB * index for index in range(len(sub))
             ]
 
-    def test_describe_labels(self):
-        assert ArrayLayout(num_devices=4).describe() == "stripe(4x64KB)"
-        assert ArrayLayout(num_devices=2, policy="range").describe() == "range(2)"
-
 
 class TestArraySpec:
     def test_fingerprint_tracks_every_axis(self):
@@ -183,11 +188,8 @@ class TestArraySimulation:
     def test_striped_read_bandwidth_is_sum_of_devices(self):
         # Acceptance criterion: for a striped read-only trace the array
         # aggregate bandwidth equals the sum of per-device bandwidths.
-        sim = ArraySimulation(
-            ArrayLayout(num_devices=3, policy="stripe"), SMALL_ARRAY_CONFIG, "SPK3"
-        )
         workload = demo_workload(num_requests=18)
-        result = sim.run(workload)
+        result = run_array(workload, num_devices=3)
         assert result.num_devices == 3
         assert result.bandwidth_kb_s == pytest.approx(
             sum(device.bandwidth_kb_s for device in result.device_results)
@@ -198,10 +200,7 @@ class TestArraySimulation:
         assert result.total_bytes == sum(io.size_bytes for io in workload.build())
 
     def test_merged_latency_and_utilization_pool_devices(self):
-        sim = ArraySimulation(
-            ArrayLayout(num_devices=2, policy="stripe"), SMALL_ARRAY_CONFIG, "SPK3"
-        )
-        result = sim.run(demo_workload(num_requests=12))
+        result = run_array(demo_workload(num_requests=12), num_devices=2)
         assert result.latency.count == sum(
             device.latency.count for device in result.device_results
         )
@@ -213,15 +212,12 @@ class TestArraySimulation:
         )
 
     def test_device_jobs_hit_the_result_cache(self, tmp_path):
-        sim = ArraySimulation(
-            ArrayLayout(num_devices=2, policy="stripe"), SMALL_ARRAY_CONFIG, "SPK3"
-        )
         warm_engine = ExecutionEngine("serial", cache_dir=tmp_path)
-        warm = sim.run(demo_workload(num_requests=12), engine=warm_engine)
+        warm = run_array(demo_workload(num_requests=12), num_devices=2, engine=warm_engine)
         assert warm_engine.stats.jobs_executed == 2
 
         cached_engine = ExecutionEngine("serial", cache_dir=tmp_path)
-        cached = sim.run(demo_workload(num_requests=12), engine=cached_engine)
+        cached = run_array(demo_workload(num_requests=12), num_devices=2, engine=cached_engine)
         assert cached_engine.stats.jobs_executed == 0
         assert cached_engine.stats.cache_hits == 2
         for fresh, reloaded in zip(warm.device_results, cached.device_results):
@@ -231,9 +227,12 @@ class TestArraySimulation:
     def test_empty_device_is_tolerated(self):
         # Range sharding with everything in the first shard leaves device 1
         # with no work; the array must still merge cleanly.
-        layout = ArrayLayout(num_devices=2, policy="range", shard_bytes=1024 * 1024 * KB)
-        sim = ArraySimulation(layout, SMALL_ARRAY_CONFIG, "SPK3")
-        result = sim.run(demo_workload(num_requests=8))
+        result = run_array(
+            demo_workload(num_requests=8),
+            num_devices=2,
+            policy="range",
+            shard_bytes=1024 * 1024 * KB,
+        )
         assert result.device_results[1].completed_ios == 0
         assert result.byte_imbalance() == pytest.approx(2.0)
         assert result.bandwidth_kb_s > 0.0

@@ -35,7 +35,12 @@ from repro.metrics.attribution import (
     AttributionTracker,
     reconcile_attribution,
 )
-from repro.obs import DEFAULT_MAX_HEALTH_SAMPLES, HealthSampler, MemoryTraceSink
+from repro.obs import (
+    DEFAULT_MAX_HEALTH_SAMPLES,
+    HealthSampler,
+    MemoryTraceSink,
+    merge_counter_snapshots,
+)
 from repro.obs.__main__ import main as obs_main
 from repro.obs.export import SKIPPED_TRACE_SUFFIX
 from repro.obs.report import (
@@ -407,7 +412,7 @@ class TestArrayCounterSnapshots:
         merged = merge_device_results(
             results, scheduler="SPK3", workload="tiny-array-base", policy="striped"
         )
-        aggregate = merged.aggregate_counters()
+        aggregate = merge_counter_snapshots([r.counters for r in merged.device_results])
         assert aggregate["io.completed"] == sum(
             r.counters["io.completed"] for r in results
         )

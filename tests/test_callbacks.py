@@ -57,14 +57,13 @@ class TestEnabledCallback:
         callback = ReaddressingCallback(enabled=True)
         req = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048)
         callback.track_request(req)
-        assert callback.tracked_requests() == 0
-
-    def test_tracked_count_and_clear(self):
-        callback = ReaddressingCallback(enabled=True)
-        callback.track_request(request_at(address()))
-        assert callback.tracked_requests() == 1
-        callback.clear()
-        assert callback.tracked_requests() == 0
+        # Translated after the (ignored) tracking call: a migration of its
+        # page must not retarget it.
+        old, new = address(block=0), address(block=3)
+        req.address = old
+        callback.on_migration(7, old, new)
+        assert req.address == old
+        assert callback.stats.requests_retargeted == 0
 
 
 class TestDisabledCallback:

@@ -316,7 +316,8 @@ class TestCheckpointStore:
         fingerprint = self.job().fingerprint()
         path = store.save(fingerprint, checkpoint)
         assert path.name == f"{fingerprint}.{checkpoint.events_processed:012d}.ckpt"
-        loaded = store.load(fingerprint, checkpoint.events_processed)
+        events, loaded = store.latest(fingerprint)
+        assert events == checkpoint.events_processed
         assert loaded == checkpoint
 
     def test_latest_picks_highest_event_count(self, tmp_path):
@@ -353,7 +354,8 @@ class TestCheckpointStore:
         store.save("a" * 64, checkpoint)
         store.save("b" * 64, checkpoint)
         assert store.discard("a" * 64) == 1
-        assert store.fingerprints() == ["b" * 64]
+        assert store.events_available("a" * 64) == []
+        assert store.events_available("b" * 64) == [checkpoint.events_processed]
         assert len(store) == 1
 
     def test_unusable_directory_rejected(self, tmp_path):

@@ -9,9 +9,9 @@ from repro.flash.chip import FlashChip
 class TestFlashChip:
     def test_initial_state(self, small_geometry):
         chip = FlashChip((0, 0), small_geometry)
-        assert not chip.is_busy(0)
-        assert chip.free_pages == small_geometry.pages_per_chip
-        assert chip.total_pages == small_geometry.pages_per_chip
+        assert chip.busy_until == 0
+        free = sum(plane.free_pages for plane in chip.iter_planes())
+        assert free == small_geometry.pages_per_chip
 
     def test_plane_lookup(self, small_geometry):
         chip = FlashChip((1, 0), small_geometry)
@@ -22,8 +22,7 @@ class TestFlashChip:
     def test_occupy_sets_busy_until(self, small_geometry):
         chip = FlashChip((0, 0), small_geometry)
         chip.occupy(100, 500)
-        assert chip.is_busy(300)
-        assert not chip.is_busy(500)
+        assert chip.busy_until == 500
         assert chip.stats.busy_time_ns == 400
 
     def test_occupy_accumulates(self, small_geometry):
@@ -116,15 +115,10 @@ class TestChannel:
     def test_is_busy(self):
         channel = Channel(0)
         channel.reserve(0, 100)
-        assert channel.is_busy(50)
-        assert not channel.is_busy(100)
+        assert channel.free_at_ns == 100
+        # Free again exactly when the transfer ends: no wait at t=100.
+        assert channel.reserve(100, 10) == (100, 110, 0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Channel(0).reserve(0, -1)
-
-    def test_utilization(self):
-        channel = Channel(0)
-        channel.reserve(0, 250)
-        assert channel.utilization(1000) == pytest.approx(0.25)
-        assert channel.utilization(0) == 0.0

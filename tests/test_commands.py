@@ -3,24 +3,11 @@
 import pytest
 
 from repro.flash.commands import (
-    FlashOp,
     ParallelismClass,
     TransactionKind,
     classify_parallelism,
     kind_for_parallelism,
 )
-
-
-class TestFlashOp:
-    def test_program_is_write(self):
-        assert FlashOp.PROGRAM.is_write
-        assert not FlashOp.READ.is_write
-        assert not FlashOp.ERASE.is_write
-
-    def test_moves_data(self):
-        assert FlashOp.READ.moves_data
-        assert FlashOp.PROGRAM.moves_data
-        assert not FlashOp.ERASE.moves_data
 
 
 class TestClassification:

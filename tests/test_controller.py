@@ -163,9 +163,10 @@ class TestTransactionExecution:
     def test_chip_is_busy_for_whole_transaction(self, controller):
         controller.commit(make_request(), 0)
         complete = controller.start_transaction((0, 0), 0)
-        chip = controller.chips[(0, 0)]
-        assert chip.is_busy(complete - 1)
-        assert not chip.is_busy(complete)
+        assert not controller.chip_available((0, 0), complete - 1)
+        controller.finish_transaction((0, 0), complete)
+        assert not controller.chip_available((0, 0), complete - 1)
+        assert controller.chip_available((0, 0), complete)
 
     def test_bus_contention_between_chips_on_channel(self, controller):
         controller.commit(make_request(op=FlashOp.PROGRAM, chip=(0, 0)), 0)

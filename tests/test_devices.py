@@ -69,8 +69,12 @@ class TestShippedZoo:
         assert "paper" in model.tags
 
     def test_fingerprints_stable_across_reloads(self):
-        first = {m.name: m.fingerprint() for m in DeviceRegistry(ZOO_DIR).models()}
-        second = {m.name: m.fingerprint() for m in DeviceRegistry(ZOO_DIR).models()}
+        def fingerprints():
+            registry = DeviceRegistry(ZOO_DIR)
+            return {name: registry.get(name).fingerprint() for name in registry.names()}
+
+        first = fingerprints()
+        second = fingerprints()
         assert first == second
         assert len(set(first.values())) == len(first)
 
@@ -336,13 +340,11 @@ class TestHeterogeneousArrays:
         ]
 
     def test_array_simulation_accepts_devices(self):
-        from repro.array.host import ArraySimulation
-        from repro.array.layout import ArrayLayout
+        from repro.experiments.array_scaling import run_array_specs
 
-        simulation = ArraySimulation(
-            ArrayLayout(num_devices=2, policy="stripe", chunk_bytes=64 * 1024),
-            devices=("slc-gen1", "mlc-gen1"),
+        spec = ArraySpec(
+            self.WORKLOAD, num_devices=2, scheduler="SPK3", devices=("slc-gen1", "mlc-gen1")
         )
-        result = simulation.run(self.WORKLOAD)
+        (result,) = run_array_specs([spec]).values()
         assert result.num_devices == 2
         assert result.completed_ios > 0

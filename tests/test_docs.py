@@ -73,27 +73,27 @@ def _doc_commands():
                     yield f"{path.relative_to(REPO_ROOT)}:{number}", module, word
 
 
-def _load_check_links():
-    path = REPO_ROOT / "tools" / "check_links.py"
-    spec = importlib.util.spec_from_file_location("check_links", path)
+def _load_tool(name):
+    path = REPO_ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["check_links"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
 class TestLinkChecker:
     def test_repo_docs_have_no_broken_links(self, capsys):
-        checker = _load_check_links()
+        checker = _load_tool("check_links")
         assert checker.check_links() == []
 
     def test_scans_readme_roadmap_and_docs(self):
-        checker = _load_check_links()
+        checker = _load_tool("check_links")
         names = {path.name for path in checker.iter_doc_files()}
         assert {"README.md", "ROADMAP.md", "ARCHITECTURE.md", "OPERATIONS.md"} <= names
 
     def test_broken_relative_link_detected(self, tmp_path):
-        checker = _load_check_links()
+        checker = _load_tool("check_links")
         doc = tmp_path / "README.md"
         doc.write_text("see [missing](docs/nope.md)\n", encoding="utf-8")
         problems = checker.check_links(tmp_path)
@@ -105,13 +105,13 @@ class TestLinkChecker:
         ["https://example.com/x", "mailto:a@b.c", "#anchor", "../../outside/repo.md"],
     )
     def test_skipped_targets(self, tmp_path, target):
-        checker = _load_check_links()
+        checker = _load_tool("check_links")
         doc = tmp_path / "README.md"
         doc.write_text(f"see [t]({target})\n", encoding="utf-8")
         assert checker.check_links(tmp_path) == []
 
     def test_existing_link_with_anchor_ok(self, tmp_path):
-        checker = _load_check_links()
+        checker = _load_tool("check_links")
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "GUIDE.md").write_text("# hi\n", encoding="utf-8")
         doc = tmp_path / "README.md"
@@ -172,6 +172,43 @@ class TestDocsCoverage:
             "reconcil",
         ):
             assert topic in text, f"OPERATIONS.md missing {topic!r}"
+
+
+class TestApiBudget:
+    """Every public name in ``src/`` has a caller outside ``tests/``."""
+
+    def test_every_public_name_has_a_caller(self):
+        budget = _load_tool("api_budget")
+        _, unused = budget.scan()
+        uncalled = sorted(set(unused) - budget.ALLOWLIST)
+        assert not uncalled, f"public names only tests call (delete them): {uncalled}"
+
+    def test_allowlist_holds_only_uncalled_names(self):
+        # An allowlisted name that gains a caller, or is deleted, leaves the list.
+        budget = _load_tool("api_budget")
+        _, unused = budget.scan()
+        assert budget.ALLOWLIST <= set(unused)
+
+    def test_a_test_only_method_is_caught(self, tmp_path):
+        budget = _load_tool("api_budget")
+        for directory in budget.CALLER_ROOTS:
+            (tmp_path / directory).mkdir()
+        (tmp_path / "src" / "events.py").write_text(
+            "class EventQueue:\n"
+            "    def push(self):\n"
+            "        return self.drain()\n"
+            "    def drain(self):\n"
+            "        return self.drain()\n"
+            "    def peek_time(self):\n"
+            "        pass\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "tools" / "caller.py").write_text("queue.push()\n", encoding="utf-8")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_events.py").write_text("queue.peek_time()\n", encoding="utf-8")
+        names, unused = budget.scan(tmp_path)
+        assert len(names) == 4
+        assert unused == ["events:EventQueue", "events:EventQueue.peek_time"]
 
 
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))

@@ -4,72 +4,64 @@ import pytest
 
 from repro.flash.geometry import SSDGeometry
 from repro.sim.config import SimulationConfig
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.events import EventKind, EventQueue
 
 
 class TestEventQueue:
     def test_pops_in_time_order(self):
         queue = EventQueue()
-        queue.push(50, EventKind.IO_ARRIVAL, "b")
-        queue.push(10, EventKind.IO_ARRIVAL, "a")
-        queue.push(30, EventKind.IO_ARRIVAL, "c")
-        assert [queue.pop().payload for _ in range(3)] == ["a", "c", "b"]
+        queue.push(50, EventKind.COMPOSE_DONE, "b")
+        queue.push(10, EventKind.COMPOSE_DONE, "a")
+        queue.push(30, EventKind.COMPOSE_DONE, "c")
+        popped = [batch[0][3] for _, batch in iter(queue.pop_batch, None)]
+        assert popped == ["a", "c", "b"]
 
     def test_ties_broken_by_insertion_order(self):
         queue = EventQueue()
-        queue.push(10, EventKind.IO_ARRIVAL, "first")
+        queue.push(10, EventKind.TRANSACTION_DONE, "first")
         queue.push(10, EventKind.COMPOSE_DONE, "second")
-        assert queue.pop().payload == "first"
-        assert queue.pop().payload == "second"
+        _, batch = queue.pop_batch()
+        assert [entry[3] for entry in batch] == ["first", "second"]
 
     def test_peek_time(self):
         queue = EventQueue()
         assert queue.peek_time() is None
-        queue.push(42, EventKind.IO_ARRIVAL)
+        queue.push(42, EventKind.COMPOSE_DONE)
         assert queue.peek_time() == 42
 
     def test_len_and_bool(self):
         queue = EventQueue()
         assert not queue
-        queue.push(1, EventKind.IO_ARRIVAL)
+        queue.push(1, EventKind.COMPOSE_DONE)
         assert queue
         assert len(queue) == 1
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().push(-1, EventKind.IO_ARRIVAL)
+            EventQueue().push(-1, EventKind.COMPOSE_DONE)
 
     def test_processed_counter(self):
         queue = EventQueue()
-        queue.push(1, EventKind.IO_ARRIVAL)
-        queue.pop()
+        queue.push(1, EventKind.COMPOSE_DONE)
+        queue.pop_batch()
         assert queue.processed == 1
-
-    def test_event_ordering_dataclass(self):
-        early = Event(time_ns=1, sequence=0, kind=EventKind.IO_ARRIVAL)
-        late = Event(time_ns=2, sequence=0, kind=EventKind.IO_ARRIVAL)
-        assert early < late
 
     def test_push_returns_nothing(self):
         # Regression: push used to leak the raw heap tuple, and callers
-        # compared it against drained entries - an internal representation
+        # compared it against popped entries - an internal representation
         # that is free to change.  Scheduling is fire-and-forget.
         queue = EventQueue()
-        assert queue.push(5, EventKind.IO_ARRIVAL, "p") is None
+        assert queue.push(5, EventKind.COMPOSE_DONE, "p") is None
 
 
 class TestEventQueueBatching:
-    """pop_batch / drain_batch semantics, including re-entrant pushes."""
+    """pop_batch semantics, including re-entrant pushes."""
 
     def test_pop_batch_groups_same_timestamp(self):
         queue = EventQueue()
-        queue.push(20, EventKind.IO_ARRIVAL, "late")
-        queue.push(10, EventKind.IO_ARRIVAL, "a")
-        queue.push(10, EventKind.COMPOSE_DONE, "b")
+        queue.push(20, EventKind.COMPOSE_DONE, "late")
+        queue.push(10, EventKind.COMPOSE_DONE, "a")
+        queue.push(10, EventKind.TRANSACTION_DONE, "b")
         time_ns, batch = queue.pop_batch()
         assert time_ns == 10
         assert [entry[3] for entry in batch] == ["a", "b"]
@@ -82,35 +74,28 @@ class TestEventQueueBatching:
     def test_pop_batch_empty_returns_none(self):
         queue = EventQueue()
         assert queue.pop_batch() is None
-        queue.push(1, EventKind.IO_ARRIVAL)
+        queue.push(1, EventKind.COMPOSE_DONE)
         queue.pop_batch()
         assert queue.pop_batch() is None
         assert queue.processed == 1
 
     def test_drain_batch_matches_drain_order(self):
-        def load(queue):
-            for time_ns, payload in [(5, "a"), (1, "b"), (5, "c"), (3, "d"), (1, "e")]:
-                queue.push(time_ns, EventKind.IO_ARRIVAL, payload)
-
-        plain, batched = EventQueue(), EventQueue()
-        load(plain)
-        load(batched)
-        flat_order = [entry[3] for entry in plain.drain()]
-        batch_order = [
-            entry[3] for _, batch in batched.drain_batch() for entry in batch
-        ]
-        assert batch_order == flat_order == ["b", "e", "d", "a", "c"]
-        assert batched.processed == plain.processed == 5
+        # Batches hand events out in exact (time, insertion) order.
+        queue = EventQueue()
+        for time_ns, payload in [(5, "a"), (1, "b"), (5, "c"), (3, "d"), (1, "e")]:
+            queue.push(time_ns, EventKind.COMPOSE_DONE, payload)
+        order = [entry[3] for _, batch in iter(queue.pop_batch, None) for entry in batch]
+        assert order == ["b", "e", "d", "a", "c"]
+        assert queue.processed == 5
 
     def test_same_timestamp_push_mid_batch_lands_in_next_batch(self):
         # The re-entrancy contract: a handler pushing at the current batch
-        # timestamp must see its event in the NEXT batch - exactly where
-        # per-event drain() would have processed it (sequences are
+        # timestamp must see its event in the NEXT batch (sequences are
         # monotonic, so it sorts after everything already handed out).
         queue = EventQueue()
-        queue.push(10, EventKind.IO_ARRIVAL, "first")
+        queue.push(10, EventKind.COMPOSE_DONE, "first")
         steps = []
-        for time_ns, batch in queue.drain_batch():
+        for time_ns, batch in iter(queue.pop_batch, None):
             steps.append((time_ns, [entry[3] for entry in batch]))
             if len(steps) == 1:
                 queue.push(10, EventKind.COMPOSE_DONE, "re-entrant")
@@ -119,9 +104,9 @@ class TestEventQueueBatching:
 
     def test_future_push_mid_drain_is_seen(self):
         queue = EventQueue()
-        queue.push(1, EventKind.IO_ARRIVAL, "seed")
+        queue.push(1, EventKind.COMPOSE_DONE, "seed")
         seen = []
-        for time_ns, batch in queue.drain_batch():
+        for time_ns, batch in iter(queue.pop_batch, None):
             for entry in batch:
                 seen.append(entry[3])
                 if entry[3] == "seed":
@@ -133,38 +118,36 @@ class TestEventQueueBatching:
         # not lose the event, but it is handed out after the current batch,
         # i.e. out of timestamp order.  This pins the documented behaviour.
         queue = EventQueue()
-        queue.push(10, EventKind.IO_ARRIVAL, "now")
+        queue.push(10, EventKind.COMPOSE_DONE, "now")
         steps = []
-        for time_ns, batch in queue.drain_batch():
+        for time_ns, batch in iter(queue.pop_batch, None):
             steps.append((time_ns, [entry[3] for entry in batch]))
             if len(steps) == 1:
-                queue.push(3, EventKind.IO_ARRIVAL, "past")
+                queue.push(3, EventKind.COMPOSE_DONE, "past")
         assert steps == [(10, ["now"]), (3, ["past"])]
 
     def test_generators_restart_after_exhaustion(self):
-        # Draining to empty ends the generator; a fresh drain()/drain_batch()
-        # call on the same queue picks up events pushed afterwards, and the
-        # processed counter keeps accumulating across restarts.
+        # Popping to empty returns None; events pushed afterwards are handed
+        # out again, and the processed counter keeps accumulating.
         queue = EventQueue()
-        queue.push(1, EventKind.IO_ARRIVAL, "a")
-        assert [entry[3] for entry in queue.drain()] == ["a"]
+        queue.push(1, EventKind.COMPOSE_DONE, "a")
+        assert [entry[3] for entry in queue.pop_batch()[1]] == ["a"]
         assert queue.pop_batch() is None
-        queue.push(2, EventKind.IO_ARRIVAL, "b")
-        queue.push(2, EventKind.IO_ARRIVAL, "c")
-        assert [
-            entry[3] for _, batch in queue.drain_batch() for entry in batch
-        ] == ["b", "c"]
+        queue.push(2, EventKind.COMPOSE_DONE, "b")
+        queue.push(2, EventKind.COMPOSE_DONE, "c")
+        assert [entry[3] for entry in queue.pop_batch()[1]] == ["b", "c"]
         assert queue.processed == 3
 
     def test_processed_counts_batches_and_singles_consistently(self):
+        # processed counts events, batches counts timestamps.
         queue = EventQueue()
         for time_ns in (1, 1, 2, 3, 3, 3):
-            queue.push(time_ns, EventKind.IO_ARRIVAL)
-        queue.pop()  # one event
-        queue.pop_batch()  # remainder of the t=1 batch
-        for _ in queue.drain_batch():  # t=2 and t=3 batches
+            queue.push(time_ns, EventKind.COMPOSE_DONE)
+        for _ in iter(queue.pop_batch, None):
             pass
         assert queue.processed == 6
+        assert queue.batches == 3
+        assert queue.largest_batch == 3
         assert len(queue) == 0
 
 

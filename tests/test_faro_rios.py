@@ -116,39 +116,36 @@ class TestRiosTraversal:
             pages_per_block=8,
         )
 
+    def visits(self, traversal, count):
+        """``count`` successive picks while every chip has work."""
+        everything = set(range(len(traversal)))
+        return [traversal.next_chip_indexed(everything) for _ in range(count)]
+
     def test_order_is_offset_major(self):
         traversal = RiosTraversal(self.make_geometry())
-        assert traversal.order[:4] == ((0, 0), (1, 0), (0, 1), (1, 1))
+        assert self.visits(traversal, 4) == [(0, 0), (1, 0), (0, 1), (1, 1)]
         assert len(traversal) == 6
 
     def test_channel_first_option(self):
         traversal = RiosTraversal(self.make_geometry(), channel_first=True)
-        assert traversal.order[:3] == ((0, 0), (0, 1), (0, 2))
+        assert self.visits(traversal, 3) == [(0, 0), (0, 1), (0, 2)]
 
     def test_next_chip_skips_idle(self):
         traversal = RiosTraversal(self.make_geometry())
         target = (0, 1)
-        found = traversal.next_chip(lambda key: key == target)
-        assert found == target
+        assert traversal.next_chip_indexed({traversal.index_of(target)}) == target
 
     def test_next_chip_round_robins(self):
         traversal = RiosTraversal(self.make_geometry())
-        first = traversal.next_chip(lambda key: True)
-        second = traversal.next_chip(lambda key: True)
+        first, second = self.visits(traversal, 2)
         assert first != second
 
     def test_next_chip_none_without_work(self):
         traversal = RiosTraversal(self.make_geometry())
-        assert traversal.next_chip(lambda key: False) is None
-
-    def test_reset(self):
-        traversal = RiosTraversal(self.make_geometry())
-        traversal.next_chip(lambda key: True)
-        traversal.reset()
-        assert traversal.cursor == 0
+        assert traversal.next_chip_indexed(set()) is None
 
     def test_cursor_wraps(self):
         traversal = RiosTraversal(self.make_geometry())
-        for _ in range(len(traversal) + 1):
-            traversal.next_chip(lambda key: True)
-        assert 0 <= traversal.cursor < len(traversal)
+        visited = self.visits(traversal, len(traversal) + 1)
+        assert len(set(visited[:-1])) == len(traversal)
+        assert visited[-1] == visited[0]

@@ -241,7 +241,7 @@ class TestPlacement:
         by_tenant = {d.tenant: d.bytes for d in demands}
         loads = [0, 0, 0]
         for demand in sorted(demands, key=lambda d: (-d.bytes, d.tenant)):
-            node = plan.node_of(demand.tenant)
+            node = dict(plan.assignments)[demand.tenant]
             # Greedy invariant: the chosen node had the minimum load.
             assert loads[node] == min(loads)
             loads[node] += by_tenant[demand.tenant]
@@ -259,8 +259,9 @@ class TestPlacement:
             tenant_policies=(("analytics", TenantPolicy(affinity="n2")),),
         )
         plan = plan_placement(spec, self._demands(spec))
-        assert plan.node_of("analytics") == 2
-        assert plan.node_of("web") == stable_tenant_hash("web") % 3
+        nodes = dict(plan.assignments)
+        assert nodes["analytics"] == 2
+        assert nodes["web"] == stable_tenant_hash("web") % 3
 
     def test_unknown_affinity_node_rejected(self):
         with pytest.raises(ValueError, match="pins unknown node"):

@@ -35,25 +35,20 @@ def fill_plane(ftl, small_geometry, chip_key, die, plane, blocks_to_fill):
 class TestTriggerPolicy:
     def test_fresh_plane_does_not_need_gc(self, gc_setup):
         _, gc = gc_setup
-        assert not gc.plane_needs_gc((0, 0), 0, 0)
+        assert gc.collect_plane_if_needed((0, 0), 0, 0) is None
 
     def test_disabled_gc_never_triggers(self, gc_setup, small_geometry):
         ftl, gc = gc_setup
         gc.enabled = False
         fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
-        assert not gc.plane_needs_gc((0, 0), 0, 0)
+        assert gc.collect_plane_if_needed((0, 0), 0, 0) is None
 
     def test_triggers_below_watermark_with_victim(self, gc_setup, small_geometry):
         ftl, gc = gc_setup
         fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
-        assert gc.plane_needs_gc((0, 0), 0, 0)
-
-    def test_planes_needing_gc_lists_only_affected(self, gc_setup, small_geometry):
-        ftl, gc = gc_setup
-        fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
-        # Filling stripes over all planes, so potentially several planes are
-        # low; the one we targeted must be among them.
-        assert (0, 0) in gc.planes_needing_gc((0, 0)) or gc.planes_needing_gc((0, 0))
+        job = gc.collect_plane_if_needed((0, 0), 0, 0)
+        assert job is not None
+        assert job.chip_key == (0, 0)
 
 
 class TestCollection:
@@ -82,7 +77,7 @@ class TestCollection:
         fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
         job = gc.collect((0, 0), 0, 0)
         assert job.duration_ns >= fast_timing.erase_latency_ns()
-        expected_migration_floor = job.pages_moved * fast_timing.read_latency_ns()
+        expected_migration_floor = len(job.migrated_lpns) * fast_timing.read_ns
         assert job.duration_ns >= expected_migration_floor
 
     def test_collect_plane_if_needed_respects_watermark(self, gc_setup):
@@ -92,7 +87,14 @@ class TestCollection:
     def test_collect_if_needed_returns_jobs(self, gc_setup, small_geometry):
         ftl, gc = gc_setup
         fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
-        jobs = gc.collect_if_needed((0, 0))
+        # Filling stripes over every plane, so several planes of the chip
+        # may be low; each collected job stays on the chip.
+        jobs = [
+            gc.collect_plane_if_needed((0, 0), die, plane)
+            for die in range(small_geometry.dies_per_chip)
+            for plane in range(small_geometry.planes_per_die)
+        ]
+        jobs = [job for job in jobs if job is not None]
         assert jobs
         assert all(job.chip_key == (0, 0) for job in jobs)
 
@@ -144,7 +146,7 @@ class TestCollection:
         job = gc.collect((0, 0), 0, 0)
         assert job is not None
         assert job.victim_block == free_block.block_id
-        assert job.pages_moved == 0
+        assert job.migrated_lpns == []
         assert gc.stats.orphaned_pages == orphans
 
     def test_history_records_job_sequence(self, gc_setup, small_geometry):
@@ -155,4 +157,4 @@ class TestCollection:
         for lpn in written[: len(written) // 2]:
             ftl.translate_write(lpn)
         job = gc.collect((0, 0), 0, 0)
-        assert list(gc.history) == [((0, 0), 0, 0, job.victim_block, job.pages_moved)]
+        assert list(gc.history) == [((0, 0), 0, 0, job.victim_block, len(job.migrated_lpns))]

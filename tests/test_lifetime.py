@@ -23,7 +23,6 @@ from repro.lifetime import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.ssd import SSDSimulator
-from repro.workloads.request import reset_io_ids
 from repro.workloads.synthetic import generate_random_workload
 
 KB = 1024
@@ -43,14 +42,17 @@ def aged_config(**overrides):
 
 
 def small_write_workload(seed=3, num_requests=48):
-    reset_io_ids()
-    return generate_random_workload(
+    requests = generate_random_workload(
         num_requests,
         16 * KB,
         read_fraction=0.2,
         address_space_bytes=8 * 1024 * KB,
         seed=seed,
     )
+    # Numbered 0..n-1 like WorkloadSpec.build, so repeated builds are equal.
+    for index, io in enumerate(requests):
+        io.io_id = index
+    return requests
 
 
 # ======================================================================

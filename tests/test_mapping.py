@@ -86,7 +86,7 @@ class TestTranslation:
         second = ftl.translate_write(3)
         assert first != second
         plane = small_chips[first.chip_key].plane(first.die, first.plane)
-        assert not plane.blocks[first.block].is_valid(first.page)
+        assert not plane.blocks[first.block].valid_mask >> first.page & 1
         assert ftl.reverse_lookup(first) is None
         assert ftl.reverse_lookup(second) == 3
 
@@ -168,7 +168,7 @@ class TestFill:
         for chip in small_chips.values():
             for plane in chip.iter_planes():
                 for block in plane.blocks:
-                    invalid += block.invalid_count
+                    invalid += block.write_pointer - block.valid_mask.bit_count()
         assert invalid > 0
         # Live data is less than the total pages written.
         assert ftl.utilization() < 0.8
@@ -239,7 +239,7 @@ class TestBaseLayout:
         assert ftl.reverse_lookup(new) == 5
         assert ftl.lookup(5) == new
         block = ftl.chips[old.chip_key].plane(old.die, old.plane).blocks[old.block]
-        assert not block.is_valid(old.page)
+        assert not block.valid_mask >> old.page & 1
 
     def test_migrate_base_page(self, ftl, small_geometry):
         self.install(ftl, small_geometry)
@@ -452,8 +452,8 @@ class TestMigratePages:
             if not victims:
                 continue
             block_id = rng.choice(victims)
-            valid = plane.blocks[block_id].valid_count
-            elsewhere = reference.allocator.free_pages() - plane.free_pages
+            valid = plane.blocks[block_id].valid_mask.bit_count()
+            elsewhere = sum(p.free_pages for p in reference._planes.values()) - plane.free_pages
             if pass_index % 2 and 0 < valid <= elsewhere:
                 # Leave fewer free pages than the victim has valid ones, so
                 # the tail of the batch falls back to other planes.

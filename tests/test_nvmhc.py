@@ -1,11 +1,11 @@
-"""Tests for the NVMHC substrate: device queue, tags, DMA engine, bitmap."""
+"""Tests for the NVMHC substrate: device queue, tags, DMA engine."""
 
 import pytest
 
+from repro.core.faro import connectivity
 from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
-from repro.nvmhc.bitmap import CompletionBitmap
 from repro.nvmhc.dma import DmaEngine
 from repro.nvmhc.queue import DeviceQueue
 from repro.nvmhc.tag import Tag
@@ -55,16 +55,24 @@ class TestDeviceQueue:
         assert queue.stats.total_backlog_wait_ns == 95
 
     def test_tags_in_arrival_order(self):
-        queue = DeviceQueue(depth=4)
-        tags = [queue.submit(make_io(arrival=i), i) for i in range(3)]
-        assert [tag.io_id for tag in queue.tags_in_order()] == [tag.io_id for tag in tags]
+        # A full queue backlogs requests; freed slots admit them first come,
+        # first served, whatever order the slots free up in.
+        queue = DeviceQueue(depth=2)
+        held = [queue.submit(make_io(arrival=0), 0) for _ in range(2)]
+        waiting = [make_io(arrival=i) for i in (1, 2)]
+        for io in waiting:
+            assert queue.submit(io, io.arrival_ns) is None
+        for tag in reversed(held):
+            queue.retire(tag.io_id)
+        admitted = queue.admit_from_backlog(10)
+        assert [tag.io_id for tag in admitted] == [io.io_id for io in waiting]
 
     def test_retire_frees_slot(self):
         queue = DeviceQueue(depth=1)
         tag = queue.submit(make_io(), 0)
         queue.retire(tag.io_id)
-        assert queue.is_empty
-        assert not queue.has_work
+        assert queue.occupancy == 0
+        assert queue.backlog_size == 0
         assert queue.stats.completed == 1
 
     def test_has_work_with_backlog_only(self):
@@ -72,13 +80,14 @@ class TestDeviceQueue:
         tag = queue.submit(make_io(), 0)
         queue.submit(make_io(), 0)
         queue.retire(tag.io_id)
-        assert queue.has_work
+        assert queue.occupancy == 0
+        assert queue.backlog_size == 1
 
     def test_get_and_len(self):
         queue = DeviceQueue(depth=2)
         tag = queue.submit(make_io(), 0)
-        assert queue.get(tag.io_id) is tag
-        assert len(queue) == 1
+        assert queue.occupancy == 1
+        assert queue.retire(tag.io_id) is tag
 
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
@@ -98,8 +107,8 @@ class TestTag:
     def test_counts(self):
         tag = self.make_tag(3)
         assert tag.total_requests == 3
-        assert not tag.fully_composed
-        assert not tag.fully_completed
+        assert tag.composed_count == 0
+        assert tag.completed_count == 0
 
     def test_next_uncomposed_advances(self):
         tag = self.make_tag(2)
@@ -115,23 +124,11 @@ class TestTag:
         tag.memory_requests[0].composed_at_ns = 1
         assert len(tag.uncomposed_requests()) == 1
 
-    def test_fully_flags(self):
-        tag = self.make_tag(2)
-        tag.composed_count = 2
-        tag.completed_count = 2
-        assert tag.fully_composed
-        assert tag.fully_completed
-
     def test_connectivity_and_footprint(self):
         tag = self.make_tag(3)
-        assert tag.chip_footprint == [(0, 0)]
-        assert tag.connectivity((0, 0)) == 3
-        assert tag.connectivity((1, 1)) == 0
-
-    def test_uncomposed_for_chip(self):
-        tag = self.make_tag(2)
-        tag.memory_requests[0].composed_at_ns = 5
-        assert len(tag.uncomposed_for_chip((0, 0))) == 1
+        assert sorted(tag.by_chip) == [(0, 0)]
+        assert connectivity(tag.by_chip[(0, 0)]) == 3
+        assert connectivity(tag.by_chip.get((1, 1), [])) == 0
 
 
 class TestDmaEngine:
@@ -163,59 +160,6 @@ class TestDmaEngine:
         assert dma.stats.bytes_moved == 2048
         assert dma.stats.busy_time_ns == 100
 
-    def test_reset(self):
-        dma = DmaEngine(per_request_ns=100)
-        dma.begin(0, 2048)
-        dma.reset()
-        assert not dma.is_busy(10)
-
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             DmaEngine(per_request_ns=-1)
-
-
-class TestCompletionBitmap:
-    def test_initial_state(self):
-        bitmap = CompletionBitmap(4)
-        assert not bitmap.all_completed
-        assert bitmap.completed_count == 0
-        assert all(bitmap.is_outstanding(i) for i in range(4))
-
-    def test_clear_marks_completed(self):
-        bitmap = CompletionBitmap(4)
-        bitmap.clear(2)
-        assert not bitmap.is_outstanding(2)
-        assert bitmap.completed_count == 1
-
-    def test_all_completed(self):
-        bitmap = CompletionBitmap(3)
-        for i in range(3):
-            bitmap.clear(i)
-        assert bitmap.all_completed
-
-    def test_in_order_delivery(self):
-        bitmap = CompletionBitmap(3)
-        bitmap.clear(1)
-        assert bitmap.deliverable_payloads() == []
-        bitmap.clear(0)
-        assert bitmap.deliverable_payloads() == [0, 1]
-        bitmap.clear(2)
-        assert bitmap.deliverable_payloads() == [2]
-        assert bitmap.delivered_count == 3
-
-    def test_each_payload_delivered_once(self):
-        bitmap = CompletionBitmap(2)
-        bitmap.clear(0)
-        assert bitmap.deliverable_payloads() == [0]
-        assert bitmap.deliverable_payloads() == []
-
-    def test_out_of_range(self):
-        bitmap = CompletionBitmap(2)
-        with pytest.raises(IndexError):
-            bitmap.clear(2)
-        with pytest.raises(IndexError):
-            bitmap.is_outstanding(-1)
-
-    def test_requires_positive_size(self):
-        with pytest.raises(ValueError):
-            CompletionBitmap(0)

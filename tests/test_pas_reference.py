@@ -70,7 +70,7 @@ class ReferencePAS(SchedulerBase):
         for earlier in pending:
             if earlier is tag:
                 return False
-            if earlier.io.force_unit_access and not earlier.fully_composed:
+            if earlier.io.force_unit_access and earlier.composed_count < earlier.total_requests:
                 return True
         return False
 
@@ -80,7 +80,7 @@ class ReferencePAS(SchedulerBase):
             if request is not None:
                 return request
             self.current = None
-        pending = [tag for tag in self.arrivals if not tag.fully_composed]
+        pending = [tag for tag in self.arrivals if tag.composed_count < tag.total_requests]
         for tag in pending:
             if tag.composed_count > 0:
                 self.current = tag

@@ -10,14 +10,13 @@ class TestBlock:
         block = Block(0, 8)
         assert block.is_free
         assert not block.is_full
-        assert block.valid_count == 0
+        assert block.valid_mask == 0
 
     def test_program_next_marks_valid(self):
         block = Block(0, 4)
         page = block.program_next()
         assert page == 0
-        assert block.is_valid(0)
-        assert block.valid_count == 1
+        assert block.valid_mask == 0b1
         assert not block.is_free
 
     def test_program_fills_sequentially(self):
@@ -37,16 +36,13 @@ class TestBlock:
         block = Block(0, 4)
         block.program_next()
         block.invalidate(0)
-        assert not block.is_valid(0)
-        assert block.invalid_count == 1
+        # Programmed but superseded: used, no longer valid.
+        assert block.valid_mask == 0
+        assert block.write_pointer == 1
 
     def test_invalidate_out_of_range(self):
         with pytest.raises(ValueError):
             Block(0, 4).invalidate(4)
-
-    def test_is_valid_out_of_range(self):
-        with pytest.raises(ValueError):
-            Block(0, 4).is_valid(9)
 
     def test_erase_resets_and_counts(self):
         block = Block(0, 4)
@@ -54,7 +50,7 @@ class TestBlock:
             block.program_next()
         block.erase()
         assert block.is_free
-        assert block.valid_count == 0
+        assert block.valid_mask == 0
         assert block.erase_count == 1
 
     def test_valid_list_view(self):
@@ -62,7 +58,7 @@ class TestBlock:
         block.program_next()
         block.program_next()
         block.invalidate(0)
-        assert block.valid == [False, True, False, False]
+        assert block.valid_mask == 0b0010
 
 
 class TestPlane:
@@ -73,7 +69,6 @@ class TestPlane:
         plane = self.make_plane()
         assert plane.free_blocks == 4
         assert plane.free_pages == 16
-        assert plane.valid_pages == 0
 
     def test_allocate_fills_block_before_rotating(self):
         plane = self.make_plane(blocks=2, pages=2)

@@ -9,7 +9,6 @@ from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 from repro.flash.timing import FlashTiming
 from repro.flash.transaction import TransactionBuilder
-from repro.nvmhc.bitmap import CompletionBitmap
 from repro.nvmhc.queue import DeviceQueue
 from repro.sim.config import SimulationConfig
 from repro.sim.ssd import SSDSimulator
@@ -142,21 +141,6 @@ class TestTransactionBuilderProperties:
         assert transaction.cell_time_ns >= slowest
 
 
-class TestBitmapProperties:
-    @given(
-        order=st.permutations(list(range(8))),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_delivery_is_always_in_order(self, order):
-        bitmap = CompletionBitmap(8)
-        delivered = []
-        for index in order:
-            bitmap.clear(index)
-            delivered.extend(bitmap.deliverable_payloads())
-        assert delivered == list(range(8))
-        assert bitmap.all_completed
-
-
 class TestQueueProperties:
     @given(
         depth=st.integers(min_value=1, max_value=8),
@@ -210,7 +194,7 @@ class TestSimulatorProperties:
             )
         result = SSDSimulator(config, scheduler).run(workload)
         assert result.completed_ios == num_requests
-        expected_pages = sum(io.num_pages(2048) for io in workload)
+        expected_pages = sum(len(io.logical_pages(2048)) for io in workload)
         assert result.memory_requests_served == expected_pages
         assert result.transactions <= expected_pages
         assert result.makespan_ns > 0

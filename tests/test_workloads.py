@@ -14,7 +14,6 @@ from repro.workloads.synthetic import (
     generate_mixed_workload,
     generate_random_workload,
     generate_sequential_workload,
-    generate_transfer_size_sweep,
 )
 from repro.workloads.traces import (
     TraceFormatError,
@@ -72,11 +71,6 @@ class TestSyntheticGenerators:
             num_requests=4, size_bytes=4 * KB, address_space_bytes=8 * KB
         )
         assert all(io.end_offset_bytes <= 8 * KB for io in workload)
-
-    def test_transfer_size_sweep_shapes(self):
-        sweep = generate_transfer_size_sweep([4 * KB, 16 * KB], requests_per_size=8)
-        assert [size for size, _ in sweep] == [4 * KB, 16 * KB]
-        assert all(len(workload) == 8 for _, workload in sweep)
 
     @pytest.mark.parametrize(
         "overrides",
