@@ -60,8 +60,11 @@ from repro.sim.events import EventQueue
 #: readdressing callback's controller map and extra listeners.  Version 7
 #: dropped the memory requests' GC flag and per-request start/completion
 #: stamps, and gave flash transactions their builder-filled ``num_dies``/
-#: ``total_bytes`` fields in place of the derived properties.
-CHECKPOINT_VERSION = 7
+#: ``total_bytes`` fields in place of the derived properties.  Version 8
+#: turned the test-only device options into constants: the config, builder,
+#: DMA engine, allocator, callback and FARO policy lost those fields, and
+#: planes their write-only ``_valid_pages`` counter.
+CHECKPOINT_VERSION = 8
 
 
 class CheckpointError(Exception):

@@ -67,12 +67,6 @@ class ChipPriority:
 class FaroPolicy:
     """Orders chips and requests according to FARO's dynamic priority."""
 
-    def __init__(self, read_before_write: bool = True) -> None:
-        #: Hazard control (paper Section 4.4): serve reads before writes when
-        #: both target the same plane, so a write-after-read never observes
-        #: the new data early.
-        self.read_before_write = read_before_write
-
     # ------------------------------------------------------------------
     # Chip-level priority
     # ------------------------------------------------------------------
@@ -144,5 +138,7 @@ class FaroPolicy:
         return ordered
 
     def _base_key(self, req: MemoryRequest) -> tuple:
-        read_rank = 0 if (self.read_before_write and req.op is FlashOp.READ) else 1
+        # Hazard control (paper Section 4.4): reads go before writes, so a
+        # write-after-read never lets the read observe the new data early.
+        read_rank = 0 if req.op is FlashOp.READ else 1
         return (read_rank, req.io_id, req.request_id)

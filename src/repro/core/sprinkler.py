@@ -38,6 +38,9 @@ from repro.core.scheduler import SchedulerBase, SchedulerContext
 from repro.flash.request import MemoryRequest
 from repro.nvmhc.tag import Tag
 
+#: SPK1's composition window: FARO picks among the oldest pending tags only.
+FARO_LOOKAHEAD_TAGS = 8
+
 
 class Sprinkler(SchedulerBase):
     """RIOS + FARO device-level scheduler (SPK1/SPK2/SPK3)."""
@@ -50,16 +53,12 @@ class Sprinkler(SchedulerBase):
         *,
         use_rios: bool = True,
         use_faro: bool = True,
-        faro_lookahead_tags: int = 8,
-        rios_batch_per_visit: int = 1,
         overcommit_limit: int = 64,
         channel_first_traversal: bool = False,
     ) -> None:
         super().__init__(context)
         self.use_rios = use_rios
         self.use_faro = use_faro
-        self.faro_lookahead_tags = max(1, faro_lookahead_tags)
-        self.rios_batch_per_visit = max(1, rios_batch_per_visit)
         self.overcommit_limit = max(1, overcommit_limit)
         self.faro = FaroPolicy()
         self.traversal = RiosTraversal(context.geometry, channel_first=channel_first_traversal)
@@ -165,7 +164,7 @@ class Sprinkler(SchedulerBase):
                 burst = ordered[: self.overcommit_limit]
             else:
                 ordered = sorted(chip_requests, key=lambda req: (req.io_id, req.request_id))
-                burst = ordered[: self.rios_batch_per_visit]
+                burst = ordered[:1]
             # Requests beyond the burst limit return to the chip's queue for
             # a later traversal visit.
             leftover = ordered[len(burst):]
@@ -193,7 +192,7 @@ class Sprinkler(SchedulerBase):
 
     # -- SPK1: FARO within the arrival-order window ----------------------
     def _next_faro_only(self, pending: List[Tag]) -> Optional[MemoryRequest]:
-        window = pending[: self.faro_lookahead_tags]
+        window = pending[:FARO_LOOKAHEAD_TAGS]
         candidates = self._candidates_by_chip(window)
         if not candidates:
             return None

@@ -1,7 +1,7 @@
 """The device zoo: declarative, fingerprinted device definitions.
 
 The paper's evaluation hand-codes one device; this package externalizes
-device models into small TOML/JSON files (``repro/devices/zoo/``) so
+device models into small TOML files (``repro/devices/zoo/``) so
 experiments can name devices (``SimJob(device="mlc-gen2")``), arrays can mix
 heterogeneous generations, and a zoo edit invalidates exactly the cached
 results computed against the edited device.

@@ -1,6 +1,6 @@
 """Declarative device-definition loader.
 
-A device file is a small TOML (or JSON) document with four sections::
+A device file is a small TOML document with four sections::
 
     [device]                      # identity + free-form tags
     name = "mlc-gen2"
@@ -32,7 +32,6 @@ naming the file, the offending key and the expected type - no bare
 from __future__ import annotations
 
 import dataclasses
-import json
 import tomllib
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
@@ -40,7 +39,6 @@ from typing import Any, Dict, Mapping, Optional, Union
 from repro.devices.model import DeviceModel
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
-from repro.ftl.allocation import AllocationOrder
 
 
 class DeviceConfigError(Exception):
@@ -61,28 +59,19 @@ class DeviceConfigError(Exception):
 
 
 def _load_document(path: Path) -> Dict[str, Any]:
-    """Read a ``.toml``/``.json`` device file into a plain dict of sections."""
+    """Read a ``.toml`` device file into a plain dict of sections."""
+    if path.suffix != ".toml":
+        raise DeviceConfigError(
+            path, None, f"unsupported device file suffix {path.suffix!r} (.toml)"
+        )
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DeviceConfigError(path, None, f"unreadable device file ({exc})") from exc
-    if path.suffix == ".json":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DeviceConfigError(path, None, f"invalid JSON ({exc})") from exc
-    elif path.suffix == ".toml":
-        try:
-            document = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise DeviceConfigError(path, None, f"invalid TOML ({exc})") from exc
-    else:
-        raise DeviceConfigError(
-            path, None, f"unsupported device file suffix {path.suffix!r} (.toml or .json)"
-        )
-    if not isinstance(document, dict):
-        raise DeviceConfigError(path, None, "device file must be a table of sections")
-    return document
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise DeviceConfigError(path, None, f"invalid TOML ({exc})") from exc
 
 
 # ----------------------------------------------------------------------
@@ -90,22 +79,15 @@ def _load_document(path: Path) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 #: SimulationConfig fields a device file's [config] section may set.  The
 #: excluded fields are exactly the ones a declarative device must not carry:
-#: geometry/timing/constraints have their own sections, device_state is a
-#: per-experiment precondition, and allocation_order is accepted as a string
-#: and converted below.
+#: geometry/timing have their own sections and device_state is a
+#: per-experiment precondition.
 _CONFIG_FIELDS = (
     "queue_depth",
-    "compose_ns",
-    "compose_per_kb_ns",
-    "decision_window_ns",
     "gc_enabled",
-    "gc_free_block_watermark",
     "prefill_fraction",
     "prefill_overwrite_fraction",
     "overprovisioning_fraction",
     "readdressing_callback",
-    "stale_penalty_ns",
-    "allocation_order",
 )
 
 _SECTIONS = ("device", "geometry", "timing", "config")
@@ -205,20 +187,9 @@ def _validate_config_section(source, raw: Mapping[str, Any]) -> Dict[str, Any]:
         for name, kind in _dataclass_field_types(SimulationConfig).items()
         if name in _CONFIG_FIELDS
     }
-    # Fields whose defaults are not primitives need their types pinned by hand.
+    # A field whose default is not a primitive needs its type pinned by hand.
     types["readdressing_callback"] = bool
-    types["allocation_order"] = str
-    validated = _validate_section(source, "config", raw, types)
-    if "allocation_order" in validated:
-        name = validated["allocation_order"]
-        try:
-            validated["allocation_order"] = AllocationOrder[name.upper()]
-        except KeyError:
-            members = ", ".join(member.name.lower() for member in AllocationOrder)
-            raise DeviceConfigError(
-                source, "config.allocation_order", f"expected one of: {members}; got {name!r}"
-            ) from None
-    return validated
+    return _validate_section(source, "config", raw, types)
 
 
 def _build_dataclass(source, section: str, cls, fields: Dict[str, Any]):

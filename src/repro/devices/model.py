@@ -17,8 +17,8 @@ DEVICE_ZOO_VERSION = 1
 class DeviceModel:
     """One device of the zoo: identity, shape, timing and device-level knobs.
 
-    The model is the in-memory form of a ``zoo/*.toml`` (or ``.json``)
-    definition, already validated field-by-field by
+    The model is the in-memory form of a ``zoo/*.toml`` definition, already
+    validated field-by-field by
     :func:`repro.devices.loader.load_device_file`.  :meth:`to_config`
     composes it into the :class:`~repro.sim.config.SimulationConfig` the
     simulator runs, and :meth:`fingerprint` hashes the *content* of the
@@ -34,26 +34,18 @@ class DeviceModel:
     geometry: SSDGeometry
     timing: FlashTiming
     #: Sorted ``(field, value)`` pairs for the device-level SimulationConfig
-    #: knobs ([config] section): queue depth, GC settings, OP fraction ...
+    #: knobs ([config] section): queue depth, GC on/off, OP fraction ...
     settings: Tuple[Tuple[str, Any], ...] = ()
     #: Path the definition was loaded from; error-message context only -
     #: deliberately excluded from the fingerprint so moving a file between
     #: zoo directories does not invalidate cached results.
     source: str = ""
 
-    def to_config(self, **overrides):
-        """Compose the full :class:`~repro.sim.config.SimulationConfig`.
-
-        ``overrides`` replace device-level fields (including ``geometry`` /
-        ``timing``) for experiments that sweep one knob of a zoo device.
-        """
+    def to_config(self):
+        """Compose the full :class:`~repro.sim.config.SimulationConfig`."""
         from repro.sim.config import SimulationConfig  # lazy: avoids import cycle
 
-        fields = dict(self.settings)
-        fields.update(overrides)
-        fields.setdefault("geometry", self.geometry)
-        fields.setdefault("timing", self.timing)
-        return SimulationConfig(**fields)
+        return SimulationConfig(geometry=self.geometry, timing=self.timing, **dict(self.settings))
 
     def fingerprint(self) -> str:
         """Stable content hash of the whole definition (identity + knobs)."""

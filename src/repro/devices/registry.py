@@ -1,6 +1,6 @@
 """The device registry: a directory of definitions, loaded and indexed.
 
-:class:`DeviceRegistry` loads every ``*.toml``/``*.json`` file of a zoo
+:class:`DeviceRegistry` loads every ``*.toml`` file of a zoo
 directory (by default the shipped ``repro/devices/zoo/``) through the
 validating loader and indexes the resulting :class:`DeviceModel`s by name.
 Experiment specs refer to devices by id (``SimJob(device="mlc-gen2")``);
@@ -30,13 +30,10 @@ class DeviceRegistry:
         if not self.directory.is_dir():
             raise DeviceConfigError(self.directory, None, "zoo directory does not exist")
         self._models: Dict[str, DeviceModel] = {}
-        paths = sorted(
-            [*self.directory.glob("*.toml"), *self.directory.glob("*.json")],
-            key=lambda p: p.name,
-        )
+        paths = sorted(self.directory.glob("*.toml"), key=lambda p: p.name)
         if not paths:
             raise DeviceConfigError(
-                self.directory, None, "zoo directory holds no .toml/.json device files"
+                self.directory, None, "zoo directory holds no .toml device files"
             )
         for path in paths:
             model = load_device_file(path)
@@ -66,9 +63,9 @@ class DeviceRegistry:
                 self.directory, name, f"unknown device (registered devices: {known})"
             ) from None
 
-    def config(self, name: str, **overrides):
+    def config(self, name: str):
         """Resolve a device id straight to its :class:`SimulationConfig`."""
-        return self.get(name).to_config(**overrides)
+        return self.get(name).to_config()
 
     def __len__(self) -> int:
         return len(self._models)
@@ -92,9 +89,9 @@ def default_registry(refresh: bool = False) -> DeviceRegistry:
     return _DEFAULT
 
 
-def device_config(name: str, **overrides):
+def device_config(name: str):
     """Shorthand: resolve a device id from the shipped zoo to a config."""
-    return default_registry().config(name, **overrides)
+    return default_registry().config(name)
 
 
 def device_model(name: str) -> DeviceModel:

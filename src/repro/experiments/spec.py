@@ -27,7 +27,7 @@ The specs are pure data; running them is the job of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.report import SimulationResult
 from repro.obs.trace import TraceSink
@@ -168,12 +168,11 @@ class SimJob:
 
     The device under test is given either as an explicit ``config`` or as a
     ``device`` id resolved from the shipped device zoo
-    (:mod:`repro.devices`), optionally adjusted via ``device_overrides``
-    (frozen ``(field, value)`` pairs applied with ``with_overrides``).
-    Fingerprints always cover the *resolved* configuration, so editing a
-    zoo file invalidates exactly the cached results of the jobs that used
-    that device - and a zoo job whose device resolves to the same config as
-    an explicit-config job shares its cache entry.
+    (:mod:`repro.devices`).  Fingerprints always cover the *resolved*
+    configuration, so editing a zoo file invalidates exactly the cached
+    results of the jobs that used that device - and a zoo job whose device
+    resolves to the same config as an explicit-config job shares its cache
+    entry.
 
     ``key`` is whatever tuple the declaring experiment wants results keyed
     by (e.g. ``(trace, scheduler)`` or ``(chips, size_kb, scheduler)``);
@@ -190,13 +189,10 @@ class SimJob:
     #: :func:`repro.devices.device_config`.  Exactly one of
     #: ``config``/``device`` must be set.
     device: Optional[str] = None
-    device_overrides: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if (self.config is None) == (self.device is None):
             raise ValueError("set exactly one of config= or device= on a SimJob")
-        if self.device_overrides and self.device is None:
-            raise ValueError("device_overrides requires device=")
 
     @property
     def options_dict(self) -> Optional[Dict[str, Any]]:
@@ -210,7 +206,7 @@ class SimJob:
             return self.config
         from repro.devices import device_config  # lazy: zoo loads on demand
 
-        return device_config(self.device, **dict(self.device_overrides))
+        return device_config(self.device)
 
     def fingerprint(self) -> str:
         """Content hash over everything that influences the result.
@@ -281,7 +277,6 @@ class ArraySpec:
     policy: str = "stripe"
     chunk_bytes: int = 64 * 1024
     shard_bytes: Optional[int] = None
-    scheduler_options: Tuple[Tuple[str, Any], ...] = ()
     key: Tuple[Any, ...] = ()
     #: Per-slot device-zoo ids - the heterogeneous-array form.  When set,
     #: one id per device slot (``len(devices) == num_devices``) and
@@ -341,7 +336,6 @@ class ArraySpec:
                 self.chunk_bytes,
                 self.shard_bytes,
                 self.scheduler,
-                tuple(sorted(self.scheduler_options)),
                 config_entry,
             )
         )
@@ -374,7 +368,6 @@ class ArraySpec:
                 scheduler=self.scheduler,
                 config=self.config,
                 device=self.devices[device] if self.devices else None,
-                scheduler_options=self.scheduler_options,
                 key=self.key + (device,),
             )
             for device, sub_trace in enumerate(sub_traces)
@@ -403,27 +396,16 @@ class ExperimentSpec:
         workloads: Iterable[WorkloadSpec],
         schedulers: Sequence[str],
         config: SimulationConfig,
-        *,
-        config_per_scheduler: Optional[Callable[[str], SimulationConfig]] = None,
-        scheduler_options: Optional[Mapping[str, Mapping[str, Any]]] = None,
     ) -> "ExperimentSpec":
-        """Every scheduler against every workload, keyed ``(workload, scheduler)``.
-
-        ``config_per_scheduler`` is evaluated once per scheduler at
-        declaration time, so the resulting spec is still plain data.
-        """
-        jobs: List[SimJob] = []
-        for workload in workloads:
-            for scheduler in schedulers:
-                cfg = config_per_scheduler(scheduler) if config_per_scheduler else config
-                options = _as_items((scheduler_options or {}).get(scheduler))
-                jobs.append(
-                    SimJob(
-                        workload=workload,
-                        scheduler=scheduler,
-                        config=cfg,
-                        scheduler_options=options,
-                        key=(workload.name, scheduler),
-                    )
-                )
-        return cls(name, tuple(jobs))
+        """Every scheduler against every workload, keyed ``(workload, scheduler)``."""
+        jobs = tuple(
+            SimJob(
+                workload=workload,
+                scheduler=scheduler,
+                config=config,
+                key=(workload.name, scheduler),
+            )
+            for workload in workloads
+            for scheduler in schedulers
+        )
+        return cls(name, jobs)

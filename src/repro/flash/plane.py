@@ -88,7 +88,6 @@ class Block:
             if page == 0:
                 owner._free_blocks -= 1
             owner._free_pages -= 1
-            owner._valid_pages += 1
         return page
 
     def program_run(self, count: int) -> int:
@@ -114,7 +113,6 @@ class Block:
             if start == 0:
                 owner._free_blocks -= 1
             owner._free_pages -= count
-            owner._valid_pages += count
         return start
 
     def program_bulk(self, count: int) -> None:
@@ -137,7 +135,6 @@ class Block:
         if owner is not None and count > 0:
             owner._free_blocks -= 1
             owner._free_pages -= count
-            owner._valid_pages += count
 
     def invalidate(self, page: int) -> None:
         """Mark a previously-programmed page as stale."""
@@ -147,15 +144,13 @@ class Block:
         if self._valid_bits & bit:
             self._valid_bits &= ~bit
             self._valid_count -= 1
-            if self._owner is not None:
-                self._owner._valid_pages -= 1
 
     def invalidate_mask(self, mask: int) -> int:
         """Mark every page whose bit is set in ``mask`` as stale.
 
         Equivalent to calling :meth:`invalidate` for each set bit (already
-        invalid pages are ignored), but with one mask update and one owner
-        notification.  Returns the number of pages that went stale.
+        invalid pages are ignored), but with one mask update.  Returns the
+        number of pages that went stale.
         """
         cleared = self._valid_bits & mask
         if not cleared:
@@ -163,8 +158,6 @@ class Block:
         removed = cleared.bit_count()
         self._valid_bits &= ~mask
         self._valid_count -= removed
-        if self._owner is not None:
-            self._owner._valid_pages -= removed
         return removed
 
     def erase(self) -> None:
@@ -174,7 +167,6 @@ class Block:
             if self.write_pointer > 0:
                 owner._free_blocks += 1
             owner._free_pages += self.write_pointer
-            owner._valid_pages -= self._valid_count
             owner._total_erases += 1
         self.write_pointer = 0
         self._valid_bits = 0
@@ -201,7 +193,6 @@ class Plane:
         # Aggregates, maintained incrementally by the blocks (see Block).
         self._free_blocks = blocks_per_plane
         self._free_pages = blocks_per_plane * pages_per_block
-        self._valid_pages = 0
         self._total_erases = 0
 
     # ------------------------------------------------------------------

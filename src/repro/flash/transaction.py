@@ -8,8 +8,10 @@ dies and planes:
 
 * requests on different dies can be *die interleaved*;
 * requests on different planes of the same die can be served by a single
-  *multiplane* (plane-sharing) operation, subject to the plane-address
-  constraint of real NAND parts;
+  *multiplane* (plane-sharing) operation.  Real NAND parts also require
+  plane-shared pages to sit at the same page offset; like the paper's FARO
+  examples, the model assumes the FTL allocates pages so that this can be
+  met, and lets any one request per plane share the operation;
 * both can be combined, yielding the highest FLP (PAL3).
 
 The :class:`TransactionBuilder` implements the controller-side coalescing.
@@ -96,45 +98,15 @@ class FlashTransaction:
         return len(self.requests)
 
 
-@dataclass(frozen=True)
-class TransactionConstraints:
-    """Configurable legality rules for coalescing requests into a transaction.
-
-    ``strict_multiplane`` enforces the real-NAND restriction that plane-shared
-    pages must sit at the same page offset (and, when
-    ``same_block_offset_for_multiplane`` is set, the same block offset) in
-    every plane.  The paper's FARO examples assume the FTL allocates pages so
-    that this constraint can be met, therefore the default is the relaxed
-    model; the strict model is available for ablation studies.
-    """
-
-    max_requests_per_transaction: int = 64
-    strict_multiplane: bool = False
-    same_block_offset_for_multiplane: bool = False
-    single_operation_per_transaction: bool = True
-
-
 class TransactionBuilder:
     """Coalesces committed memory requests into legal, priced flash transactions."""
 
-    def __init__(
-        self,
-        geometry: SSDGeometry,
-        timing: FlashTiming,
-        constraints: Optional[TransactionConstraints] = None,
-    ) -> None:
+    def __init__(self, geometry: SSDGeometry, timing: FlashTiming) -> None:
         self.geometry = geometry
         self.timing = timing
-        constraints = constraints or TransactionConstraints()
-        # Every taken request occupies its own plane register, so the
-        # request cap and the chip's plane count are one bound.
-        self._bound = min(
-            constraints.max_requests_per_transaction,
-            geometry.dies_per_chip * geometry.planes_per_die,
-        )
-        self._single_op = constraints.single_operation_per_transaction
-        self._strict = constraints.strict_multiplane
-        self._same_block = constraints.same_block_offset_for_multiplane
+        # Every taken request occupies its own plane register, so a
+        # transaction holds at most one request per plane of the chip.
+        self._bound = geometry.dies_per_chip * geometry.planes_per_die
         #: Per-page program latencies and per-size bus times, memoized: both
         #: are pure functions of immutable timing parameters, and the builder
         #: prices every transaction of the run.
@@ -150,11 +122,8 @@ class TransactionBuilder:
         to its policy) greedily takes a request if adding it keeps the
         transaction legal:
 
-        * all requests must be the same operation kind (read vs program) when
-          ``single_operation_per_transaction`` is set,
-        * at most one request per plane (a plane register can hold one page),
-        * under strict multiplane rules, plane-shared requests must share the
-          page offset (and optionally block offset).
+        * all requests must be the same operation kind (read vs program),
+        * at most one request per plane (a plane register can hold one page).
 
         The same walk prices what it takes.  Cell occupancy is the slowest
         per-die operation plus stale-request penalties: die cell activities
@@ -164,9 +133,6 @@ class TransactionBuilder:
         nothing was taken.
         """
         bound = self._bound
-        single_op = self._single_op
-        strict = self._strict
-        same_block = self._same_block
         planes_per_die = self.geometry.planes_per_die
         timing = self.timing
         read_ns = timing.read_ns
@@ -179,9 +145,6 @@ class TransactionBuilder:
         used_planes: set = set()
         die_latency: Dict[int, int] = {}
         die_planes: Dict[int, int] = {}
-        # First taken address per die: every later request plane-shared on
-        # that die must match its page (and block) offset.
-        die_first: Dict[int, PhysicalPageAddress] = {}
         first_op: Optional[FlashOp] = None
         count = bus_ns = penalty_ns = total_bytes = 0
         has_program = False
@@ -192,7 +155,7 @@ class TransactionBuilder:
             op = req.op
             if first_op is None:
                 first_op = op
-            elif single_op and op is not first_op:
+            elif op is not first_op:
                 keep(req)
                 continue
             address = req.address
@@ -201,15 +164,6 @@ class TransactionBuilder:
             if plane in used_planes:
                 keep(req)
                 continue
-            if strict:
-                first = die_first.get(die)
-                if first is None:
-                    die_first[die] = address
-                elif first.page != address.page or (
-                    same_block and first.block != address.block
-                ):
-                    keep(req)
-                    continue
             take(req)
             count += 1
             used_planes.add(plane)

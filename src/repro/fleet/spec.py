@@ -126,7 +126,6 @@ class FleetNodeSpec:
     policy: str = "stripe"
     chunk_bytes: int = 64 * KB
     shard_bytes: Optional[int] = None
-    scheduler_options: Tuple[Tuple[str, Any], ...] = ()
     weight: float = 1.0
 
     def __post_init__(self) -> None:
@@ -153,7 +152,6 @@ class FleetNodeSpec:
             policy=self.policy,
             chunk_bytes=self.chunk_bytes,
             shard_bytes=self.shard_bytes,
-            scheduler_options=self.scheduler_options,
             key=key,
             devices=self.devices,
         )
@@ -178,7 +176,6 @@ class FleetNodeSpec:
                 self.policy,
                 self.chunk_bytes,
                 self.shard_bytes,
-                tuple(sorted(self.scheduler_options)),
                 self.resolved_configs(),
                 self.weight,
             )

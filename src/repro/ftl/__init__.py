@@ -8,14 +8,13 @@ of garbage-collection page moves to the *readdressing callback*, which
 re-aims committed memory requests at the moved pages.
 """
 
-from repro.ftl.allocation import AllocationOrder, PageAllocator
+from repro.ftl.allocation import PageAllocator
 from repro.ftl.mapping import PageMapFTL
 from repro.ftl.garbage_collector import GarbageCollector, GCJob, GCStats
 from repro.ftl.wear_leveling import WearStats, wear_stats
 from repro.ftl.callbacks import ReaddressingCallback
 
 __all__ = [
-    "AllocationOrder",
     "PageAllocator",
     "PageMapFTL",
     "GarbageCollector",

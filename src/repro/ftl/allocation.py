@@ -1,67 +1,42 @@
-"""Page allocation strategies.
+"""Page allocation.
 
 The order in which the FTL stripes consecutive logical pages across the
 SSD's resources determines how much system-level and flash-level parallelism
 a single I/O request can reach (the "page allocation schemes" the paper cites
-[16, 36, 13]).  The default order - channel, then way (chip), then die, then
-plane - maximises channel striping for sequential traffic, which is the
-common choice in the literature and the layout the paper's examples assume.
+[16, 36, 13]).  The allocator uses one order - channel, then way (chip), then
+die, then plane - which maximises channel striping for sequential traffic,
+the common choice in the literature and the layout the paper's examples
+assume.
 
-The allocator owns one write point per plane and hands out free pages in the
-configured striping order.  It is used both for the *static* layout (the
-physical home of never-written logical pages) and for *dynamic* allocation of
-new page versions on writes.
+The allocator owns one write point per plane and hands out free pages in
+that striping order.  It is used both for the *static* layout (the physical
+home of never-written logical pages) and for *dynamic* allocation of new page
+versions on writes.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
 
 
-class AllocationOrder(enum.Enum):
-    """Striping order for consecutive allocations."""
-
-    CHANNEL_WAY_DIE_PLANE = "channel_way_die_plane"
-    WAY_CHANNEL_DIE_PLANE = "way_channel_die_plane"
-    CHANNEL_DIE_PLANE_WAY = "channel_die_plane_way"
-    PLANE_DIE_WAY_CHANNEL = "plane_die_way_channel"
-
-
-def _dimension_sizes(geometry: SSDGeometry) -> Dict[str, int]:
-    return {
-        "channel": geometry.num_channels,
-        "way": geometry.chips_per_channel,
-        "die": geometry.dies_per_chip,
-        "plane": geometry.planes_per_die,
-    }
-
-
-_ORDER_FIELDS = {
-    AllocationOrder.CHANNEL_WAY_DIE_PLANE: ("channel", "way", "die", "plane"),
-    AllocationOrder.WAY_CHANNEL_DIE_PLANE: ("way", "channel", "die", "plane"),
-    AllocationOrder.CHANNEL_DIE_PLANE_WAY: ("channel", "die", "plane", "way"),
-    AllocationOrder.PLANE_DIE_WAY_CHANNEL: ("plane", "die", "way", "channel"),
-}
-
-
 class PageAllocator:
     """Round-robin page allocator over the SSD's planes."""
 
-    def __init__(
-        self,
-        geometry: SSDGeometry,
-        chips: Dict[tuple, FlashChip],
-        order: AllocationOrder = AllocationOrder.CHANNEL_WAY_DIE_PLANE,
-    ) -> None:
+    def __init__(self, geometry: SSDGeometry, chips: Dict[tuple, FlashChip]) -> None:
         self.geometry = geometry
         self.chips = chips
-        self.order = order
-        self._plane_sequence = list(self._iter_plane_keys())
+        # (channel, chip, die, plane) keys in striping order: the channel
+        # varies fastest, then the way, the die and the plane.
+        self._plane_sequence = [
+            (channel, way, die, plane)
+            for plane in range(geometry.planes_per_die)
+            for die in range(geometry.dies_per_chip)
+            for way in range(geometry.chips_per_channel)
+            for channel in range(geometry.num_channels)
+        ]
         self._cursor = 0
         # Hot-path constants (static_address runs once per translated read).
         self._num_planes = len(self._plane_sequence)
@@ -74,16 +49,6 @@ class PageAllocator:
     # ------------------------------------------------------------------
     # Plane traversal
     # ------------------------------------------------------------------
-    def _iter_plane_keys(self) -> Iterator[tuple]:
-        """Yield (channel, chip, die, plane) keys in the configured order."""
-        sizes = _dimension_sizes(self.geometry)
-        fields = _ORDER_FIELDS[self.order]
-        # The first field varies fastest.
-        ranges = [range(sizes[name]) for name in reversed(fields)]
-        for combo in itertools.product(*ranges):
-            values = dict(zip(reversed(fields), combo))
-            yield (values["channel"], values["way"], values["die"], values["plane"])
-
     @property
     def plane_sequence(self) -> Sequence[tuple]:
         """The striping sequence of plane keys used by this allocator."""
@@ -113,7 +78,7 @@ class PageAllocator:
     def static_address(self, lpn: int) -> PhysicalPageAddress:
         """Deterministic physical home of a logical page that was never written.
 
-        Logical pages are striped across planes in the allocation order;
+        Logical pages are striped across planes in the striping order;
         within a plane they fill blocks sequentially.  The result is the
         layout a freshly-imaged SSD would exhibit, used to serve reads of
         never-written data.

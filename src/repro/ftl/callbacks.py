@@ -26,6 +26,10 @@ from typing import Dict, List
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 
+#: Extra service time a stale in-flight request pays when the callback is off
+#: (re-translation and re-issue once the controller finds the stale address).
+STALE_PENALTY_NS = 25_000
+
 
 @dataclass
 class CallbackStats:
@@ -42,14 +46,13 @@ class ReaddressingCallback:
 
     When ``enabled`` is False (VAS and PAS in the paper's GC experiment) the
     object still tracks committed requests, but a migration that hits one of
-    them charges ``stale_penalty_ns`` of extra service time instead of a
+    them charges :data:`STALE_PENALTY_NS` of extra service time instead of a
     clean retarget - the request has to be re-translated and re-issued when
     the controller discovers the stale address.
     """
 
-    def __init__(self, *, enabled: bool = True, stale_penalty_ns: int = 0) -> None:
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.stale_penalty_ns = stale_penalty_ns
         self.stats = CallbackStats()
         self._pending_index: Dict[PhysicalPageAddress, List[MemoryRequest]] = {}
 
@@ -167,6 +170,6 @@ class ReaddressingCallback:
                 # Without the callback the scheduler keeps scheduling against
                 # stale layout information; the request pays a re-translation
                 # and re-issue penalty when it finally executes.
-                request.penalty_ns += self.stale_penalty_ns
+                request.penalty_ns += STALE_PENALTY_NS
                 stats.requests_penalized += 1
         self._pending_index.setdefault(new, []).extend(stale)

@@ -7,9 +7,10 @@ with a 95%-full fragmented SSD so that GC fires constantly, and shows that
 Sprinkler's *readdressing callback* (Section 4.3) lets the scheduler follow
 the migrations and re-coalesce the remaining memory requests.
 
-:class:`GarbageCollector` decides *when* to collect (free-block watermark per
-plane), picks victims, performs the FTL bookkeeping and prices the work; the
-simulator turns the returned :class:`GCJob` into chip occupancy.
+:class:`GarbageCollector` decides *when* to collect (a plane below
+:data:`FREE_BLOCK_WATERMARK` erased blocks), picks victims, performs the FTL
+bookkeeping and prices the work; the simulator turns the returned
+:class:`GCJob` into chip occupancy.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
+from repro.flash.plane import Block
 from repro.flash.timing import FlashTiming
 from repro.ftl.mapping import PageMapFTL
 from repro.obs.trace import NULL_SINK
+
+#: A plane is collected when it holds fewer erased blocks than this.
+FREE_BLOCK_WATERMARK = 2
 
 
 @dataclass
@@ -75,14 +80,12 @@ class GarbageCollector:
         ftl: PageMapFTL,
         chips: Dict[tuple, FlashChip],
         *,
-        free_block_watermark: int = 2,
         enabled: bool = True,
     ) -> None:
         self.geometry = geometry
         self.timing = timing
         self.ftl = ftl
         self.chips = chips
-        self.free_block_watermark = max(1, free_block_watermark)
         self.enabled = enabled
         #: Direct plane lookup - the GC trigger runs once per host page
         #: write (see :func:`repro.flash.chip.planes_by_key`).
@@ -101,9 +104,8 @@ class GarbageCollector:
             prefix.append(prefix[-1] + latency)
         self._program_ns_prefix = prefix
         self.stats = GCStats()
-        #: Trace sink (simulator-attached); ``gc.trigger`` instants are
-        #: emitted only for clocked calls (``now_ns`` given), so untimed
-        #: preconditioning/aging sweeps never reach the sink.
+        #: Trace sink, attached by the simulator after preconditioning, so
+        #: untimed aging collections never reach it.
         self.sink = NULL_SINK
         #: Ordered log of recent collection passes as
         #: ``(chip_key, die, plane, victim_block, migrated page count)`` - the
@@ -123,29 +125,19 @@ class GarbageCollector:
     # Collection
     # ------------------------------------------------------------------
     def collect(
-        self, chip_key: tuple, die: int, plane: int, victim=None, now_ns: Optional[int] = None
-    ) -> Optional[GCJob]:
-        """Run one GC pass on a plane: migrate valid pages, erase the victim.
+        self, chip_key: tuple, die: int, plane: int, victim: Block, now_ns: Optional[int]
+    ) -> GCJob:
+        """Run one GC pass on a plane: migrate ``victim``'s valid pages, erase it.
 
-        Returns ``None`` when there is no eligible victim.  All FTL and block
-        bookkeeping is applied immediately; the caller is responsible for
-        charging ``duration_ns`` of chip busy time.
-
-        Victim selection is deterministic (greedy on valid-page count,
-        ties broken on the lowest block id - see
-        :meth:`repro.flash.plane.Plane.greedy_victim`), and every pass is
-        appended to :attr:`history`.  ``victim`` lets a caller that already
-        ran the selection (the trigger check) pass its result in instead of
-        scanning the candidate blocks a second time.  ``now_ns`` (the
-        simulated clock, when the caller has one) timestamps the
-        ``gc.trigger`` trace instant; untimed calls are never traced.
+        ``victim`` is the plane's greedy choice (fewest valid pages, ties
+        broken on the lowest block id - see
+        :meth:`repro.flash.plane.Plane.greedy_victim`), selected by the
+        caller.  All FTL and block bookkeeping is applied immediately; the
+        caller is responsible for charging ``duration_ns`` of chip busy
+        time.  Every pass is appended to :attr:`history`.  ``now_ns`` (the
+        simulated clock; ``None`` for untimed aging) timestamps the
+        ``gc.trigger`` trace instant.
         """
-        chip = self.chips[chip_key]
-        plane_obj = chip.plane(die, plane)
-        if victim is None:
-            victim = plane_obj.greedy_victim()
-        if victim is None:
-            return None
         channel, chip_idx = chip_key
         plane_key = (channel, chip_idx, die, plane)
         block_id = victim.block_id
@@ -199,7 +191,7 @@ class GarbageCollector:
         self.stats.pages_migrated += len(migrated)
         self.stats.total_gc_time_ns += duration
         self.history.append((chip_key, die, plane, victim.block_id, len(migrated)))
-        if now_ns is not None and self.sink.enabled:
+        if self.sink.enabled:
             self.sink.instant(
                 "gc.trigger",
                 category="ftl",
@@ -226,9 +218,9 @@ class GarbageCollector:
         if not self.enabled:
             return None
         plane_obj = self._planes[(chip_key[0], chip_key[1], die, plane)]
-        if plane_obj.free_blocks >= self.free_block_watermark:
+        if plane_obj.free_blocks >= FREE_BLOCK_WATERMARK:
             return None
         victim = plane_obj.greedy_victim()
         if victim is None:
             return None
-        return self.collect(chip_key, die, plane, victim=victim, now_ns=now_ns)
+        return self.collect(chip_key, die, plane, victim, now_ns)

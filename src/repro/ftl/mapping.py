@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
-from repro.ftl.allocation import AllocationOrder, PageAllocator
+from repro.ftl.allocation import PageAllocator
 
 
 @dataclass
@@ -86,15 +86,10 @@ def prefill_plan(
 class PageMapFTL:
     """Pure page-mapped FTL with dynamic allocation and migration support."""
 
-    def __init__(
-        self,
-        geometry: SSDGeometry,
-        chips: Dict[tuple, FlashChip],
-        allocation_order: AllocationOrder = AllocationOrder.CHANNEL_WAY_DIE_PLANE,
-    ) -> None:
+    def __init__(self, geometry: SSDGeometry, chips: Dict[tuple, FlashChip]) -> None:
         self.geometry = geometry
         self.chips = chips
-        self.allocator = PageAllocator(geometry, chips, allocation_order)
+        self.allocator = PageAllocator(geometry, chips)
         self._map: Dict[int, PhysicalPageAddress] = {}
         self._reverse: Dict[PhysicalPageAddress, int] = {}
         #: Logical pages 0.._base_live-1 are implicitly mapped to the striped

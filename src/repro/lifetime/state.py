@@ -64,8 +64,8 @@ class DeviceState:
     With ``steady_state=True`` the fast-forward fill is followed by the
     :func:`~repro.lifetime.steady.age_to_steady_state` driver, which keeps
     issuing skewed write passes (with garbage collection live) until write
-    amplification converges within ``steady_tolerance``, leaving the device
-    in the converged GC regime rather than the just-filled one.
+    amplification converges, leaving the device in the converged GC regime
+    rather than the just-filled one.
 
     The dataclass is frozen primitives only, so it pickles, hashes and
     canonicalizes: embedded in a ``SimulationConfig`` it rides into the
@@ -79,9 +79,6 @@ class DeviceState:
     hot_write_share: float = 0.8
     seed: int = 2014
     steady_state: bool = False
-    steady_tolerance: float = 0.05
-    steady_max_passes: int = 8
-    steady_pass_fraction: float = 0.05
     #: Aging-semantics version, stamped as a (non-init) field so it enters
     #: every canonical form the state appears in - including
     #: ``SimulationConfig.fingerprint()`` and therefore the execution
@@ -98,12 +95,6 @@ class DeviceState:
             raise ValueError("hot_fraction must be in [0, 1]")
         if not 0.0 <= self.hot_write_share <= 1.0:
             raise ValueError("hot_write_share must be in [0, 1]")
-        if self.steady_tolerance <= 0.0:
-            raise ValueError("steady_tolerance must be positive")
-        if self.steady_max_passes < 1:
-            raise ValueError("steady_max_passes must be at least 1")
-        if not 0.0 < self.steady_pass_fraction <= 1.0:
-            raise ValueError("steady_pass_fraction must be in (0, 1]")
 
     def fingerprint(self) -> str:
         """Stable content hash over the whole aging recipe (incl. version)."""

@@ -27,6 +27,14 @@ from repro.ftl.garbage_collector import GarbageCollector
 from repro.ftl.mapping import PageMapFTL
 from repro.lifetime.state import DeviceState, draw_skewed_lpn, hot_cold_split
 
+#: Relative write-amplification change between two consecutive passes at
+#: which aging counts as converged.
+STEADY_TOLERANCE = 0.05
+#: Passes after which aging gives up converging.
+STEADY_MAX_PASSES = 8
+#: Overwrites per pass, as a share of the live pages.
+STEADY_PASS_FRACTION = 0.05
+
 
 @dataclass
 class SteadyStateReport:
@@ -57,14 +65,14 @@ def age_to_steady_state(
 ) -> SteadyStateReport:
     """Run skewed write passes until per-pass write amplification converges.
 
-    Each pass issues ``live_pages * state.steady_pass_fraction`` overwrites
+    Each pass issues ``live_pages * STEADY_PASS_FRACTION`` overwrites
     of live LPNs (hot/cold skew as in the fill recipe), collecting garbage
     through ``gc.collect_plane_if_needed`` after every write - the same
     trigger discipline :class:`~repro.sim.ssd.SSDSimulator` uses, so the
     wear and fragmentation produced here match what sustained simulated
     writing would produce, minus the event machinery.  Convergence: the WA
-    of two consecutive passes differs by at most ``steady_tolerance``
-    relative; gives up (``converged=False``) after ``steady_max_passes``.
+    of two consecutive passes differs by at most :data:`STEADY_TOLERANCE`
+    relative; gives up (``converged=False``) after :data:`STEADY_MAX_PASSES`.
 
     Requires an enabled garbage collector: without reclamation a full
     device would simply run out of pages mid-pass.
@@ -75,7 +83,7 @@ def age_to_steady_state(
         rng = random.Random(state.seed)
     if live_pages <= 0:
         return SteadyStateReport(passes=0, converged=True)
-    pass_size = max(1, int(live_pages * state.steady_pass_fraction))
+    pass_size = max(1, int(live_pages * STEADY_PASS_FRACTION))
     hot, cold = hot_cold_split(live_pages, state.hot_fraction)
 
     wa_history = []
@@ -85,7 +93,7 @@ def age_to_steady_state(
     migrated_total_before = gc.stats.pages_migrated
     host_total = 0
     previous: Optional[float] = None
-    for _ in range(state.steady_max_passes):
+    for _ in range(STEADY_MAX_PASSES):
         migrated_before = gc.stats.pages_migrated
         for _ in range(pass_size):
             lpn = draw_skewed_lpn(rng, hot, cold, state.hot_write_share)
@@ -95,7 +103,7 @@ def age_to_steady_state(
         wa = (pass_size + migrated) / pass_size
         wa_history.append(wa)
         host_total += pass_size
-        if previous is not None and abs(wa - previous) <= state.steady_tolerance * previous:
+        if previous is not None and abs(wa - previous) <= STEADY_TOLERANCE * previous:
             converged = True
             break
         previous = wa

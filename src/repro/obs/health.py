@@ -10,9 +10,9 @@ pure function of the event stream - a checkpointed-and-resumed run produces
 the identical series an uninterrupted run does, and the sampler itself is
 plain picklable state that rides inside checkpoints.
 
-This module is an import leaf (no :mod:`repro` imports), so both the
-simulator and the result container can depend on it without cycles.  The
-series is observational only: it is carried on the result as a
+This module is an import leaf (no module-level :mod:`repro` imports), so
+both the simulator and the result container can depend on it without
+cycles.  The series is observational only: it is carried on the result as a
 fingerprint-excluded field and never influences simulated behaviour.
 """
 
@@ -85,12 +85,14 @@ class HealthSampler:
 
     def sample(self, simulator, now_ns: int) -> HealthSample:
         """Record one sample from ``simulator`` state at ``now_ns``."""
+        # Lazy: this module stays an import leaf.
+        from repro.ftl.garbage_collector import FREE_BLOCK_WATERMARK
+
         chips = simulator.chips
         busy_chips = 0
         for chip in chips.values():
             if now_ns < chip.busy_until:
                 busy_chips += 1
-        watermark = simulator.gc.free_block_watermark
         min_free = -1
         total_free = 0
         below = 0
@@ -98,7 +100,7 @@ class HealthSampler:
             for plane in chip.planes.values():
                 free = plane.free_blocks
                 total_free += free
-                if free < watermark:
+                if free < FREE_BLOCK_WATERMARK:
                     below += 1
                 if min_free < 0 or free < min_free:
                     min_free = free

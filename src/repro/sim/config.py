@@ -1,11 +1,15 @@
 """Simulation configuration.
 
 :class:`SimulationConfig` bundles every knob of the simulated device:
-geometry, NAND timing, queue depth, composition cost, the transaction
-decision window, garbage collection and the readdressing-callback penalty
-model.  The defaults reproduce the paper's evaluation platform (Section 5.1)
-at a scale that runs quickly in pure Python; experiments override what they
-sweep.
+geometry, NAND timing, queue depth, garbage collection, preconditioning and
+the readdressing callback.  The defaults reproduce the paper's evaluation
+platform (Section 5.1) at a scale that runs quickly in pure Python;
+experiments override what they sweep.  Settings the paper fixes and no
+experiment sweeps are constants next to the code that reads them: the
+composition cost (:mod:`repro.nvmhc.dma`), the transaction decision window
+(:mod:`repro.sim.ssd`), the GC free-block watermark
+(:mod:`repro.ftl.garbage_collector`) and the stale-request penalty
+(:mod:`repro.ftl.callbacks`).
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
-from repro.flash.transaction import TransactionConstraints
-from repro.ftl.allocation import AllocationOrder
 from repro.ftl.mapping import prefill_plan
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.lifetime imports us back)
@@ -77,22 +79,12 @@ class SimulationConfig:
 
     geometry: SSDGeometry = field(default_factory=SSDGeometry)
     timing: FlashTiming = field(default_factory=FlashTiming)
-    constraints: TransactionConstraints = field(default_factory=TransactionConstraints)
-    allocation_order: AllocationOrder = AllocationOrder.CHANNEL_WAY_DIE_PLANE
 
     #: Device-level queue depth (NCQ tags).
     queue_depth: int = 64
-    #: Fixed cost of composing one memory request (tag parse + DMA initiation).
-    compose_ns: int = 500
-    #: Extra per-byte composition cost (ns per 1000 bytes); 0 disables it.
-    compose_per_kb_ns: int = 0
-    #: Transaction type decision window: requests committed within this window
-    #: of the first one can join the same transaction (temporal locality).
-    decision_window_ns: int = 2_000
 
-    #: Garbage collection settings.
+    #: Garbage collection on/off.
     gc_enabled: bool = True
-    gc_free_block_watermark: int = 2
     #: Fraction of the physical capacity pre-written before the run starts
     #: (0.95 reproduces the paper's fragmented-SSD GC experiment).  The
     #: logical pages it leaves mapped must fit in ``logical_pages``.
@@ -116,24 +108,16 @@ class SimulationConfig:
     #: Readdressing callback: ``None`` means "enabled iff the scheduler is a
     #: Sprinkler variant" (the paper's setup); True/False force it.
     readdressing_callback: Optional[bool] = None
-    #: Penalty charged to a stale in-flight request when the callback is off.
-    stale_penalty_ns: int = 25_000
 
     def __post_init__(self) -> None:
         if self.queue_depth <= 0:
             raise ValueError("queue_depth must be positive")
-        if self.compose_ns < 0 or self.compose_per_kb_ns < 0:
-            raise ValueError("composition costs must be non-negative")
-        if self.decision_window_ns < 0:
-            raise ValueError("decision_window_ns must be non-negative")
         if not 0.0 <= self.prefill_fraction < 1.0:
             raise ValueError("prefill_fraction must be in [0, 1)")
         if not 0.0 <= self.prefill_overwrite_fraction < 1.0:
             raise ValueError("prefill_overwrite_fraction must be in [0, 1)")
         if not 0.0 <= self.overprovisioning_fraction < 1.0:
             raise ValueError("overprovisioning_fraction must be in [0, 1)")
-        if self.stale_penalty_ns < 0:
-            raise ValueError("stale_penalty_ns must be non-negative")
         # The logical pages PageMapFTL.fill leaves mapped.
         prefilled, _ = prefill_plan(
             self.geometry.total_pages,
@@ -168,7 +152,7 @@ class SimulationConfig:
         """Stable content hash over every knob (geometry, timing, policies).
 
         Two configs fingerprint identically iff every field (including the
-        nested geometry/timing/constraints dataclasses) is equal, so the
+        nested geometry/timing/device-state dataclasses) is equal, so the
         experiment engine can use it as part of an on-disk cache key.
         """
         return stable_fingerprint(self)

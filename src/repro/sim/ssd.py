@@ -54,6 +54,10 @@ from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, EventQueue
 from repro.workloads.request import IORequest
 
+#: Transaction type decision window: requests committed within this window
+#: of the first one can join the same transaction (temporal locality).
+DECISION_WINDOW_NS = 2_000
+
 
 class SSDSimulator:
     """Event-driven simulator of a many-chip SSD with a pluggable scheduler."""
@@ -83,7 +87,7 @@ class SSDSimulator:
         self.channels: Dict[int, Channel] = {
             channel: Channel(channel) for channel in range(self.geometry.num_channels)
         }
-        builder = TransactionBuilder(self.geometry, self.timing, config.constraints)
+        builder = TransactionBuilder(self.geometry, self.timing)
         self.controllers: Dict[int, FlashController] = {}
         for channel_id, channel in self.channels.items():
             chips_on_channel = {
@@ -92,21 +96,14 @@ class SSDSimulator:
             self.controllers[channel_id] = FlashController(channel, chips_on_channel, builder)
 
         # --- firmware ------------------------------------------------------------
-        self.ftl = PageMapFTL(self.geometry, self.chips, config.allocation_order)
+        self.ftl = PageMapFTL(self.geometry, self.chips)
         self.gc = GarbageCollector(
-            self.geometry,
-            self.timing,
-            self.ftl,
-            self.chips,
-            free_block_watermark=config.gc_free_block_watermark,
-            enabled=config.gc_enabled,
+            self.geometry, self.timing, self.ftl, self.chips, enabled=config.gc_enabled
         )
 
         # --- NVMHC ----------------------------------------------------------------
         self.queue = DeviceQueue(depth=config.queue_depth)
-        self.dma = DmaEngine(
-            per_request_ns=config.compose_ns, per_byte_ns_x1000=config.compose_per_kb_ns
-        )
+        self.dma = DmaEngine()
         context = SchedulerContext(geometry=self.geometry, controllers=self.controllers)
         self.scheduler: SchedulerBase = make_scheduler(
             scheduler_name, context, **(scheduler_options or {})
@@ -115,9 +112,7 @@ class SSDSimulator:
         callback_enabled = config.readdressing_callback
         if callback_enabled is None:
             callback_enabled = self.scheduler.uses_readdressing_callback
-        self.callback = ReaddressingCallback(
-            enabled=callback_enabled, stale_penalty_ns=config.stale_penalty_ns
-        )
+        self.callback = ReaddressingCallback(enabled=callback_enabled)
         self.ftl.migration_hook = self.callback.on_migrations
 
         # --- observability --------------------------------------------------------
@@ -131,7 +126,6 @@ class SSDSimulator:
         self.scheduler.attach_trace_sink(self.sink)
         for controller in self.controllers.values():
             controller.sink = self.sink
-        self.gc.sink = self.sink
         # Periodic health sampling, off by default: the hot loop pays one
         # ``is not None`` test per timestamp batch when disabled.
         self._health: Optional[HealthSampler] = (
@@ -181,6 +175,9 @@ class SSDSimulator:
                     live_pages=self.precondition.live_pages,
                     rng=rng,
                 )
+        # The collector joins the trace only now: aging collections are
+        # untimed and stay out of it, as they stay out of the counters below.
+        self.gc.sink = self.sink
         # Snapshot the firmware counters so results report the measured run
         # only - aging writes/collections stay out of the run's accounting.
         self._ftl_baseline = replace(self.ftl.stats)
@@ -449,7 +446,7 @@ class SSDSimulator:
             return
         self._decision_pending.add(chip_key)
         self.events.push(
-            self.now_ns + self.config.decision_window_ns,
+            self.now_ns + DECISION_WINDOW_NS,
             EventKind.TRANSACTION_DECISION,
             chip_key,
         )

@@ -8,7 +8,7 @@ import pytest
 from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
-from repro.ftl.callbacks import CallbackStats, ReaddressingCallback
+from repro.ftl.callbacks import STALE_PENALTY_NS, CallbackStats, ReaddressingCallback
 
 
 def address(channel=0, chip=0, die=0, plane=0, block=0, page=0):
@@ -68,7 +68,7 @@ class TestEnabledCallback:
 
 class TestDisabledCallback:
     def test_penalty_applied_instead_of_clean_retarget(self):
-        callback = ReaddressingCallback(enabled=False, stale_penalty_ns=30_000)
+        callback = ReaddressingCallback(enabled=False)
         old, new = address(block=0), address(block=4)
         req = request_at(old)
         callback.track_request(req)
@@ -76,18 +76,18 @@ class TestDisabledCallback:
         # The request still has to find the data (it is retargeted), but it
         # pays the stale re-translation penalty.
         assert req.address == new
-        assert req.penalty_ns == 30_000
+        assert req.penalty_ns == STALE_PENALTY_NS == 25_000
         assert callback.stats.requests_penalized == 1
         assert callback.stats.requests_retargeted == 0
 
     def test_multiple_migrations_accumulate_penalty(self):
-        callback = ReaddressingCallback(enabled=False, stale_penalty_ns=10_000)
+        callback = ReaddressingCallback(enabled=False)
         a, b, c = address(block=0), address(block=1), address(block=2)
         req = request_at(a)
         callback.track_request(req)
         callback.on_migration(3, a, b)
         callback.on_migration(3, b, c)
-        assert req.penalty_ns == 20_000
+        assert req.penalty_ns == 2 * STALE_PENALTY_NS
 
 
 def plane_address(rng, plane_key):
@@ -145,7 +145,7 @@ class TestBatchedMigrations:
 
     @staticmethod
     def tracking_callback(enabled, tracked):
-        callback = ReaddressingCallback(enabled=enabled, stale_penalty_ns=7_000)
+        callback = ReaddressingCallback(enabled=enabled)
         requests = [request_at(address, io_id=io_id) for io_id, address in enumerate(tracked)]
         for request in requests:
             callback.track_request(request)

@@ -213,10 +213,11 @@ class TestRestoreValidation:
         # the tail tracker's window-cap slot; version 5 pickled bad-block
         # flags, FTL migration listeners and the callback's controller map;
         # version 6 pickled the memory requests' GC flag and start/completion
-        # stamps.  Resuming any of them must fail by name, not deep inside a
-        # handler.
-        assert CHECKPOINT_VERSION == 7
-        for version in (3, 4, 5, 6):
+        # stamps; version 7 pickled the test-only device options and the
+        # planes' valid-page counter.  Resuming any of them must fail by
+        # name, not deep inside a handler.
+        assert CHECKPOINT_VERSION == 8
+        for version in (3, 4, 5, 6, 7):
             checkpoint = dataclasses.replace(self.paused_checkpoint(), version=version)
             with pytest.raises(CheckpointError, match=f"version {version} is not supported"):
                 SSDSimulator.resume(checkpoint)

@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -175,7 +176,7 @@ class TestDocsCoverage:
 
 
 class TestApiBudget:
-    """Every public name in ``src/`` has a caller outside ``tests/``."""
+    """Every public name in ``src/`` has a caller, and every option a setter, outside ``tests/``."""
 
     def test_every_public_name_has_a_caller(self):
         budget = _load_tool("api_budget")
@@ -209,6 +210,43 @@ class TestApiBudget:
         names, unused = budget.scan(tmp_path)
         assert len(names) == 4
         assert unused == ["events:EventQueue", "events:EventQueue.peek_time"]
+
+    def test_every_option_is_set_outside_the_tests(self):
+        budget = _load_tool("api_budget")
+        _, unset = budget.scan_options()
+        test_only = sorted(set(unset) - budget.OPTION_ALLOWLIST.keys())
+        assert not test_only, f"options only tests set (make them constants): {test_only}"
+
+    def test_option_allowlist_holds_only_unset_options(self):
+        budget = _load_tool("api_budget")
+        _, unset = budget.scan_options()
+        assert budget.OPTION_ALLOWLIST.keys() <= set(unset)
+
+    def test_a_test_only_config_field_is_caught(self, tmp_path):
+        budget = _load_tool("api_budget")
+        for directory in ("src", "perfbench", "examples"):
+            shutil.copytree(
+                REPO_ROOT / directory,
+                tmp_path / directory,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        (tmp_path / "tools").mkdir()
+        config = tmp_path / "src" / "repro" / "sim" / "config.py"
+        text = config.read_text(encoding="utf-8")
+        field = "    queue_depth: int = 64\n"
+        assert field in text
+        config.write_text(
+            text.replace(field, field + "    decision_window_ns: int = 2_000\n"), encoding="utf-8"
+        )
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_config.py").write_text(
+            "SimulationConfig(decision_window_ns=999)\n", encoding="utf-8"
+        )
+        options, unset = budget.scan_options(tmp_path)
+        assert "repro.sim.config:SimulationConfig.decision_window_ns" in options
+        assert set(unset) - budget.OPTION_ALLOWLIST.keys() == {
+            "repro.sim.config:SimulationConfig.decision_window_ns"
+        }
 
 
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))

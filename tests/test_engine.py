@@ -80,9 +80,8 @@ class TestFingerprints:
         config = SimulationConfig.paper_scale(16)
         assert config.fingerprint() == SimulationConfig.paper_scale(16).fingerprint()
         assert config.fingerprint() != config.with_overrides(queue_depth=8).fingerprint()
-        assert (
-            config.fingerprint()
-            != config.with_overrides(gc_free_block_watermark=3).fingerprint()
+        assert config.with_overrides(queue_depth=8).fingerprint() != (
+            config.with_overrides(queue_depth=32).fingerprint()
         )
 
     def test_job_fingerprint_sensitive_to_every_axis(self):
@@ -97,7 +96,7 @@ class TestFingerprints:
             SimJob(
                 workload=workload,
                 scheduler="SPK3",
-                config=config.with_overrides(decision_window_ns=999),
+                config=config.with_overrides(queue_depth=32),
             ),
             SimJob(
                 workload=workload,
@@ -263,8 +262,8 @@ class TestExecutionEngine:
         engine = ExecutionEngine("serial", cache_dir=tmp_path)
         engine.run(tiny_spec())
         assert engine.stats.cache_hits == 0
-        # A different decision window must not hit the warm cache entries.
-        engine.run(tiny_spec(decision_window_ns=123))
+        # A different queue depth must not hit the warm cache entries.
+        engine.run(tiny_spec(queue_depth=32))
         assert engine.stats.cache_hits == 0
         assert engine.stats.jobs_executed == 2 * len(tiny_spec())
         # Re-running the original spec still hits.

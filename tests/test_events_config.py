@@ -3,6 +3,7 @@
 import pytest
 
 from repro.flash.geometry import SSDGeometry
+from repro.lifetime.state import DeviceState
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, EventQueue
 
@@ -184,11 +185,12 @@ class TestSimulationConfig:
         "overrides",
         [
             dict(queue_depth=0),
-            dict(compose_ns=-1),
-            dict(decision_window_ns=-1),
+            dict(overprovisioning_fraction=-0.1),
+            dict(prefill_fraction=-0.1),
             dict(prefill_fraction=1.0),
             dict(prefill_overwrite_fraction=1.0),
-            dict(stale_penalty_ns=-1),
+            # The two preconditioners are alternatives.
+            dict(prefill_fraction=0.5, device_state=DeviceState()),
             # Prefill sized from physical capacity must fit the logical space.
             dict(
                 prefill_fraction=0.95,

@@ -84,18 +84,11 @@ class TestFaroPolicy:
         assert len(ordered) == 3
 
     def test_order_requests_reads_before_writes(self):
-        policy = FaroPolicy(read_before_write=True)
+        policy = FaroPolicy()
         write = make_request(io_id=1, op=FlashOp.PROGRAM, die=0, plane=0)
         read = make_request(io_id=2, op=FlashOp.READ, die=0, plane=0, page=3)
         ordered = policy.order_requests([write, read])
         assert ordered[0] is read
-
-    def test_order_requests_keeps_fifo_when_hazard_disabled(self):
-        policy = FaroPolicy(read_before_write=False)
-        write = make_request(io_id=1, op=FlashOp.PROGRAM, die=0, plane=0)
-        read = make_request(io_id=2, op=FlashOp.READ, die=0, plane=0, page=3)
-        ordered = policy.order_requests([write, read])
-        assert ordered[0] is write
 
     def test_chip_priority_dataclass(self):
         policy = FaroPolicy()

@@ -2,17 +2,21 @@
 
 import pytest
 
-from repro.ftl.garbage_collector import GarbageCollector
+from repro.ftl.garbage_collector import FREE_BLOCK_WATERMARK, GarbageCollector
 from repro.ftl.mapping import PageMapFTL
 
 
 @pytest.fixture
 def gc_setup(small_geometry, small_chips, fast_timing):
     ftl = PageMapFTL(small_geometry, small_chips)
-    gc = GarbageCollector(
-        small_geometry, fast_timing, ftl, small_chips, free_block_watermark=2
-    )
+    gc = GarbageCollector(small_geometry, fast_timing, ftl, small_chips)
     return ftl, gc
+
+
+def collect(ftl, gc):
+    """One pass on plane (0, 0, 0, 0), on the victim the trigger would pick."""
+    victim = ftl.chips[(0, 0)].plane(0, 0).greedy_victim()
+    return gc.collect((0, 0), 0, 0, victim, 0)
 
 
 def fill_plane(ftl, small_geometry, chip_key, die, plane, blocks_to_fill):
@@ -60,7 +64,7 @@ class TestCollection:
         # Invalidate some pages so the victim is cheap but not empty.
         for lpn in written[: len(written) // 2]:
             ftl.translate_write(lpn)
-        job = gc.collect((0, 0), 0, 0)
+        job = collect(ftl, gc)
         assert job is not None
         assert job.duration_ns > 0
         assert gc.stats.blocks_erased == 1
@@ -68,14 +72,20 @@ class TestCollection:
         for lpn in job.migrated_lpns:
             assert ftl.lookup(lpn) is not None
 
-    def test_collect_without_victim_returns_none(self, gc_setup):
+    def test_collect_without_victim_returns_none(self, gc_setup, small_chips):
         _, gc = gc_setup
-        assert gc.collect((0, 0), 0, 0) is None
+        # Below the watermark, but no block is full: nothing to collect.
+        plane_obj = small_chips[(0, 0)].plane(0, 0)
+        for block in plane_obj.blocks[1:]:
+            block.program_bulk(1)
+        assert plane_obj.free_blocks < FREE_BLOCK_WATERMARK
+        assert plane_obj.greedy_victim() is None
+        assert gc.collect_plane_if_needed((0, 0), 0, 0) is None
 
     def test_collect_duration_includes_erase(self, gc_setup, small_geometry, fast_timing):
         ftl, gc = gc_setup
         fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
-        job = gc.collect((0, 0), 0, 0)
+        job = collect(ftl, gc)
         assert job.duration_ns >= fast_timing.erase_latency_ns()
         expected_migration_floor = len(job.migrated_lpns) * fast_timing.read_ns
         assert job.duration_ns >= expected_migration_floor
@@ -105,7 +115,7 @@ class TestCollection:
         )
         for lpn in written[: len(written) // 2]:
             ftl.translate_write(lpn)
-        job = gc.collect((0, 0), 0, 0)
+        job = collect(ftl, gc)
         for old, new in job.moves:
             assert old.chip_key == (0, 0)
             # Preferred placement keeps the copy in the same plane unless full.
@@ -115,7 +125,7 @@ class TestCollection:
         ftl, gc = gc_setup
         fill_plane(ftl, small_geometry, (0, 0), 0, 0, small_geometry.blocks_per_plane - 1)
         before = gc.stats.invocations
-        gc.collect((0, 0), 0, 0)
+        collect(ftl, gc)
         assert gc.stats.invocations == before + 1
         assert gc.stats.total_gc_time_ns > 0
 
@@ -126,7 +136,7 @@ class TestCollection:
         )
         for lpn in written[: len(written) // 2]:
             ftl.translate_write(lpn)
-        gc.collect((0, 0), 0, 0)
+        collect(ftl, gc)
         assert gc.stats.orphaned_pages == 0
 
     def test_orphaned_valid_pages_are_counted(self, gc_setup, small_geometry):
@@ -143,7 +153,7 @@ class TestCollection:
         free_block.program_bulk(orphans)
         while not free_block.is_full:
             free_block.invalidate(free_block.program_next())
-        job = gc.collect((0, 0), 0, 0)
+        job = collect(ftl, gc)
         assert job is not None
         assert job.victim_block == free_block.block_id
         assert job.migrated_lpns == []
@@ -156,5 +166,5 @@ class TestCollection:
         )
         for lpn in written[: len(written) // 2]:
             ftl.translate_write(lpn)
-        job = gc.collect((0, 0), 0, 0)
+        job = collect(ftl, gc)
         assert list(gc.history) == [((0, 0), 0, 0, job.victim_block, len(job.migrated_lpns))]

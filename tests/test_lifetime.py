@@ -68,12 +68,6 @@ class TestDeviceState:
             DeviceState(hot_fraction=-0.1)
         with pytest.raises(ValueError):
             DeviceState(hot_write_share=2.0)
-        with pytest.raises(ValueError):
-            DeviceState(steady_tolerance=0.0)
-        with pytest.raises(ValueError):
-            DeviceState(steady_max_passes=0)
-        with pytest.raises(ValueError):
-            DeviceState(steady_pass_fraction=0.0)
 
     def test_fingerprint_stable_and_sensitive(self):
         a = DeviceState(fill_fraction=0.9, seed=1)

@@ -6,7 +6,7 @@ from repro.core.faro import connectivity
 from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
-from repro.nvmhc.dma import DmaEngine
+from repro.nvmhc.dma import COMPOSE_NS, DmaEngine
 from repro.nvmhc.queue import DeviceQueue
 from repro.nvmhc.tag import Tag
 from repro.workloads.request import IOKind, IORequest
@@ -133,33 +133,28 @@ class TestTag:
 
 class TestDmaEngine:
     def test_composition_cost(self):
-        dma = DmaEngine(per_request_ns=500)
-        assert dma.composition_cost_ns(2048) == 500
-
-    def test_per_byte_cost(self):
-        dma = DmaEngine(per_request_ns=0, per_byte_ns_x1000=1000)
-        assert dma.composition_cost_ns(2048) == 2048
+        # A fixed cost per memory request, whatever its size.
+        assert COMPOSE_NS == 500
+        dma = DmaEngine()
+        assert dma.begin(0, 2048) == COMPOSE_NS
+        assert dma.begin(COMPOSE_NS, 8192) == 2 * COMPOSE_NS
 
     def test_begin_sets_busy(self):
-        dma = DmaEngine(per_request_ns=100)
+        dma = DmaEngine()
         done = dma.begin(50, 2048)
-        assert done == 150
-        assert dma.is_busy(100)
-        assert not dma.is_busy(150)
+        assert done == 50 + COMPOSE_NS
+        assert dma.is_busy(done - 1)
+        assert not dma.is_busy(done)
 
     def test_begin_while_busy_raises(self):
-        dma = DmaEngine(per_request_ns=100)
+        dma = DmaEngine()
         dma.begin(0, 2048)
         with pytest.raises(RuntimeError):
-            dma.begin(50, 2048)
+            dma.begin(COMPOSE_NS - 1, 2048)
 
     def test_stats(self):
-        dma = DmaEngine(per_request_ns=100)
+        dma = DmaEngine()
         dma.begin(0, 2048)
         assert dma.stats.requests_composed == 1
         assert dma.stats.bytes_moved == 2048
-        assert dma.stats.busy_time_ns == 100
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            DmaEngine(per_request_ns=-1)
+        assert dma.stats.busy_time_ns == COMPOSE_NS

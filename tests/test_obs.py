@@ -30,6 +30,7 @@ from repro.experiments.runner import (
     paper_config,
 )
 from repro.experiments.spec import ExperimentSpec
+from repro.lifetime.state import DeviceState
 from repro.obs import (
     NULL_SINK,
     CounterRegistry,
@@ -45,7 +46,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_main
 from repro.obs.windows import format_tail_windows
 from repro.perf.suite import tiny_suite
-from repro.sim.config import stable_fingerprint
+from repro.sim.config import SimulationConfig, stable_fingerprint
 from repro.sim.ssd import SSDSimulator
 
 
@@ -190,6 +191,18 @@ class TestSpanCounterReconciliation:
         assert counts.get("gc", 0) == result.counters["transactions.gc"]
         assert counts.get("gc.trigger", 0) == result.counters["gc.triggers"]
         assert sink.total_records == result.counters["trace.spans"]
+
+    def test_steady_state_aging_stays_out_of_the_trace(self):
+        # Aging collections run before the clock starts; none reaches the sink.
+        config = SimulationConfig.small(
+            overprovisioning_fraction=0.15,
+            device_state=DeviceState(steady_state=True, seed=3),
+        )
+        sink = MemoryTraceSink()
+        simulator = SSDSimulator(config, "SPK3", trace_sink=sink)
+        assert simulator.steady_state.gc_invocations > 0
+        assert sink.total_records == 0
+        assert simulator.gc.sink is sink
 
     def test_gc_case_emits_gc_spans(self):
         result, sink = execute_traced(one_tiny_job("tiny-gc"))

@@ -185,7 +185,6 @@ class TestWriteAndGcPath:
             gc_enabled=True,
             prefill_fraction=0.92,
             prefill_overwrite_fraction=0.4,
-            gc_free_block_watermark=2,
         )
         workload = generate_random_workload(
             num_requests=24,

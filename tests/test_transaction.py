@@ -5,7 +5,7 @@ queue in one walk.  :func:`reference_select` and :func:`reference_price`
 below are the straightforward two-pass version it replaces - a greedy
 selection walk, then pricing from scratch over the selected requests with
 the timing model's own methods - and the hypothesis test holds the one pass
-to them on generated queues under every constraint combination.
+to them on generated queues over generated chip shapes.
 """
 
 from typing import Dict, List, Optional
@@ -24,11 +24,7 @@ from repro.flash.commands import (
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
 from repro.flash.request import MemoryRequest
 from repro.flash.timing import FlashTiming
-from repro.flash.transaction import (
-    FlashTransaction,
-    TransactionBuilder,
-    TransactionConstraints,
-)
+from repro.flash.transaction import FlashTransaction, TransactionBuilder
 from repro.ftl.garbage_collector import GCJob
 
 
@@ -75,35 +71,19 @@ def make_gc_job(duration_ns=5_000_000):
 # ----------------------------------------------------------------------
 # Reference: the greedy selection walk and from-scratch pricing
 # ----------------------------------------------------------------------
-def reference_select(
-    pending: List[MemoryRequest], constraints: TransactionConstraints, planes_per_chip: int
-) -> List[MemoryRequest]:
+def reference_select(pending: List[MemoryRequest], planes_per_chip: int) -> List[MemoryRequest]:
     selected: List[MemoryRequest] = []
     used_planes: set = set()
     op: Optional[FlashOp] = None
     for req in pending:
-        if len(selected) >= constraints.max_requests_per_transaction:
-            break
         if len(used_planes) >= planes_per_chip:
             break
         if op is None:
             op = req.op
-        elif constraints.single_operation_per_transaction and req.op is not op:
+        elif req.op is not op:
             continue
         plane_key = (req.address.die, req.address.plane)
         if plane_key in used_planes:
-            continue
-        if constraints.strict_multiplane and not all(
-            other.address.die != req.address.die
-            or (
-                other.address.page == req.address.page
-                and (
-                    not constraints.same_block_offset_for_multiplane
-                    or other.address.block == req.address.block
-                )
-            )
-            for other in selected
-        ):
             continue
         selected.append(req)
         used_planes.add(plane_key)
@@ -150,15 +130,9 @@ class TestOnePassMatchesReference:
         dies=st.integers(min_value=1, max_value=3),
         planes=st.integers(min_value=1, max_value=2),
         entries=st.lists(queue_entries, min_size=1, max_size=12),
-        max_requests=st.integers(min_value=1, max_value=4),
-        strict=st.booleans(),
-        same_block=st.booleans(),
-        single_op=st.booleans(),
     )
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_same_take_remainder_and_price(
-        self, dies, planes, entries, max_requests, strict, same_block, single_op
-    ):
+    def test_same_take_remainder_and_price(self, dies, planes, entries):
         geometry = SSDGeometry(
             num_channels=1,
             chips_per_channel=1,
@@ -168,12 +142,6 @@ class TestOnePassMatchesReference:
             pages_per_block=8,
         )
         timing = FlashTiming()
-        constraints = TransactionConstraints(
-            max_requests_per_transaction=max_requests,
-            strict_multiplane=strict,
-            same_block_offset_for_multiplane=same_block,
-            single_operation_per_transaction=single_op,
-        )
         pending = []
         for index, (op, die, plane, block, page, penalty, size) in enumerate(entries):
             request = MemoryRequest(
@@ -187,11 +155,9 @@ class TestOnePassMatchesReference:
             pending.append(request)
         queue = list(pending)
 
-        transaction, remaining = TransactionBuilder(geometry, timing, constraints).from_queue(
-            (0, 0), queue
-        )
+        transaction, remaining = TransactionBuilder(geometry, timing).from_queue((0, 0), queue)
 
-        expected = reference_select(pending, constraints, dies * planes)
+        expected = reference_select(pending, dies * planes)
         assert transaction.requests == expected
         assert queue == pending  # the commit queue itself is left alone
         taken = {id(req) for req in expected}
@@ -221,15 +187,10 @@ class TestSelection:
         assert len(selected) == 1
         assert selected[0].op is FlashOp.READ
 
-    def test_mixed_ops_allowed_when_constraint_relaxed(self, small_geometry, fast_timing):
-        constraints = TransactionConstraints(single_operation_per_transaction=False)
-        builder = TransactionBuilder(small_geometry, fast_timing, constraints)
-        pending = [make_request(op=FlashOp.READ, die=0), make_request(op=FlashOp.PROGRAM, die=1)]
-        assert len(take(builder, pending)) == 2
-
     def test_respects_max_requests(self, small_geometry, fast_timing):
-        constraints = TransactionConstraints(max_requests_per_transaction=2)
-        builder = TransactionBuilder(small_geometry, fast_timing, constraints)
+        # The cap is the chip's plane count: two on a one-die, two-plane
+        # chip, so the walk stops there even with untaken planes queued.
+        builder = TransactionBuilder(small_geometry.scaled(dies_per_chip=1), fast_timing)
         pending = [make_request(die=d, plane=p) for d in range(2) for p in range(2)]
         transaction, remaining = builder.from_queue((0, 0), pending)
         assert transaction.requests == pending[:2]
@@ -244,28 +205,6 @@ class TestSelection:
 
     def test_empty_pending(self, builder):
         assert builder.from_queue((0, 0), []) is None
-
-    def test_strict_multiplane_requires_same_page_offset(self, small_geometry, fast_timing):
-        constraints = TransactionConstraints(strict_multiplane=True)
-        builder = TransactionBuilder(small_geometry, fast_timing, constraints)
-        pending = [
-            make_request(die=0, plane=0, page=4),
-            make_request(die=0, plane=1, page=4),
-            make_request(die=0, plane=1, page=5),
-        ]
-        selected = take(builder, pending)
-        assert [req.address.page for req in selected] == [4, 4]
-
-    def test_strict_multiplane_block_offset(self, small_geometry, fast_timing):
-        constraints = TransactionConstraints(
-            strict_multiplane=True, same_block_offset_for_multiplane=True
-        )
-        builder = TransactionBuilder(small_geometry, fast_timing, constraints)
-        pending = [
-            make_request(die=0, plane=0, block=1, page=4),
-            make_request(die=0, plane=1, block=2, page=4),
-        ]
-        assert len(take(builder, pending)) == 1
 
 
 class TestBuild:

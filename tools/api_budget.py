@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Public-API budget: every public name in ``src/`` has a caller outside the tests.
+"""Public-API and options budget: nothing in ``src/`` exists only for the tests.
 
 Scans ``src/repro`` for public definitions: module-level functions and
 classes, the methods and properties of classes, and enum members.  A
@@ -15,9 +15,19 @@ The scan is name-based: a method called ``get`` is kept alive by every
 ``dict.get`` call.  It catches a uniquely named helper that only a test
 calls, which is how such helpers creep back in.
 
-Prints the public-name count and the ``src/`` line count; the exit status
-is the number of unused names not in :data:`ALLOWLIST`, so CI can run it
-bare.
+The option scan applies the same rule to the device configuration
+surface (:data:`OPTION_CLASSES`, :data:`OPTION_METHODS`): the fields of
+``SimulationConfig`` and of every dataclass it nests, the fields of
+``SimJob`` and ``ArraySpec`` and the keyword-only parameters of
+``Sprinkler.__init__``.  It is name-based too.  An option is *set* when a
+file under :data:`CALLER_ROOTS` passes it by keyword name outside the body
+of the class that declares it, or a device-zoo TOML file sets the key.  A
+``**mapping`` splat sets nothing.  An option nobody but the tests sets is a
+constant in disguise.
+
+Prints the public-name count, the option count and the ``src/`` line count;
+the exit status is the number of unused names and unset options not
+allowlisted, so CI can run it bare.
 """
 
 from __future__ import annotations
@@ -25,9 +35,10 @@ from __future__ import annotations
 import ast
 import re
 import sys
+import tomllib
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -57,6 +68,30 @@ ALLOWLIST = frozenset(
         "repro.obs.windows:reference_tail_windows",
     }
 )
+
+#: The device configuration surface: ``(class, nested)`` pairs whose init
+#: fields are options (with ``nested``, a field typed with another ``src/``
+#: dataclass contributes that dataclass's fields instead), and methods whose
+#: keyword-only parameters are.
+OPTION_CLASSES = (("SimulationConfig", True), ("SimJob", False), ("ArraySpec", False))
+OPTION_METHODS = (("Sprinkler", "__init__"),)
+
+#: Where the device zoo's TOML files live; their keys set options.
+ZOO_GLOB = "src/repro/devices/zoo/*.toml"
+
+#: Options kept although only the tests set them: the paper-claims ledger
+#: (``tests/test_paper_claims.py``) toggles them to test a design claim.
+OPTION_ALLOWLIST = {
+    "repro.core.sprinkler:Sprinkler.overcommit_limit": (
+        'ledger row "FARO over-commitment coalesces at least as much as one per visit"'
+    ),
+    "repro.core.sprinkler:Sprinkler.channel_first_traversal": (
+        'ledger row "RIOS channel-striped bandwidth at least 0.9x channel-first"'
+    ),
+    "repro.experiments.spec:SimJob.scheduler_options": (
+        "carries the two ledger ablation knobs above into their jobs"
+    ),
+}
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
 
@@ -148,6 +183,121 @@ def scan(root: Path = REPO_ROOT) -> Tuple[List[str], List[str]]:
     return names, list(dict.fromkeys(unused))
 
 
+def _classes(root: Path) -> Dict[str, Tuple[str, ast.ClassDef]]:
+    """Every top-level class under ``root/src`` by bare name: ``(module, node)``."""
+    classes: Dict[str, Tuple[str, ast.ClassDef]] = {}
+    for path in _python_files(root, "src"):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (module, node)
+    return classes
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        "dataclass" in _annotation_names(decorator) for decorator in node.decorator_list
+    )
+
+
+def _annotation_names(annotation: ast.expr) -> Set[str]:
+    """Names an annotation mentions, including inside string forward references."""
+    names: Set[str] = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= _annotation_names(ast.parse(node.value, mode="eval").body)
+    return names
+
+
+def _is_init_field(node: ast.AnnAssign) -> bool:
+    """False for ``field(init=False)``."""
+    value = node.value
+    return not (
+        isinstance(value, ast.Call)
+        and any(
+            keyword.arg == "init"
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is False
+            for keyword in value.keywords
+        )
+    )
+
+
+def _options(root: Path) -> Dict[str, ast.ClassDef]:
+    """Qualified ``module:Class.option`` names of the surface, with their class."""
+    classes = _classes(root)
+    options: Dict[str, ast.ClassDef] = {}
+
+    def fields(name: str, nested: bool) -> None:
+        module, node = classes[name]
+        for statement in node.body:
+            if not (
+                isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)
+                and _is_init_field(statement)
+            ):
+                continue
+            inner = [
+                other
+                for other in _annotation_names(statement.annotation)
+                if other in classes and _is_dataclass(classes[other][1])
+            ]
+            if nested and inner:
+                for other in inner:
+                    fields(other, nested)
+            else:
+                options[f"{module}:{name}.{statement.target.id}"] = node
+
+    for name, nested in OPTION_CLASSES:
+        fields(name, nested)
+    for name, method in OPTION_METHODS:
+        module, node = classes[name]
+        function = next(
+            statement
+            for statement in node.body
+            if isinstance(statement, ast.FunctionDef) and statement.name == method
+        )
+        for argument in function.args.kwonlyargs:
+            options[f"{module}:{name}.{argument.arg}"] = node
+    return options
+
+
+def _keywords(tree: ast.AST) -> Counter:
+    """Keyword names passed in the calls of ``tree``."""
+    # ``keyword.arg`` is None for a ``**mapping`` splat.
+    return Counter(
+        keyword.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg
+    )
+
+
+def scan_options(root: Path = REPO_ROOT) -> Tuple[List[str], List[str]]:
+    """``(every option, the unset ones)`` of the configuration surface."""
+    options = _options(root)
+    keywords: Counter = Counter()
+    for directory in CALLER_ROOTS:
+        for path in _python_files(root, directory):
+            if path.resolve() != Path(__file__).resolve():
+                keywords.update(_keywords(ast.parse(path.read_text(encoding="utf-8"))))
+    zoo_keys: Set[str] = set()
+    for path in sorted(root.glob(ZOO_GLOB)):
+        for section in tomllib.loads(path.read_text(encoding="utf-8")).values():
+            zoo_keys.update(section)
+    unset = []
+    for option, owner in options.items():
+        name = option.rsplit(".", 1)[1]
+        # The declaring class forwarding its own option sets nothing.
+        if name not in zoo_keys and keywords[name] - _keywords(owner)[name] <= 0:
+            unset.append(option)
+    return list(options), unset
+
+
 def src_lines(root: Path = REPO_ROOT) -> int:
     """Lines of Python under ``root/src``."""
     return sum(
@@ -158,13 +308,18 @@ def src_lines(root: Path = REPO_ROOT) -> int:
 def main() -> int:
     names, unused = scan()
     violations = [name for name in unused if name not in ALLOWLIST]
+    options, unset = scan_options()
+    unset_violations = [option for option in unset if option not in OPTION_ALLOWLIST]
     print(
-        f"public names: {len(names)}; src lines: {src_lines()}; "
-        f"allowlisted: {len(ALLOWLIST)}; uncalled: {len(violations)}"
+        f"public names: {len(names)}; options: {len(options)}; src lines: {src_lines()}; "
+        f"allowlisted: {len(ALLOWLIST)} names, {len(OPTION_ALLOWLIST)} options; "
+        f"uncalled: {len(violations)}; unset: {len(unset_violations)}"
     )
     for name in violations:
         print(f"UNUSED {name}", file=sys.stderr)
-    return len(violations)
+    for option in unset_violations:
+        print(f"UNSET {option}", file=sys.stderr)
+    return len(violations) + len(unset_violations)
 
 
 if __name__ == "__main__":
