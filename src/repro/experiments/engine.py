@@ -16,8 +16,7 @@ cache keyed by the job's content fingerprint: re-running a figure with one
 knob changed only re-simulates the affected cells.
 
 Command-line entry points share the ``--backend/--workers/--cache-dir``
-(and ``--checkpoint-dir/--checkpoint-every``) flags via
-:func:`add_engine_arguments` / :func:`engine_from_cli`::
+flags via :func:`add_engine_arguments` / :func:`engine_from_cli`::
 
     PYTHONPATH=src python -m repro.experiments figure10 --backend process --workers 8
 """
@@ -43,11 +42,6 @@ from repro.workloads.request import IORequest
 
 BACKENDS = ("serial", "process")
 
-#: Default snapshot cadence for ``--checkpoint-dir`` runs: frequent enough
-#: that an interrupted multi-hour job loses minutes, rare enough that
-#: snapshot serialization stays far below simulation cost.
-DEFAULT_CHECKPOINT_EVERY = 250_000
-
 
 def _execute_job(job: SimJob, trace_dir: Optional[str] = None) -> SimulationResult:
     """Top-level job runner (must be picklable for the process backend).
@@ -65,22 +59,6 @@ def _execute_job(job: SimJob, trace_dir: Optional[str] = None) -> SimulationResu
     result = job.execute(trace_sink=sink)
     write_job_trace(trace_dir, job, sink, result)
     return result
-
-
-def _execute_job_checkpointed(
-    job: SimJob, directory: str, every_events: int, trace_dir: Optional[str] = None
-) -> SimulationResult:
-    """Job runner that persists periodic checkpoints (picklable, like above).
-
-    Bit-identical to :func:`_execute_job` - the checkpoint subsystem's
-    digest-identity contract - but an interrupted run resumes from its
-    latest ``(fingerprint, T)`` snapshot instead of restarting.
-    """
-    from repro.checkpoint.store import CheckpointStore, run_job_checkpointed
-
-    return run_job_checkpointed(
-        job, CheckpointStore(directory), every_events=every_events, trace_dir=trace_dir
-    )
 
 
 def _build_workload(spec: WorkloadSpec) -> List[IORequest]:
@@ -191,8 +169,6 @@ class ExecutionEngine:
         *,
         max_workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         trace_dir: Optional[Union[str, Path]] = None,
         progress: bool = False,
     ) -> None:
@@ -200,25 +176,9 @@ class ExecutionEngine:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive (or None for CPU count)")
-        if checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
         self.backend = backend
         self.max_workers = max_workers
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        # With a checkpoint dir, every job executes through the resumable
-        # runner: snapshots are persisted every ``checkpoint_every`` events
-        # keyed by (job fingerprint, T), and a rerun of an interrupted batch
-        # picks each unfinished job up from its latest snapshot.  Results
-        # stay bit-identical to plain execution, so the result cache and
-        # both backends compose with it unchanged.
-        self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-        self.checkpoint_every = checkpoint_every
-        if self.checkpoint_dir is not None:
-            # Validate the directory now, like ResultCache does, so a bad
-            # path fails at engine construction rather than mid-batch.
-            from repro.checkpoint.store import CheckpointStore
-
-            CheckpointStore(self.checkpoint_dir)
         # With a trace dir, every executed job also records a per-job
         # Chrome-trace telemetry artifact (named by the job fingerprint).
         # Cache hits are served without re-tracing - tracing requires an
@@ -233,14 +193,7 @@ class ExecutionEngine:
 
     @property
     def _job_executor(self):
-        """The per-job execution function (checkpoint/trace-aware when configured)."""
-        if self.checkpoint_dir is not None:
-            return functools.partial(
-                _execute_job_checkpointed,
-                directory=str(self.checkpoint_dir),
-                every_events=self.checkpoint_every,
-                trace_dir=str(self.trace_dir) if self.trace_dir is not None else None,
-            )
+        """The per-job execution function (trace-aware when configured)."""
         if self.trace_dir is not None:
             return functools.partial(_execute_job, trace_dir=str(self.trace_dir))
         return _execute_job
@@ -380,19 +333,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPa
         help="directory memoizing completed jobs by content fingerprint",
     )
     parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory persisting periodic job checkpoints; an interrupted "
-        "run resumes from its latest snapshot instead of restarting",
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=DEFAULT_CHECKPOINT_EVERY,
-        help="events between persisted checkpoints for --checkpoint-dir "
-        f"(default: {DEFAULT_CHECKPOINT_EVERY})",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         help="directory receiving one Chrome-trace telemetry artifact per "
@@ -412,8 +352,6 @@ def engine_from_args(args: argparse.Namespace) -> ExecutionEngine:
         args.backend,
         max_workers=args.workers,
         cache_dir=args.cache_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         trace_dir=args.trace_dir,
         progress=args.progress,
     )

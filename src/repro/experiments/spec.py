@@ -230,29 +230,23 @@ class SimJob:
             )
         )
 
-    def simulator(self, trace_sink: Optional[TraceSink] = None) -> SSDSimulator:
-        """A fresh, not yet started simulator for this job.
-
-        The one place a job becomes an :class:`SSDSimulator`.  Besides
-        :meth:`execute`, only the checkpoint runner calls it, to start a
-        run it can pause (``run(..., max_events=...)``).
-        """
-        return SSDSimulator(
-            self.resolved_config,
-            self.scheduler,
-            scheduler_options=self.options_dict,
-            trace_sink=trace_sink,
-        )
-
     def execute(self, trace_sink: Optional[TraceSink] = None) -> SimulationResult:
         """Run this job on a fresh simulator (the engine's unit of work).
+
+        The one place a job becomes an :class:`SSDSimulator`.
 
         ``trace_sink`` (e.g. a :class:`~repro.obs.trace.MemoryTraceSink`)
         records the run's spans.  Tracing is observational only: the result
         is value-identical to an untraced run of the same job.
         """
         workload = self.workload.build()
-        return self.simulator(trace_sink).run(workload, workload_name=self.workload.name)
+        simulator = SSDSimulator(
+            self.resolved_config,
+            self.scheduler,
+            scheduler_options=self.options_dict,
+            trace_sink=trace_sink,
+        )
+        return simulator.run(workload, workload_name=self.workload.name)
 
 
 @dataclass(frozen=True)

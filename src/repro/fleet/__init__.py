@@ -8,7 +8,7 @@ placement (:mod:`~repro.fleet.placement`), per-tenant admission control
 into load valleys (:mod:`~repro.fleet.background`).  :func:`run_fleet`
 fans every node's devices through the existing
 :class:`~repro.experiments.engine.ExecutionEngine` - cache, process
-backend, checkpointing and tracing all apply per device job - and
+backend and tracing all apply per device job - and
 :class:`FleetResult` merges the per-array results with *exact* per-tenant
 attribution, SLO verdicts and placement-balance metrics
 (:func:`reconcile_fleet` asserts the whole chain;

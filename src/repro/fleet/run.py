@@ -12,8 +12,8 @@
    :class:`~repro.experiments.spec.ArraySpec`,
 4. flatten every node's device jobs into ONE
    :meth:`~repro.experiments.engine.ExecutionEngine.run_jobs` batch, so
-   backend choice, the fingerprint cache, checkpointing and ``--trace-dir``
-   all apply per device job,
+   backend choice, the fingerprint cache and ``--trace-dir`` all apply per
+   device job,
 5. regroup results per node and merge them into a
    :class:`~repro.fleet.result.FleetResult`.
 
@@ -126,7 +126,7 @@ def run_fleet(spec: FleetSpec, engine=None) -> FleetResult:
 
     ``engine`` defaults to a serial
     :class:`~repro.experiments.engine.ExecutionEngine`; pass a configured
-    one (process backend, cache dir, checkpointing, tracing) and every
+    one (process backend, cache dir, tracing) and every
     device job inherits it.
     """
     from repro.experiments.engine import ExecutionEngine

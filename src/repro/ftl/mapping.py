@@ -272,7 +272,7 @@ class PageMapFTL:
 
         Leaves the same mapping, block bits, active blocks, allocator cursor
         and counters as the per-page loop, and fills ``_map``/``_reverse``
-        in the same insertion order (checkpoint payloads pickle them).  With
+        in the same insertion order.  With
         no garbage collection and no full plane, write ``k`` lands on plane
         ``(cursor + k) % P``, so each plane's share is allocated in whole
         active-block runs (:meth:`repro.flash.plane.Plane.allocate_run`),

@@ -65,7 +65,7 @@ class SimulationResult:
     lifetime: Optional[LifetimeAccounting] = None
     # -- Observability fields (PR 8). All carry ``fingerprint: False`` so
     # adding them (and any future telemetry) leaves every pre-existing
-    # result digest - the perf digest goldens, checkpoint goldens - untouched.
+    # result digest - the perf digest goldens - untouched.
     #: Events popped from the event queue over the measured run.
     events_processed: int = field(default=0, metadata={"fingerprint": False})
     #: Number of same-timestamp event batches the run was processed in.

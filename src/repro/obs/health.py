@@ -6,9 +6,7 @@ cadence, records one :class:`HealthSample` of the pressure gauges a long run
 needs watched: event backlog, host/device queue depths, GC debt and
 free-block pressure, and instantaneous chip busyness.  Samples land at the
 first clock advance at or past each interval boundary, so the series is a
-pure function of the event stream - a checkpointed-and-resumed run produces
-the identical series an uninterrupted run does, and the sampler itself is
-plain picklable state that rides inside checkpoints.
+pure function of the event stream.
 
 This module is an import leaf (no module-level :mod:`repro` imports), so
 both the simulator and the result container can depend on it without

@@ -13,10 +13,8 @@ null sink the simulator executes exactly the same instruction stream it did
 before tracing existed - the golden result digests of the pinned suites
 (``tests/data/perf_golden.json``) prove the results stay byte-identical.
 
-:class:`MemoryTraceSink` records spans in memory as plain picklable tuples,
-so a traced simulator can still be checkpointed (the sink rides inside the
-single-graph snapshot and resumes with its history intact).  The Chrome
-trace-event / Perfetto export lives in :mod:`repro.obs.export`.
+:class:`MemoryTraceSink` records spans in memory as plain tuples.  The
+Chrome trace-event / Perfetto export lives in :mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -80,16 +78,14 @@ class NullTraceSink(TraceSink):
 
 
 #: Shared default sink.  Components compare ``sink.enabled`` rather than
-#: identity, so restored checkpoints (which unpickle their own NullTraceSink
-#: instance) behave identically.
+#: identity, so any :class:`NullTraceSink` instance behaves the same.
 NULL_SINK = NullTraceSink()
 
 
 class MemoryTraceSink(TraceSink):
     """Records every span in memory, in emission order.
 
-    Plain list of :class:`SpanRecord` tuples: picklable (checkpoints carry
-    the sink inside the simulator state graph), deterministic, and cheap to
+    Plain list of :class:`SpanRecord` tuples: deterministic and cheap to
     post-process into Chrome trace JSON or top-N tables.
     """
 

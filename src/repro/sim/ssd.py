@@ -142,14 +142,6 @@ class SSDSimulator:
         self._gc_backlog: Dict[tuple, Deque[GCJob]] = {key: deque() for key in self.chips}
         self._decision_pending: set = set()
         self._requests_composed = 0
-        self._workload_size = 0
-        # Resumable-run state: the sorted arrival list still to be admitted,
-        # the index of the next arrival, and whether a run is in progress
-        # (between run(max_events=...) pauses).  See checkpoint()/resume().
-        self._pending: list = []
-        self._pending_index = 0
-        self._workload_name = "workload"
-        self._run_active = False
 
         # --- preconditioning ------------------------------------------------------
         self.precondition: Optional[PreconditionReport] = None
@@ -187,45 +179,9 @@ class SSDSimulator:
     # Public API
     # ======================================================================
     def run(
-        self,
-        workload: Sequence[IORequest],
-        workload_name: str = "workload",
-        *,
-        max_events: Optional[int] = None,
-    ) -> Optional[SimulationResult]:
-        """Replay a workload and return the measured result.
-
-        With ``max_events`` set, the run *pauses* at the first event
-        boundary where ``events.processed >= max_events`` and returns
-        ``None``; the simulator then holds a resumable in-progress run -
-        :meth:`checkpoint` snapshots it, :meth:`run_to_completion` continues
-        it.  The pause point is a pure function of ``max_events``, so
-        "run to T, snapshot, resume" is bit-identical to an uninterrupted
-        run (the checkpoint digest-identity contract).
-        """
-        if self._run_active:
-            raise RuntimeError(
-                "a run is already in progress; continue it with run_to_completion()"
-            )
-        self._pending = sorted(workload, key=lambda io: (io.arrival_ns, io.io_id))
-        self._pending_index = 0
-        self._workload_size = len(self._pending)
-        self._workload_name = workload_name
-        self._run_active = True
-        return self._advance(max_events)
-
-    def run_to_completion(self, *, max_events: Optional[int] = None) -> Optional[SimulationResult]:
-        """Continue a paused run (after ``run(max_events=...)`` or resume).
-
-        Same pause contract as :meth:`run`: returns the finished
-        :class:`SimulationResult`, or ``None`` if ``max_events`` paused the
-        run again first.
-        """
-        if not self._run_active:
-            raise RuntimeError("no run in progress; start one with run()")
-        return self._advance(max_events)
-
-    def _advance(self, max_events: Optional[int]) -> Optional[SimulationResult]:
+        self, workload: Sequence[IORequest], workload_name: str = "workload"
+    ) -> SimulationResult:
+        """Replay a workload and return the measured result."""
         # The workload is fed straight from the sorted arrival list instead
         # of being loaded into the event heap: arrivals would all carry lower
         # sequence numbers than any event a handler schedules, so "arrivals
@@ -236,6 +192,7 @@ class SSDSimulator:
         # batches; the clock advances once per timestamp and the
         # identity-test dispatch (ordered by event frequency, with kind
         # constants and handlers bound once) runs flat over each batch.
+        ordered = sorted(workload, key=lambda io: (io.arrival_ns, io.io_id))
         compose_done = EventKind.COMPOSE_DONE
         transaction_done = EventKind.TRANSACTION_DONE
         decision = EventKind.TRANSACTION_DECISION
@@ -244,16 +201,12 @@ class SSDSimulator:
         handle_decision = self._handle_decision
         handle_arrival = self._handle_arrival
         health = self._health
-        ordered = self._pending
         events = self.events
         pop_batch = events.pop_batch
         peek_time = events.peek_time
-        index = self._pending_index
+        index = 0
         total = len(ordered)
         while True:
-            if max_events is not None and events.processed >= max_events:
-                self._pending_index = index
-                return None
             arrival_ns = ordered[index].arrival_ns if index < total else None
             batch_ns = peek_time()
             if arrival_ns is not None and (batch_ns is None or arrival_ns <= batch_ns):
@@ -284,43 +237,7 @@ class SSDSimulator:
                     handle_done(event[3])
                 elif kind is decision:
                     handle_decision(event[3])
-        self._pending = []
-        self._pending_index = 0
-        self._run_active = False
-        return self._build_result(self._workload_name)
-
-    # ======================================================================
-    # Checkpoint / restore
-    # ======================================================================
-    def checkpoint(self):
-        """Snapshot the paused in-progress run as a portable checkpoint.
-
-        Valid between :meth:`run`/:meth:`run_to_completion` pauses (i.e.
-        after a ``max_events`` pause returned ``None``): the returned
-        :class:`~repro.checkpoint.snapshot.SimulatorCheckpoint` captures the
-        *complete* simulator state - FTL map and base-layout overlay,
-        per-plane/block counters and wear, GC state and backlog, the event
-        heap, queue and scheduler internals, metrics accumulators, and the
-        not-yet-admitted tail of the workload - in one serialized object
-        graph, so shared references survive the round trip.
-        :meth:`resume` reconstructs a simulator that continues bit-identically.
-        """
-        from repro.checkpoint.snapshot import capture_checkpoint
-
-        return capture_checkpoint(self)
-
-    @classmethod
-    def resume(cls, checkpoint) -> "SSDSimulator":
-        """Reconstruct a paused simulator from a :meth:`checkpoint` snapshot.
-
-        The returned simulator is mid-run; continue it with
-        :meth:`run_to_completion`.  The snapshot is schema-checked
-        (version, payload digest, field-by-field state types) before any
-        state is installed.
-        """
-        from repro.checkpoint.snapshot import restore_simulator
-
-        return restore_simulator(cls, checkpoint)
+        return self._build_result(workload_name, total)
 
     # ======================================================================
     # Event handlers
@@ -516,7 +433,7 @@ class SSDSimulator:
     # ======================================================================
     # Result assembly
     # ======================================================================
-    def _build_result(self, workload_name: str) -> SimulationResult:
+    def _build_result(self, workload_name: str, num_ios: int) -> SimulationResult:
         transactions = sum(
             controller.total_transactions for controller in self.controllers.values()
         )
@@ -572,7 +489,7 @@ class SSDSimulator:
         result = SimulationResult(
             scheduler=self.scheduler.name,
             workload=workload_name,
-            num_ios=self._workload_size,
+            num_ios=num_ios,
             completed_ios=self.metrics.completed_ios,
             total_bytes=self.metrics.total_bytes,
             makespan_ns=self.metrics.makespan_ns,

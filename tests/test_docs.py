@@ -165,7 +165,6 @@ class TestDocsCoverage:
         text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text(encoding="utf-8")
         for topic in (
             "--cache-dir",
-            "--checkpoint-dir",
             "--trace-dir",
             "--progress",
             "repro.perf",

@@ -11,8 +11,8 @@ The contracts pinned here, in the order the package layers them:
   brute-force full-history reference on every tiny-suite case;
 * export - the Chrome-trace JSON validates, and its event count
   reconciles exactly with the counter registry;
-* plumbing - ``--trace-dir`` artifacts from the engine and the
-  checkpoint path, and the ``python -m repro.obs`` CLI.
+* plumbing - ``--trace-dir`` artifacts from the engine, and the
+  ``python -m repro.obs`` CLI.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from collections import Counter
 
 import pytest
 
-from repro.checkpoint.store import CheckpointStore, run_job_checkpointed
 from repro.experiments.engine import ExecutionEngine
 from repro.experiments.runner import (
     ExperimentScale,
@@ -155,22 +154,6 @@ class TestTracingDoesNotPerturb:
             traced, sink = execute_traced(job)
             assert stable_fingerprint(traced) == stable_fingerprint(plain)
             assert sink.total_records > 0
-
-    def test_traced_checkpoint_resume_is_digest_identical(self, tmp_path):
-        job = one_tiny_job()
-        plain = job.execute()
-        store = CheckpointStore(tmp_path / "ckpt")
-        result = run_job_checkpointed(
-            job, store, every_events=150, trace_dir=tmp_path / "traces"
-        )
-        assert stable_fingerprint(result) == stable_fingerprint(plain)
-        artifacts = list((tmp_path / "traces").glob("*.trace.json"))
-        assert len(artifacts) == 1
-        document = load_trace(artifacts[0])
-        assert validate_chrome_trace(document) == []
-        # Spans accumulated across checkpoint segments must reconcile with
-        # the counter registry of the final result.
-        assert span_event_count(document) == result.counters["trace.spans"]
 
 
 class TestSpanCounterReconciliation:

@@ -8,7 +8,9 @@ arrival order and probe every target chip against a busy set recomputed from
 the controllers' commit queues.  Generated workloads with force-unit-access
 requests and garbage collection (GC transactions occupy chips through
 ``execute_prebuilt``) must produce the same picks, the same
-``scheduler.conflict_skips`` and the same result digest under both.
+``scheduler.conflict_skips`` and the same result digest under both.  The
+same generated workloads also check that a traced run matches an untraced
+one and that the busy masks hold before every batch.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.core.scheduler import SchedulerBase
 from repro.flash.geometry import SSDGeometry
 from repro.flash.request import MemoryRequest
 from repro.nvmhc.tag import Tag
+from repro.obs.trace import MemoryTraceSink
 from repro.perf.suite import tiny_suite
 from repro.sim.config import SimulationConfig, stable_fingerprint
 from repro.sim.ssd import SSDSimulator
@@ -212,6 +215,18 @@ def audit(simulator: SSDSimulator) -> None:
         assert list(scheduler._unstarted) == unstarted
 
 
+class AuditBeforeEveryBatch:
+    """Stands in for the health sampler, whose hook runs before every batch."""
+
+    next_due_ns = 0
+
+    def sample(self, simulator: SSDSimulator, now_ns: int) -> None:
+        audit(simulator)
+
+    def finish(self) -> tuple:
+        return ()
+
+
 class TestDifferentialAgainstReference:
     @given(recipe=recipes)
     @settings(GENERATED, max_examples=20)
@@ -240,18 +255,27 @@ class TestDifferentialAgainstReference:
         assert result.counters["scheduler.fua_tags"] > 0
         assert result.counters["scheduler.conflict_skips"] > 0
 
-    @given(recipe=recipes, fraction=st.sampled_from([0.2, 0.5, 0.8]))
-    @settings(GENERATED, max_examples=8)
-    def test_checkpoint_resume_matches_straight_run(self, recipe, fraction):
+
+class TestTracingDoesNotPerturbGeneratedRuns:
+    @given(recipe=recipes, scheduler=st.sampled_from(["VAS", "PAS", "SPK1", "SPK3"]))
+    @settings(GENERATED, max_examples=30)
+    def test_traced_run_matches_untraced(self, recipe, scheduler):
         config = gc_config(GEOMETRIES[recipe["geometry"]])
-        straight = SSDSimulator(config, "PAS")
-        expected = straight.run(build_workload(recipe), workload_name="generated")
-        pause_at = max(1, int(straight.events.processed * fraction))
-        simulator = SSDSimulator(config, "PAS")
-        assert simulator.run(build_workload(recipe), "generated", max_events=pause_at) is None
-        result = SSDSimulator.resume(simulator.checkpoint()).run_to_completion()
+        expected = SSDSimulator(config, scheduler).run(
+            build_workload(recipe), workload_name="generated"
+        )
+        sink = MemoryTraceSink()
+        traced = SSDSimulator(
+            config, scheduler, trace_sink=sink, health_interval_ns=10_000
+        )
+        result = traced.run(build_workload(recipe), workload_name="generated")
         assert stable_fingerprint(result) == stable_fingerprint(expected)
-        assert result.counters == expected.counters
+
+        def untraced(counters):
+            return {k: v for k, v in counters.items() if not k.startswith("trace.")}
+
+        assert untraced(result.counters) == untraced(expected.counters)
+        assert sink.total_records == result.counters["trace.spans"]
 
 
 class TestControllerBusyMask:
@@ -259,12 +283,8 @@ class TestControllerBusyMask:
     @settings(GENERATED, max_examples=10)
     def test_busy_bits_match_pending_and_active_after_every_batch(self, recipe, scheduler):
         simulator = SSDSimulator(gc_config(GEOMETRIES[recipe["geometry"]]), scheduler)
-        budget = 1
-        result = simulator.run(build_workload(recipe), max_events=budget)
-        while result is None:
-            audit(simulator)
-            budget = simulator.events.processed + 1
-            result = simulator.run_to_completion(max_events=budget)
+        simulator._health = AuditBeforeEveryBatch()
+        simulator.run(build_workload(recipe))
         audit(simulator)
         assert all(controller.busy_bits == 0 for controller in simulator.controllers.values())
 
