@@ -44,6 +44,12 @@ class ParallelismClass(enum.Enum):
     PAL2 = 2
     PAL3 = 3
 
+    # Enum's own __hash__ is a Python-level hash(self._name_), paid on every
+    # FLP-keyed dict access (one build and one record per transaction).
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is equivalent.
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         """Human readable label matching the paper's figure legends."""

@@ -252,19 +252,21 @@ class Plane:
         return block.block_id, start, count
 
     def _active_block(self) -> Optional[Block]:
+        # Reads write_pointer directly, not through is_full/is_free: this
+        # runs on every allocation that rotates and every GC destination run.
+        pages_per_block = self.pages_per_block
         if self.active_block_id is not None:
             block = self.blocks[self.active_block_id]
-            if not block.is_full:
+            if block.write_pointer < pages_per_block:
                 return block
+        # The active block is full (or unset): rotate to the first erased
+        # block, else to any block with room (partially written).
         for block in self.blocks:
-            if block.is_full:
-                continue
-            if block.is_free or block.block_id == self.active_block_id:
+            if block.write_pointer == 0:
                 self.active_block_id = block.block_id
                 return block
-        # Fall back to any block with room (partially written, not active).
         for block in self.blocks:
-            if not block.is_full:
+            if block.write_pointer < pages_per_block:
                 self.active_block_id = block.block_id
                 return block
         return None

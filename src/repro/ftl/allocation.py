@@ -45,6 +45,8 @@ class PageAllocator:
         # Direct plane lookup: allocation runs once per page write (see
         # repro.flash.chip.planes_by_key).
         self._planes_by_key = planes_by_key(chips)
+        #: The plane objects in striping order: the cursor indexes it.
+        self._plane_list = [self._planes_by_key[key] for key in self._plane_sequence]
 
     # ------------------------------------------------------------------
     # Plane traversal
@@ -101,13 +103,33 @@ class PageAllocator:
         plane to keep copyback legal) the page is taken from that plane;
         otherwise the allocator round-robins across planes in striping order.
         Raises ``RuntimeError`` when the whole SSD is out of free pages.
+
+        A round-robin call whose cursor plane has room on its active block -
+        every host write but the one per block that rotates to a fresh
+        block - takes the page straight from that block, the page the
+        general loop below would find first.
         """
-        if preferred_plane is not None:
+        num_planes = self._num_planes
+        if preferred_plane is None:
+            cursor = self._cursor
+            plane_obj = self._plane_list[cursor]
+            block_id = plane_obj.active_block_id
+            if block_id is not None:
+                block = plane_obj.blocks[block_id]
+                if block.write_pointer < self._pages_per_block:
+                    page = block.program_next()
+                    self._cursor = (cursor + 1) % num_planes
+                    channel, chip, die, plane = self._plane_sequence[cursor]
+                    # tuple.__new__ builds the same object as the NamedTuple
+                    # constructor at half the cost.
+                    return tuple.__new__(
+                        PhysicalPageAddress, (channel, chip, die, plane, block_id, page)
+                    )
+        else:
             address = self._allocate_in_plane(preferred_plane)
             if address is not None:
                 return address
             # Preferred plane full: fall through to the global round-robin.
-        num_planes = len(self._plane_sequence)
         for step in range(num_planes):
             plane_key = self._plane_sequence[(self._cursor + step) % num_planes]
             address = self._allocate_in_plane(plane_key)
@@ -127,4 +149,4 @@ class PageAllocator:
         except RuntimeError:
             return None
         channel, chip, die, plane = plane_key
-        return PhysicalPageAddress(channel, chip, die, plane, block, page)
+        return tuple.__new__(PhysicalPageAddress, (channel, chip, die, plane, block, page))

@@ -214,6 +214,8 @@ class GarbageCollector:
         proportion to the pages *consumed on that plane* (one victim per
         trigger), which keeps the write-amplification behaviour realistic
         instead of re-collecting every plane of a chip on every host write.
+        Steady-state aging (:mod:`repro.lifetime.steady`) applies the same
+        trigger inline.
         """
         if not self.enabled:
             return None

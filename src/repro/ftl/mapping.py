@@ -108,6 +108,9 @@ class PageMapFTL:
         #: Direct plane lookup: the invalidation path runs once per
         #: overwrite/migration (see :func:`repro.flash.chip.planes_by_key`).
         self._planes = planes_by_key(chips)
+        #: The same planes in striping order: base-layout LPN ``lpn`` lives
+        #: on ``_plane_list[lpn % P]``.
+        self._plane_list = [self._planes[key] for key in self.allocator.plane_sequence]
         self.stats = FTLStats()
         #: Called as ``hook(lpns, moves, *, all_same_plane)`` after every
         #: :meth:`migrate_pages` batch; the simulator sets it to
@@ -130,12 +133,29 @@ class PageMapFTL:
         return self.allocator.static_address(lpn)
 
     def translate_write(self, lpn: int) -> PhysicalPageAddress:
-        """Allocate a fresh physical page for a write and update the map."""
-        old = self.lookup(lpn)
+        """Allocate a fresh physical page for a write and update the map.
+
+        The one host-write entry point: the simulator's admission and
+        steady-state aging (:func:`repro.lifetime.steady.age_to_steady_state`)
+        both write page by page through here, so :meth:`lookup` and the
+        base-layout address arithmetic are inlined.  The current version
+        goes stale first: an overlay version loses its page bit and its
+        reverse entry; an unmoved base-layout version (which has no reverse
+        entry) loses its page bit and its LPN is flagged moved.
+        """
+        old = self._map.get(lpn)
         if old is not None:
-            self._invalidate_physical(old)
-            if lpn < self._base_live:
-                self._mark_base_moved(lpn)
+            self._planes[old[:4]].blocks[old[4]].invalidate(old[5])
+            self._reverse.pop(old, None)
+            self.stats.invalidations += 1
+        elif lpn < self._base_live and not self._base_moved[lpn]:
+            num_planes = len(self._plane_list)
+            position = lpn // num_planes
+            block, page = divmod(position, self.geometry.pages_per_block)
+            self._plane_list[lpn % num_planes].blocks[block].invalidate(page)
+            self._base_moved[lpn] = 1
+            self._base_moved_count += 1
+            self.stats.invalidations += 1
         address = self.allocator.allocate()
         self._map[lpn] = address
         self._reverse[address] = lpn
@@ -289,7 +309,7 @@ class PageMapFTL:
         sequence = allocator.plane_sequence
         num_planes = len(sequence)
         cursor = allocator.cursor
-        planes = [self._planes[plane_key] for plane_key in sequence]
+        planes = self._plane_list
         base, extra = divmod(count, num_planes)
         shares = [
             base + (1 if (index - cursor) % num_planes < extra else 0)
@@ -367,19 +387,6 @@ class PageMapFTL:
     # ------------------------------------------------------------------
     # Invalidation and migration
     # ------------------------------------------------------------------
-    def _mark_base_moved(self, lpn: int) -> None:
-        """Flag a base-layout LPN as rewritten/migrated (idempotent)."""
-        moved = self._base_moved
-        if not moved[lpn]:
-            moved[lpn] = 1
-            self._base_moved_count += 1
-
-    def _invalidate_physical(self, address: PhysicalPageAddress) -> None:
-        plane = self._planes[address[:4]]
-        plane.blocks[address.block].invalidate(address.page)
-        self._reverse.pop(address, None)
-        self.stats.invalidations += 1
-
     def valid_lpns_in_block(
         self, plane_key: tuple, block_id: int, valid_mask: int
     ) -> Tuple[List[int], List[Optional[int]]]:

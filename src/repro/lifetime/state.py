@@ -136,18 +136,42 @@ def hot_cold_split(live: int, hot_fraction: float) -> Tuple[int, int]:
     return hot, live - hot
 
 
-def draw_skewed_lpn(
-    rng: random.Random, hot: int, cold: int, hot_write_share: float
-) -> int:
-    """One hot/cold-skewed overwrite target (hot LPNs first, cold after).
+def draw_skewed_lpns(
+    rng: random.Random, hot: int, cold: int, hot_write_share: float, count: int
+) -> List[int]:
+    """``count`` hot/cold-skewed overwrite targets (hot LPNs first, cold after).
 
     The single definition of the skew model: the fill/replay/workload
     overwrite passes *and* the steady-state aging driver all draw through
     here, so the RNG stream and the skew semantics cannot drift apart.
+
+    Draw ``i`` is ``rng.randrange(hot)`` when ``hot`` and (``cold == 0`` or
+    ``rng.random() < hot_write_share``), else ``hot + rng.randrange(cold)``,
+    and the stream is consumed exactly as those calls consume it:
+    ``randrange(n)`` is CPython's ``getrandbits(n.bit_length())`` rejection
+    loop, inlined here because the per-draw method calls cost more than the
+    draws (``tests/test_lifetime.py`` compares the two streams).
     """
-    if hot and (cold == 0 or rng.random() < hot_write_share):
-        return rng.randrange(hot)
-    return hot + rng.randrange(cold)
+    if count > 0 and hot + cold <= 0:
+        raise ValueError("empty range for skewed draws")
+    random_ = rng.random
+    getrandbits = rng.getrandbits
+    hot_bits = hot.bit_length()
+    cold_bits = cold.bit_length()
+    lpns: List[int] = []
+    append = lpns.append
+    for _ in range(count):
+        if hot and (cold == 0 or random_() < hot_write_share):
+            lpn = getrandbits(hot_bits)
+            while lpn >= hot:
+                lpn = getrandbits(hot_bits)
+            append(lpn)
+        else:
+            lpn = getrandbits(cold_bits)
+            while lpn >= cold:
+                lpn = getrandbits(cold_bits)
+            append(hot + lpn)
+    return lpns
 
 
 def _overwrite_sequence(
@@ -165,7 +189,7 @@ def _overwrite_sequence(
     if live <= 0 or count <= 0:
         return []
     hot, cold = hot_cold_split(live, hot_fraction)
-    return [draw_skewed_lpn(rng, hot, cold, hot_write_share) for _ in range(count)]
+    return draw_skewed_lpns(rng, hot, cold, hot_write_share, count)
 
 
 def apply_device_state(

@@ -15,6 +15,14 @@ on the plane each write consumed a page on), and measures per-pass write
 amplification until two consecutive passes agree within a relative
 tolerance.  No events, no scheduler - a pass over millions of pages runs in
 seconds, and the resulting device state is deterministic for the seed.
+
+The pass is a page-by-page loop on purpose.  Batching writes with
+``PageMapFTL.write_many`` would need a chunk boundary at every collection,
+and on an aged device GC fires about once every 11 writes device-wide: the
+chunks would average about 11 pages, each paying ``write_many``'s per-call
+set-up over every plane.  Instead each pass draws its targets in one batch
+(:func:`~repro.lifetime.state.draw_skewed_lpns`), writes each through the
+lean ``PageMapFTL.translate_write`` and tests the collection trigger inline.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.ftl.garbage_collector import GarbageCollector
+from repro.flash.chip import planes_by_key
+from repro.ftl.garbage_collector import FREE_BLOCK_WATERMARK, GarbageCollector
 from repro.ftl.mapping import PageMapFTL
-from repro.lifetime.state import DeviceState, draw_skewed_lpn, hot_cold_split
+from repro.lifetime.state import DeviceState, draw_skewed_lpns, hot_cold_split
 
 #: Relative write-amplification change between two consecutive passes at
 #: which aging counts as converged.
@@ -65,14 +74,19 @@ def age_to_steady_state(
 ) -> SteadyStateReport:
     """Run skewed write passes until per-pass write amplification converges.
 
-    Each pass issues ``live_pages * STEADY_PASS_FRACTION`` overwrites
-    of live LPNs (hot/cold skew as in the fill recipe), collecting garbage
-    through ``gc.collect_plane_if_needed`` after every write - the same
-    trigger discipline :class:`~repro.sim.ssd.SSDSimulator` uses, so the
-    wear and fragmentation produced here match what sustained simulated
-    writing would produce, minus the event machinery.  Convergence: the WA
-    of two consecutive passes differs by at most :data:`STEADY_TOLERANCE`
-    relative; gives up (``converged=False``) after :data:`STEADY_MAX_PASSES`.
+    Each pass draws ``live_pages * STEADY_PASS_FRACTION`` overwrite targets
+    among the live LPNs (hot/cold skew as in the fill recipe, one
+    :func:`~repro.lifetime.state.draw_skewed_lpns` batch per pass) and writes
+    them through ``ftl.translate_write`` one page at a time.  After every
+    write the plane it consumed a page on is collected once when it holds
+    fewer than :data:`~repro.ftl.garbage_collector.FREE_BLOCK_WATERMARK`
+    erased blocks: the trigger of ``gc.collect_plane_if_needed``, tested
+    inline.  That is the trigger discipline
+    :class:`~repro.sim.ssd.SSDSimulator` uses, so the wear and
+    fragmentation produced here match what sustained simulated writing would
+    produce, minus the event machinery.  Convergence: the WA of two
+    consecutive passes differs by at most :data:`STEADY_TOLERANCE` relative;
+    gives up (``converged=False``) after :data:`STEADY_MAX_PASSES`.
 
     Requires an enabled garbage collector: without reclamation a full
     device would simply run out of pages mid-pass.
@@ -85,6 +99,9 @@ def age_to_steady_state(
         return SteadyStateReport(passes=0, converged=True)
     pass_size = max(1, int(live_pages * STEADY_PASS_FRACTION))
     hot, cold = hot_cold_split(live_pages, state.hot_fraction)
+    planes = planes_by_key(ftl.chips)
+    translate_write = ftl.translate_write
+    collect = gc.collect
 
     wa_history = []
     converged = False
@@ -95,10 +112,13 @@ def age_to_steady_state(
     previous: Optional[float] = None
     for _ in range(STEADY_MAX_PASSES):
         migrated_before = gc.stats.pages_migrated
-        for _ in range(pass_size):
-            lpn = draw_skewed_lpn(rng, hot, cold, state.hot_write_share)
-            address = ftl.translate_write(lpn)
-            gc.collect_plane_if_needed(address.chip_key, address.die, address.plane)
+        for lpn in draw_skewed_lpns(rng, hot, cold, state.hot_write_share, pass_size):
+            address = translate_write(lpn)
+            plane = planes[address[:4]]
+            if plane.free_blocks < FREE_BLOCK_WATERMARK:
+                victim = plane.greedy_victim()
+                if victim is not None:
+                    collect(address[:2], address[2], address[3], victim, None)
         migrated = gc.stats.pages_migrated - migrated_before
         wa = (pass_size + migrated) / pass_size
         wa_history.append(wa)

@@ -114,6 +114,10 @@ class SSDSimulator:
             callback_enabled = self.scheduler.uses_readdressing_callback
         self.callback = ReaddressingCallback(enabled=callback_enabled)
         self.ftl.migration_hook = self.callback.on_migrations
+        # Committed requests are indexed for readdressing only when garbage
+        # collection can move pages during the run; with GC off nothing
+        # migrates, so the index would never be read.
+        self._track_requests: bool = config.gc_enabled
 
         # --- observability --------------------------------------------------------
         # One sink shared by every component; with the default null sink the
@@ -253,7 +257,8 @@ class SSDSimulator:
         address = request.address
         controller = self.controllers[address.channel]
         controller.commit(request, self.now_ns)
-        self.callback.track_request(request)
+        if self._track_requests:
+            self.callback.track_request(request)
         self._requests_composed += 1
         if self._tracing:
             self.sink.span(
@@ -383,8 +388,9 @@ class SSDSimulator:
             return
         complete_ns = controller.start_transaction(chip_key, self.now_ns)
         if complete_ns is not None:
-            for request in controller.active[chip_key].requests:
-                self.callback.untrack_request(request)
+            if self._track_requests:
+                for request in controller.active[chip_key].requests:
+                    self.callback.untrack_request(request)
             self.events.push(complete_ns, EventKind.TRANSACTION_DONE, chip_key)
 
     # ======================================================================

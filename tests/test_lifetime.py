@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import cProfile
+import os
 import pickle
+import pstats
 import random
+from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.experiments.engine import ExecutionEngine
 from repro.experiments.spec import SimJob, WorkloadSpec
 from repro.flash.chip import FlashChip
+from repro.flash.timing import FlashTiming
 from repro.ftl.garbage_collector import GarbageCollector
 from repro.ftl.mapping import PageMapFTL, prefill_plan
 from repro.lifetime import (
+    SteadyStateReport,
     DeviceState,
     age_to_steady_state,
     apply_device_state,
@@ -20,6 +27,12 @@ from repro.lifetime import (
     occupancy_fingerprint,
     occupancy_snapshot,
     replay_device_state,
+)
+from repro.lifetime.state import draw_skewed_lpns, hot_cold_split
+from repro.lifetime.steady import (
+    STEADY_MAX_PASSES,
+    STEADY_PASS_FRACTION,
+    STEADY_TOLERANCE,
 )
 from repro.sim.config import SimulationConfig
 from repro.sim.ssd import SSDSimulator
@@ -319,6 +332,173 @@ class TestSteadyStateAging:
         wear = wear_stats(ftl.chips)
         assert wear.total_erases == gc.stats.blocks_erased
         assert wear.max_erase_count >= 1
+
+
+def draw_skewed_lpn(rng, hot, cold, hot_write_share):
+    """Per-draw reference of ``draw_skewed_lpns``: the skew model's RNG calls."""
+    if hot and (cold == 0 or rng.random() < hot_write_share):
+        return rng.randrange(hot)
+    return hot + rng.randrange(cold)
+
+
+def reference_age_to_steady_state(ftl, gc, state, *, live_pages, rng):
+    """The per-page steady loop ``age_to_steady_state`` replaced.
+
+    One draw, one ``translate_write`` and one ``collect_plane_if_needed``
+    per host write; the pass, convergence and report arithmetic as before.
+    """
+    pass_size = max(1, int(live_pages * STEADY_PASS_FRACTION))
+    hot, cold = hot_cold_split(live_pages, state.hot_fraction)
+    start = replace(gc.stats)
+    wa_history = []
+    converged = False
+    previous = None
+    for _ in range(STEADY_MAX_PASSES):
+        migrated_before = gc.stats.pages_migrated
+        for _ in range(pass_size):
+            lpn = draw_skewed_lpn(rng, hot, cold, state.hot_write_share)
+            address = ftl.translate_write(lpn)
+            gc.collect_plane_if_needed(address.chip_key, address.die, address.plane)
+        wa = (pass_size + gc.stats.pages_migrated - migrated_before) / pass_size
+        wa_history.append(wa)
+        if previous is not None and abs(wa - previous) <= STEADY_TOLERANCE * previous:
+            converged = True
+            break
+        previous = wa
+    done = gc.stats.delta(start)
+    return SteadyStateReport(
+        passes=len(wa_history),
+        converged=converged,
+        wa_history=tuple(wa_history),
+        host_writes=pass_size * len(wa_history),
+        pages_migrated=done.pages_migrated,
+        gc_invocations=done.invocations,
+        blocks_erased=done.blocks_erased,
+    )
+
+
+def aged_pair(geometry, state, logical_pages):
+    """Two identically filled ``(ftl, gc, rng, live)`` devices for ``state``."""
+    devices = []
+    for _ in range(2):
+        ftl = fresh_ftl(geometry)
+        gc = GarbageCollector(geometry, FlashTiming(), ftl, ftl.chips)
+        rng = random.Random(state.seed)
+        fill = apply_device_state(ftl, state, logical_pages=logical_pages, rng=rng)
+        devices.append((ftl, gc, rng, fill.live_pages))
+    return devices
+
+
+def generated_state(seed):
+    """A seeded steady ``DeviceState``; seeds 0 and 1 pin the skew extremes."""
+    rng = random.Random(seed)
+    hot_fraction = (0.0, 1.0)[seed] if seed < 2 else rng.uniform(0.05, 0.95)
+    return DeviceState(
+        fill_fraction=rng.uniform(0.8, 0.95),
+        invalid_fraction=rng.uniform(0.1, 0.4),
+        hot_fraction=hot_fraction,
+        hot_write_share=rng.uniform(0.0, 1.0),
+        seed=rng.randrange(1 << 16),
+        steady_state=True,
+    )
+
+
+class TestSkewedDraws:
+    @pytest.mark.parametrize(
+        "hot, cold",
+        [
+            (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 2), (1, 2),
+            (4, 8), (64, 0), (0, 1024), (16, 4096),
+            (3, 5), (7, 1), (13, 1001), (99, 0), (0, 12345), (255, 257),
+        ],
+    )
+    def test_batch_matches_per_draw_stream(self, hot, cold):
+        for seed, share in ((1, 0.8), (2, 0.0), (3, 1.0), (4, 0.37)):
+            batched, reference = random.Random(seed), random.Random(seed)
+            lpns = draw_skewed_lpns(batched, hot, cold, share, 300)
+            assert lpns == [draw_skewed_lpn(reference, hot, cold, share) for _ in range(300)]
+            assert batched.getstate() == reference.getstate()
+            assert all(0 <= lpn < hot + cold for lpn in lpns)
+
+    def test_empty_range(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert draw_skewed_lpns(rng, 0, 0, 0.8, 0) == []
+        assert draw_skewed_lpns(rng, 4, 4, 0.8, 0) == []
+        assert rng.getstate() == state
+        with pytest.raises(ValueError):
+            draw_skewed_lpns(rng, 0, 0, 0.8, 1)
+
+
+class TestSteadyPassDifferential:
+    """age_to_steady_state against the per-page steady loop it replaced."""
+
+    GEOMETRIES = (
+        # 32 planes of 16 x 32 pages (the aged-overwrite plane shape) and 16
+        # planes of 8 x 16 pages.
+        SimulationConfig.small().geometry,
+        SimulationConfig.small().geometry.scaled(
+            chips_per_channel=2, blocks_per_plane=8, pages_per_block=16
+        ),
+    )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_states_match_per_page_loop(self, seed):
+        geometry = self.GEOMETRIES[seed % 2]
+        state = generated_state(seed)
+        logical_pages = int(geometry.total_pages * (0.95 - 0.05 * (seed % 3)))
+        (fast, fast_gc, fast_rng, live), (slow, slow_gc, slow_rng, _) = aged_pair(
+            geometry, state, logical_pages
+        )
+        report = age_to_steady_state(fast, fast_gc, state, live_pages=live, rng=fast_rng)
+        expected = reference_age_to_steady_state(
+            slow, slow_gc, state, live_pages=live, rng=slow_rng
+        )
+        assert report == expected
+        assert report.gc_invocations
+        assert occupancy_snapshot(fast) == occupancy_snapshot(slow)
+        assert fast.stats == slow.stats
+        assert fast_gc.stats == slow_gc.stats
+        assert list(fast_gc.history) == list(slow_gc.history)
+        assert list(fast._map.items()) == list(slow._map.items())
+        assert list(fast._reverse.items()) == list(slow._reverse.items())
+        assert fast_rng.getstate() == slow_rng.getstate()
+
+
+#: ``repro`` function calls per steady-aging host write on the fixture of
+#: ``test_calls_per_write_halved``, counted the same way on the per-page
+#: steady loop this guard replaced: 41,076 calls for 2,364 host writes.
+PER_PAGE_LOOP_CALLS_PER_WRITE = 41_076 / 2_364
+
+
+class TestSteadyAgingCost:
+    def test_calls_per_write_halved(self):
+        """The lean write path stays lean: a deterministic host-cost guard.
+
+        cProfile counts every call of a function defined under the
+        ``repro`` package while the steady pass runs; the count per host
+        write must stay at most half of the per-page loop's.
+        """
+        config = SimulationConfig.small(overprovisioning_fraction=0.15)
+        state = DeviceState(
+            fill_fraction=0.85, invalid_fraction=0.3, seed=11, steady_state=True
+        )
+        (ftl, gc, rng, live), _ = aged_pair(config.geometry, state, config.logical_pages)
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            report = age_to_steady_state(ftl, gc, state, live_pages=live, rng=rng)
+        finally:
+            profile.disable()
+        root = os.path.dirname(repro.__file__) + os.sep
+        calls = sum(
+            counts[1]
+            for (filename, _, _), counts in pstats.Stats(profile).stats.items()
+            if filename.startswith(root)
+        )
+        # The fixture is pinned: the ratio compares the same writes.
+        assert report.host_writes == 2_364
+        assert calls / report.host_writes <= PER_PAGE_LOOP_CALLS_PER_WRITE / 2
 
 
 # ======================================================================

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from repro.flash.chip import FlashChip
-from repro.flash.geometry import SSDGeometry
+from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
+from repro.flash.timing import FlashTiming
+from repro.ftl.garbage_collector import GarbageCollector
 from repro.ftl.mapping import PageMapFTL, prefill_plan
 from repro.lifetime.state import occupancy_snapshot
 from repro.sim.config import SimulationConfig
@@ -30,6 +32,57 @@ def ftl_state(ftl):
     )
 
 
+def invalidate_current(ftl, lpn):
+    """Per-page reference: the current version of ``lpn`` goes stale.
+
+    Clears its page bit, drops its reverse entry and flags a base-layout LPN
+    moved - what a rewrite or a migration does to the superseded version.
+    Returns the old address, or ``None`` when ``lpn`` has no live mapping.
+    """
+    old = ftl.lookup(lpn)
+    if old is not None:
+        ftl._planes[old.plane_key].blocks[old.block].invalidate(old.page)
+        ftl._reverse.pop(old, None)
+        ftl.stats.invalidations += 1
+        if lpn < ftl._base_live and not ftl._base_moved[lpn]:
+            ftl._base_moved[lpn] = 1
+            ftl._base_moved_count += 1
+    return old
+
+
+def reference_allocate(ftl):
+    """Per-page reference for round-robin ``PageAllocator.allocate()``.
+
+    Asks each plane in striping order, from the cursor on, for its next
+    page and moves the cursor past the plane that had one.
+    """
+    allocator = ftl.allocator
+    sequence = allocator.plane_sequence
+    for step in range(len(sequence)):
+        index = (allocator.cursor + step) % len(sequence)
+        try:
+            block, page = ftl._planes[sequence[index]].allocate_page()
+        except RuntimeError:
+            continue
+        allocator.cursor = (index + 1) % len(sequence)
+        return PhysicalPageAddress(*sequence[index], block, page)
+    raise RuntimeError("SSD is out of free pages")
+
+
+def reference_translate_write(ftl, lpn):
+    """Per-page reference for ``PageMapFTL.translate_write``.
+
+    Look the page up, invalidate its current version, allocate, remap -
+    each step through its own call.
+    """
+    invalidate_current(ftl, lpn)
+    address = reference_allocate(ftl)
+    ftl._map[lpn] = address
+    ftl._reverse[address] = lpn
+    ftl.stats.host_writes += 1
+    return address
+
+
 def migrate_page(ftl, lpn, preferred_plane=None):
     """Per-page reference for ``PageMapFTL.migrate_pages``.
 
@@ -38,13 +91,10 @@ def migrate_page(ftl, lpn, preferred_plane=None):
     ``migrate_pages`` must equal a loop of these over a victim block's valid
     pages with ``preferred_plane`` set to the victim's plane.
     """
-    old = ftl.lookup(lpn)
-    if old is None:
+    if ftl.lookup(lpn) is None:
         raise KeyError(f"lpn {lpn} has no live mapping to migrate")
     new = ftl.allocator.allocate(preferred_plane=preferred_plane)
-    ftl._invalidate_physical(old)
-    if lpn < ftl._base_live:
-        ftl._mark_base_moved(lpn)
+    old = invalidate_current(ftl, lpn)
     ftl._map[lpn] = new
     ftl._reverse[new] = lpn
     ftl.stats.migrations += 1
@@ -318,6 +368,63 @@ def generated_case(seed):
         budget -= len(batch)
         batches.append(batch)
     return geometry, live, prelude, batches
+
+
+class TestTranslateWrite:
+    """translate_write against the per-page ``reference_translate_write``."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_generated_writes_with_collection_match_reference(self, seed):
+        # A base fill, then writes over a span a little wider than it, each
+        # followed by the GC trigger on the plane it wrote: overlay and
+        # base-layout rewrites, first writes, block rotation, erased base
+        # pages and migrations all occur.
+        rng = random.Random(seed)
+        geometry = WRITE_MANY_GEOMETRIES[seed % len(WRITE_MANY_GEOMETRIES)]
+        total = geometry.total_pages
+        live = rng.randrange(total // 4, total // 2)
+        span = live + rng.randrange(1, 16)
+        fast, reference = fresh_ftl(geometry), fresh_ftl(geometry)
+        collectors = [
+            GarbageCollector(geometry, FlashTiming(), ftl, ftl.chips)
+            for ftl in (fast, reference)
+        ]
+        for ftl in (fast, reference):
+            ftl.install_base_fill(live)
+        for _ in range(2 * total):
+            lpn = rng.randrange(span)
+            address = fast.translate_write(lpn)
+            assert address == reference_translate_write(reference, lpn)
+            for gc in collectors:
+                gc.collect_plane_if_needed(address[:2], address.die, address.plane)
+        assert ftl_state(fast) == ftl_state(reference)
+        assert collectors[0].stats == collectors[1].stats
+        assert collectors[0].stats.invocations
+        assert list(collectors[0].history) == list(collectors[1].history)
+
+    def test_full_cursor_plane_falls_back_to_next_plane(self, small_geometry):
+        fast, reference = fresh_ftl(small_geometry), fresh_ftl(small_geometry)
+        sequence = fast.allocator.plane_sequence
+        first_plane = sequence[0]
+        for ftl in (fast, reference):
+            for lpn in range(small_geometry.num_planes):
+                ftl.translate_write(lpn)
+            # Pile migrations into the first plane until it is full, then
+            # write until the cursor points at it again.
+            lpn = small_geometry.num_planes
+            while ftl._planes[first_plane].free_pages:
+                ftl.translate_write(lpn)
+                migrate_page(ftl, lpn, preferred_plane=first_plane)
+                lpn += 1
+            while ftl.allocator.cursor:
+                ftl.translate_write(lpn)
+                lpn += 1
+        assert ftl_state(fast) == ftl_state(reference)
+        address = fast.translate_write(3)
+        assert address == reference_translate_write(reference, 3)
+        assert address.plane_key == sequence[1]
+        assert fast.allocator.cursor == 2
+        assert ftl_state(fast) == ftl_state(reference)
 
 
 class TestWriteMany:
