@@ -1,4 +1,4 @@
-"""The device zoo: declarative, fingerprinted device definitions.
+"""The device zoo: declarative device definitions.
 
 The paper's evaluation hand-codes one device; this package externalizes
 device models into small TOML files (``repro/devices/zoo/``) so
@@ -8,7 +8,7 @@ results computed against the edited device.
 """
 
 from repro.devices.loader import DeviceConfigError, load_device_file
-from repro.devices.model import DEVICE_ZOO_VERSION, DeviceModel
+from repro.devices.model import DeviceModel
 from repro.devices.registry import (
     ZOO_DIR,
     DeviceRegistry,
@@ -18,7 +18,6 @@ from repro.devices.registry import (
 )
 
 __all__ = [
-    "DEVICE_ZOO_VERSION",
     "DeviceConfigError",
     "DeviceModel",
     "DeviceRegistry",

@@ -1,4 +1,4 @@
-"""The validated, fingerprintable form of one zoo device definition."""
+"""The validated form of one zoo device definition."""
 
 from __future__ import annotations
 
@@ -8,11 +8,6 @@ from typing import Any, FrozenSet, Tuple
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
 
-#: Bump when the mapping from device files to SimulationConfig changes in a
-#: way that must invalidate results computed against zoo devices.
-DEVICE_ZOO_VERSION = 1
-
-
 @dataclass(frozen=True)
 class DeviceModel:
     """One device of the zoo: identity, shape, timing and device-level knobs.
@@ -21,9 +16,9 @@ class DeviceModel:
     validated field-by-field by
     :func:`repro.devices.loader.load_device_file`.  :meth:`to_config`
     composes it into the :class:`~repro.sim.config.SimulationConfig` the
-    simulator runs, and :meth:`fingerprint` hashes the *content* of the
-    definition - so any edit to a zoo file changes the fingerprint of
-    exactly the jobs that resolve that device, and nothing else.
+    simulator runs; job fingerprints hash that resolved config, so any edit
+    to a zoo file changes the fingerprint of exactly the jobs that resolve
+    that device, and nothing else.
     """
 
     name: str
@@ -37,8 +32,8 @@ class DeviceModel:
     #: knobs ([config] section): queue depth, GC on/off, OP fraction ...
     settings: Tuple[Tuple[str, Any], ...] = ()
     #: Path the definition was loaded from; error-message context only -
-    #: deliberately excluded from the fingerprint so moving a file between
-    #: zoo directories does not invalidate cached results.
+    #: ``to_config`` leaves it out, so moving a file between zoo
+    #: directories does not invalidate cached results.
     source: str = ""
 
     def to_config(self):
@@ -46,24 +41,6 @@ class DeviceModel:
         from repro.sim.config import SimulationConfig  # lazy: avoids import cycle
 
         return SimulationConfig(geometry=self.geometry, timing=self.timing, **dict(self.settings))
-
-    def fingerprint(self) -> str:
-        """Stable content hash of the whole definition (identity + knobs)."""
-        from repro.sim.config import stable_fingerprint
-
-        return stable_fingerprint(
-            (
-                "device-model",
-                DEVICE_ZOO_VERSION,
-                self.name,
-                self.cell,
-                self.generation,
-                self.tags,
-                self.geometry,
-                self.timing,
-                self.settings,
-            )
-        )
 
     def summary_row(self) -> dict:
         """One row of the zoo listing tables (README / example output)."""

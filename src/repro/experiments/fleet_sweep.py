@@ -135,8 +135,8 @@ def run_fleet_sweep(
     return rows, results
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    """Print the fleet sweep table (and optionally one cell's full report)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The fleet sweep's command line: the engine flags plus the grid axes."""
     parser = argparse.ArgumentParser(
         description="Fleet sweep: fleet size x placement policy x scenario"
     )
@@ -166,7 +166,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         default=None,
         help="write the largest cell's fleet report here (.md or .html)",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> None:
+    """Print the fleet sweep table (and optionally one cell's full report)."""
+    args = build_parser().parse_args(argv)
     engine = engine_from_args(args)
 
     rows, results = run_fleet_sweep(

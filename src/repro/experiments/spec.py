@@ -286,14 +286,6 @@ class ArraySpec:
                 f"devices= lists {len(self.devices)} ids for {self.num_devices} slots"
             )
 
-    def slot_config(self, device_index: int) -> SimulationConfig:
-        """The resolved configuration of one device slot."""
-        if self.config is not None:
-            return self.config
-        from repro.devices import device_config
-
-        return device_config(self.devices[device_index])
-
     def layout(self):
         """The :class:`repro.array.layout.ArrayLayout` this spec describes."""
         # Imported lazily: repro.array depends on this module for SimJob.
@@ -304,34 +296,6 @@ class ArraySpec:
             policy=self.policy,
             chunk_bytes=self.chunk_bytes,
             shard_bytes=self.shard_bytes,
-        )
-
-    def fingerprint(self) -> str:
-        """Content hash over the workload recipe, layout and device setup.
-
-        Homogeneous arrays hash the shared config (byte-compatible with
-        pre-zoo fingerprints); heterogeneous arrays hash the per-slot
-        *resolved* configs, so a zoo edit invalidates exactly the arrays
-        containing the edited device.
-        """
-        if self.config is not None:
-            config_entry: Any = self.config
-        else:
-            config_entry = tuple(
-                self.slot_config(device) for device in range(self.num_devices)
-            )
-        return stable_fingerprint(
-            (
-                "array",
-                SPEC_VERSION,
-                self.workload.fingerprint(),
-                self.num_devices,
-                self.policy,
-                self.chunk_bytes,
-                self.shard_bytes,
-                self.scheduler,
-                config_entry,
-            )
         )
 
     def device_jobs(self, sub_traces=None) -> Tuple[SimJob, ...]:

@@ -56,11 +56,6 @@ class Block:
         self._owner = owner
 
     @property
-    def is_full(self) -> bool:
-        """True once every page of the block has been programmed."""
-        return self.write_pointer >= self.pages_per_block
-
-    @property
     def is_free(self) -> bool:
         """True when the block has never been written since its last erase."""
         return self.write_pointer == 0

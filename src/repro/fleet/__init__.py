@@ -34,7 +34,6 @@ from repro.fleet.run import FleetWorkloads, build_fleet_workloads, fleet_jobs, r
 from repro.fleet.spec import (
     BACKGROUND_KINDS,
     FLEET_PLACEMENT_POLICIES,
-    FLEET_VERSION,
     BackgroundJob,
     FleetNodeSpec,
     FleetSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "run_fleet",
     "BACKGROUND_KINDS",
     "FLEET_PLACEMENT_POLICIES",
-    "FLEET_VERSION",
     "BackgroundJob",
     "FleetNodeSpec",
     "FleetSpec",

@@ -27,6 +27,10 @@ from repro.workloads.request import IOKind, IORequest
 
 KB = 1024
 
+#: Slots of the foreground load histogram the background scheduler ranks
+#: valleys in.
+VALLEY_WINDOWS = 32
+
 
 @dataclass(frozen=True)
 class LoadWindow:

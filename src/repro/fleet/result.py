@@ -57,15 +57,6 @@ class FleetResult(PooledResult):
     # ------------------------------------------------------------------
     # SLO accounting
     # ------------------------------------------------------------------
-    def slo_violations(self) -> Dict[str, int]:
-        """Failed SLO checks per tenant (tenants with none map to 0)."""
-        violations: Dict[str, int] = {}
-        for check in self.slo_checks:
-            violations.setdefault(check.tenant, 0)
-            if not check.ok:
-                violations[check.tenant] += 1
-        return violations
-
     @property
     def slo_violations_total(self) -> int:
         """Failed SLO checks across every tenant."""

@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 from repro.array.host import merge_device_results
 from repro.experiments.spec import SimJob, WorkloadSpec
 from repro.fleet.admission import AdmissionStats, admit_stream
-from repro.fleet.background import BackgroundStats, schedule_background
+from repro.fleet.background import VALLEY_WINDOWS, BackgroundStats, schedule_background
 from repro.fleet.placement import PlacementPlan, plan_placement, tenant_demands
 from repro.fleet.result import FleetResult, merge_node_results
 from repro.fleet.spec import FleetSpec
@@ -84,7 +84,7 @@ def build_fleet_workloads(spec: FleetSpec) -> FleetWorkloads:
         foreground = merge_streams(streams) if streams else []
         node_jobs = [job for job in spec.background if job.node == node.name]
         bg_streams, bg_stats = schedule_background(
-            foreground, node_jobs, num_windows=spec.valley_windows
+            foreground, node_jobs, num_windows=VALLEY_WINDOWS
         )
         background.extend(bg_stats)
         merged = (

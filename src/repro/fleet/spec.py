@@ -8,10 +8,10 @@ welcome), a placement policy assigning tenants to nodes, per-tenant
 admission limits and SLO targets (:class:`TenantPolicy`), and deferrable
 background work (:class:`BackgroundJob`) scheduled into load valleys.
 
-Like every spec layer below it, a fleet spec is hashable, picklable and
-content-fingerprintable; :func:`repro.fleet.run.run_fleet` expands it into
-ordinary cache-aware device jobs, so serial and process runs of the same
-spec are bit-identical and memoize per device.
+Like every spec layer below it, a fleet spec is hashable and picklable;
+:func:`repro.fleet.run.run_fleet` expands it into ordinary cache-aware
+device jobs, so serial and process runs of the same spec are bit-identical
+and memoize per device (each keyed by its job fingerprint).
 """
 
 from __future__ import annotations
@@ -19,16 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.experiments.spec import SPEC_VERSION, ArraySpec, WorkloadSpec
+from repro.experiments.spec import ArraySpec, WorkloadSpec
 from repro.obs.report import SLOThresholds
 from repro.scenarios.scenario import Scenario
-from repro.sim.config import SimulationConfig, stable_fingerprint
+from repro.sim.config import SimulationConfig
 
 KB = 1024
 MB = 1024 * KB
-
-#: Bump when fleet-building semantics change in a cache-invalidating way.
-FLEET_VERSION = 1
 
 #: Cluster-level placement policies understood by
 #: :func:`repro.fleet.placement.plan_placement`.
@@ -156,31 +153,6 @@ class FleetNodeSpec:
             devices=self.devices,
         )
 
-    def resolved_configs(self) -> Tuple[SimulationConfig, ...]:
-        """Per-slot resolved configurations (zoo ids looked up)."""
-        if self.config is not None:
-            return tuple(self.config for _ in range(self.num_devices))
-        from repro.devices import device_config
-
-        return tuple(device_config(device) for device in self.devices)
-
-    def fingerprint(self) -> str:
-        """Content hash over the node recipe (zoo ids enter by content)."""
-        return stable_fingerprint(
-            (
-                "fleet-node",
-                SPEC_VERSION,
-                self.name,
-                self.scheduler,
-                self.num_devices,
-                self.policy,
-                self.chunk_bytes,
-                self.shard_bytes,
-                self.resolved_configs(),
-                self.weight,
-            )
-        )
-
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -193,8 +165,7 @@ class FleetSpec:
     :class:`~repro.experiments.spec.ArraySpec` through the execution
     engine.  ``default_slo`` applies to tenants without a policy-level
     override; ``nominal_service_ns`` is the service-time model of the
-    virtual queue-depth limiter and ``valley_windows`` the granularity of
-    the background scheduler's load histogram.
+    virtual queue-depth limiter.
     """
 
     name: str
@@ -206,7 +177,6 @@ class FleetSpec:
     default_slo: Optional[SLOThresholds] = None
     background: Tuple[BackgroundJob, ...] = ()
     nominal_service_ns: int = 100_000
-    valley_windows: int = 32
 
     def __post_init__(self) -> None:
         """Validate node names, placement policy and background targets."""
@@ -232,8 +202,6 @@ class FleetSpec:
                 )
         if self.nominal_service_ns <= 0:
             raise ValueError("nominal_service_ns must be positive")
-        if self.valley_windows <= 0:
-            raise ValueError("valley_windows must be positive")
 
     def node_names(self) -> Tuple[str, ...]:
         """Node names in declaration order."""
@@ -265,22 +233,3 @@ class FleetSpec:
         if policy is not None and policy.slo is not None:
             return policy.slo
         return self.default_slo
-
-    def fingerprint(self) -> str:
-        """Content hash over everything that influences the fleet outcome."""
-        return stable_fingerprint(
-            (
-                "fleet",
-                FLEET_VERSION,
-                SPEC_VERSION,
-                self.name,
-                self.scenario.fingerprint(),
-                tuple(node.fingerprint() for node in self.nodes),
-                self.placement,
-                self.tenant_policies,
-                self.default_slo,
-                self.background,
-                self.nominal_service_ns,
-                self.valley_windows,
-            )
-        )

@@ -616,16 +616,6 @@ class PageMapFTL:
             self._base_moved_count += newly_moved
         block_obj.erase()
 
-    # ------------------------------------------------------------------
-    # Occupancy helpers
-    # ------------------------------------------------------------------
-    def utilization(self) -> float:
-        """Fraction of physical pages holding live data."""
-        total = self.geometry.total_pages
-        if total == 0:
-            return 0.0
-        return self.mapped_pages / total
-
     def fill(
         self,
         fraction: float,

@@ -80,9 +80,9 @@ class DeviceState:
     seed: int = 2014
     steady_state: bool = False
     #: Aging-semantics version, stamped as a (non-init) field so it enters
-    #: every canonical form the state appears in - including
-    #: ``SimulationConfig.fingerprint()`` and therefore the execution
-    #: engine's cache keys.  Bumping ``LIFETIME_VERSION`` invalidates every
+    #: every canonical form the state appears in - including every
+    #: ``SimJob.fingerprint()`` and therefore the execution engine's cache
+    #: keys.  Bumping ``LIFETIME_VERSION`` invalidates every
     #: cached result computed against a preconditioned device.
     version: int = field(init=False, default=LIFETIME_VERSION)
 
@@ -95,14 +95,6 @@ class DeviceState:
             raise ValueError("hot_fraction must be in [0, 1]")
         if not 0.0 <= self.hot_write_share <= 1.0:
             raise ValueError("hot_write_share must be in [0, 1]")
-
-    def fingerprint(self) -> str:
-        """Stable content hash over the whole aging recipe (incl. version)."""
-        # Imported lazily: repro.sim.config is reachable from modules that
-        # this package imports during its own initialisation.
-        from repro.sim.config import stable_fingerprint
-
-        return stable_fingerprint(("device-state", self))
 
     # ------------------------------------------------------------------
     # Plan arithmetic

@@ -83,10 +83,6 @@ class AttributionReport:
         """Distinct tenant names, sorted."""
         return tuple(sorted({entry.tenant for entry in self.entries}))
 
-    def phases(self) -> Tuple[int, ...]:
-        """Distinct phase indices, sorted."""
-        return tuple(sorted({entry.phase_index for entry in self.entries}))
-
     def by_tenant(self, tenant: str) -> TenantPhaseStats:
         """One tenant's slices pooled across phases (phase_index -1)."""
         slices = [entry for entry in self.entries if entry.tenant == tenant]

@@ -45,11 +45,6 @@ class Tag:
         """Identifier of the wrapped host I/O request."""
         return self.io.io_id
 
-    @property
-    def total_requests(self) -> int:
-        """Number of memory requests the I/O was split into."""
-        return len(self.memory_requests)
-
     def uncomposed_requests(self) -> List[MemoryRequest]:
         """Memory requests not yet handed to the composer, in logical order."""
         return [req for req in self.memory_requests if req.composed_at_ns is None]

@@ -49,18 +49,6 @@ class PerfCase:
     description: str
     jobs: Tuple[SimJob, ...]
 
-    def fingerprint(self) -> str:
-        """Stable content hash over every job in the case.
-
-        A golden result digest applies only while the fingerprint matches -
-        i.e. the workloads, configs and schedulers behind it are the same.
-        """
-        from repro.sim.config import stable_fingerprint
-
-        return stable_fingerprint(
-            ("perf-case", self.name, tuple(job.fingerprint() for job in self.jobs))
-        )
-
 
 def _figure06_case() -> PerfCase:
     spec = trace_grid(

@@ -1,12 +1,12 @@
-"""Scenario engine: composable workloads, arrival processes & trace replay.
+"""Scenario engine: composable workloads and arrival processes.
 
 The paper evaluates Sprinkler against sixteen data-center traces plus
 synthetic sweeps; this package opens that axis for the reproduction.  A
 :class:`Scenario` is an ordered list of :class:`Phase`\\ s, each binding one
 or more :class:`Tenant` workload sources to an :class:`ArrivalProcess`
 (fixed, Poisson, MMPP-style bursty, or diurnal).  Trace transforms compose
-(multi-tenant interleaving, time dilation, window clipping, per-tenant
-address remapping), every built scenario can be stamped with a
+(multi-tenant interleaving, time dilation, per-tenant address remapping),
+every built scenario can be stamped with a
 :class:`WorkloadCharacterization` report, and - because scenarios are frozen
 dataclasses of primitives - they fingerprint and pickle cleanly into the
 execution engine via ``WorkloadSpec.scenario``.
@@ -35,7 +35,6 @@ from repro.scenarios.scenario import (
     Tenant,
 )
 from repro.scenarios.transforms import (
-    clip_window,
     copy_request,
     merge_streams,
     remap_offsets,
@@ -56,7 +55,6 @@ __all__ = [
     "aged_device_state",
     "bursty_multitenant_scenario",
     "characterize",
-    "clip_window",
     "copy_request",
     "default_scenarios",
     "diurnal_scenario",

@@ -110,10 +110,10 @@ class BurstyArrivals(ArrivalProcess):
 class DiurnalArrivals(ArrivalProcess):
     """Non-homogeneous Poisson arrivals following a sinusoidal rate curve.
 
-    The instantaneous rate is ``(1/base) * (1 + amplitude * sin(2*pi*(t/period
-    + phase)))``; each gap is drawn from the exponential at the current
-    instantaneous rate, a standard (and for our purposes sufficient)
-    approximation of rate-curve thinning.  ``period_ns`` is a compressed
+    The instantaneous rate is ``(1/base) * (1 + amplitude * sin(2*pi*t/period))``;
+    each gap is drawn from the exponential at the current instantaneous
+    rate, a standard (and for our purposes sufficient) approximation of
+    rate-curve thinning.  ``period_ns`` is a compressed
     "day": sweeps shrink it to microseconds so a trace of a few hundred
     requests still sees full peak-trough cycles.
     """
@@ -121,7 +121,6 @@ class DiurnalArrivals(ArrivalProcess):
     base_interarrival_ns: float = 2_000.0
     amplitude: float = 0.8
     period_ns: float = 1_000_000.0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.base_interarrival_ns <= 0:
@@ -135,7 +134,7 @@ class DiurnalArrivals(ArrivalProcess):
         """Instantaneous arrival rate (requests per ns) at time ``t_ns``."""
         base_rate = 1.0 / self.base_interarrival_ns
         modulation = 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * (t_ns / self.period_ns + self.phase)
+            2.0 * math.pi * (t_ns / self.period_ns)
         )
         return base_rate * max(modulation, 1e-9)
 

@@ -27,8 +27,8 @@ Building a scenario is deterministic for its ``seed``: every tenant stream
 is generated by a seed-deterministic workload generator, its arrival times
 are replaced by samples from the phase's :class:`ArrivalProcess` (each
 tenant drawing from its own derived RNG substream), tenants are interleaved
-with a deterministic tie-break, phase-level transforms (time dilation,
-window clipping) are applied, and phases are concatenated on the time axis.
+with a deterministic tie-break, the phase's time dilation is applied, and
+phases are concatenated on the time axis.
 Because every piece is a frozen dataclass of primitives, a scenario is
 hashable, picklable and content-fingerprintable - it rides through
 :class:`~repro.experiments.spec.WorkloadSpec` and the execution engine's
@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.scenarios.arrivals import ArrivalProcess
 from repro.scenarios.characterize import WorkloadCharacterization, characterize
 from repro.scenarios.transforms import (
-    clip_window,
     copy_request,
     merge_streams,
     remap_offsets,
@@ -53,13 +52,16 @@ from repro.scenarios.transforms import (
 from repro.sim.config import stable_fingerprint
 from repro.workloads.build import build_generator
 from repro.workloads.request import IORequest
-from repro.workloads.traces import load_msr_trace, records_to_requests
 
 KB = 1024
 MB = 1024 * KB
 
 #: Bump when scenario-building semantics change in a cache-invalidating way.
 SCENARIO_VERSION = 1
+
+#: Clamp granularity of a tenant's address-slice remap: a remapped request
+#: is a whole number of these units.
+REMAP_ALIGN_BYTES = 2 * KB
 
 
 def _as_items(mapping: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
@@ -87,21 +89,18 @@ class Tenant:
     ``address_base_bytes``/``address_span_bytes`` confine the tenant to its
     own slice of the logical address space (see
     :func:`~repro.scenarios.transforms.remap_offsets`), which is how
-    independently generated streams become non-overlapping co-tenants;
-    ``remap_align_bytes`` is the clamp granularity of that remap (generator
-    options such as ``align_bytes`` pass through to the source untouched).
+    independently generated streams become non-overlapping co-tenants,
+    clamped to :data:`REMAP_ALIGN_BYTES` units (generator options such as
+    ``align_bytes`` pass through to the source untouched).
     """
 
     generator: str
     name: str
-    params: Tuple[Tuple[str, Any], ...] = ()
+    params: Tuple[Tuple[str, Any], ...]
     address_base_bytes: Optional[int] = None
     address_span_bytes: Optional[int] = None
-    remap_align_bytes: int = 2 * KB
 
     def __post_init__(self) -> None:
-        if self.remap_align_bytes <= 0:
-            raise ValueError("remap_align_bytes must be positive")
         if (self.address_base_bytes is None) != (self.address_span_bytes is None):
             raise ValueError("address_base_bytes and address_span_bytes go together")
 
@@ -133,51 +132,29 @@ class Tenant:
         params = {"name": trace_name, "num_requests": num_requests, "seed": seed, **extra}
         return cls("datacenter", trace_name, _as_items(params), **remap)
 
-    @classmethod
-    def msr(cls, name: str, *, path: str, **extra) -> "Tenant":
-        """Replay a real MSR-Cambridge-format CSV trace as a tenant.
-
-        ``extra`` may carry :func:`~repro.workloads.traces.load_msr_trace`
-        options (``max_records``, ``disk_number``) and
-        :func:`~repro.workloads.traces.records_to_requests` options
-        (``address_space_bytes``, ``time_scale``).  Note the fingerprint
-        covers the *path*, not the file contents - replayed files are
-        assumed immutable, as trace archives are.
-        """
-        remap, extra = cls._split_remap(extra)
-        params = {"path": str(path), **extra}
-        return cls("msr", name, _as_items(params), **remap)
-
     @staticmethod
     def _split_remap(extra: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """Pull the Tenant-level remap fields out of generator kwargs.
 
-        Only the ``remap_*``/``address_*`` names are claimed here; generator
-        options that share spellings with remap concepts (``align_bytes`` on
-        :class:`SyntheticWorkloadConfig` or ``records_to_requests``) stay in
-        ``extra`` and reach the source generator.
+        Only the ``address_*`` names are claimed here; generator options
+        that share spellings with remap concepts (``align_bytes`` on
+        :class:`SyntheticWorkloadConfig`) stay in ``extra`` and reach the
+        source generator.
         """
-        remap_keys = ("address_base_bytes", "address_span_bytes", "remap_align_bytes")
+        remap_keys = ("address_base_bytes", "address_span_bytes")
         remap = {key: extra.pop(key) for key in remap_keys if key in extra}
         return remap, extra
 
     # -- materialisation -------------------------------------------------
     def build_stream(self) -> List[IORequest]:
         """Generate this tenant's request shapes (arrivals still the source's)."""
-        params = dict(self.params)
-        if self.generator == "msr":
-            load_keys = ("max_records", "disk_number", "skip_malformed")
-            load_options = {key: params.pop(key) for key in load_keys if key in params}
-            records = load_msr_trace(params.pop("path"), **load_options)
-            requests = records_to_requests(records, **params)
-        else:
-            requests = build_generator(self.generator, params)
+        requests = build_generator(self.generator, dict(self.params))
         if self.address_base_bytes is not None and self.address_span_bytes is not None:
             requests = remap_offsets(
                 requests,
                 base_bytes=self.address_base_bytes,
                 span_bytes=self.address_span_bytes,
-                align_bytes=self.remap_align_bytes,
+                align_bytes=REMAP_ALIGN_BYTES,
             )
         return requests
 
@@ -188,16 +165,13 @@ class Phase:
 
     Every tenant's stream gets fresh arrival times from ``arrivals`` (each
     tenant sampling its own derived RNG substream), the streams are
-    interleaved, and then the optional phase transforms apply in order:
-    time dilation by ``time_scale``, then clipping to the first ``clip_ns``
-    nanoseconds of (dilated) phase time.
+    interleaved, and then the arrival times are dilated by ``time_scale``.
     """
 
     name: str
     tenants: Tuple[Tenant, ...]
     arrivals: ArrivalProcess
     time_scale: float = 1.0
-    clip_ns: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -205,8 +179,6 @@ class Phase:
             raise ValueError(f"phase {self.name!r} needs at least one tenant")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
-        if self.clip_ns is not None and self.clip_ns <= 0:
-            raise ValueError("clip_ns must be positive when given")
 
     def build(self, scenario_seed: int, phase_index: int) -> List[IORequest]:
         """Materialise this phase on its own t=0 time axis."""
@@ -232,8 +204,6 @@ class Phase:
         merged = merge_streams(streams)
         if self.time_scale != 1.0:
             merged = time_dilate(merged, self.time_scale)
-        if self.clip_ns is not None:
-            merged = clip_window(merged, end_ns=self.clip_ns)
         return merged
 
 
@@ -266,21 +236,17 @@ class BuiltScenario:
 class Scenario:
     """An ordered sequence of phases forming one end-to-end workload.
 
-    Phase k+1 starts ``phase_gap_ns`` after phase k's last arrival.  The
-    built trace renumbers ``io_id`` 0..n-1, so a scenario built in any
-    process is value-identical.
+    Phase k+1 starts at phase k's last arrival.  The built trace renumbers
+    ``io_id`` 0..n-1, so a scenario built in any process is value-identical.
     """
 
     name: str
     phases: Tuple[Phase, ...]
     seed: int = 42
-    phase_gap_ns: int = 0
 
     def __post_init__(self) -> None:
         if not self.phases:
             raise ValueError(f"scenario {self.name!r} needs at least one phase")
-        if self.phase_gap_ns < 0:
-            raise ValueError("phase_gap_ns must be non-negative")
         names = [phase.name for phase in self.phases]
         if len(set(names)) != len(names):
             raise ValueError(f"scenario {self.name!r} has duplicate phase names")
@@ -295,7 +261,7 @@ class Scenario:
                 io.arrival_ns += t0
             shifted.append(built)
             if built:
-                t0 = built[-1].arrival_ns + self.phase_gap_ns
+                t0 = built[-1].arrival_ns
         return shifted
 
     def build(self) -> List[IORequest]:

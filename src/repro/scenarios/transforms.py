@@ -4,17 +4,15 @@ Pure functions over ``List[IORequest]``: every transform returns *new*
 request objects (fresh ``io_id``s, inputs untouched), so transforms chain
 freely and never alias the stream they were fed.  They are the building
 blocks :class:`~repro.scenarios.scenario.Scenario` composes - multi-tenant
-interleaving, time dilation, window clipping and per-tenant address
-remapping - and are equally usable standalone on any request list (e.g. a
-replayed MSR trace from :mod:`repro.workloads.traces`).
+interleaving, time dilation and per-tenant address remapping - and are
+equally usable standalone on any request list.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.workloads.request import IORequest
-from repro.workloads.traces import wrap_clamp
 
 
 def copy_request(io: IORequest, **overrides) -> IORequest:
@@ -64,51 +62,36 @@ def time_dilate(requests: Sequence[IORequest], factor: float) -> List[IORequest]
     ]
 
 
-def clip_window(
-    requests: Sequence[IORequest],
-    *,
-    end_ns: int,
-    start_ns: int = 0,
-    rebase: bool = True,
-) -> List[IORequest]:
-    """Keep only requests arriving in ``[start_ns, end_ns)``.
-
-    With ``rebase`` (the default) the window is shifted so its first
-    admissible instant is t=0, making clipped windows composable as phases.
-    """
-    if end_ns <= start_ns:
-        raise ValueError("clip window must satisfy end_ns > start_ns")
-    if start_ns < 0:
-        raise ValueError("start_ns must be non-negative")
-    shift = start_ns if rebase else 0
-    return [
-        copy_request(io, arrival_ns=io.arrival_ns - shift)
-        for io in requests
-        if start_ns <= io.arrival_ns < end_ns
-    ]
-
-
 def remap_offsets(
     requests: Sequence[IORequest],
     *,
     base_bytes: int,
     span_bytes: int,
-    align_bytes: Optional[int] = None,
+    align_bytes: int = 1,
 ) -> List[IORequest]:
     """Relocate a stream into the address slice ``[base, base + span)``.
 
-    Each offset is wrapped modulo ``span_bytes`` and rebased to
-    ``base_bytes``; a request poking past the end of the slice is clamped to
-    the remaining aligned bytes (never below one ``align_bytes`` unit).
-    Giving every tenant a disjoint slice turns independently generated
-    streams into a multi-tenant workload without cross-tenant overwrites.
+    Each offset is wrapped modulo ``span_bytes``, aligned down to an
+    ``align_bytes`` boundary and rebased to ``base_bytes``; a request poking
+    past the end of the slice is clamped to the remaining whole
+    ``align_bytes`` units (never fewer than one), so remapping can never
+    manufacture sub-sector requests.  ``span_bytes`` must be a multiple of
+    ``align_bytes``.  Giving every tenant a disjoint slice turns
+    independently generated streams into a multi-tenant workload without
+    cross-tenant overwrites.
     """
-    align = align_bytes if align_bytes is not None else 1
     if base_bytes < 0:
         raise ValueError("base_bytes must be non-negative")
+    if align_bytes <= 0:
+        raise ValueError("align_bytes must be positive")
+    if span_bytes < align_bytes or span_bytes % align_bytes != 0:
+        raise ValueError("span_bytes must be a positive multiple of align_bytes")
     remapped: List[IORequest] = []
     for io in requests:
-        local, size = wrap_clamp(io.offset_bytes, io.size_bytes, span_bytes, align)
+        local = io.offset_bytes % span_bytes // align_bytes * align_bytes
+        size = io.size_bytes
+        if local + size > span_bytes:
+            size = max(align_bytes, (span_bytes - local) // align_bytes * align_bytes)
         remapped.append(
             copy_request(io, offset_bytes=base_bytes + local, size_bytes=size)
         )

@@ -148,15 +148,6 @@ class SimulationConfig:
         """Return a copy with selected fields replaced."""
         return replace(self, **overrides)
 
-    def fingerprint(self) -> str:
-        """Stable content hash over every knob (geometry, timing, policies).
-
-        Two configs fingerprint identically iff every field (including the
-        nested geometry/timing/device-state dataclasses) is equal, so the
-        experiment engine can use it as part of an on-disk cache key.
-        """
-        return stable_fingerprint(self)
-
     @classmethod
     def small(cls, **overrides) -> "SimulationConfig":
         """A small, fast configuration for unit tests (8 chips, tiny blocks)."""

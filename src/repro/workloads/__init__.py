@@ -1,11 +1,9 @@
-"""Workload substrate: host I/O requests, synthetic generators and traces.
+"""Workload substrate: host I/O requests and synthetic generators.
 
 The paper evaluates Sprinkler with sixteen data-center block traces (MSR
 Cambridge / SNIA IOTTA) plus synthetic transfer-size sweeps.  Production
 traces are not redistributable, so :mod:`repro.workloads.datacenter`
-synthesises traces whose summary statistics match Table 1 of the paper, and
-:mod:`repro.workloads.traces` can parse real MSR-format CSV files when they
-are available locally.
+synthesises traces whose summary statistics match Table 1 of the paper.
 """
 
 from repro.workloads.request import IORequest, IOKind
@@ -22,13 +20,6 @@ from repro.workloads.datacenter import (
     generate_datacenter_trace,
     trace_table_row,
 )
-from repro.workloads.traces import (
-    TraceFormatError,
-    TraceRecord,
-    load_msr_trace,
-    parse_msr_line,
-    records_to_requests,
-)
 
 __all__ = [
     "IORequest",
@@ -42,9 +33,4 @@ __all__ = [
     "datacenter_profile",
     "generate_datacenter_trace",
     "trace_table_row",
-    "TraceFormatError",
-    "TraceRecord",
-    "load_msr_trace",
-    "parse_msr_line",
-    "records_to_requests",
 ]

@@ -90,10 +90,9 @@ def build_generator(generator: str, params: Dict[str, Any]) -> List[IORequest]:
     """Run the named generator with its (already thawed) keyword params.
 
     Handles the kinds shared by every spec layer: ``random``,
-    ``sequential``, ``mixed``, ``datacenter`` and ``inline``.  Layer-specific
-    kinds (``scenario`` on :class:`WorkloadSpec`, ``msr`` on
-    :class:`Tenant`) stay with their layer.  ``params`` is consumed
-    destructively; pass a copy.
+    ``sequential``, ``mixed``, ``datacenter`` and ``inline``.  The
+    ``scenario`` kind of :class:`WorkloadSpec` stays with its layer.
+    ``params`` is consumed destructively; pass a copy.
     """
     if generator == "random":
         return generate_random_workload(

@@ -31,10 +31,21 @@ from repro.devices import (
 )
 from repro.experiments.engine import ExecutionEngine
 from repro.experiments.spec import ArraySpec, SimJob, WorkloadSpec
+from repro.sim.config import stable_fingerprint
 
 SHIPPED_DEVICES = ("mlc-gen1", "mlc-gen2", "slc-gen1", "tlc-gen3")
 
 BASE_TOML = (ZOO_DIR / "slc-gen1.toml").read_text(encoding="utf-8")
+
+
+def config_fingerprint(model) -> str:
+    """The content hash a device model enters job fingerprints with."""
+    return stable_fingerprint(model.to_config())
+
+
+def device_fingerprints(spec: ArraySpec):
+    """An array cell's cache keys: the fingerprints of its device jobs."""
+    return tuple(job.fingerprint() for job in spec.device_jobs())
 
 
 def write_device(tmp_path: Path, text: str, name: str = "device.toml") -> Path:
@@ -70,7 +81,7 @@ class TestShippedZoo:
     def test_fingerprints_stable_across_reloads(self):
         def fingerprints():
             registry = DeviceRegistry(ZOO_DIR)
-            return {name: registry.get(name).fingerprint() for name in registry.names()}
+            return {name: config_fingerprint(registry.get(name)) for name in registry.names()}
 
         first = fingerprints()
         second = fingerprints()
@@ -192,15 +203,14 @@ class TestRegistryDirectories:
             name="slc-gen1.toml",
         )
         after = DeviceRegistry(tmp_path).get("slc-gen1")
-        assert before.fingerprint() != after.fingerprint()
-        assert before.to_config().fingerprint() != after.to_config().fingerprint()
+        assert config_fingerprint(before) != config_fingerprint(after)
 
     def test_source_path_is_not_part_of_the_fingerprint(self, tmp_path):
         write_device(tmp_path, BASE_TOML, name="slc-gen1.toml")
         moved = DeviceRegistry(tmp_path).get("slc-gen1")
         shipped = device_model("slc-gen1")
         assert moved.source != shipped.source
-        assert moved.fingerprint() == shipped.fingerprint()
+        assert config_fingerprint(moved) == config_fingerprint(shipped)
 
 
 class TestJobIntegration:
@@ -269,30 +279,29 @@ class TestHeterogeneousArrays:
             )
 
     def test_slots_resolve_their_own_devices(self):
-        spec = self.spec()
-        assert spec.slot_config(0) == device_config("slc-gen1")
-        assert spec.slot_config(1) == device_config("mlc-gen1")
-        jobs = spec.device_jobs()
+        jobs = self.spec().device_jobs()
         assert [job.device for job in jobs] == ["slc-gen1", "mlc-gen1"]
+        assert jobs[0].resolved_config == device_config("slc-gen1")
+        assert jobs[1].resolved_config == device_config("mlc-gen1")
         assert jobs[0].resolved_config.geometry != jobs[1].resolved_config.geometry
 
     def test_fingerprint_differs_from_swapped_slots(self):
-        forward = self.spec().fingerprint()
-        swapped = ArraySpec(
-            workload=self.WORKLOAD,
-            num_devices=2,
-            scheduler="SPK3",
-            devices=("mlc-gen1", "slc-gen1"),
-            key=("hetero",),
-        ).fingerprint()
+        forward = device_fingerprints(self.spec())
+        swapped = device_fingerprints(
+            ArraySpec(
+                workload=self.WORKLOAD,
+                num_devices=2,
+                scheduler="SPK3",
+                devices=("mlc-gen1", "slc-gen1"),
+                key=("hetero",),
+            )
+        )
         assert forward != swapped
 
     def test_fingerprints_are_stable(self):
-        assert self.spec().fingerprint() == self.spec().fingerprint()
+        assert device_fingerprints(self.spec()) == device_fingerprints(self.spec())
 
     def test_serial_and_process_runs_are_bit_identical(self):
-        from repro.sim.config import stable_fingerprint
-
         jobs = list(self.spec().device_jobs())
         serial = ExecutionEngine("serial").run_jobs(jobs)
         process = ExecutionEngine("process", max_workers=2).run_jobs(jobs)

@@ -1,5 +1,6 @@
 """Docs stay truthful: links resolve, packages are documented."""
 
+import argparse
 import importlib
 import importlib.util
 import re
@@ -267,3 +268,76 @@ class TestExamples:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert callable(module.main)
+
+
+def _flags(parser):
+    """The option strings of each optional argument of ``parser`` (help aside)."""
+    return [
+        action.option_strings
+        for action in parser._actions
+        if action.option_strings and action.dest != "help"
+    ]
+
+
+def _subcommands(parser):
+    """``{name: subparser}`` of ``parser``'s sub-commands."""
+    (subparsers,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
+
+
+class TestReachCensus:
+    """``tools/reach.py`` names every shipped entry point and flag (it runs nothing here)."""
+
+    @pytest.fixture(scope="class")
+    def entries(self):
+        return _load_tool("reach").ENTRY_POINTS
+
+    @staticmethod
+    def commands(entries, *prefix):
+        """The argument lists after ``prefix`` of the entries starting with it."""
+        return [entry[len(prefix):] for entry in entries if entry[: len(prefix)] == prefix]
+
+    def test_every_artifact_example_subcommand_and_workload_runs(self, entries):
+        from repro.experiments.figures import ARTIFACTS
+        from repro.obs.__main__ import build_parser
+
+        path = REPO_ROOT / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # its dataclasses look their module up
+        spec.loader.exec_module(workloads)
+
+        artifacts = {args[0] for args in self.commands(entries, "-m", "repro.experiments")}
+        assert artifacts == set(ARTIFACTS)
+        examples = {entry[0] for entry in entries if entry[0].startswith("examples/")}
+        assert examples == {f"examples/{path.name}" for path in EXAMPLES}
+        subcommands = {args[0] for args in self.commands(entries, "-m", "repro.obs")}
+        assert subcommands == set(_subcommands(build_parser()))
+        benched = {args[1] for args in self.commands(entries, "perfbench/run.py")}
+        assert benched == set(workloads.WORKLOADS)
+
+    def test_every_flag_is_passed(self, entries):
+        from repro.experiments.engine import add_engine_arguments
+        from repro.experiments.fleet_sweep import build_parser as fleet_parser
+        from repro.obs.__main__ import build_parser as obs_parser
+
+        engine = _flags(add_engine_arguments(argparse.ArgumentParser()))
+        fleet = [flags for flags in _flags(fleet_parser()) if flags not in engine]
+        export = _flags(_subcommands(obs_parser())["export"])
+        for flags, commands in (
+            (engine, entries),
+            (fleet, self.commands(entries, "-m", "repro.experiments.fleet_sweep")),
+            (export, self.commands(entries, "-m", "repro.obs", "export")),
+        ):
+            passed = {word for command in commands for word in command}
+            missing = [strings for strings in flags if not passed & set(strings)]
+            assert not missing, f"no census entry passes {missing}"
+
+    def test_census_allowlist_is_well_formed(self):
+        budget = _load_tool("api_budget")
+        defined = {name for name, _ in _load_tool("reach").functions().values()}
+        assert set(budget.REACH_ALLOWLIST.values()) <= budget.REACH_REASONS
+        assert not budget.REACH_ALLOWLIST.keys() & budget.ALLOWLIST
+        assert budget.REACH_ALLOWLIST.keys() <= defined

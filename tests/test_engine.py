@@ -16,7 +16,7 @@ from repro.experiments.runner import (
     paper_config,
 )
 from repro.experiments.spec import ExperimentSpec, SimJob, WorkloadSpec
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, stable_fingerprint
 from repro.workloads.request import IOKind, IORequest
 from repro.workloads.synthetic import generate_random_workload
 
@@ -78,10 +78,12 @@ class TestWorkloadSpec:
 class TestFingerprints:
     def test_config_fingerprint_stable_and_sensitive(self):
         config = SimulationConfig.paper_scale(16)
-        assert config.fingerprint() == SimulationConfig.paper_scale(16).fingerprint()
-        assert config.fingerprint() != config.with_overrides(queue_depth=8).fingerprint()
-        assert config.with_overrides(queue_depth=8).fingerprint() != (
-            config.with_overrides(queue_depth=32).fingerprint()
+        assert stable_fingerprint(config) == stable_fingerprint(SimulationConfig.paper_scale(16))
+        assert stable_fingerprint(config) != stable_fingerprint(
+            config.with_overrides(queue_depth=8)
+        )
+        assert stable_fingerprint(config.with_overrides(queue_depth=8)) != stable_fingerprint(
+            config.with_overrides(queue_depth=32)
         )
 
     def test_job_fingerprint_sensitive_to_every_axis(self):

@@ -19,6 +19,7 @@ from repro.fleet import (
     admit_stream,
     build_fleet_workloads,
     find_load_valleys,
+    fleet_jobs,
     plan_placement,
     reconcile_fleet,
     run_fleet,
@@ -459,14 +460,16 @@ class TestFleetRun:
         second = run_fleet(spec, ExecutionEngine(cache_dir=tmp_path))
         assert first == second
 
-    def test_fingerprint_sensitivity(self):
-        base = _tiny_fleet_spec()
-        assert base.fingerprint() == _tiny_fleet_spec().fingerprint()
-        assert base.fingerprint() != _tiny_fleet_spec(placement="hash").fingerprint()
-        assert (
-            base.fingerprint()
-            != _tiny_fleet_spec(default_slo=SLOThresholds(p99_us=1.0)).fingerprint()
-        )
+    def test_device_jobs_key_the_fleet_cache(self):
+        # A fleet is cached per device job: placement changes what the
+        # devices serve, an SLO only how their cached results are judged.
+        def fingerprints(spec):
+            return [job.fingerprint() for job in fleet_jobs(spec)[0]]
+
+        base = fingerprints(_tiny_fleet_spec())
+        assert base == fingerprints(_tiny_fleet_spec())
+        assert base != fingerprints(_tiny_fleet_spec(placement="hash"))
+        assert base == fingerprints(_tiny_fleet_spec(default_slo=SLOThresholds(p99_us=1.0)))
 
     def test_admission_stats_reconcile_with_workloads(self):
         spec = _tiny_fleet_spec()

@@ -26,7 +26,7 @@ def fill_plane(ftl, small_geometry, chip_key, die, plane, blocks_to_fill):
     target_plane_key = (*chip_key, die, plane)
     while True:
         plane_obj = ftl.chips[chip_key].plane(die, plane)
-        full = sum(1 for block in plane_obj.blocks if block.is_full)
+        full = sum(1 for block in plane_obj.blocks if block.write_pointer == block.pages_per_block)
         if full >= blocks_to_fill:
             break
         address = ftl.translate_write(lpn)
@@ -151,7 +151,7 @@ class TestCollection:
         free_block = next(block for block in plane_obj.blocks if block.is_free)
         orphans = 2
         free_block.program_bulk(orphans)
-        while not free_block.is_full:
+        while free_block.write_pointer < free_block.pages_per_block:
             free_block.invalidate(free_block.program_next())
         job = collect(ftl, gc)
         assert job is not None

@@ -209,7 +209,7 @@ class TestFill:
         report = ftl.fill(0.5)
         assert report.page_writes == int(small_geometry.total_pages * 0.5)
         assert report.overwrites == 0
-        assert ftl.utilization() == pytest.approx(0.5, abs=0.01)
+        assert ftl.mapped_pages / ftl.geometry.total_pages == pytest.approx(0.5, abs=0.01)
 
     def test_fill_with_overwrites_creates_invalid_pages(self, small_geometry, small_chips):
         ftl = PageMapFTL(small_geometry, small_chips)
@@ -221,7 +221,7 @@ class TestFill:
                     invalid += block.write_pointer - block.valid_mask.bit_count()
         assert invalid > 0
         # Live data is less than the total pages written.
-        assert ftl.utilization() < 0.8
+        assert ftl.mapped_pages / ftl.geometry.total_pages < 0.8
 
     def test_fill_rejects_bad_fraction(self, ftl):
         with pytest.raises(ValueError):
@@ -231,7 +231,7 @@ class TestFill:
 
     def test_fill_zero_is_noop(self, ftl):
         assert ftl.fill(0.0).page_writes == 0
-        assert ftl.utilization() == 0.0
+        assert ftl.mapped_pages / ftl.geometry.total_pages == 0.0
 
     def test_fill_reports_plan(self, ftl, small_geometry):
         report = ftl.fill(0.8, overwrite_fraction=0.4)
@@ -253,7 +253,7 @@ class TestFill:
             ftl.fill(0.5)
 
     def test_utilization_empty(self, ftl):
-        assert ftl.utilization() == 0.0
+        assert ftl.mapped_pages / ftl.geometry.total_pages == 0.0
 
 
 class TestBaseLayout:
@@ -554,7 +554,8 @@ class TestMigratePages:
             victims = [
                 block.block_id
                 for block in plane.blocks
-                if block.is_full and block.block_id != plane.active_block_id
+                if block.write_pointer == block.pages_per_block
+                and block.block_id != plane.active_block_id
             ]
             if not victims:
                 continue

@@ -106,7 +106,7 @@ class TestTag:
 
     def test_counts(self):
         tag = self.make_tag(3)
-        assert tag.total_requests == 3
+        assert len(tag.memory_requests) == 3
         assert tag.composed_count == 0
         assert tag.completed_count == 0
 

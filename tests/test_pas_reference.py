@@ -73,7 +73,8 @@ class ReferencePAS(SchedulerBase):
         for earlier in pending:
             if earlier is tag:
                 return False
-            if earlier.io.force_unit_access and earlier.composed_count < earlier.total_requests:
+            unfinished = earlier.composed_count < len(earlier.memory_requests)
+            if earlier.io.force_unit_access and unfinished:
                 return True
         return False
 
@@ -83,7 +84,7 @@ class ReferencePAS(SchedulerBase):
             if request is not None:
                 return request
             self.current = None
-        pending = [tag for tag in self.arrivals if tag.composed_count < tag.total_requests]
+        pending = [tag for tag in self.arrivals if tag.composed_count < len(tag.memory_requests)]
         for tag in pending:
             if tag.composed_count > 0:
                 self.current = tag

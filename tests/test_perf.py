@@ -22,6 +22,16 @@ from repro.sim.config import stable_fingerprint
 GOLDEN_PATH = Path(__file__).parent / "data" / "perf_golden.json"
 
 
+def case_fingerprint(case: PerfCase) -> str:
+    """Content hash over every job of ``case``: its golden recipe key.
+
+    A golden result digest applies only while the fingerprint matches -
+    i.e. the workloads, configs and schedulers behind it are the same.
+    """
+    jobs = tuple(job.fingerprint() for job in case.jobs)
+    return stable_fingerprint(("perf-case", case.name, jobs))
+
+
 def result_digest(case: PerfCase) -> str:
     """Content digest over every SimulationResult of ``case``, in job order."""
     return stable_fingerprint(("perf-results", tuple(job.execute() for job in case.jobs)))
@@ -43,8 +53,8 @@ class TestSuiteDefinitions:
         assert all(case.jobs for case in suite)
 
     def test_case_fingerprints_are_stable(self):
-        first = {case.name: case.fingerprint() for case in canonical_suite()}
-        second = {case.name: case.fingerprint() for case in canonical_suite()}
+        first = {case.name: case_fingerprint(case) for case in canonical_suite()}
+        second = {case.name: case_fingerprint(case) for case in canonical_suite()}
         assert first == second
 
 
@@ -59,7 +69,7 @@ class TestBitIdentity:
     def assert_matches_golden(self, golden, case: PerfCase) -> None:
         assert case.name in golden, f"golden file is missing case {case.name!r}"
         expected = golden[case.name]
-        assert case.fingerprint() == expected["fingerprint"], (
+        assert case_fingerprint(case) == expected["fingerprint"], (
             f"{case.name!r} workload recipe changed; bit-identity against the "
             "golden digests is no longer meaningful - re-record the goldens "
             "only together with an intentional semantics change"

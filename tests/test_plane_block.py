@@ -9,7 +9,7 @@ class TestBlock:
     def test_fresh_block_is_free(self):
         block = Block(0, 8)
         assert block.is_free
-        assert not block.is_full
+        assert block.write_pointer == 0
         assert block.valid_mask == 0
 
     def test_program_next_marks_valid(self):
@@ -23,7 +23,7 @@ class TestBlock:
         block = Block(0, 4)
         pages = [block.program_next() for _ in range(4)]
         assert pages == [0, 1, 2, 3]
-        assert block.is_full
+        assert block.write_pointer == block.pages_per_block
 
     def test_program_full_block_raises(self):
         block = Block(0, 2)

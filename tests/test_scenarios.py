@@ -14,7 +14,6 @@ from repro.scenarios import (
     Scenario,
     Tenant,
     characterize,
-    clip_window,
     merge_streams,
     remap_offsets,
     time_dilate,
@@ -157,15 +156,6 @@ class TestTransforms:
         with pytest.raises(ValueError):
             time_dilate(stream, 0.0)
 
-    def test_clip_window_bounds_and_rebase(self):
-        stream = self.make_stream([0, 100, 200, 300])
-        clipped = clip_window(stream, start_ns=100, end_ns=300)
-        assert [io.arrival_ns for io in clipped] == [0, 100]
-        unrebased = clip_window(stream, start_ns=100, end_ns=300, rebase=False)
-        assert [io.arrival_ns for io in unrebased] == [100, 200]
-        with pytest.raises(ValueError):
-            clip_window(stream, start_ns=300, end_ns=100)
-
     def test_remap_confines_to_slice(self):
         stream = generate_random_workload(
             num_requests=64, size_bytes=16 * KB, address_space_bytes=512 * MB, seed=4
@@ -179,6 +169,29 @@ class TestTransforms:
             assert io.end_offset_bytes <= 64 * MB + 32 * MB
             assert io.offset_bytes % (2 * KB) == 0
             assert io.size_bytes % (2 * KB) == 0
+
+    def test_wrap_clamp_respects_alignment(self):
+        # Offset wraps to 4 KB below the end of a 64 KB slice; the 16 KB
+        # request must be clamped to the remaining 4 KB, not to 1 byte.
+        stream = [IORequest(kind=IOKind.READ, offset_bytes=126976, size_bytes=16384, arrival_ns=0)]
+        (io,) = remap_offsets(stream, base_bytes=0, span_bytes=65536, align_bytes=512)
+        assert io.offset_bytes == 61440
+        assert io.size_bytes == 4096
+        assert io.end_offset_bytes <= 65536
+
+    def test_wrap_clamp_never_emits_sub_align_requests(self):
+        # Even when the wrapped offset sits at the last aligned slot, the
+        # clamped size stays a whole alignment unit.
+        stream = [IORequest(kind=IOKind.WRITE, offset_bytes=65024, size_bytes=4096, arrival_ns=0)]
+        (io,) = remap_offsets(stream, base_bytes=0, span_bytes=65536, align_bytes=512)
+        assert io.size_bytes == 512
+        assert io.offset_bytes + io.size_bytes == 65536
+
+    def test_wrap_aligns_offsets(self):
+        # A misaligned offset is aligned down when wrapping.
+        stream = [IORequest(kind=IOKind.READ, offset_bytes=66100, size_bytes=512, arrival_ns=0)]
+        (io,) = remap_offsets(stream, base_bytes=0, span_bytes=65536, align_bytes=512)
+        assert io.offset_bytes == 512
 
     def test_remap_validation(self):
         stream = self.make_stream([0])
@@ -317,15 +330,6 @@ class TestScenarioDSL:
         )
         assert tweaked.fingerprint() != a.fingerprint()
 
-    def test_phase_gap_shifts_later_phases(self):
-        base = self.two_phase_scenario()
-        gapped = Scenario(
-            name=base.name, phases=base.phases, seed=base.seed, phase_gap_ns=1_000_000
-        )
-        base_burst_start = base.build()[24].arrival_ns
-        gapped_burst_start = gapped.build()[24].arrival_ns
-        assert gapped_burst_start == base_burst_start + 1_000_000
-
     def test_phase_transforms_apply(self):
         tenant = Tenant.random("t", num_requests=32, size_bytes=4 * KB, seed=3)
         plain = Scenario(
@@ -344,24 +348,11 @@ class TestScenarioDSL:
             ),
         ).build()
         assert [io.arrival_ns for io in dilated] == [2 * io.arrival_ns for io in plain]
-        clipped = Scenario(
-            name="clipped",
-            phases=(
-                Phase(
-                    name="p",
-                    tenants=(tenant,),
-                    arrivals=PoissonArrivals(1_000.0),
-                    clip_ns=10_500,
-                ),
-            ),
-        ).build()
-        assert len(clipped) == sum(1 for io in plain if io.arrival_ns < 10_500) > 0
-        assert all(io.arrival_ns < 10_500 for io in clipped)
 
     def test_generator_align_bytes_reaches_the_source(self):
-        # ``align_bytes`` is a generator option (SyntheticWorkloadConfig /
-        # records_to_requests), distinct from the tenant's remap clamp
-        # granularity - it must flow through to the source untouched.
+        # ``align_bytes`` is a generator option (SyntheticWorkloadConfig),
+        # distinct from the tenant's remap clamp granularity - it must flow
+        # through to the source untouched.
         tenant = Tenant.mixed(
             "aligned",
             num_requests=32,
@@ -372,43 +363,6 @@ class TestScenarioDSL:
         )
         assert dict(tenant.params)["align_bytes"] == 8 * KB
         assert all(io.offset_bytes % (8 * KB) == 0 for io in tenant.build_stream())
-
-    def test_msr_tenant_align_bytes_reaches_replay(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        # Offset wraps to 4 KB under the end of a 64 KB space; with a 4 KB
-        # replay alignment the 16 KB request clamps to one whole 4 KB unit.
-        path.write_text("1000,host,0,Read,126976,16384,10")
-        tenant = Tenant.msr(
-            "replay", path=str(path), address_space_bytes=65536, align_bytes=4096
-        )
-        (io,) = tenant.build_stream()
-        assert io.offset_bytes == 61440
-        assert io.size_bytes == 4096
-
-    def test_msr_tenant_replays_trace_file(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text(
-            "\n".join(
-                [
-                    "1000,host,0,Read,0,4096,10",
-                    "2000,host,0,Write,8192,4096,10",
-                    "3000,host,0,Read,16384,4096,10",
-                ]
-            )
-        )
-        def replay(tenant):
-            phase = Phase(name="replay", tenants=(tenant,), arrivals=PoissonArrivals(500.0))
-            return Scenario(name="replay", phases=(phase,)).build()
-
-        tenant = Tenant.msr("msr", path=str(path))
-        requests = replay(tenant)
-        assert [io.kind for io in requests] == [IOKind.READ, IOKind.WRITE, IOKind.READ]
-        source = [io.arrival_ns for io in tenant.build_stream()]
-        assert [io.arrival_ns for io in requests] != source
-        # Source arrivals (filetime-derived) are replaced by the phase's: the
-        # same phase times any three-request tenant.
-        synthetic = replay(Tenant.random("msr", num_requests=3, size_bytes=4 * KB))
-        assert [io.arrival_ns for io in requests] == [io.arrival_ns for io in synthetic]
 
     @pytest.mark.parametrize(
         "factory",

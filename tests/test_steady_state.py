@@ -8,6 +8,7 @@ from repro.experiments import steady_state
 from repro.experiments.engine import ExecutionEngine
 from repro.lifetime.state import DeviceState
 from repro.scenarios.library import aged_device_state, sustained_write_scenario
+from repro.sim.config import stable_fingerprint
 
 QUICK = dict(
     overprovisioning=(0.07, 0.28),
@@ -134,4 +135,4 @@ class TestScenarioLibrary:
         plain = aged_device_state()
         steady = aged_device_state(steady_state=True)
         assert not plain.steady_state and steady.steady_state
-        assert plain.fingerprint() != steady.fingerprint()
+        assert stable_fingerprint(plain) != stable_fingerprint(steady)
