@@ -132,5 +132,5 @@ class SchedulerBase(abc.ABC):
             busy |= controller.busy_bits
         return busy
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"{type(self).__name__}(tags={len(self.tags)})"

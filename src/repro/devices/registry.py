@@ -67,12 +67,6 @@ class DeviceRegistry:
         """Resolve a device id straight to its :class:`SimulationConfig`."""
         return self.get(name).to_config()
 
-    def __len__(self) -> int:
-        return len(self._models)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._models
-
 
 _DEFAULT: Optional[DeviceRegistry] = None
 

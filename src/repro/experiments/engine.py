@@ -125,9 +125,6 @@ class ResultCache:
                 pass
             raise
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.pkl"))
-
 
 class _ProgressHeartbeat:
     """Prints one ``[engine]`` line per completed job (events/sec, ETA)."""

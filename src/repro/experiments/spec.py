@@ -344,9 +344,6 @@ class ExperimentSpec:
         if len(set(keys)) != len(keys):
             raise ValueError(f"experiment {self.name!r} has duplicate job keys")
 
-    def __len__(self) -> int:
-        return len(self.jobs)
-
     @classmethod
     def matrix(
         cls,

@@ -5,6 +5,12 @@ controller and the flash medium (paper Section 2.1).  Only one transfer can
 occupy the bus at any time, so bus phases of transactions on different chips
 of the same channel serialise; the induced waiting shows up as the
 "bus contention" component of the execution-time breakdown (Figure 13).
+
+The flash controller reserves the bus for a transaction's bus phase itself
+(:meth:`repro.flash.controller.FlashController.start_transaction`): the
+phase starts no earlier than ``free_at_ns``, the gap is contention time,
+and ``free_at_ns`` and the :class:`ChannelStats` counters advance in event
+order.
 """
 
 from __future__ import annotations
@@ -30,25 +36,5 @@ class Channel:
         self.free_at_ns: int = 0
         self.stats = ChannelStats()
 
-    def reserve(self, request_ns: int, duration_ns: int, num_bytes: int = 0) -> tuple:
-        """Reserve the bus for ``duration_ns`` starting no earlier than ``request_ns``.
-
-        Returns ``(start_ns, end_ns, wait_ns)`` where ``wait_ns`` is the
-        contention delay caused by an earlier transfer still occupying the
-        bus.  The reservation is immediately recorded, so later callers (in
-        event order) observe the updated availability.
-        """
-        if duration_ns < 0:
-            raise ValueError("duration_ns must be non-negative")
-        start_ns = max(request_ns, self.free_at_ns)
-        wait_ns = start_ns - request_ns
-        end_ns = start_ns + duration_ns
-        self.free_at_ns = end_ns
-        self.stats.busy_time_ns += duration_ns
-        self.stats.contention_time_ns += wait_ns
-        self.stats.transfers += 1
-        self.stats.bytes_moved += num_bytes
-        return start_ns, end_ns, wait_ns
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"Channel(id={self.channel_id}, free_at={self.free_at_ns})"

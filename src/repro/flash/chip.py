@@ -12,6 +12,10 @@ The :class:`FlashChip` object tracks:
 * per-plane physical block state (through :class:`repro.flash.plane.Plane`),
 * occupancy statistics used for the utilisation, idleness and execution
   breakdown analyses of the paper (Figures 11, 13, 15).
+
+The flash controller that issues a transaction on the chip advances
+``busy_until`` and the :class:`ChipStats` counters itself
+(:meth:`repro.flash.controller.FlashController.start_transaction`).
 """
 
 from __future__ import annotations
@@ -58,17 +62,6 @@ class FlashChip:
                 )
 
     # ------------------------------------------------------------------
-    # Busy / idle state
-    # ------------------------------------------------------------------
-    def occupy(self, start_ns: int, end_ns: int) -> None:
-        """Mark the chip busy for the interval [start_ns, end_ns]."""
-        if end_ns < start_ns:
-            raise ValueError("occupation interval must not be negative")
-        self.busy_until = max(self.busy_until, end_ns)
-        self.stats.busy_time_ns += end_ns - start_ns
-        self.stats.last_busy_start_ns = start_ns
-
-    # ------------------------------------------------------------------
     # Plane access
     # ------------------------------------------------------------------
     def plane(self, die: int, plane: int) -> Plane:
@@ -83,27 +76,6 @@ class FlashChip:
     # ------------------------------------------------------------------
     # Statistics helpers
     # ------------------------------------------------------------------
-    def record_transaction(
-        self,
-        *,
-        num_requests: int,
-        num_dies: int,
-        cell_time_ns: int,
-        bus_time_ns: int,
-        bus_wait_ns: int,
-        die_active_time_ns: int,
-        is_gc: bool = False,
-    ) -> None:
-        """Record the resource footprint of one executed transaction."""
-        self.stats.transactions += 1
-        self.stats.requests_served += num_requests
-        self.stats.cell_time_ns += cell_time_ns
-        self.stats.bus_time_ns += bus_time_ns
-        self.stats.bus_wait_ns += bus_wait_ns
-        self.stats.die_active_time_ns += die_active_time_ns
-        if is_gc:
-            self.stats.gc_transactions += 1
-
     def utilization(self, makespan_ns: int) -> float:
         """Fraction of the observation window the chip spent busy."""
         if makespan_ns <= 0:
@@ -127,7 +99,7 @@ class FlashChip:
         used = min(self.stats.die_active_time_ns, potential)
         return 1.0 - used / potential
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"FlashChip(key={self.chip_key}, busy_until={self.busy_until})"
 
 

@@ -9,8 +9,9 @@ Each channel has one flash controller (paper Figure 2).  The controller:
   from the commit queue to a scheduled transaction in one call: the shared
   :class:`TransactionBuilder` takes and prices the transaction in one walk
   over the queue, then the controller reserves the channel in phase order,
-  occupies the chip and records the chip statistics the metrics collector
-  turns into the paper's utilisation/idleness/breakdown figures,
+  occupies the chip and records the channel and chip statistics the
+  metrics collector turns into the paper's utilisation/idleness/breakdown
+  figures (the controller updates those plain counters itself),
 * starts garbage-collection passes the same way
   (:meth:`FlashController.execute_prebuilt`), from a transaction the same
   builder makes out of the :class:`~repro.ftl.garbage_collector.GCJob`.
@@ -85,25 +86,23 @@ class FlashController:
     # ------------------------------------------------------------------
     def commit(self, request: MemoryRequest, now_ns: int) -> None:
         """Accept a composed memory request into the chip's commit queue."""
-        chip_key = request.chip_key
-        if chip_key not in self.pending:
+        address = request.address
+        if address is None:
+            raise ValueError("memory request has not been translated yet")
+        chip_key = (address.channel, address.chip)
+        pending = self.pending
+        if chip_key not in pending:
             raise KeyError(f"chip {chip_key} is not attached to channel {self.channel.channel_id}")
         request.committed_at_ns = now_ns
-        self.pending[chip_key].append(request)
+        pending[chip_key].append(request)
         self.busy_bits |= self.chip_bits[chip_key]
         self.total_committed += 1
-
-    def pending_count(self, chip_key: tuple) -> int:
-        """Number of committed-but-not-started requests for a chip."""
-        return len(self.pending[chip_key])
 
     # ------------------------------------------------------------------
     # Execution-side interface (used by the simulator)
     # ------------------------------------------------------------------
     def chip_available(self, chip_key: tuple, now_ns: int) -> bool:
         """True when the chip can start a new transaction."""
-        # Plain attribute reads, no chip method call: this gate runs on
-        # every commit, decision window and completion.
         return (
             self.active[chip_key] is None and now_ns >= self.chips[chip_key].busy_until
         )
@@ -116,7 +115,9 @@ class FlashController:
         occupies the chip.  Returns the completion time, or ``None`` exactly
         when nothing started (chip busy or nothing pending).
         """
-        if not self.chip_available(chip_key, now_ns):
+        # The chip_available test, inline: this is the one availability
+        # test per start.
+        if self.active[chip_key] is not None or now_ns < self.chips[chip_key].busy_until:
             return None
         built = self.builder.from_queue(chip_key, self.pending[chip_key])
         if built is None:
@@ -127,7 +128,7 @@ class FlashController:
     def execute_prebuilt(self, job: GCJob, now_ns: int) -> Optional[int]:
         """Start a garbage-collection pass on its chip; ``None`` if the chip is busy."""
         chip_key = job.chip_key
-        if not self.chip_available(chip_key, now_ns):
+        if self.active[chip_key] is not None or now_ns < self.chips[chip_key].busy_until:
             return None
         self.busy_bits |= self.chip_bits[chip_key]
         return self._issue(chip_key, self.builder.from_gc_job(job), now_ns)
@@ -174,35 +175,53 @@ class FlashController:
     # Internal helpers
     # ------------------------------------------------------------------
     def _issue(self, chip_key: tuple, transaction: FlashTransaction, now_ns: int) -> int:
-        """Run a priced transaction's phases, occupy its chip, record its stats."""
+        """Run a priced transaction's phases, occupy its chip, record its stats.
+
+        The channel and chip accounting is done here, in one place: the bus
+        phase is reserved no earlier than the channel frees up (the wait is
+        the bus contention of Figure 13), and the chip is busy from issue to
+        the end of its last phase.
+        """
         bus_ns = transaction.bus_time_ns
         cell_ns = transaction.cell_time_ns
+        chip = self.chips[chip_key]
+        stats = chip.stats
         if transaction.is_gc:
             bus_start, wait = now_ns, 0
             complete = now_ns + cell_ns
-        elif transaction.has_program:
-            bus_start, bus_end, wait = self.channel.reserve(
-                now_ns, bus_ns, transaction.total_bytes
-            )
-            complete = bus_end + cell_ns
+            stats.gc_transactions += 1
         else:
-            bus_start, complete, wait = self.channel.reserve(
-                now_ns + cell_ns, bus_ns, transaction.total_bytes
-            )
+            if bus_ns < 0:
+                raise ValueError("bus time must be non-negative")
+            # A program moves its data before the cell phase, a read after.
+            request_ns = now_ns if transaction.has_program else now_ns + cell_ns
+            channel = self.channel
+            free_at = channel.free_at_ns
+            bus_start = request_ns if request_ns >= free_at else free_at
+            wait = bus_start - request_ns
+            bus_end = bus_start + bus_ns
+            channel.free_at_ns = bus_end
+            channel_stats = channel.stats
+            channel_stats.busy_time_ns += bus_ns
+            channel_stats.contention_time_ns += wait
+            channel_stats.transfers += 1
+            channel_stats.bytes_moved += transaction.total_bytes
+            complete = bus_end + cell_ns if transaction.has_program else bus_end
+        if complete < now_ns:
+            raise ValueError("occupation interval must not be negative")
         transaction.issued_at_ns = now_ns
         transaction.bus_started_at_ns = bus_start
         transaction.bus_wait_ns = wait
         self.active[chip_key] = transaction
         self.total_transactions += 1
-        chip = self.chips[chip_key]
-        chip.occupy(now_ns, complete)
-        chip.record_transaction(
-            num_requests=len(transaction.requests),
-            num_dies=transaction.num_dies,
-            cell_time_ns=cell_ns,
-            bus_time_ns=bus_ns,
-            bus_wait_ns=wait,
-            die_active_time_ns=transaction.die_active_time_ns,
-            is_gc=transaction.is_gc,
-        )
+        if complete > chip.busy_until:
+            chip.busy_until = complete
+        stats.busy_time_ns += complete - now_ns
+        stats.last_busy_start_ns = now_ns
+        stats.transactions += 1
+        stats.requests_served += len(transaction.requests)
+        stats.cell_time_ns += cell_ns
+        stats.bus_time_ns += bus_ns
+        stats.bus_wait_ns += wait
+        stats.die_active_time_ns += transaction.die_active_time_ns
         return complete

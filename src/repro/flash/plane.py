@@ -168,7 +168,7 @@ class Block:
         self._valid_count = 0
         self.erase_count += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return (
             f"Block(id={self.block_id}, used={self.write_pointer}/{self.pages_per_block}, "
             f"valid={self._valid_count}, erases={self.erase_count})"
@@ -294,7 +294,7 @@ class Plane:
                 best_valid = valid
         return best
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return (
             f"Plane(key={self.plane_key}, free_blocks={self.free_blocks}/"
             f"{len(self.blocks)})"

@@ -45,7 +45,7 @@ class MemoryRequest:
     lpn: int
     size_bytes: int
     address: Optional[PhysicalPageAddress] = None
-    request_id: int = field(default_factory=lambda: next(_memory_request_ids))
+    request_id: int = field(default_factory=_memory_request_ids.__next__)
     #: Extra service time charged when the request went stale because live
     #: data migration moved its target and no readdressing callback fixed it.
     penalty_ns: int = 0
@@ -60,13 +60,6 @@ class MemoryRequest:
         if self.lpn < 0:
             raise ValueError("lpn must be non-negative")
 
-    @property
-    def chip_key(self) -> tuple:
-        """``(channel, chip)`` of the target chip; requires a translated address."""
-        if self.address is None:
-            raise ValueError("memory request has not been translated yet")
-        return self.address.chip_key
-
     def retarget(self, address: PhysicalPageAddress) -> None:
         """Re-point the request at a new physical address.
 
@@ -76,7 +69,7 @@ class MemoryRequest:
         """
         self.address = address
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         target = self.address.chip_key if self.address is not None else "untranslated"
         return (
             f"MemoryRequest(id={self.request_id}, io={self.io_id}, op={self.op.value}, "

@@ -57,7 +57,7 @@ class FlashTransaction:
     requests: List[MemoryRequest]
     kind: TransactionKind
     parallelism: ParallelismClass
-    transaction_id: int = field(default_factory=lambda: next(_transaction_ids))
+    transaction_id: int = field(default_factory=_transaction_ids.__next__)
 
     # Price, filled by the builder.
     bus_time_ns: int = 0
@@ -87,7 +87,7 @@ class FlashTransaction:
             if address is None:
                 raise ValueError("memory request has not been translated yet")
             if address.channel != channel or address.chip != chip:
-                chips = {req.chip_key for req in self.requests}
+                chips = {req.address.chip_key for req in self.requests}
                 if len(chips) != 1:
                     raise ValueError(f"a transaction must target a single chip, got {chips}")
                 raise ValueError("transaction chip_key does not match its requests")
@@ -112,6 +112,9 @@ class TransactionBuilder:
         #: prices every transaction of the run.
         self._program_ns: Dict[int, int] = {}
         self._bus_ns: Dict[int, int] = {}
+        #: Kind and FLP class of a one-request transaction (one die, one plane).
+        self._single_parallelism = classify_parallelism(1, 1)
+        self._single_kind = kind_for_parallelism(self._single_parallelism)
 
     def from_queue(
         self, chip_key: tuple, queue: Sequence[MemoryRequest]
@@ -132,12 +135,43 @@ class TransactionBuilder:
         with the untaken requests in their original order, or ``None`` when
         nothing was taken.
         """
-        bound = self._bound
-        planes_per_die = self.geometry.planes_per_die
         timing = self.timing
         read_ns = timing.read_ns
         program_ns = self._program_ns
         bus_per_size = self._bus_ns
+        if len(queue) == 1:
+            # Most queues hold one request: price it without the walk.
+            req = queue[0]
+            size = req.size_bytes
+            try:
+                per_request = bus_per_size[size]
+            except KeyError:
+                per_request = bus_per_size[size] = timing.request_bus_time_ns(size)
+            if req.op is FlashOp.READ:
+                latency = read_ns
+                has_program = False
+            else:
+                has_program = True
+                page = req.address.page
+                try:
+                    latency = program_ns[page]
+                except KeyError:
+                    latency = program_ns[page] = timing.program_latency_ns(page)
+            transaction = FlashTransaction(
+                chip_key=chip_key,
+                requests=[req],
+                kind=self._single_kind,
+                parallelism=self._single_parallelism,
+                bus_time_ns=timing.transaction_overhead_ns + per_request,
+                cell_time_ns=latency + req.penalty_ns,
+                die_active_time_ns=latency,
+                has_program=has_program,
+                num_dies=1,
+                total_bytes=size,
+            )
+            return transaction, []
+        bound = self._bound
+        planes_per_die = self.geometry.planes_per_die
         taken: List[MemoryRequest] = []
         remaining: List[MemoryRequest] = []
         take = taken.append
@@ -172,15 +206,22 @@ class TransactionBuilder:
             else:
                 has_program = True
                 page = address.page
-                latency = program_ns.get(page)
-                if latency is None:
+                try:
+                    latency = program_ns[page]
+                except KeyError:
                     latency = program_ns[page] = timing.program_latency_ns(page)
-            if latency > die_latency.get(die, 0):
+            # Latencies are positive, so the first request of a die sets it.
+            if die in die_latency:
+                if latency > die_latency[die]:
+                    die_latency[die] = latency
+                die_planes[die] += 1
+            else:
                 die_latency[die] = latency
-            die_planes[die] = die_planes.get(die, 0) + 1
+                die_planes[die] = 1
             size = req.size_bytes
-            per_request = bus_per_size.get(size)
-            if per_request is None:
+            try:
+                per_request = bus_per_size[size]
+            except KeyError:
                 per_request = bus_per_size[size] = timing.request_bus_time_ns(size)
             bus_ns += per_request
             total_bytes += size

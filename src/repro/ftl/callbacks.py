@@ -21,7 +21,7 @@ model of the simulator can charge them).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
@@ -51,10 +51,22 @@ class ReaddressingCallback:
     the controller discovers the stale address.
     """
 
-    def __init__(self, *, enabled: bool = True) -> None:
+    def __init__(
+        self,
+        *,
+        enabled: bool = True,
+        committed: Optional[Callable[[], Iterable[MemoryRequest]]] = None,
+    ) -> None:
         self.enabled = enabled
         self.stats = CallbackStats()
         self._pending_index: Dict[PhysicalPageAddress, List[MemoryRequest]] = {}
+        #: Source of the committed, not yet executing requests, read once:
+        #: the first migration seeds the index from it and sets
+        #: :attr:`tracking`, and from then on the owner tracks every commit
+        #: and untracks every start.  Until a page moves no request can go
+        #: stale, so nothing needs indexing before.
+        self._committed = committed
+        self.tracking = False
 
     # ------------------------------------------------------------------
     # Request tracking
@@ -90,6 +102,8 @@ class ReaddressingCallback:
         self, lpn: int, old: PhysicalPageAddress, new: PhysicalPageAddress
     ) -> None:
         """A live page moved from ``old`` to ``new`` (the per-move form)."""
+        if self._committed is not None:
+            self._start_tracking()
         self.stats.migrations_observed += 1
         if not old.same_plane_as(new):
             self.stats.cross_resource_migrations += 1
@@ -120,6 +134,8 @@ class ReaddressingCallback:
         allocation runs); the batch then skips the per-move plane
         comparison and reduces to pure pending-index maintenance.
         """
+        if self._committed is not None:
+            self._start_tracking()
         stats = self.stats
         stats.migrations_observed += len(moves)
         pending = self._pending_index
@@ -158,6 +174,13 @@ class ReaddressingCallback:
             stale = pending_pop(old, None)
             if stale is not None:
                 self._retarget(stale, new)
+
+    def _start_tracking(self) -> None:
+        """Seed the index from the committed requests, once, and track on."""
+        committed, self._committed = self._committed, None
+        for request in committed():
+            self.track_request(request)
+        self.tracking = True
 
     def _retarget(self, stale: List[MemoryRequest], new: PhysicalPageAddress) -> None:
         """Re-aim the requests tracked at a moved page at its new address."""

@@ -575,45 +575,36 @@ class PageMapFTL:
         chip = self.chips[chip_key]
         plane_obj = chip.plane(die, plane)
         block_obj = plane_obj.blocks[block]
-        # Drop reverse mappings of any straggler pages (there should be none
-        # after migration, but stale entries must never survive an erase).
-        # Plain tuples hash and compare equal to PhysicalPageAddress (a
-        # NamedTuple), so the sweep probes the reverse map without
-        # constructing one address object per page.
         channel, chip_idx = chip_key
-        reverse_pop = self._reverse.pop
-        explicit_map = self._map
         base_live = self._base_live
         if base_live:
             # Base-layout pages living in this block lose their implicit
             # mapping too (idempotent for pages already moved elsewhere).
-            plane_index = self._plane_index[(channel, chip_idx, die, plane)]
+            # Their LPNs are strided by the plane count, so one extended
+            # slice of the moved flags covers the block's live ones.
             num_planes = len(self._plane_index)
-            base_position = block * self.geometry.pages_per_block
+            start = (
+                block * self.geometry.pages_per_block * num_planes
+                + self._plane_index[(channel, chip_idx, die, plane)]
+            )
+            stop = min(start + block_obj.pages_per_block * num_planes, base_live)
             moved = self._base_moved
-            newly_moved = 0
-        if swept:
-            if base_live:
-                for page in range(block_obj.pages_per_block):
-                    base_lpn = (base_position + page) * num_planes + plane_index
-                    if base_lpn < base_live and not moved[base_lpn]:
-                        moved[base_lpn] = 1
-                        newly_moved += 1
-                self._base_moved_count += newly_moved
-            block_obj.erase()
-            return
-        for page in range(block_obj.pages_per_block):
-            address = (channel, chip_idx, die, plane, block, page)
-            lpn = reverse_pop(address, None)
-            if lpn is not None and explicit_map.get(lpn) == address:
-                del explicit_map[lpn]
-            if base_live:
-                base_lpn = (base_position + page) * num_planes + plane_index
-                if base_lpn < base_live and not moved[base_lpn]:
-                    moved[base_lpn] = 1
-                    newly_moved += 1
-        if base_live:
-            self._base_moved_count += newly_moved
+            flags = moved[start:stop:num_planes]
+            self._base_moved_count += flags.count(0)
+            moved[start:stop:num_planes] = b"\x01" * len(flags)
+        if not swept:
+            # Drop reverse mappings of any straggler pages (there should be
+            # none after migration, but stale entries must never survive an
+            # erase).  Plain tuples hash and compare equal to
+            # PhysicalPageAddress (a NamedTuple), so the sweep probes the
+            # reverse map without constructing one address object per page.
+            reverse_pop = self._reverse.pop
+            explicit_map = self._map
+            for page in range(block_obj.pages_per_block):
+                address = (channel, chip_idx, die, plane, block, page)
+                lpn = reverse_pop(address, None)
+                if lpn is not None and explicit_map.get(lpn) == address:
+                    del explicit_map[lpn]
         block_obj.erase()
 
     def fill(

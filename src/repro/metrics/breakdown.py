@@ -49,11 +49,3 @@ class ExecutionBreakdown:
             "memory_operation": self.memory_operation_ns / total,
             "system_idle": self.system_idle_ns / total,
         }
-
-    def __add__(self, other: "ExecutionBreakdown") -> "ExecutionBreakdown":
-        return ExecutionBreakdown(
-            bus_operation_ns=self.bus_operation_ns + other.bus_operation_ns,
-            bus_contention_ns=self.bus_contention_ns + other.bus_contention_ns,
-            memory_operation_ns=self.memory_operation_ns + other.memory_operation_ns,
-            total_chip_time_ns=self.total_chip_time_ns + other.total_chip_time_ns,
-        )

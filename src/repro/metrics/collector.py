@@ -91,8 +91,9 @@ class MetricsCollector:
             self.gc_transactions += 1
             self.gc_time_ns += transaction.cell_time_ns
             return
-        self.flp.record(transaction.parallelism, transaction.num_requests)
-        self.memory_requests_served += transaction.num_requests
+        num_requests = len(transaction.requests)
+        self.flp.record(transaction.parallelism, num_requests)
+        self.memory_requests_served += num_requests
 
     def on_queue_stall(self, wait_ns: int) -> None:
         """Record host-side backlog waiting caused by a full device queue."""

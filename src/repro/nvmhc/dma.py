@@ -39,13 +39,9 @@ class DmaEngine:
         self.busy_until_ns = 0
         self.stats = DmaStats()
 
-    def is_busy(self, now_ns: int) -> bool:
-        """True while a composition is still in flight."""
-        return now_ns < self.busy_until_ns
-
     def begin(self, now_ns: int, size_bytes: int) -> int:
         """Start composing one memory request; returns its completion time."""
-        if self.is_busy(now_ns):
+        if now_ns < self.busy_until_ns:
             raise RuntimeError("DMA engine is already composing a request")
         self.busy_until_ns = now_ns + COMPOSE_NS
         self.stats.requests_composed += 1

@@ -62,8 +62,8 @@ class Tag:
             self._compose_cursor += 1
         return None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return (
-            f"Tag(io={self.io_id}, requests={self.total_requests}, "
+            f"Tag(io={self.io_id}, requests={len(self.memory_requests)}, "
             f"composed={self.composed_count}, completed={self.completed_count})"
         )

@@ -3,7 +3,7 @@
 The design keeps the hot paths free of registry machinery: components count
 with plain integer attributes on branches they already own (the FUA branch of
 ``register_tag``, the busy-bit clear in ``finish_transaction``, the batch
-loop of ``EventQueue.pop_batch``), and the simulator folds everything into
+loop of ``SSDSimulator.run``), and the simulator folds everything into
 one :class:`CounterRegistry` only when the final
 :class:`~repro.metrics.report.SimulationResult` is assembled.  The registry
 is therefore an aggregation and naming vehicle, not a live dependency of the
@@ -52,7 +52,7 @@ class CounterRegistry:
         """Plain dict of every counter, in sorted name order."""
         return {name: self._values[name] for name in sorted(self._values)}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return f"CounterRegistry({self.snapshot()!r})"
 
 

@@ -6,17 +6,30 @@ in insertion order, which keeps runs fully deterministic.
 
 Heap entries are plain ``(time_ns, sequence, kind, payload)`` tuples: the
 heap then compares them in C instead of calling a generated ``__lt__`` per
-sift step, which measurably speeds up the simulator's inner loop.  The
-sequence number is unique per queue, so a comparison never falls through to
-the (unorderable) ``kind``/``payload`` fields.
+sift step.  The sequence number is unique per queue, so a comparison never
+falls through to the (unorderable) ``kind``/``payload`` fields.
+
+:class:`EventQueue` holds the heap and the dispatch counters but has no
+push/pop methods: the simulator's handlers ``heapq.heappush`` entries onto
+:attr:`EventQueue.heap` themselves and its run loop pops same-timestamp
+batches straight off it, because a helper call per event was a measurable
+share of the loop's host time.  The scheduling contract lives with those
+two sides (:class:`repro.sim.ssd.SSDSimulator`):
+
+* an event time must be non-negative (a handler raises ``ValueError``);
+* a batch is every event at the earliest timestamp, popped before any of
+  them runs; an event pushed at the current timestamp while a batch runs
+  lands in the *next* batch (sequence numbers are monotonic, so events
+  still run in exact ``(time, sequence)`` order);
+* an event pushed into the past is a contract violation: it is still
+  processed, but only after the current batch, out of timestamp order.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
-from typing import Any, List, Optional
+from typing import List
 
 
 class EventKind(enum.Enum):
@@ -35,70 +48,17 @@ class EventQueue:
     """Deterministic min-heap of ``(time_ns, sequence, kind, payload)`` tuples."""
 
     def __init__(self) -> None:
-        self._heap: List[tuple] = []
-        self._sequence = itertools.count()
+        #: The heap itself, ordered by ``(time_ns, sequence)``.
+        self.heap: List[tuple] = []
+        #: Source of the per-queue sequence numbers: ``next(sequence)``.
+        self.sequence = itertools.count()
+        #: Events dispatched so far, including the merged-in arrivals.
         self.processed = 0
-        #: Number of same-timestamp batches handed out, and the largest one.
+        #: Number of same-timestamp batches dispatched, and the largest one.
         #: The simulator also folds its merged-in arrival groups into these,
         #: so together they describe every batch the event loop dispatched.
         self.batches = 0
         self.largest_batch = 0
 
-    def push(self, time_ns: int, kind: EventKind, payload: Any = None) -> None:
-        """Schedule an event at ``time_ns``.
-
-        Returns ``None`` deliberately: the heap entry is an internal
-        representation (callers held onto the raw tuple and compared it
-        against popped events, which broke the moment the entry layout
-        changed).  Scheduling is fire-and-forget; cancellation does not
-        exist in this simulator.
-        """
-        if time_ns < 0:
-            raise ValueError("event time must be non-negative")
-        heapq.heappush(self._heap, (time_ns, next(self._sequence), kind, payload))
-
-    def pop_batch(self) -> Optional[tuple]:
-        """Pop every event at the earliest timestamp, or ``None`` when empty.
-
-        Returns ``(time_ns, batch)`` with the batch in sequence order and
-        commits ``processed``, so the caller advances its clock and
-        re-enters its dispatch loop once per *timestamp* instead of once per
-        event.  The simulator interleaves these batches with the workload
-        arrivals it merges in from a sorted list, so the heap never has to
-        hold the whole trace.
-
-        Re-entrancy contract: handlers may push while a batch is being
-        processed.  A push at the current batch timestamp lands in the
-        *next* batch (sequence numbers are monotonic, so events still run in
-        exact ``(time, sequence)`` order); a push at an earlier timestamp is
-        a contract violation - it is still processed, but only after the
-        current batch, i.e. out of timestamp order.  Handlers must never
-        schedule into the past.
-        """
-        heap = self._heap
-        if not heap:
-            return None
-        pop = heapq.heappop
-        time_ns = heap[0][0]
-        batch = [pop(heap)]
-        append = batch.append
-        while heap and heap[0][0] == time_ns:
-            append(pop(heap))
-        size = len(batch)
-        self.processed += size
-        self.batches += 1
-        if size > self.largest_batch:
-            self.largest_batch = size
-        return time_ns, batch
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest event, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+        return len(self.heap)

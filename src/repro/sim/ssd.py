@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import replace
+from heapq import heappop, heappush
 from typing import Deque, Dict, Optional, Sequence
 
 from repro.core.policies import make_scheduler
@@ -34,7 +35,7 @@ from repro.flash.commands import FlashOp
 from repro.flash.controller import FlashController
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
-from repro.flash.transaction import FlashTransaction, TransactionBuilder
+from repro.flash.transaction import TransactionBuilder
 from repro.ftl.callbacks import ReaddressingCallback
 from repro.ftl.garbage_collector import GarbageCollector, GCJob
 from repro.ftl.mapping import PageMapFTL
@@ -112,12 +113,28 @@ class SSDSimulator:
         callback_enabled = config.readdressing_callback
         if callback_enabled is None:
             callback_enabled = self.scheduler.uses_readdressing_callback
-        self.callback = ReaddressingCallback(enabled=callback_enabled)
+        # Committed requests are indexed for readdressing only from the
+        # first migration of a GC-enabled run on: a run whose garbage
+        # collector never moves a page never reads the index.  The
+        # controllers' commit queues then hold exactly the requests to seed
+        # it with (committed, not yet started), each chip's in commit order.
+        # The source closes over the controllers, not the simulator, so the
+        # FTL's hook adds no reference cycle.
+        controllers = self.controllers
+        self.callback = ReaddressingCallback(
+            enabled=callback_enabled,
+            committed=(
+                lambda: [
+                    request
+                    for controller in controllers.values()
+                    for queue in controller.pending.values()
+                    for request in queue
+                ]
+            )
+            if config.gc_enabled
+            else None,
+        )
         self.ftl.migration_hook = self.callback.on_migrations
-        # Committed requests are indexed for readdressing only when garbage
-        # collection can move pages during the run; with GC off nothing
-        # migrates, so the index would never be read.
-        self._track_requests: bool = config.gc_enabled
 
         # --- observability --------------------------------------------------------
         # One sink shared by every component; with the default null sink the
@@ -143,6 +160,12 @@ class SSDSimulator:
         self.events = EventQueue()
         self.now_ns = 0
         self._tags_by_io: Dict[int, Tag] = {}
+        #: Bit :meth:`SSDGeometry.chip_index` of every chip, for tag masks.
+        self._chip_bits: Dict[tuple, int] = {
+            key: bit
+            for controller in self.controllers.values()
+            for key, bit in controller.chip_bits.items()
+        }
         self._gc_backlog: Dict[tuple, Deque[GCJob]] = {key: deque() for key in self.chips}
         self._decision_pending: set = set()
         self._requests_composed = 0
@@ -206,58 +229,79 @@ class SSDSimulator:
         handle_arrival = self._handle_arrival
         health = self._health
         events = self.events
-        pop_batch = events.pop_batch
-        peek_time = events.peek_time
+        heap = events.heap
         index = 0
         total = len(ordered)
         while True:
-            arrival_ns = ordered[index].arrival_ns if index < total else None
-            batch_ns = peek_time()
-            if arrival_ns is not None and (batch_ns is None or arrival_ns <= batch_ns):
-                self.now_ns = arrival_ns
-                if health is not None and arrival_ns >= health.next_due_ns:
-                    health.sample(self, arrival_ns)
-                admitted = 0
-                while index < total and ordered[index].arrival_ns == arrival_ns:
-                    handle_arrival(ordered[index])
-                    index += 1
-                    admitted += 1
-                events.processed += admitted
-                events.batches += 1
-                if admitted > events.largest_batch:
-                    events.largest_batch = admitted
-                continue
-            if batch_ns is None:
+            if index < total:
+                arrival_ns = ordered[index].arrival_ns
+                if not heap or arrival_ns <= heap[0][0]:
+                    self.now_ns = arrival_ns
+                    if health is not None and arrival_ns >= health.next_due_ns:
+                        health.sample(self, arrival_ns)
+                    admitted = 0
+                    while index < total and ordered[index].arrival_ns == arrival_ns:
+                        handle_arrival(ordered[index])
+                        index += 1
+                        admitted += 1
+                    events.processed += admitted
+                    events.batches += 1
+                    if admitted > events.largest_batch:
+                        events.largest_batch = admitted
+                    continue
+            elif not heap:
                 break
-            time_ns, batch = pop_batch()
+            # Pop the whole same-timestamp batch before running any of it
+            # (see repro.sim.events for the batch contract).  Most batches
+            # hold one event, which skips the list.
+            entry = heappop(heap)
+            time_ns = entry[0]
+            if heap and heap[0][0] == time_ns:
+                batch = [entry]
+                while heap and heap[0][0] == time_ns:
+                    batch.append(heappop(heap))
+                size = len(batch)
+            else:
+                batch = (entry,)
+                size = 1
+            events.processed += size
+            events.batches += 1
+            if size > events.largest_batch:
+                events.largest_batch = size
             self.now_ns = time_ns
             if health is not None and time_ns >= health.next_due_ns:
                 health.sample(self, time_ns)
-            for event in batch:
-                kind = event[2]
+            for _, _, kind, payload in batch:
                 if kind is compose_done:
-                    handle_compose(event[3])
+                    handle_compose(payload)
                 elif kind is transaction_done:
-                    handle_done(event[3])
+                    handle_done(payload)
                 elif kind is decision:
-                    handle_decision(event[3])
+                    handle_decision(payload)
         return self._build_result(workload_name, total)
 
     # ======================================================================
     # Event handlers
     # ======================================================================
+    # Every handler ends by refilling the composition pipeline, but calls
+    # _pump only when the DMA engine is idle (most events land while a
+    # composition is still in flight).  Handlers schedule by pushing
+    # (time_ns, sequence, kind, payload) tuples onto the event heap
+    # themselves; repro.sim.events states the contract they keep.
     def _handle_arrival(self, io: IORequest) -> None:
         self.metrics.on_io_arrival(io)
         tag = self.queue.submit(io, self.now_ns)
         if tag is not None:
             self._admit_tag(tag)
-        self._pump()
+        if self.now_ns >= self.dma.busy_until_ns:
+            self._pump()
 
     def _handle_compose_done(self, request: MemoryRequest) -> None:
+        now_ns = self.now_ns
         address = request.address
         controller = self.controllers[address.channel]
-        controller.commit(request, self.now_ns)
-        if self._track_requests:
+        controller.commit(request, now_ns)
+        if self.callback.tracking:
             self.callback.track_request(request)
         self._requests_composed += 1
         if self._tracing:
@@ -266,28 +310,59 @@ class SSDSimulator:
                 category="nvmhc",
                 track="nvmhc",
                 start_ns=request.composed_at_ns,
-                duration_ns=self.now_ns - request.composed_at_ns,
+                duration_ns=now_ns - request.composed_at_ns,
                 io_id=request.io_id,
                 lpn=request.lpn,
                 channel=address.channel,
                 chip=address.chip,
             )
-        self._maybe_schedule_decision((address.channel, address.chip))
-        self._pump()
+        # Arm the transaction-decision window of the chip that just got
+        # work (the commit above left its queue non-empty), unless it is
+        # armed already or the chip is busy - its completion starts the
+        # next transaction then.
+        chip_key = (address.channel, address.chip)
+        if chip_key not in self._decision_pending and controller.chip_available(
+            chip_key, now_ns
+        ):
+            self._decision_pending.add(chip_key)
+            decide_ns = now_ns + DECISION_WINDOW_NS
+            if decide_ns < 0:
+                raise ValueError("event time must be non-negative")
+            events = self.events
+            heappush(
+                events.heap,
+                (decide_ns, next(events.sequence), EventKind.TRANSACTION_DECISION, chip_key),
+            )
+        if now_ns >= self.dma.busy_until_ns:
+            self._pump()
 
     def _handle_decision(self, chip_key: tuple) -> None:
         self._decision_pending.discard(chip_key)
         self._try_start_chip(chip_key)
-        self._pump()
+        if self.now_ns >= self.dma.busy_until_ns:
+            self._pump()
 
     def _handle_transaction_done(self, chip_key: tuple) -> None:
         controller = self.controllers[chip_key[0]]
         transaction = controller.finish_transaction(chip_key, self.now_ns)
         self.metrics.on_transaction_complete(transaction)
         if not transaction.is_gc:
-            self._retire_requests(transaction)
+            # Retire the served memory requests.  No untrack here: every
+            # host transaction passed through _try_start_chip, which
+            # untracked its requests when they started executing.
+            tags_by_io = self._tags_by_io
+            for request in transaction.requests:
+                tag = tags_by_io.get(request.io_id)
+                if tag is None:
+                    continue
+                completed = tag.completed_count + 1
+                tag.completed_count = completed
+                # The I/O completes with its last memory request.
+                if completed >= len(tag.memory_requests) and tag.memory_requests:
+                    self._complete_io(tag)
         self._try_start_chip(chip_key)
-        self._pump()
+        if self.now_ns >= self.dma.busy_until_ns:
+            self._pump()
 
     # ======================================================================
     # Tag admission and preprocessing
@@ -325,7 +400,11 @@ class SSDSimulator:
                 by_chip[chip_key] = [request]
             else:
                 bucket.append(request)
-        tag.chip_mask = self.geometry.chip_mask(by_chip)
+        chip_bits = self._chip_bits
+        chip_mask = 0
+        for chip_key in by_chip:
+            chip_mask |= chip_bits[chip_key]
+        tag.chip_mask = chip_mask
         self._tags_by_io[io_id] = tag
         self.scheduler.register_tag(tag, self.now_ns)
 
@@ -343,10 +422,11 @@ class SSDSimulator:
     # Composition pipeline and chip activation
     # ======================================================================
     def _pump(self) -> None:
-        """Keep the composition pipeline busy while the scheduler has work."""
+        """Compose the scheduler's next memory request on the idle DMA engine.
+
+        Callers test that the engine is idle (``now_ns >= busy_until_ns``).
+        """
         now_ns = self.now_ns
-        if now_ns < self.dma.busy_until_ns:  # inline DmaEngine.is_busy
-            return
         request = self.scheduler.next_composition(now_ns)
         if request is None:
             return
@@ -355,64 +435,44 @@ class SSDSimulator:
         if tag is not None:
             tag.composed_count += 1
         done_ns = self.dma.begin(now_ns, request.size_bytes)
-        self.events.push(done_ns, EventKind.COMPOSE_DONE, request)
-
-    def _maybe_schedule_decision(self, chip_key: tuple) -> None:
-        """Arm the transaction-decision window for a chip that just got work."""
-        controller = self.controllers[chip_key[0]]
-        if not controller.chip_available(chip_key, self.now_ns):
-            return
-        if chip_key in self._decision_pending:
-            return
-        if controller.pending_count(chip_key) == 0:
-            return
-        self._decision_pending.add(chip_key)
-        self.events.push(
-            self.now_ns + DECISION_WINDOW_NS,
-            EventKind.TRANSACTION_DECISION,
-            chip_key,
-        )
+        if done_ns < 0:
+            raise ValueError("event time must be non-negative")
+        events = self.events
+        heappush(events.heap, (done_ns, next(events.sequence), EventKind.COMPOSE_DONE, request))
 
     def _try_start_chip(self, chip_key: tuple) -> None:
-        """Start GC or a host transaction on a chip if it is available."""
+        """Start GC or a host transaction on a chip if it is available.
+
+        The controller tests availability once, in the start call, which
+        returns ``None`` when the chip is busy.
+        """
         controller = self.controllers[chip_key[0]]
-        if not controller.chip_available(chip_key, self.now_ns):
-            return
         backlog = self._gc_backlog[chip_key]
         if backlog:
-            complete_ns = controller.execute_prebuilt(backlog.popleft(), self.now_ns)
-            if complete_ns is not None:
-                self.events.push(complete_ns, EventKind.TRANSACTION_DONE, chip_key)
-            return
-        if controller.pending_count(chip_key) == 0:
-            return
-        complete_ns = controller.start_transaction(chip_key, self.now_ns)
-        if complete_ns is not None:
-            if self._track_requests:
+            complete_ns = controller.execute_prebuilt(backlog[0], self.now_ns)
+            if complete_ns is None:
+                return
+            backlog.popleft()
+        else:
+            if not controller.pending[chip_key]:
+                return
+            complete_ns = controller.start_transaction(chip_key, self.now_ns)
+            if complete_ns is None:
+                return
+            if self.callback.tracking:
                 for request in controller.active[chip_key].requests:
                     self.callback.untrack_request(request)
-            self.events.push(complete_ns, EventKind.TRANSACTION_DONE, chip_key)
+        if complete_ns < 0:
+            raise ValueError("event time must be non-negative")
+        events = self.events
+        heappush(
+            events.heap,
+            (complete_ns, next(events.sequence), EventKind.TRANSACTION_DONE, chip_key),
+        )
 
     # ======================================================================
     # Completion propagation
     # ======================================================================
-    def _retire_requests(self, transaction: FlashTransaction) -> None:
-        # No untrack here: every host transaction passed through
-        # _try_start_chip, which already untracked its requests when they
-        # started executing - a second untrack per request was pure no-op
-        # bucket probing on the hottest completion path.
-        tags_by_io = self._tags_by_io
-        for request in transaction.requests:
-            tag = tags_by_io.get(request.io_id)
-            if tag is None:
-                continue
-            completed = tag.completed_count + 1
-            tag.completed_count = completed
-            # Plain attribute reads: every memory request retires through
-            # here, and the I/O completes with its last one.
-            if completed >= len(tag.memory_requests) and tag.memory_requests:
-                self._complete_io(tag)
-
     def _complete_io(self, tag: Tag) -> None:
         io = tag.io
         io.completed_at_ns = self.now_ns

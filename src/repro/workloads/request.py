@@ -74,7 +74,7 @@ class IORequest:
         last = (self.end_offset_bytes - 1) // page_size_bytes
         return range(first, last + 1)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def __repr__(self) -> str:
         return (
             f"IORequest(id={self.io_id}, {self.kind.value}, offset={self.offset_bytes}, "
             f"size={self.size_bytes}, t={self.arrival_ns})"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.flash.channel import Channel
 from repro.flash.chip import FlashChip
+from repro.flash.controller import FlashController
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
 from repro.flash.transaction import TransactionBuilder
@@ -49,6 +51,17 @@ def fast_timing() -> FlashTiming:
 def small_chips(small_geometry):
     """FlashChip objects for every chip of the small geometry."""
     return {key: FlashChip(key, small_geometry) for key in small_geometry.iter_chip_keys()}
+
+
+@pytest.fixture
+def controller(small_geometry, fast_timing) -> FlashController:
+    """Flash controller of channel 0 of the small geometry, with its chips."""
+    chips = {
+        key: FlashChip(key, small_geometry)
+        for key in small_geometry.iter_chip_keys()
+        if key[0] == 0
+    }
+    return FlashController(Channel(0), chips, TransactionBuilder(small_geometry, fast_timing))
 
 
 @pytest.fixture

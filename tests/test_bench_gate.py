@@ -78,3 +78,61 @@ def test_incorrect_head_run_fails(gate):
     assert verdicts(rows) == {"wall_s": "ok", "events_per_s": "ok"}
     assert any('"correct": false' in failure for failure in failures)
     assert any("failed share" in failure for failure in failures)
+
+
+EVENTS = {"name": "events_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def paired(base_values, head_values):
+    """Base and head runs of ``events_per_s``, pair ``i`` at index ``i``."""
+    return [run(1.0, v) for v in base_values], [run(1.0, v) for v in head_values]
+
+
+def test_claim_with_nine_of_ten_wins_past_the_iqr_is_a_gain(gate):
+    base, head = paired(
+        [100, 102, 98, 101, 99, 100, 103, 97, 100, 101],
+        [120, 121, 119, 122, 118, 120, 121, 96, 123, 120],
+    )
+    claim = gate.judge_claim("paper-grid", EVENTS, base, head)
+    assert (claim.wins, claim.pairs, claim.verdict) == (9, 10, "GAIN")
+    assert claim.base[1] == 100.0 and claim.head[1] == 120.0
+    assert "9/10" in claim.line() and claim.line().endswith("GAIN")
+    winners = [winner for _, _, winner in claim.pair_results]
+    assert winners == ["head"] * 7 + ["base"] + ["head"] * 2
+    assert claim.table().splitlines()[8].split() == ["8", "97.0000", "96.0000", "base"]
+
+
+def test_claim_with_eight_wins_is_not_met(gate):
+    base, head = paired([100] * 10, [120] * 8 + [90, 90])
+    claim = gate.judge_claim("paper-grid", EVENTS, base, head)
+    assert (claim.wins, claim.verdict) == (8, "NOT MET")
+
+
+def test_ties_count_for_neither_side(gate):
+    base, head = paired([100] * 10, [130] * 9 + [100])
+    claim = gate.judge_claim("paper-grid", EVENTS, base, head)
+    assert (claim.wins, claim.verdict) == (9, "GAIN")
+    assert claim.pair_results[-1] == (100, 100, "tie")
+    base, head = paired([100] * 10, [130] * 8 + [100, 100])
+    assert gate.judge_claim("paper-grid", EVENTS, base, head).wins == 8
+
+
+def test_claim_gap_within_base_iqr_is_not_met(gate):
+    # Every pair won, but the base runs alone spread wider than the gap.
+    base, head = paired(
+        [80, 120, 85, 115, 90, 110, 95, 105, 82, 118],
+        [81, 121, 86, 116, 91, 111, 96, 106, 83, 119],
+    )
+    claim = gate.judge_claim("paper-grid", EVENTS, base, head)
+    assert claim.wins == 10
+    assert claim.verdict == "NOT MET"
+
+
+def test_claim_on_a_lower_is_better_metric(gate):
+    base = [run(w) for w in (3.5, 3.6, 3.4, 3.5, 3.55, 3.45, 3.5, 3.6, 3.4, 3.5)]
+    head = [run(w) for w in (2.9, 2.8, 3.0, 2.9, 2.85, 2.95, 2.9, 2.8, 3.0, 2.9)]
+    claim = gate.judge_claim("paper-grid", WALL, base, head)
+    assert (claim.wins, claim.verdict) == (10, "GAIN")
+    # The same runs the other way round: a slowdown is no gain.
+    assert gate.judge_claim("paper-grid", WALL, head, base).verdict == "NOT MET"

@@ -1,5 +1,6 @@
 """Tests for the readdressing callback."""
 
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,9 @@ from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 from repro.ftl.callbacks import STALE_PENALTY_NS, CallbackStats, ReaddressingCallback
+from repro.sim.config import SimulationConfig, stable_fingerprint
+from repro.sim.ssd import SSDSimulator
+from repro.workloads.synthetic import generate_random_workload
 
 
 def address(channel=0, chip=0, die=0, plane=0, block=0, page=0):
@@ -28,6 +32,23 @@ class TestEnabledCallback:
         callback.on_migration(7, old, new)
         assert req.address == new
         assert req.penalty_ns == 0
+        assert callback.stats.requests_retargeted == 1
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_committed_source_seeds_the_index_at_the_first_migration(self, batched):
+        old, new = address(block=0), address(block=3)
+        req = request_at(old)
+        reads = []
+        callback = ReaddressingCallback(committed=lambda: reads.append(1) or [req])
+        assert not callback.tracking and reads == []
+        if batched:
+            callback.on_migrations([7], [(old, new)])
+            callback.on_migrations([8], [(address(block=1), address(block=4))])
+        else:
+            callback.on_migration(7, old, new)
+            callback.on_migration(8, address(block=1), address(block=4))
+        assert callback.tracking and reads == [1]
+        assert req.address == new
         assert callback.stats.requests_retargeted == 1
 
     def test_untracked_request_not_touched(self):
@@ -187,3 +208,64 @@ class TestBatchedMigrations:
         moves = [(address(block=0), address(block=1)), (address(block=2), address(block=3))]
         callback.on_migrations([1, 2], moves, all_same_plane=True)
         assert callback.stats == CallbackStats(migrations_observed=2)
+
+
+def gc_run(workload, scheduler, *, eager):
+    """Run an 85%-full device; returns callback stats, result digest, queue probe.
+
+    ``eager=True`` indexes every committed request from the start, as the
+    simulator once did; by default the index is built at the first
+    migration.  The probe is the number of committed requests waiting in
+    the controllers' queues when that first migration came.
+    """
+    simulator = SSDSimulator(SimulationConfig.small(prefill_fraction=0.85), scheduler)
+    callback = simulator.callback
+    if eager:
+        callback = simulator.callback = ReaddressingCallback(enabled=callback.enabled)
+        callback.tracking = True
+    waiting = []
+
+    def probe(*args, **kwargs):
+        if not callback.tracking:
+            waiting.append(
+                sum(
+                    len(queue)
+                    for controller in simulator.controllers.values()
+                    for queue in controller.pending.values()
+                )
+            )
+        callback.on_migrations(*args, **kwargs)
+
+    simulator.ftl.migration_hook = probe
+    result = simulator.run([dataclasses.replace(io) for io in workload])
+    return callback.stats, stable_fingerprint(result), waiting
+
+
+class TestLazyIndex:
+    """Indexing at the first migration equals indexing every commit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lazy_and_eager_indexing_agree(self, seed):
+        config = SimulationConfig.small(prefill_fraction=0.85)
+        workload = generate_random_workload(
+            num_requests=150,
+            size_bytes=16 * 1024,
+            address_space_bytes=config.logical_pages * config.geometry.page_size_bytes // 2,
+            read_fraction=0.3,
+            interarrival_ns=500,
+            seed=seed,
+        )
+        seeded = touched = 0
+        for scheduler in ("SPK3", "PAS"):
+            lazy_stats, lazy_digest, waiting = gc_run(workload, scheduler, eager=False)
+            eager_stats, eager_digest, never = gc_run(workload, scheduler, eager=True)
+            assert lazy_stats == eager_stats
+            assert lazy_digest == eager_digest
+            assert len(waiting) == 1 and never == []
+            assert lazy_stats.migrations_observed > 0
+            seeded += waiting[0]
+            touched += lazy_stats.requests_retargeted + lazy_stats.requests_penalized
+        # The first migration came mid-run, with committed requests to
+        # index, and migrations hit tracked requests.
+        assert seeded > 0
+        assert touched > 0

@@ -2,26 +2,10 @@
 
 import pytest
 
-from repro.flash.channel import Channel
-from repro.flash.chip import FlashChip
 from repro.flash.commands import FlashOp
-from repro.flash.controller import FlashController
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
-from repro.flash.transaction import TransactionBuilder
 from repro.ftl.garbage_collector import GCJob
-
-
-@pytest.fixture
-def controller(small_geometry, fast_timing):
-    channel = Channel(0)
-    chips = {
-        key: FlashChip(key, small_geometry)
-        for key in small_geometry.iter_chip_keys()
-        if key[0] == 0
-    }
-    builder = TransactionBuilder(small_geometry, fast_timing)
-    return FlashController(channel, chips, builder)
 
 
 def make_request(io_id=1, op=FlashOp.READ, die=0, plane=0, page=0, chip=(0, 0)):
@@ -53,7 +37,7 @@ class TestCommitQueues:
     def test_commit_tracks_pending(self, controller):
         request = make_request()
         controller.commit(request, 100)
-        assert controller.pending_count((0, 0)) == 1
+        assert len(controller.pending[(0, 0)]) == 1
         assert controller.pending[(0, 0)] == [request]
         assert controller.busy_bits & controller.chip_bits[(0, 0)]
         assert request.committed_at_ns == 100
@@ -91,7 +75,7 @@ class TestTransactionExecution:
         assert complete is not None
         transaction = controller.active[(0, 0)]
         assert transaction.num_requests == 2
-        assert controller.pending_count((0, 0)) == 0
+        assert controller.pending[(0, 0)] == []
 
     def test_start_transaction_keeps_the_remainder_in_order(self, controller):
         first = make_request(die=0, plane=0, page=0)

@@ -58,7 +58,7 @@ class TestShippedZoo:
     def test_every_shipped_definition_loads(self):
         registry = DeviceRegistry(ZOO_DIR)
         assert registry.names() == SHIPPED_DEVICES
-        assert len(registry) == len(SHIPPED_DEVICES)
+        assert len(registry.names()) == len(SHIPPED_DEVICES)
 
     def test_default_registry_is_cached_and_refreshable(self):
         first = default_registry()

@@ -143,7 +143,7 @@ class TestFingerprints:
 class TestExperimentSpec:
     def test_matrix_keys(self):
         spec = tiny_spec()
-        assert len(spec) == 4
+        assert len(spec.jobs) == 4
         assert [job.key for job in spec.jobs] == [
             ("cfs0", "VAS"),
             ("cfs0", "SPK3"),
@@ -239,7 +239,7 @@ class TestExecutionEngine:
         engine.run_jobs([job, job])
         assert engine.stats.jobs_executed == 1
         assert engine.stats.cache_stores == 1
-        assert len(engine.cache) == 1
+        assert len(list(engine.cache.directory.glob("*.pkl"))) == 1
         # A warm rerun of the duplicated batch is pure cache hits.
         rerun = ExecutionEngine("serial", cache_dir=tmp_path)
         rerun.run_jobs([job, job])
@@ -250,13 +250,13 @@ class TestExecutionEngine:
         spec = tiny_spec()
         first = ExecutionEngine("serial", cache_dir=tmp_path)
         warm = first.run(spec)
-        assert first.stats.jobs_executed == len(spec)
+        assert first.stats.jobs_executed == len(spec.jobs)
         assert first.stats.cache_hits == 0
 
         second = ExecutionEngine("serial", cache_dir=tmp_path)
         cached = second.run(spec)
         assert second.stats.jobs_executed == 0
-        assert second.stats.cache_hits == len(spec)
+        assert second.stats.cache_hits == len(spec.jobs)
         for key in warm:
             assert pickle.dumps(warm[key]) == pickle.dumps(cached[key])
 
@@ -267,10 +267,10 @@ class TestExecutionEngine:
         # A different queue depth must not hit the warm cache entries.
         engine.run(tiny_spec(queue_depth=32))
         assert engine.stats.cache_hits == 0
-        assert engine.stats.jobs_executed == 2 * len(tiny_spec())
+        assert engine.stats.jobs_executed == 2 * len(tiny_spec().jobs)
         # Re-running the original spec still hits.
         engine.run(tiny_spec())
-        assert engine.stats.cache_hits == len(tiny_spec())
+        assert engine.stats.cache_hits == len(tiny_spec().jobs)
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         spec = tiny_spec()
@@ -281,15 +281,15 @@ class TestExecutionEngine:
         rerun = ExecutionEngine("serial", cache_dir=tmp_path)
         results = rerun.run(spec)
         assert rerun.stats.cache_hits == 0
-        assert rerun.stats.jobs_executed == len(spec)
-        assert len(results) == len(spec)
+        assert rerun.stats.jobs_executed == len(spec.jobs)
+        assert len(results) == len(spec.jobs)
 
     def test_result_cache_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = tiny_spec()
         result = spec.jobs[0].execute()
         cache.store("abc", result)
-        assert len(cache) == 1
+        assert len(list(cache.directory.glob("*.pkl"))) == 1
         assert pickle.dumps(cache.load("abc")) == pickle.dumps(result)
         assert cache.load("missing") is None
 

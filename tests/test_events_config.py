@@ -1,4 +1,12 @@
-"""Tests for the event queue and simulation configuration."""
+"""Tests for the event queue contract and simulation configuration.
+
+The event queue has no push/pop methods: the simulator's handlers push
+``(time_ns, sequence, kind, payload)`` tuples onto ``EventQueue.heap`` and
+``SSDSimulator.run`` pops same-timestamp batches straight off it.  These
+tests drive that run loop with recording handlers.
+"""
+
+import heapq
 
 import pytest
 
@@ -6,150 +14,214 @@ from repro.flash.geometry import SSDGeometry
 from repro.lifetime.state import DeviceState
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, EventQueue
+from repro.sim.ssd import SSDSimulator
+from repro.workloads.request import IOKind, IORequest
+
+
+def push(simulator, time_ns, payload, kind=EventKind.COMPOSE_DONE):
+    """Schedule an event the way the simulator's handlers do."""
+    events = simulator.events
+    heapq.heappush(events.heap, (time_ns, next(events.sequence), kind, payload))
+
+
+def recording_simulator(react=None):
+    """A simulator whose event handlers only record ``(now_ns, payload)``.
+
+    ``react(simulator, payload)`` runs after each record and may push more
+    events, the way real handlers do.
+    """
+    simulator = SSDSimulator(SimulationConfig.small(gc_enabled=False), "VAS")
+    seen = []
+
+    def handle(payload):
+        seen.append((simulator.now_ns, payload))
+        if react is not None:
+            react(simulator, payload)
+
+    for name in ("_handle_compose_done", "_handle_transaction_done", "_handle_decision"):
+        setattr(simulator, name, handle)
+    return simulator, seen
 
 
 class TestEventQueue:
     def test_pops_in_time_order(self):
-        queue = EventQueue()
-        queue.push(50, EventKind.COMPOSE_DONE, "b")
-        queue.push(10, EventKind.COMPOSE_DONE, "a")
-        queue.push(30, EventKind.COMPOSE_DONE, "c")
-        popped = [batch[0][3] for _, batch in iter(queue.pop_batch, None)]
-        assert popped == ["a", "c", "b"]
+        simulator, seen = recording_simulator()
+        push(simulator, 50, "b")
+        push(simulator, 10, "a")
+        push(simulator, 30, "c")
+        simulator.run([])
+        assert seen == [(10, "a"), (30, "c"), (50, "b")]
 
     def test_ties_broken_by_insertion_order(self):
-        queue = EventQueue()
-        queue.push(10, EventKind.TRANSACTION_DONE, "first")
-        queue.push(10, EventKind.COMPOSE_DONE, "second")
-        _, batch = queue.pop_batch()
-        assert [entry[3] for entry in batch] == ["first", "second"]
+        simulator, seen = recording_simulator()
+        push(simulator, 10, "first", EventKind.TRANSACTION_DONE)
+        push(simulator, 10, "second")
+        simulator.run([])
+        assert [payload for _, payload in seen] == ["first", "second"]
+        assert simulator.events.batches == 1
 
-    def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(42, EventKind.COMPOSE_DONE)
-        assert queue.peek_time() == 42
+    def test_arrivals_run_before_events_at_the_same_time(self):
+        # The loop compares the next arrival with the heap's earliest time:
+        # arrivals at time T run before every dynamic event at time T.
+        simulator, seen = recording_simulator()
+        arrivals = []
+        simulator._handle_arrival = lambda io: arrivals.append(len(seen))
+        push(simulator, 42, "event")
+        io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=2048, arrival_ns=42)
+        simulator.run([io])
+        assert arrivals == [0]
+        assert seen == [(42, "event")]
+        assert simulator.events.batches == 2
 
-    def test_len_and_bool(self):
-        queue = EventQueue()
-        assert not queue
-        queue.push(1, EventKind.COMPOSE_DONE)
-        assert queue
-        assert len(queue) == 1
+    def test_len_counts_pending_events(self):
+        simulator, _ = recording_simulator()
+        assert len(simulator.events) == 0
+        push(simulator, 1, "a")
+        assert len(simulator.events) == 1
+        simulator.run([])
+        assert len(simulator.events) == 0
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().push(-1, EventKind.COMPOSE_DONE)
+    def test_negative_time_rejected(self, monkeypatch):
+        # A handler refuses to schedule at a negative time (here the DMA
+        # engine reports a negative completion for the first composition).
+        simulator = SSDSimulator(SimulationConfig.small(gc_enabled=False), "VAS")
+        monkeypatch.setattr(simulator.dma, "begin", lambda now_ns, size_bytes: -1)
+        io = IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=2048, arrival_ns=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            simulator.run([io])
 
     def test_processed_counter(self):
-        queue = EventQueue()
-        queue.push(1, EventKind.COMPOSE_DONE)
-        queue.pop_batch()
-        assert queue.processed == 1
+        simulator, _ = recording_simulator()
+        push(simulator, 1, "a")
+        simulator.run([])
+        assert simulator.events.processed == 1
 
-    def test_push_returns_nothing(self):
-        # Regression: push used to leak the raw heap tuple, and callers
-        # compared it against popped entries - an internal representation
-        # that is free to change.  Scheduling is fire-and-forget.
-        queue = EventQueue()
-        assert queue.push(5, EventKind.COMPOSE_DONE, "p") is None
+    def test_handlers_push_plain_tuples(self):
+        # Heap entries are (time_ns, sequence, kind, payload) tuples with
+        # unique sequence numbers, so comparisons never reach the payload.
+        simulator = SSDSimulator(SimulationConfig.small(gc_enabled=False), "SPK3")
+        snapshots = []
+        compose = simulator._handle_compose_done
+
+        def snapshot_then_compose(request):
+            snapshots.extend(simulator.events.heap)
+            compose(request)
+
+        simulator._handle_compose_done = snapshot_then_compose
+        workload = [
+            IORequest(kind=IOKind.WRITE, offset_bytes=i * 8192, size_bytes=8192, arrival_ns=i * 100)
+            for i in range(8)
+        ]
+        simulator.run(workload)
+        assert snapshots
+        by_sequence = {}
+        for entry in snapshots:
+            time_ns, sequence, kind, _ = entry
+            assert type(entry) is tuple and time_ns >= 0
+            assert isinstance(sequence, int) and isinstance(kind, EventKind)
+            assert by_sequence.setdefault(sequence, entry) is entry
 
 
 class TestEventQueueBatching:
-    """pop_batch semantics, including re-entrant pushes."""
+    """The run loop's same-timestamp batches, including re-entrant pushes."""
 
     def test_pop_batch_groups_same_timestamp(self):
-        queue = EventQueue()
-        queue.push(20, EventKind.COMPOSE_DONE, "late")
-        queue.push(10, EventKind.COMPOSE_DONE, "a")
-        queue.push(10, EventKind.TRANSACTION_DONE, "b")
-        time_ns, batch = queue.pop_batch()
-        assert time_ns == 10
-        assert [entry[3] for entry in batch] == ["a", "b"]
-        assert queue.processed == 2
-        time_ns, batch = queue.pop_batch()
-        assert time_ns == 20
-        assert [entry[3] for entry in batch] == ["late"]
-        assert queue.processed == 3
+        simulator, seen = recording_simulator()
+        push(simulator, 20, "late")
+        push(simulator, 10, "a")
+        push(simulator, 10, "b", EventKind.TRANSACTION_DONE)
+        simulator.run([])
+        assert seen == [(10, "a"), (10, "b"), (20, "late")]
+        events = simulator.events
+        assert (events.processed, events.batches, events.largest_batch) == (3, 2, 2)
 
     def test_pop_batch_empty_returns_none(self):
-        queue = EventQueue()
-        assert queue.pop_batch() is None
-        queue.push(1, EventKind.COMPOSE_DONE)
-        queue.pop_batch()
-        assert queue.pop_batch() is None
-        assert queue.processed == 1
+        # An empty queue and no arrivals: the loop ends at once.
+        simulator, seen = recording_simulator()
+        result = simulator.run([])
+        assert seen == []
+        assert (result.events_processed, result.event_batches) == (0, 0)
 
     def test_drain_batch_matches_drain_order(self):
         # Batches hand events out in exact (time, insertion) order.
-        queue = EventQueue()
+        simulator, seen = recording_simulator()
         for time_ns, payload in [(5, "a"), (1, "b"), (5, "c"), (3, "d"), (1, "e")]:
-            queue.push(time_ns, EventKind.COMPOSE_DONE, payload)
-        order = [entry[3] for _, batch in iter(queue.pop_batch, None) for entry in batch]
-        assert order == ["b", "e", "d", "a", "c"]
-        assert queue.processed == 5
+            push(simulator, time_ns, payload)
+        simulator.run([])
+        assert [payload for _, payload in seen] == ["b", "e", "d", "a", "c"]
+        assert simulator.events.processed == 5
 
     def test_same_timestamp_push_mid_batch_lands_in_next_batch(self):
         # The re-entrancy contract: a handler pushing at the current batch
         # timestamp must see its event in the NEXT batch (sequences are
         # monotonic, so it sorts after everything already handed out).
-        queue = EventQueue()
-        queue.push(10, EventKind.COMPOSE_DONE, "first")
-        steps = []
-        for time_ns, batch in iter(queue.pop_batch, None):
-            steps.append((time_ns, [entry[3] for entry in batch]))
-            if len(steps) == 1:
-                queue.push(10, EventKind.COMPOSE_DONE, "re-entrant")
-        assert steps == [(10, ["first"]), (10, ["re-entrant"])]
-        assert queue.processed == 2
+        def react(simulator, payload):
+            if payload == "first":
+                push(simulator, simulator.now_ns, "re-entrant")
+
+        simulator, seen = recording_simulator(react)
+        push(simulator, 10, "first")
+        push(simulator, 10, "second")
+        simulator.run([])
+        assert seen == [(10, "first"), (10, "second"), (10, "re-entrant")]
+        events = simulator.events
+        assert (events.processed, events.batches, events.largest_batch) == (3, 2, 2)
 
     def test_future_push_mid_drain_is_seen(self):
-        queue = EventQueue()
-        queue.push(1, EventKind.COMPOSE_DONE, "seed")
-        seen = []
-        for time_ns, batch in iter(queue.pop_batch, None):
-            for entry in batch:
-                seen.append(entry[3])
-                if entry[3] == "seed":
-                    queue.push(time_ns + 4, EventKind.TRANSACTION_DONE, "chained")
-        assert seen == ["seed", "chained"]
+        def react(simulator, payload):
+            if payload == "seed":
+                push(simulator, simulator.now_ns + 4, "chained", EventKind.TRANSACTION_DONE)
+
+        simulator, seen = recording_simulator(react)
+        push(simulator, 1, "seed")
+        simulator.run([])
+        assert seen == [(1, "seed"), (5, "chained")]
 
     def test_past_push_mid_batch_is_processed_late(self):
-        # Scheduling into the past is a contract violation; the queue does
+        # Scheduling into the past is a contract violation; the loop does
         # not lose the event, but it is handed out after the current batch,
         # i.e. out of timestamp order.  This pins the documented behaviour.
-        queue = EventQueue()
-        queue.push(10, EventKind.COMPOSE_DONE, "now")
-        steps = []
-        for time_ns, batch in iter(queue.pop_batch, None):
-            steps.append((time_ns, [entry[3] for entry in batch]))
-            if len(steps) == 1:
-                queue.push(3, EventKind.COMPOSE_DONE, "past")
-        assert steps == [(10, ["now"]), (3, ["past"])]
+        def react(simulator, payload):
+            if payload == "now":
+                push(simulator, 3, "past")
+
+        simulator, seen = recording_simulator(react)
+        push(simulator, 10, "now")
+        simulator.run([])
+        assert seen == [(10, "now"), (3, "past")]
 
     def test_generators_restart_after_exhaustion(self):
-        # Popping to empty returns None; events pushed afterwards are handed
-        # out again, and the processed counter keeps accumulating.
-        queue = EventQueue()
-        queue.push(1, EventKind.COMPOSE_DONE, "a")
-        assert [entry[3] for entry in queue.pop_batch()[1]] == ["a"]
-        assert queue.pop_batch() is None
-        queue.push(2, EventKind.COMPOSE_DONE, "b")
-        queue.push(2, EventKind.COMPOSE_DONE, "c")
-        assert [entry[3] for entry in queue.pop_batch()[1]] == ["b", "c"]
-        assert queue.processed == 3
+        # The heap drains between two distant arrivals; events pushed after
+        # that are handed out again, and the counters keep accumulating.
+        def arrive(io):
+            push(simulator, io.arrival_ns + 1, io.arrival_ns)
+
+        simulator, seen = recording_simulator()
+        simulator._handle_arrival = arrive
+        workload = [
+            IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=2048, arrival_ns=t)
+            for t in (0, 1_000)
+        ]
+        simulator.run(workload)
+        assert seen == [(1, 0), (1_001, 1_000)]
+        assert simulator.events.processed == 4
+        assert simulator.events.batches == 4
 
     def test_processed_counts_batches_and_singles_consistently(self):
         # processed counts events, batches counts timestamps.
-        queue = EventQueue()
+        simulator, _ = recording_simulator()
         for time_ns in (1, 1, 2, 3, 3, 3):
-            queue.push(time_ns, EventKind.COMPOSE_DONE)
-        for _ in iter(queue.pop_batch, None):
-            pass
-        assert queue.processed == 6
-        assert queue.batches == 3
-        assert queue.largest_batch == 3
-        assert len(queue) == 0
+            push(simulator, time_ns, None)
+        simulator.run([])
+        events = simulator.events
+        assert events.processed == 6
+        assert events.batches == 3
+        assert events.largest_batch == 3
+        assert len(events) == 0
+
+    def test_a_fresh_queue_is_empty(self):
+        events = EventQueue()
+        assert len(events) == events.processed == events.batches == events.largest_batch == 0
 
 
 class TestSimulationConfig:

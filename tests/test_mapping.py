@@ -427,6 +427,51 @@ class TestTranslateWrite:
         assert ftl_state(fast) == ftl_state(reference)
 
 
+def reference_flag_erased_base_pages(ftl, flags, plane_key, block):
+    """Per-page reference for the base-layout flags ``erase_block`` sets.
+
+    Flags, in ``flags``, every base-layout LPN of ``block`` as moved and
+    returns how many were not flagged yet.
+    """
+    pages_per_block = ftl.geometry.pages_per_block
+    num_planes = len(ftl._plane_index)
+    plane_index = ftl._plane_index[plane_key]
+    newly_moved = 0
+    for page in range(pages_per_block):
+        base_lpn = (block * pages_per_block + page) * num_planes + plane_index
+        if base_lpn < ftl._base_live and not flags[base_lpn]:
+            flags[base_lpn] = 1
+            newly_moved += 1
+    return newly_moved
+
+
+class TestEraseBlockBaseFlags:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("geometry", WRITE_MANY_GEOMETRIES, ids=("small", "narrow"))
+    def test_strided_flags_match_per_page_loop(self, geometry, seed):
+        # Base fills of every size, including ones that end inside a block,
+        # with overwrites flagging scattered LPNs moved beforehand.
+        rng = random.Random(seed)
+        ftl = fresh_ftl(geometry)
+        live = rng.randrange(1, geometry.total_pages * 3 // 4)
+        ftl.install_base_layout(live)
+        for lpn in rng.sample(range(live), rng.randrange(min(live, 12) + 1)):
+            ftl.translate_write(lpn)
+        plane_keys = sorted(ftl._plane_index)
+        for _ in range(8):
+            plane_key = rng.choice(plane_keys)
+            block = rng.randrange(geometry.blocks_per_plane)
+            flags = bytearray(ftl._base_moved)
+            expected = ftl._base_moved_count + reference_flag_erased_base_pages(
+                ftl, flags, plane_key, block
+            )
+            ftl.erase_block(
+                plane_key[:2], plane_key[2], plane_key[3], block, swept=rng.random() < 0.5
+            )
+            assert bytes(ftl._base_moved) == bytes(flags)
+            assert ftl._base_moved_count == expected
+
+
 class TestWriteMany:
     """write_many against the per-page translate_write loop it batches."""
 

@@ -162,13 +162,6 @@ class TestExecutionBreakdown:
         )
         assert breakdown.system_idle_ns == 0
 
-    def test_addition(self):
-        a = ExecutionBreakdown(10, 20, 30, 100)
-        b = ExecutionBreakdown(1, 2, 3, 10)
-        combined = a + b
-        assert combined.bus_operation_ns == 11
-        assert combined.total_chip_time_ns == 110
-
 
 class TestUtilizationReports:
     def test_mean_min_max(self):

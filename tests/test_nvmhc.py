@@ -101,7 +101,7 @@ class TestTag:
         for page in range(num_requests):
             request = make_request(io.io_id, page=page, plane=page % 2)
             tag.memory_requests.append(request)
-            tag.by_chip.setdefault(request.chip_key, []).append(request)
+            tag.by_chip.setdefault(request.address.chip_key, []).append(request)
         return tag
 
     def test_counts(self):
@@ -143,8 +143,9 @@ class TestDmaEngine:
         dma = DmaEngine()
         done = dma.begin(50, 2048)
         assert done == 50 + COMPOSE_NS
-        assert dma.is_busy(done - 1)
-        assert not dma.is_busy(done)
+        assert dma.busy_until_ns == done
+        # Free again exactly at completion: the next composition may begin.
+        assert dma.begin(done, 2048) == done + COMPOSE_NS
 
     def test_begin_while_busy_raises(self):
         dma = DmaEngine()

@@ -100,11 +100,12 @@ class TestMetricsCollector:
         collector.on_io_complete(io, 1000)
         chips = {key: FlashChip(key, small_geometry) for key in small_geometry.iter_chip_keys()}
         first = chips[(0, 0)]
-        first.occupy(0, 500)
-        first.record_transaction(
-            num_requests=1, num_dies=1, cell_time_ns=400, bus_time_ns=50,
-            bus_wait_ns=10, die_active_time_ns=400,
-        )
+        # What the controller records for one 500 ns transaction.
+        first.stats.busy_time_ns = 500
+        first.stats.cell_time_ns = 400
+        first.stats.bus_time_ns = 50
+        first.stats.bus_wait_ns = 10
+        first.stats.die_active_time_ns = 400
         utilization = collector.utilization_report(chips)
         assert utilization.per_chip[(0, 0)] == pytest.approx(0.5)
         idleness = collector.idleness_report(chips)

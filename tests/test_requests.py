@@ -56,17 +56,20 @@ class TestIORequest:
 
 
 class TestMemoryRequest:
-    def test_chip_key_requires_translation(self):
+    # A request's target chip is its address's (channel, chip): the flash
+    # controller files a committed request under it.
+    def test_chip_key_requires_translation(self, controller):
         request = MemoryRequest(io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048)
         assert request.address is None
         with pytest.raises(ValueError):
-            _ = request.chip_key
+            controller.commit(request, 0)
 
-    def test_chip_key_after_translation(self):
+    def test_chip_key_after_translation(self, controller):
         request = MemoryRequest(
             io_id=1, op=FlashOp.READ, lpn=0, size_bytes=2048, address=make_address()
         )
-        assert request.chip_key == (0, 1)
+        controller.commit(request, 0)
+        assert controller.pending[(0, 1)] == [request]
 
     def test_retarget_changes_address(self):
         request = MemoryRequest(

@@ -209,7 +209,7 @@ class TestSprinklerVariants:
         )
         scheduler.register_tag(tag, 0)
         picked = drain(scheduler, limit=2)
-        assert picked[0].chip_key != picked[1].chip_key
+        assert picked[0].address.chip_key != picked[1].address.chip_key
 
     def test_spk3_bursts_per_chip(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
@@ -219,7 +219,7 @@ class TestSprinklerVariants:
         scheduler.register_tag(tag, 0)
         picked = drain(scheduler, limit=2)
         # FARO over-commits the whole chip burst before moving on.
-        assert picked[0].chip_key == picked[1].chip_key
+        assert picked[0].address.chip_key == picked[1].address.chip_key
 
     def test_spk3_burst_extends_die_plane_coverage_first(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)
@@ -238,7 +238,7 @@ class TestSprinklerVariants:
         scheduler.register_tag(shallow, 0)
         scheduler.register_tag(deep, 0)
         picked = scheduler.next_composition(0)
-        assert picked.chip_key == (1, 1)
+        assert picked.address.chip_key == (1, 1)
 
     def test_spk_ignores_chip_conflicts(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)

@@ -27,7 +27,7 @@ def rows():
 class TestSpec:
     def test_grid_shape_and_keys(self):
         spec = steady_state.build_spec(**QUICK)
-        assert len(spec) == 2 * 3 * 2
+        assert len(spec.jobs) == 2 * 3 * 2
         keys = {job.key for job in spec.jobs}
         assert (0.07, "aged", "SPK3") in keys
         assert (0.28, "fresh", "VAS") in keys

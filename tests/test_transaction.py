@@ -125,6 +125,41 @@ queue_entries = st.tuples(
 )
 
 
+def check_one_pass(dies, planes, entries):
+    """``from_queue`` on the generated queue equals the reference."""
+    geometry = SSDGeometry(
+        num_channels=1,
+        chips_per_channel=1,
+        dies_per_chip=dies,
+        planes_per_die=planes,
+        blocks_per_plane=2,
+        pages_per_block=8,
+    )
+    timing = FlashTiming()
+    pending = []
+    for index, (op, die, plane, block, page, penalty, size) in enumerate(entries):
+        request = MemoryRequest(
+            io_id=index,
+            op=op,
+            lpn=index,
+            size_bytes=size,
+            address=PhysicalPageAddress(0, 0, die % dies, plane % planes, block, page),
+        )
+        request.penalty_ns = penalty
+        pending.append(request)
+    queue = list(pending)
+
+    transaction, remaining = TransactionBuilder(geometry, timing).from_queue((0, 0), queue)
+
+    expected = reference_select(pending, dies * planes)
+    assert transaction.requests == expected
+    assert queue == pending  # the commit queue itself is left alone
+    taken = {id(req) for req in expected}
+    assert remaining == [req for req in pending if id(req) not in taken]
+    price = reference_price(expected, timing)
+    assert {name: getattr(transaction, name) for name in price} == price
+
+
 class TestOnePassMatchesReference:
     @given(
         dies=st.integers(min_value=1, max_value=3),
@@ -133,37 +168,17 @@ class TestOnePassMatchesReference:
     )
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_same_take_remainder_and_price(self, dies, planes, entries):
-        geometry = SSDGeometry(
-            num_channels=1,
-            chips_per_channel=1,
-            dies_per_chip=dies,
-            planes_per_die=planes,
-            blocks_per_plane=2,
-            pages_per_block=8,
-        )
-        timing = FlashTiming()
-        pending = []
-        for index, (op, die, plane, block, page, penalty, size) in enumerate(entries):
-            request = MemoryRequest(
-                io_id=index,
-                op=op,
-                lpn=index,
-                size_bytes=size,
-                address=PhysicalPageAddress(0, 0, die % dies, plane % planes, block, page),
-            )
-            request.penalty_ns = penalty
-            pending.append(request)
-        queue = list(pending)
+        check_one_pass(dies, planes, entries)
 
-        transaction, remaining = TransactionBuilder(geometry, timing).from_queue((0, 0), queue)
-
-        expected = reference_select(pending, dies * planes)
-        assert transaction.requests == expected
-        assert queue == pending  # the commit queue itself is left alone
-        taken = {id(req) for req in expected}
-        assert remaining == [req for req in pending if id(req) not in taken]
-        price = reference_price(expected, timing)
-        assert {name: getattr(transaction, name) for name in price} == price
+    @given(
+        dies=st.integers(min_value=1, max_value=3),
+        planes=st.integers(min_value=1, max_value=2),
+        entry=queue_entries,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_request_queue_matches_reference(self, dies, planes, entry):
+        # A one-request queue is priced without the walk.
+        check_one_pass(dies, planes, [entry])
 
 
 # ----------------------------------------------------------------------

@@ -102,22 +102,16 @@ REACH_ALLOWLIST: Dict[str, str] = {
     "repro.array.host:PooledResult.parts": _ABSTRACT,
     "repro.core.scheduler:SchedulerBase.__repr__": _ABSTRACT,
     "repro.core.scheduler:SchedulerBase.next_composition": _ABSTRACT,
-    "repro.devices.registry:DeviceRegistry.__contains__": _ABSTRACT,
-    "repro.devices.registry:DeviceRegistry.__len__": _ABSTRACT,
-    "repro.experiments.engine:ResultCache.__len__": _ABSTRACT,
-    "repro.experiments.spec:ExperimentSpec.__len__": _ABSTRACT,
     "repro.flash.channel:Channel.__repr__": _ABSTRACT,
     "repro.flash.chip:FlashChip.__repr__": _ABSTRACT,
     "repro.flash.plane:Block.__repr__": _ABSTRACT,
     "repro.flash.plane:Plane.__repr__": _ABSTRACT,
     "repro.flash.request:MemoryRequest.__repr__": _ABSTRACT,
-    "repro.metrics.breakdown:ExecutionBreakdown.__add__": _ABSTRACT,
     "repro.nvmhc.tag:Tag.__repr__": _ABSTRACT,
     "repro.obs.counters:CounterRegistry.__repr__": _ABSTRACT,
     "repro.obs.trace:TraceSink.instant": _ABSTRACT,
     "repro.obs.trace:TraceSink.span": _ABSTRACT,
     "repro.scenarios.arrivals:ArrivalProcess.sample": _ABSTRACT,
-    "repro.sim.events:EventQueue.__bool__": _ABSTRACT,
     "repro.workloads.request:IORequest.__repr__": _ABSTRACT,
     "repro.devices.loader:DeviceConfigError.__init__": _ERROR,
     "repro.devices.loader:_type_name": _ERROR,
