@@ -26,6 +26,8 @@ The specs are pure data; running them is the job of
 
 from __future__ import annotations
 
+# ``gc`` means the FTL's garbage collector throughout the simulator.
+import gc as cyclic_gc
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -238,7 +240,23 @@ class SimJob:
         ``trace_sink`` (e.g. a :class:`~repro.obs.trace.MemoryTraceSink`)
         records the run's spans.  Tracing is observational only: the result
         is value-identical to an untraced run of the same job.
+
+        CPython's cyclic collector is paused for the job and restored to
+        the state it was found in, also when the job raises.  A simulator
+        is tens of thousands of long-lived objects with no reference cycle
+        among them, so the collector's passes over them find nothing to
+        free; the simulator is freed by reference counting when
+        :meth:`_simulate` returns, before the collector is back on.
         """
+        was_enabled = cyclic_gc.isenabled()
+        cyclic_gc.disable()
+        try:
+            return self._simulate(trace_sink)
+        finally:
+            if was_enabled:
+                cyclic_gc.enable()
+
+    def _simulate(self, trace_sink: Optional[TraceSink]) -> SimulationResult:
         workload = self.workload.build()
         simulator = SSDSimulator(
             self.resolved_config,

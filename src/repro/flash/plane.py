@@ -11,13 +11,31 @@ change state.  The GC trigger asks "is this plane below the free-block
 watermark?" once per host write, and the previous implementation re-scanned
 every block of the plane to answer - the single largest cost in the whole
 simulator under write-heavy workloads (a quadratic scan: pages written x
-blocks per plane).  Every block mutation now notifies its owning plane with
-O(1) counter updates, so the trigger is a comparison.
+blocks per plane).  Every block mutation now notifies its plane's counters
+with O(1) updates, so the trigger is a comparison.
+
+The counters live in a small object of their own, shared by the plane and
+its blocks, rather than on the plane: a block pointing back at its plane
+would make every plane a reference cycle (plane -> blocks -> block ->
+plane), and a device's tens of thousands of blocks could then be freed only
+by CPython's cyclic collector.  With the counters split out the device's
+object graph is acyclic and reference counting alone frees it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
+
+
+class _PlaneCounters:
+    """A plane's aggregates, updated by its blocks on every state change."""
+
+    __slots__ = ("free_blocks", "free_pages", "erases")
+
+    def __init__(self, free_blocks: int, free_pages: int) -> None:
+        self.free_blocks = free_blocks
+        self.free_pages = free_pages
+        self.erases = 0
 
 
 class Block:
@@ -28,10 +46,11 @@ class Block:
     the number of set bits is cached in ``_valid_count`` so hot callers
     (GC victim selection, plane aggregates) never pay a popcount.
 
-    A block created by a :class:`Plane` carries a back-reference to it and
-    reports every free/used transition so the plane's aggregate counters
-    stay exact; standalone blocks (``owner=None``, used by unit tests) skip
-    the notifications.
+    A block created by a :class:`Plane` holds the plane's counters object
+    (``owner``; not the plane itself, which would make a reference cycle)
+    and reports every free/used transition and erase to it, so the plane's
+    aggregates stay exact; standalone blocks (``owner=None``, used by unit
+    tests) skip the notifications.
     """
 
     __slots__ = (
@@ -45,7 +64,7 @@ class Block:
     )
 
     def __init__(
-        self, block_id: int, pages_per_block: int, owner: Optional["Plane"] = None
+        self, block_id: int, pages_per_block: int, owner: Optional[_PlaneCounters] = None
     ) -> None:
         self.block_id = block_id
         self.pages_per_block = pages_per_block
@@ -81,8 +100,8 @@ class Block:
         owner = self._owner
         if owner is not None:
             if page == 0:
-                owner._free_blocks -= 1
-            owner._free_pages -= 1
+                owner.free_blocks -= 1
+            owner.free_pages -= 1
         return page
 
     def program_run(self, count: int) -> int:
@@ -106,8 +125,8 @@ class Block:
         owner = self._owner
         if owner is not None:
             if start == 0:
-                owner._free_blocks -= 1
-            owner._free_pages -= count
+                owner.free_blocks -= 1
+            owner.free_pages -= count
         return start
 
     def program_bulk(self, count: int) -> None:
@@ -128,8 +147,8 @@ class Block:
         self._valid_count = count
         owner = self._owner
         if owner is not None and count > 0:
-            owner._free_blocks -= 1
-            owner._free_pages -= count
+            owner.free_blocks -= 1
+            owner.free_pages -= count
 
     def invalidate(self, page: int) -> None:
         """Mark a previously-programmed page as stale."""
@@ -160,9 +179,9 @@ class Block:
         owner = self._owner
         if owner is not None:
             if self.write_pointer > 0:
-                owner._free_blocks += 1
-            owner._free_pages += self.write_pointer
-            owner._total_erases += 1
+                owner.free_blocks += 1
+            owner.free_pages += self.write_pointer
+            owner.erases += 1
         self.write_pointer = 0
         self._valid_bits = 0
         self._valid_count = 0
@@ -181,14 +200,13 @@ class Plane:
     def __init__(self, plane_key: tuple, blocks_per_plane: int, pages_per_block: int) -> None:
         self.plane_key = plane_key
         self.pages_per_block = pages_per_block
+        # Aggregates, maintained incrementally by the blocks (see Block).
+        counters = _PlaneCounters(blocks_per_plane, blocks_per_plane * pages_per_block)
+        self._counters = counters
         self.blocks: List[Block] = [
-            Block(i, pages_per_block, owner=self) for i in range(blocks_per_plane)
+            Block(i, pages_per_block, owner=counters) for i in range(blocks_per_plane)
         ]
         self.active_block_id: Optional[int] = None
-        # Aggregates, maintained incrementally by the blocks (see Block).
-        self._free_blocks = blocks_per_plane
-        self._free_pages = blocks_per_plane * pages_per_block
-        self._total_erases = 0
 
     # ------------------------------------------------------------------
     # Capacity queries (O(1) - backed by incrementally-updated counters)
@@ -196,12 +214,12 @@ class Plane:
     @property
     def free_blocks(self) -> int:
         """Number of blocks with no programmed pages."""
-        return self._free_blocks
+        return self._counters.free_blocks
 
     @property
     def free_pages(self) -> int:
         """Total number of programmable pages remaining in the plane."""
-        return self._free_pages
+        return self._counters.free_pages
 
     @property
     def total_erases(self) -> int:
@@ -210,7 +228,7 @@ class Plane:
         Lets aggregate wear queries skip never-erased planes without
         scanning their blocks.
         """
-        return self._total_erases
+        return self._counters.erases
 
     # ------------------------------------------------------------------
     # Allocation
