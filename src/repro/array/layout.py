@@ -226,7 +226,6 @@ def split_trace(requests: Sequence[IORequest], layout: ArrayLayout) -> List[List
                     offset_bytes=local,
                     size_bytes=size,
                     arrival_ns=io.arrival_ns,
-                    force_unit_access=io.force_unit_access,
                     # Provenance tags survive the split so per-device
                     # attribution can be merged back per tenant (the tags
                     # are observational and never enter fingerprints).

@@ -20,7 +20,6 @@ Its two remaining weaknesses (which Sprinkler removes) are preserved here:
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, Optional
 
 from repro.core.scheduler import SchedulerBase
@@ -75,7 +74,7 @@ class PhysicalAddressScheduler(SchedulerBase):
             return None
         busy = self._busy_mask()
         stale = self._stale_busy
-        if stale is not None and not stale & ~busy and not self._fua_live:
+        if stale is not None and not stale & ~busy:
             # No tag arrived and no busy chip went idle since the last scan
             # found every candidate in conflict, so each still conflicts:
             # count the skips that scan would count and skip the scan.
@@ -89,13 +88,6 @@ class PhysicalAddressScheduler(SchedulerBase):
                 picked = tag
                 break
             skipped += 1  # collision: try the next queued I/O
-        if self._fua_live:
-            # A force-unit-access request must not be bypassed: the scan
-            # stops at the first one in conflict.
-            for position, tag in enumerate(islice(unstarted.values(), skipped)):
-                if tag.io.force_unit_access:
-                    self._conflict_skips += position + 1
-                    return None
         self._conflict_skips += skipped
         if picked is None:
             self._stale_busy = busy

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.flash.controller import FlashController
 from repro.flash.geometry import SSDGeometry
 from repro.flash.request import MemoryRequest
 from repro.nvmhc.tag import Tag
-from repro.obs.trace import NULL_SINK, TraceSink
 
 
 @dataclass
@@ -55,30 +54,15 @@ class SchedulerBase(abc.ABC):
         #: Registered, not yet retired tags keyed by ``io_id``, in arrival
         #: order (dicts keep insertion order), so retirement is one pop.
         self.tags: Dict[int, Tag] = {}
-        #: Registered force-unit-access tags not yet retired.  Zero almost
-        #: always, which lets hot paths skip the per-composition FUA scan.
-        self._fua_live = 0
-        #: Observability: trace sink plus FUA counters, all maintained on
-        #: the (cold) FUA branches only.
-        self.sink: TraceSink = NULL_SINK
-        self._fua_seen = 0
-        self._fua_barriers = 0
-
-    def attach_trace_sink(self, sink: TraceSink) -> None:
-        """Install the simulator's trace sink (default: the null sink)."""
-        self.sink = sink
 
     def observability_counters(self) -> Dict[str, int]:
         """Scheduler-specific counter snapshot folded into the registry.
 
-        Subclasses extend the base dict with their policy-specific counters
-        (RIOS traversal visits, VAS head-of-line stalls, PAS conflict skips,
-        Sprinkler bursts).
+        Subclasses return their policy-specific counters (RIOS traversal
+        visits, VAS head-of-line stalls, PAS conflict skips, Sprinkler
+        bursts).
         """
-        return {
-            "scheduler.fua_tags": self._fua_seen,
-            "scheduler.fua_barriers": self._fua_barriers,
-        }
+        return {}
 
     # ------------------------------------------------------------------
     # Queue events
@@ -86,23 +70,10 @@ class SchedulerBase(abc.ABC):
     def register_tag(self, tag: Tag, now_ns: int) -> None:
         """A new tag entered the device queue."""
         self.tags[tag.io.io_id] = tag
-        if tag.io.force_unit_access:
-            self._fua_live += 1
-            self._fua_seen += 1
-            if self.sink.enabled:
-                self.sink.instant(
-                    "fua.tag",
-                    category="nvmhc",
-                    track="nvmhc",
-                    ts_ns=now_ns,
-                    io_id=tag.io_id,
-                )
 
     def on_tag_retired(self, tag: Tag) -> None:
         """A tag completed and left the device queue."""
         del self.tags[tag.io.io_id]
-        if tag.io.force_unit_access:
-            self._fua_live -= 1
 
     # ------------------------------------------------------------------
     # Composition policy (the heart of each scheduler)
@@ -114,17 +85,6 @@ class SchedulerBase(abc.ABC):
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _pending_tags(self) -> List[Tag]:
-        """Tags that still have uncomposed memory requests, in arrival order."""
-        # Plain attribute reads, no property: this comprehension runs once
-        # per composition over the whole queue, and descriptor lookups
-        # dominated its profile.
-        return [
-            tag
-            for tag in self.tags.values()
-            if tag.composed_count < len(tag.memory_requests)
-        ]
-
     def _busy_mask(self) -> int:
         """OR of every controller's busy mask: chips holding outstanding work."""
         busy = 0

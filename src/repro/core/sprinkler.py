@@ -30,7 +30,7 @@ not group them for FLP; *SPK3* does both.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional
 
 from repro.core.faro import FaroPolicy
 from repro.core.rios import RiosTraversal
@@ -114,42 +114,15 @@ class Sprinkler(SchedulerBase):
             head = self._burst.popleft()
             if head.composed_at_ns is None:
                 return head
-        if self.use_rios and not self._fua_live:
-            # Fast path (the overwhelmingly common one): RIOS schedules from
-            # the per-chip candidate index alone, so with no force-unit-access
-            # tag alive there is no reason to materialise the pending-tag
-            # list on every composition.
-            return self._next_rios(())
+        if self.use_rios:
+            return self._next_rios()
         pending = self._pending_tags()
         if not pending:
             return None
-        if any(tag.io.force_unit_access for tag in pending):
-            # Hazard control: a force-unit-access request disables reordering;
-            # fall back to strict arrival order until it drains.
-            self._fua_barriers += 1
-            if self.sink.enabled:
-                self.sink.instant(
-                    "fua.barrier",
-                    category="nvmhc",
-                    track="nvmhc",
-                    ts_ns=now_ns,
-                    pending_tags=len(pending),
-                )
-            return self._next_fifo(pending)
-        if self.use_rios:
-            return self._next_rios(pending)
         return self._next_faro_only(pending)
 
-    # -- strict order fallback -----------------------------------------
-    def _next_fifo(self, pending: List[Tag]) -> Optional[MemoryRequest]:
-        for tag in pending:
-            uncomposed = tag.uncomposed_requests()
-            if uncomposed:
-                return uncomposed[0]
-        return None
-
     # -- SPK2 / SPK3: resource-driven traversal --------------------------
-    def _next_rios(self, pending: Sequence[Tag]) -> Optional[MemoryRequest]:
+    def _next_rios(self) -> Optional[MemoryRequest]:
         # Visit chips in traversal order; each visit drains either one request
         # (SPK2) or a FARO-ordered over-commit burst (SPK3) for that chip.
         for _ in range(len(self.traversal)):
@@ -210,6 +183,17 @@ class Sprinkler(SchedulerBase):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+    def _pending_tags(self) -> List[Tag]:
+        """Tags that still have uncomposed memory requests, in arrival order."""
+        # Plain attribute reads, no property: this comprehension runs once
+        # per SPK1 composition over the whole queue, and descriptor lookups
+        # dominated its profile.
+        return [
+            tag
+            for tag in self.tags.values()
+            if tag.composed_count < len(tag.memory_requests)
+        ]
+
     def _candidates_by_chip(self, tags: List[Tag]) -> Dict[tuple, List[MemoryRequest]]:
         """Uncomposed memory requests of ``tags`` grouped by target chip."""
         by_chip: Dict[tuple, List[MemoryRequest]] = {}

@@ -5,14 +5,11 @@ scenario (per-tenant request and byte counts), and assigns each tenant to
 exactly one node - the cloud "shard by customer" shape, which keeps every
 tenant's stream intact so per-node admission and attribution stay exact.
 
-Four policies (:data:`~repro.fleet.spec.FLEET_PLACEMENT_POLICIES`):
+Three policies (:data:`~repro.fleet.spec.FLEET_PLACEMENT_POLICIES`):
 
 * ``round-robin`` - tenants in declaration order onto nodes ``i % N``.
 * ``least-loaded`` - greedy: tenants by descending byte demand onto the
-  node with the lowest weighted load (``assigned bytes / weight``), ties
-  broken by node order.
-* ``tenant-affinity`` - honour :class:`~repro.fleet.spec.TenantPolicy`
-  ``affinity`` pins; unpinned tenants fall back to ``hash``.
+  node with the fewest assigned bytes, ties broken by node order.
 * ``hash`` - a stable SHA-256-derived hash of the tenant name modulo the
   node count (process- and run-independent, unlike builtin ``hash``).
 
@@ -88,21 +85,12 @@ def plan_placement(spec: FleetSpec, demands: Sequence[TenantDemand]) -> Placemen
         for index, tenant in enumerate(order):
             assignment[tenant] = index % num_nodes
     elif spec.placement == "least-loaded":
-        loads = [0.0] * num_nodes
-        weights = [node.weight for node in spec.nodes]
+        loads = [0] * num_nodes
         # Largest demand first: the classic greedy LPT bound on imbalance.
         for demand in sorted(demands, key=lambda d: (-d.bytes, d.tenant)):
-            node = min(range(num_nodes), key=lambda i: (loads[i] / weights[i], i))
+            node = min(range(num_nodes), key=lambda i: (loads[i], i))
             assignment[demand.tenant] = node
             loads[node] += demand.bytes
-    elif spec.placement == "tenant-affinity":
-        names = spec.node_names()
-        for tenant in order:
-            policy = spec.policy_for(tenant)
-            if policy is not None and policy.affinity is not None:
-                assignment[tenant] = names.index(policy.affinity)
-            else:
-                assignment[tenant] = stable_tenant_hash(tenant) % num_nodes
     else:  # "hash" - FleetSpec already validated the policy name
         for tenant in order:
             assignment[tenant] = stable_tenant_hash(tenant) % num_nodes

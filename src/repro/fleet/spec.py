@@ -29,7 +29,7 @@ MB = 1024 * KB
 
 #: Cluster-level placement policies understood by
 #: :func:`repro.fleet.placement.plan_placement`.
-FLEET_PLACEMENT_POLICIES = ("round-robin", "least-loaded", "tenant-affinity", "hash")
+FLEET_PLACEMENT_POLICIES = ("round-robin", "least-loaded", "hash")
 
 #: Background job kinds understood by :mod:`repro.fleet.background`.
 BACKGROUND_KINDS = ("scrub", "rebuild", "gc-debt")
@@ -39,15 +39,12 @@ BACKGROUND_KINDS = ("scrub", "rebuild", "gc-debt")
 class TenantPolicy:
     """Cluster-level controls for one tenant.
 
-    ``affinity`` pins the tenant to a named node (used by the
-    ``tenant-affinity`` placement policy; other policies ignore it).
     ``max_iops`` paces admissions to a minimum inter-arrival gap and
     ``max_queue_depth`` rejects arrivals that would exceed the tenant's
     virtual in-flight window (see :mod:`repro.fleet.admission`).  ``slo``
     overrides the fleet's ``default_slo`` for this tenant's verdicts.
     """
 
-    affinity: Optional[str] = None
     max_iops: Optional[float] = None
     max_queue_depth: Optional[int] = None
     slo: Optional[SLOThresholds] = None
@@ -106,13 +103,11 @@ class BackgroundJob:
 
 @dataclass(frozen=True)
 class FleetNodeSpec:
-    """One array node of the fleet: a named, weighted ArraySpec recipe.
+    """One array node of the fleet: a named ArraySpec recipe.
 
     Mirrors :class:`~repro.experiments.spec.ArraySpec`'s device setup -
     exactly one of ``config`` (homogeneous slots) or ``devices`` (one
-    device-zoo id per slot) - plus a cluster-facing ``weight`` used by the
-    ``least-loaded`` placement policy (a node of weight 2 absorbs twice the
-    bytes before looking as loaded as a weight-1 node).
+    device-zoo id per slot).
     """
 
     name: str
@@ -123,10 +118,9 @@ class FleetNodeSpec:
     policy: str = "stripe"
     chunk_bytes: int = 64 * KB
     shard_bytes: Optional[int] = None
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
-        """Validate the device setup and weight."""
+        """Validate the device setup."""
         if (self.config is None) == (not self.devices):
             raise ValueError(
                 f"node {self.name!r}: set exactly one of config= or devices="
@@ -136,8 +130,6 @@ class FleetNodeSpec:
                 f"node {self.name!r}: devices= lists {len(self.devices)} ids "
                 f"for {self.num_devices} slots"
             )
-        if self.weight <= 0:
-            raise ValueError(f"node {self.name!r}: weight must be positive")
 
     def array_spec(self, workload: WorkloadSpec, key: Tuple[Any, ...] = ()) -> ArraySpec:
         """The :class:`ArraySpec` running ``workload`` on this node."""
@@ -194,11 +186,6 @@ class FleetSpec:
             if job.node not in names:
                 raise ValueError(
                     f"background job {job.kind!r} targets unknown node {job.node!r}"
-                )
-        for tenant, policy in self.tenant_policies:
-            if policy.affinity is not None and policy.affinity not in names:
-                raise ValueError(
-                    f"tenant {tenant!r} pins unknown node {policy.affinity!r}"
                 )
         if self.nominal_service_ns <= 0:
             raise ValueError("nominal_service_ns must be positive")

@@ -45,10 +45,6 @@ class Tag:
         """Identifier of the wrapped host I/O request."""
         return self.io.io_id
 
-    def uncomposed_requests(self) -> List[MemoryRequest]:
-        """Memory requests not yet handed to the composer, in logical order."""
-        return [req for req in self.memory_requests if req.composed_at_ns is None]
-
     def next_uncomposed(self) -> Optional[MemoryRequest]:
         """First memory request not yet handed to the composer, or ``None``.
 

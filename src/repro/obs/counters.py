@@ -1,9 +1,9 @@
 """Counter registry: named monotonic counters snapshotted into results.
 
 The design keeps the hot paths free of registry machinery: components count
-with plain integer attributes on branches they already own (the FUA branch of
-``register_tag``, the busy-bit clear in ``finish_transaction``, the batch
-loop of ``SSDSimulator.run``), and the simulator folds everything into
+with plain integer attributes on branches they already own (the conflict
+scan of PAS ``next_composition``, the busy-bit clear in
+``finish_transaction``, the batch loop of ``SSDSimulator.run``), and the simulator folds everything into
 one :class:`CounterRegistry` only when the final
 :class:`~repro.metrics.report.SimulationResult` is assembled.  The registry
 is therefore an aggregation and naming vehicle, not a live dependency of the

@@ -133,9 +133,10 @@ def load_trace(path: Union[str, Path]) -> Dict[str, Any]:
 def validate_chrome_trace(document: Mapping[str, Any]) -> List[str]:
     """Schema-check a trace document; returns a list of problems (empty = ok).
 
-    Checks the structural contract the CI ``obs-smoke`` job relies on: a
+    Checks the structural contract a trace viewer relies on: a
     ``traceEvents`` list whose members carry the per-phase required keys,
-    non-negative microsecond timestamps, and only known phases.
+    non-negative microsecond timestamps, and only known phases.  Tier-1
+    ``tests/test_obs.py`` runs it on every trace it exports.
     """
     problems: List[str] = []
     events = document.get("traceEvents")

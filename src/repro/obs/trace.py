@@ -68,7 +68,7 @@ class TraceSink:
         """Record a completed interval (arrival -> completion style)."""
 
     def instant(self, name: str, *, category: str, track: str, ts_ns: int, **args) -> None:
-        """Record a point event (a GC trigger, a FUA barrier engaging)."""
+        """Record a point event (a GC trigger)."""
 
 
 class NullTraceSink(TraceSink):

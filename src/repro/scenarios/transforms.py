@@ -22,7 +22,6 @@ def copy_request(io: IORequest, **overrides) -> IORequest:
         "offset_bytes": io.offset_bytes,
         "size_bytes": io.size_bytes,
         "arrival_ns": io.arrival_ns,
-        "force_unit_access": io.force_unit_access,
         "tenant": io.tenant,
         "phase_index": io.phase_index,
     }

@@ -151,7 +151,6 @@ class SSDSimulator:
         # goldens enforce).
         self.sink: TraceSink = trace_sink if trace_sink is not None else NULL_SINK
         self._tracing: bool = self.sink.enabled
-        self.scheduler.attach_trace_sink(self.sink)
         for controller in self.controllers.values():
             controller.sink = self.sink
         # Periodic health sampling, off by default: the hot loop pays one

@@ -22,9 +22,9 @@ from repro.workloads.synthetic import (
     generate_sequential_workload,
 )
 
-#: One frozen request: (kind value, offset, size, arrival, force_unit_access).
+#: One frozen request: (kind value, offset, size, arrival).
 #: Tagged freezes (``freeze_requests(..., keep_tags=True)``) append
-#: ``(tenant, phase_index)``, widening the tuple to 7 entries.
+#: ``(tenant, phase_index)``, widening the tuple to 6 entries.
 FrozenRequest = Tuple[Any, ...]
 
 
@@ -47,41 +47,35 @@ def freeze_requests(
                 io.offset_bytes,
                 io.size_bytes,
                 io.arrival_ns,
-                io.force_unit_access,
                 io.tenant,
                 io.phase_index,
             )
             for io in requests
         )
     return tuple(
-        (io.kind.value, io.offset_bytes, io.size_bytes, io.arrival_ns, io.force_unit_access)
-        for io in requests
+        (io.kind.value, io.offset_bytes, io.size_bytes, io.arrival_ns) for io in requests
     )
 
 
 def strip_request_tags(frozen: Sequence[FrozenRequest]) -> Tuple[FrozenRequest, ...]:
     """Drop the tag entries of tagged frozen tuples (identity on untagged)."""
-    return tuple(tuple(entry[:5]) for entry in frozen)
+    return tuple(tuple(entry[:4]) for entry in frozen)
 
 
 def thaw_requests(frozen: Sequence[FrozenRequest]) -> List[IORequest]:
     """Rebuild fresh request objects from :func:`freeze_requests` tuples.
 
-    Accepts both the 5-entry untagged and the 7-entry tagged form.
+    Accepts both the 4-entry untagged and the 6-entry tagged form.
     """
     requests: List[IORequest] = []
     for entry in frozen:
-        kind, offset, size, arrival, fua = entry[:5]
+        kind, offset, size, arrival = entry[:4]
         io = IORequest(
-            kind=IOKind(kind),
-            offset_bytes=offset,
-            size_bytes=size,
-            arrival_ns=arrival,
-            force_unit_access=fua,
+            kind=IOKind(kind), offset_bytes=offset, size_bytes=size, arrival_ns=arrival
         )
-        if len(entry) > 5:
-            io.tenant = entry[5]
-            io.phase_index = entry[6]
+        if len(entry) > 4:
+            io.tenant = entry[4]
+            io.phase_index = entry[5]
         requests.append(io)
     return requests
 

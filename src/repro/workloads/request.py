@@ -37,7 +37,6 @@ class IORequest:
     size_bytes: int
     arrival_ns: int
     io_id: int = field(default_factory=lambda: next(_io_ids))
-    force_unit_access: bool = False
 
     # Lifecycle timestamps, filled in by the simulator.
     enqueued_at_ns: Optional[int] = None

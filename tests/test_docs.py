@@ -338,6 +338,6 @@ class TestReachCensus:
     def test_census_allowlist_is_well_formed(self):
         budget = _load_tool("api_budget")
         defined = {name for name, _ in _load_tool("reach").functions().values()}
-        assert set(budget.REACH_ALLOWLIST.values()) <= budget.REACH_REASONS
+        assert set(budget.REACH_ALLOWLIST.values()) == budget.REACH_REASONS
         assert not budget.REACH_ALLOWLIST.keys() & budget.ALLOWLIST
         assert budget.REACH_ALLOWLIST.keys() <= defined

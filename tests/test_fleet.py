@@ -142,7 +142,7 @@ class TestTagPlumbing:
     def test_freeze_thaw_keeps_tags(self):
         reqs = [_req(0, tenant="a", phase=0), _req(8 * KB, tenant=None, phase=None)]
         frozen = freeze_requests(reqs, keep_tags=True)
-        assert len(frozen[0]) == 7
+        assert len(frozen[0]) == 6
         thawed = thaw_requests(frozen)
         assert thawed[0].tenant == "a" and thawed[0].phase_index == 0
         assert thawed[1].tenant is None
@@ -253,22 +253,6 @@ class TestPlacement:
         for tenant, node in plan.assignments:
             assert node == stable_tenant_hash(tenant) % 3
         assert plan == plan_placement(spec, self._demands(spec))
-
-    def test_affinity_pins_and_falls_back_to_hash(self):
-        spec = _tiny_fleet_spec(
-            placement="tenant-affinity",
-            tenant_policies=(("analytics", TenantPolicy(affinity="n2")),),
-        )
-        plan = plan_placement(spec, self._demands(spec))
-        nodes = dict(plan.assignments)
-        assert nodes["analytics"] == 2
-        assert nodes["web"] == stable_tenant_hash("web") % 3
-
-    def test_unknown_affinity_node_rejected(self):
-        with pytest.raises(ValueError, match="pins unknown node"):
-            _tiny_fleet_spec(
-                tenant_policies=(("web", TenantPolicy(affinity="nope")),)
-            )
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError, match="unknown placement"):

@@ -119,11 +119,6 @@ class TestTag:
         second.composed_at_ns = 20
         assert tag.next_uncomposed() is None
 
-    def test_uncomposed_requests_filter(self):
-        tag = self.make_tag(2)
-        tag.memory_requests[0].composed_at_ns = 1
-        assert len(tag.uncomposed_requests()) == 1
-
     def test_connectivity_and_footprint(self):
         tag = self.make_tag(3)
         assert sorted(tag.by_chip) == [(0, 0)]

@@ -296,7 +296,6 @@ class TestTracedSimulatorWiring:
         assert simulator._tracing is True
         assert simulator.gc.sink is sink
         assert all(c.sink is sink for c in simulator.controllers.values())
-        assert simulator.scheduler.sink is sink
 
     def test_default_is_null_sink(self, test_config):
         simulator = SSDSimulator(test_config, "SPK3")

@@ -5,9 +5,9 @@ mask against the controllers' ``busy_bits``, keeps its unstarted tags in an
 index and skips rescans that cannot find anything new.  The reference below
 is the straightforward policy it replaces: walk every registered tag in
 arrival order and probe every target chip against a busy set recomputed from
-the controllers' commit queues.  Generated workloads with force-unit-access
-requests and garbage collection (GC transactions occupy chips through
-``execute_prebuilt``) must produce the same picks, the same
+the controllers' commit queues.  Generated workloads with garbage
+collection (GC transactions occupy chips through ``execute_prebuilt``)
+must produce the same picks, the same
 ``scheduler.conflict_skips`` and the same result digest under both.  The
 same generated workloads also check that a traced run matches an untraced
 one and that the busy masks hold before every batch.
@@ -69,15 +69,6 @@ class ReferencePAS(SchedulerBase):
             if queue or controller.active[chip_key] is not None
         }
 
-    def fua_barrier(self, pending: List[Tag], tag: Tag) -> bool:
-        for earlier in pending:
-            if earlier is tag:
-                return False
-            unfinished = earlier.composed_count < len(earlier.memory_requests)
-            if earlier.io.force_unit_access and unfinished:
-                return True
-        return False
-
     def next_composition(self, now_ns: int) -> Optional[MemoryRequest]:
         if self.current is not None:
             request = self.current.next_uncomposed()
@@ -91,15 +82,11 @@ class ReferencePAS(SchedulerBase):
                 return tag.next_uncomposed()
         busy = self.busy_chips()
         for tag in pending:
-            if self.fua_barrier(pending, tag):
-                break
             if any(chip_key in busy for chip_key in tag.by_chip):
                 self.conflict_skips += 1
             else:
                 self.current = tag
                 return tag.next_uncomposed()
-            if tag.io.force_unit_access:
-                break
         return None
 
 
@@ -135,7 +122,6 @@ recipes = st.fixed_dictionaries(
         "seed": st.integers(min_value=0, max_value=10_000),
         "num_requests": st.integers(min_value=8, max_value=40),
         "read_fraction": st.sampled_from([0.0, 0.3, 0.7]),
-        "fua_fraction": st.sampled_from([0.0, 0.1, 0.3]),
         "gap_ns": st.sampled_from([0, 1_000, 20_000]),
     }
 )
@@ -163,7 +149,6 @@ def build_workload(recipe) -> List[IORequest]:
                 size_bytes=size,
                 arrival_ns=index * rng.choice([0, recipe["gap_ns"]]),
                 io_id=index,
-                force_unit_access=rng.random() < recipe["fua_fraction"],
             )
         )
     return workload
@@ -241,19 +226,17 @@ class TestDifferentialAgainstReference:
         )
         assert stable_fingerprint(result) == stable_fingerprint(expected)
 
-    def test_generated_runs_exercise_gc_fua_and_conflicts(self):
+    def test_generated_runs_exercise_gc_and_conflicts(self):
         # Guard against a generator that never reaches the interesting paths.
         recipe = {
             "geometry": "2x4",
             "seed": 3,
             "num_requests": 40,
             "read_fraction": 0.3,
-            "fua_fraction": 0.1,
             "gap_ns": 0,
         }
         _, result = picks_and_result(recipe, reference=False)
         assert result.gc_transactions > 0
-        assert result.counters["scheduler.fua_tags"] > 0
         assert result.counters["scheduler.conflict_skips"] > 0
 
 

@@ -32,7 +32,7 @@ def context(small_geometry, fast_timing):
     return SchedulerContext(geometry=small_geometry, controllers=controllers)
 
 
-def build_tag(geometry, chip_pages, kind=IOKind.READ, arrival=0, fua=False):
+def build_tag(geometry, chip_pages, kind=IOKind.READ, arrival=0):
     """Build a tag whose memory requests target the given (chip, die, plane) tuples.
 
     Records the chip mask the way the simulator's preprocessor does.
@@ -42,7 +42,6 @@ def build_tag(geometry, chip_pages, kind=IOKind.READ, arrival=0, fua=False):
         offset_bytes=0,
         size_bytes=2048 * max(1, len(chip_pages)),
         arrival_ns=arrival,
-        force_unit_access=fua,
     )
     tag = Tag(io=io, enqueued_at_ns=arrival)
     op = FlashOp.PROGRAM if kind is IOKind.WRITE else FlashOp.READ
@@ -178,21 +177,6 @@ class TestPAS:
         scheduler.register_tag(conflicting, 0)
         assert scheduler.next_composition(0) is None
 
-    def test_does_not_bypass_fua(self, context):
-        scheduler = PhysicalAddressScheduler(context)
-        blocker = build_tag(context.geometry, [((0, 0), 0, 0)])
-        scheduler.register_tag(blocker, 0)
-        request = scheduler.next_composition(0)
-        request.composed_at_ns = 0
-        blocker.composed_count += 1
-        context.controllers[0].commit(request, 0)
-        fua_tag = build_tag(context.geometry, [((0, 0), 1, 0)], fua=True)
-        later = build_tag(context.geometry, [((1, 1), 0, 0)])
-        scheduler.register_tag(fua_tag, 0)
-        scheduler.register_tag(later, 0)
-        # The conflicting FUA request blocks reordering past it.
-        assert scheduler.next_composition(0) is None
-
 
 class TestSprinklerVariants:
     def test_names_and_flags(self, context):
@@ -252,15 +236,6 @@ class TestSprinklerVariants:
         second = build_tag(context.geometry, [((0, 0), 1, 1)])
         scheduler.register_tag(second, 0)
         assert scheduler.next_composition(0) is not None
-
-    def test_fua_forces_fifo(self, context):
-        scheduler = Sprinkler(context, use_rios=True, use_faro=True)
-        first = build_tag(context.geometry, [((1, 1), 0, 0)], fua=True)
-        second = build_tag(context.geometry, [((0, 0), 0, 0)])
-        scheduler.register_tag(first, 0)
-        scheduler.register_tag(second, 0)
-        picked = scheduler.next_composition(0)
-        assert picked.io_id == first.io_id
 
     def test_every_request_composed_exactly_once(self, context):
         scheduler = Sprinkler(context, use_rios=True, use_faro=True)

@@ -24,7 +24,6 @@ def clone(workload):
             offset_bytes=io.offset_bytes,
             size_bytes=io.size_bytes,
             arrival_ns=io.arrival_ns,
-            force_unit_access=io.force_unit_access,
         )
         for io in workload
     ]
@@ -235,22 +234,6 @@ class TestWriteAndGcPath:
         config = test_config.with_overrides(readdressing_callback=True)
         simulator = SSDSimulator(config, "VAS")
         assert simulator.callback.enabled
-
-
-class TestForceUnitAccess:
-    def test_fua_workload_completes_in_order(self, test_config):
-        ios = [
-            IORequest(
-                kind=IOKind.WRITE,
-                offset_bytes=i * 64 * KB,
-                size_bytes=16 * KB,
-                arrival_ns=i * 100,
-                force_unit_access=(i == 1),
-            )
-            for i in range(4)
-        ]
-        result = SSDSimulator(test_config, "SPK3").run(clone(ios))
-        assert result.completed_ios == 4
 
 
 #: Python calls (cProfile's count, C builtins included) per simulated event

@@ -81,8 +81,7 @@ _ABSTRACT = "abstract method or dunder"
 _ERROR = "error path"
 _DOCUMENTED = "API documented in the README or the package docstring"
 _PATCH_POINT = "perfbench/tracing.py patch point"
-_FUA = "the paper's FUA hazard control; no workload sets FUA yet (ROADMAP)"
-REACH_REASONS = frozenset({_ORACLE, _GEOMETRY, _ABSTRACT, _ERROR, _DOCUMENTED, _PATCH_POINT, _FUA})
+REACH_REASONS = frozenset({_ORACLE, _GEOMETRY, _ABSTRACT, _ERROR, _DOCUMENTED, _PATCH_POINT})
 
 #: Functions the census excuses although no entry point runs them.  The
 #: name scan passes them (a caller by name, a private name or a dunder), so
@@ -119,8 +118,6 @@ REACH_ALLOWLIST: Dict[str, str] = {
     "repro.metrics.report:SimulationResult.summary_row": _DOCUMENTED,
     "repro.metrics.report:SimulationResult.queue_stall_fraction": _DOCUMENTED,
     "repro.metrics.collector:MetricsCollector.on_queue_stall": _PATCH_POINT,
-    "repro.core.sprinkler:Sprinkler._next_fifo": _FUA,
-    "repro.nvmhc.tag:Tag.uncomposed_requests": _FUA,
 }
 
 #: The configuration surface: ``(class, nested)`` pairs whose defaulted init
@@ -153,8 +150,7 @@ OPTION_METHODS = (("Sprinkler", "__init__"),)
 ZOO_GLOB = "src/repro/devices/zoo/*.toml"
 
 #: Options kept although only the tests set them: the paper-claims ledger
-#: (``tests/test_paper_claims.py``) toggles them to test a design claim, and
-#: the README documents the fleet features.
+#: (``tests/test_paper_claims.py``) toggles them to test a design claim.
 OPTION_ALLOWLIST = {
     "repro.core.sprinkler:Sprinkler.overcommit_limit": (
         'ledger row "FARO over-commitment coalesces at least as much as one per visit"'
@@ -165,8 +161,6 @@ OPTION_ALLOWLIST = {
     "repro.experiments.spec:SimJob.scheduler_options": (
         "carries the two ledger ablation knobs above into their jobs"
     ),
-    "repro.fleet.spec:TenantPolicy.affinity": "README-documented fleet feature",
-    "repro.fleet.spec:FleetNodeSpec.weight": "README-documented fleet feature",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
