@@ -13,7 +13,7 @@ from repro.flash.timing import FlashTiming
 from repro.flash.commands import FlashOp, ParallelismClass, TransactionKind
 from repro.flash.transaction import FlashTransaction, TransactionBuilder
 from repro.flash.chip import FlashChip
-from repro.flash.plane import Block, Plane
+from repro.flash.plane import Plane
 from repro.flash.channel import Channel
 from repro.flash.controller import FlashController
 
@@ -27,7 +27,6 @@ __all__ = [
     "FlashTransaction",
     "TransactionBuilder",
     "FlashChip",
-    "Block",
     "Plane",
     "Channel",
     "FlashController",

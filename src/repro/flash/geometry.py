@@ -60,20 +60,6 @@ class PhysicalPageAddress(NamedTuple):
         """Key identifying the plane this page lives on."""
         return (self.channel, self.chip, self.die, self.plane)
 
-    def same_plane_as(self, other: "PhysicalPageAddress") -> bool:
-        """True when both addresses live on the same plane.
-
-        Field-wise comparison: equivalent to ``plane_key == other.plane_key``
-        without constructing two tuples - the readdressing callback's
-        per-move form asks this once per migrated page.
-        """
-        return (
-            self.plane == other.plane
-            and self.die == other.die
-            and self.chip == other.chip
-            and self.channel == other.channel
-        )
-
     def with_block_page(self, block: int, page: int) -> "PhysicalPageAddress":
         """Return a copy of this address pointing at a different block/page."""
         return PhysicalPageAddress(

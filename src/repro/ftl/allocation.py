@@ -107,7 +107,9 @@ class PageAllocator:
         A round-robin call whose cursor plane has room on its active block -
         every host write but the one per block that rotates to a fresh
         block - takes the page straight from that block, the page the
-        general loop below would find first.
+        general loop below would find first, programming it inline on the
+        plane's lists (what :meth:`repro.flash.plane.Plane.program_next`
+        does, without the call).
         """
         num_planes = self._num_planes
         if preferred_plane is None:
@@ -115,9 +117,15 @@ class PageAllocator:
             plane_obj = self._plane_list[cursor]
             block_id = plane_obj.active_block_id
             if block_id is not None:
-                block = plane_obj.blocks[block_id]
-                if block.write_pointer < self._pages_per_block:
-                    page = block.program_next()
+                write_pointer = plane_obj.write_pointer
+                page = write_pointer[block_id]
+                if page < self._pages_per_block:
+                    write_pointer[block_id] = page + 1
+                    plane_obj.valid_bits[block_id] |= 1 << page
+                    plane_obj.valid_count[block_id] += 1
+                    if page == 0:
+                        plane_obj.free_blocks -= 1
+                    plane_obj.free_pages -= 1
                     self._cursor = (cursor + 1) % num_planes
                     channel, chip, die, plane = self._plane_sequence[cursor]
                     # tuple.__new__ builds the same object as the NamedTuple

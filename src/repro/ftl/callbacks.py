@@ -35,10 +35,8 @@ STALE_PENALTY_NS = 25_000
 class CallbackStats:
     """Counters describing readdressing-callback activity."""
 
-    migrations_observed: int = 0
     requests_retargeted: int = 0
     requests_penalized: int = 0
-    cross_resource_migrations: int = 0
 
 
 class ReaddressingCallback:
@@ -104,20 +102,11 @@ class ReaddressingCallback:
         """A live page moved from ``old`` to ``new`` (the per-move form)."""
         if self._committed is not None:
             self._start_tracking()
-        self.stats.migrations_observed += 1
-        if not old.same_plane_as(new):
-            self.stats.cross_resource_migrations += 1
         stale = self._pending_index.pop(old, None)
         if stale is not None:
             self._retarget(stale, new)
 
-    def on_migrations(
-        self,
-        lpns: List[int],
-        moves: List[tuple],
-        *,
-        all_same_plane: bool = False,
-    ) -> None:
+    def on_migrations(self, lpns: List[int], moves: List[tuple]) -> None:
         """Batched :meth:`on_migration`: one call per garbage-collection pass.
 
         Precondition: the destinations of ``moves`` are distinct and none of
@@ -129,48 +118,28 @@ class ReaddressingCallback:
         garbage-collection pass satisfies it: destinations are fresh pages
         outside the full victim block.
 
-        ``all_same_plane=True`` is the caller's guarantee that every move
-        stays within its source plane (the FTL knows this from its
-        allocation runs); the batch then skips the per-move plane
-        comparison and reduces to pure pending-index maintenance.
+        Only in-flight requests aimed at a moved page need attention, so
+        when nothing is tracked the whole pass is a no-op.
         """
         if self._committed is not None:
             self._start_tracking()
-        stats = self.stats
-        stats.migrations_observed += len(moves)
         pending = self._pending_index
+        if not pending:
+            return
         pending_pop = pending.pop
-        if all_same_plane:
-            # Fast path: no cross-resource counting - only in-flight
-            # requests aimed at a moved page need attention, and when
-            # nothing is tracked at all the whole pass is a no-op.
-            if not pending:
-                return
-            if len(pending) * 4 <= len(moves):
-                # Far fewer tracked addresses than moves: probe the move
-                # table from the pending side instead of walking every move.
-                # dict(moves) builds at C speed; iteration order of the
-                # stale buckets does not matter because each old address
-                # retargets independently.
-                move_get = dict(moves).get
-                for old in list(pending):
-                    new = move_get(old)
-                    if new is not None:
-                        self._retarget(pending_pop(old), new)
-                return
-            for old, new in moves:
-                stale = pending_pop(old, None)
-                if stale is not None:
-                    self._retarget(stale, new)
+        if len(pending) * 4 <= len(moves):
+            # Far fewer tracked addresses than moves: probe the move table
+            # from the pending side instead of walking every move.
+            # dict(moves) builds at C speed; iteration order of the stale
+            # buckets does not matter because each old address retargets
+            # independently.
+            move_get = dict(moves).get
+            for old in list(pending):
+                new = move_get(old)
+                if new is not None:
+                    self._retarget(pending_pop(old), new)
             return
         for old, new in moves:
-            if not (
-                old[0] == new[0]
-                and old[1] == new[1]
-                and old[2] == new[2]
-                and old[3] == new[3]
-            ):
-                stats.cross_resource_migrations += 1
             stale = pending_pop(old, None)
             if stale is not None:
                 self._retarget(stale, new)

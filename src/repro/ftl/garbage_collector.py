@@ -21,7 +21,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
-from repro.flash.plane import Block
 from repro.flash.timing import FlashTiming
 from repro.ftl.mapping import PageMapFTL
 from repro.obs.trace import NULL_SINK
@@ -125,11 +124,11 @@ class GarbageCollector:
     # Collection
     # ------------------------------------------------------------------
     def collect(
-        self, chip_key: tuple, die: int, plane: int, victim: Block, now_ns: Optional[int]
+        self, chip_key: tuple, die: int, plane: int, victim: int, now_ns: Optional[int]
     ) -> GCJob:
-        """Run one GC pass on a plane: migrate ``victim``'s valid pages, erase it.
+        """Run one GC pass on a plane: migrate block ``victim``'s valid pages, erase it.
 
-        ``victim`` is the plane's greedy choice (fewest valid pages, ties
+        ``victim`` is the id of the plane's greedy choice (fewest valid pages, ties
         broken on the lowest block id - see
         :meth:`repro.flash.plane.Plane.greedy_victim`), selected by the
         caller.  All FTL and block bookkeeping is applied immediately; the
@@ -140,11 +139,13 @@ class GarbageCollector:
         """
         channel, chip_idx = chip_key
         plane_key = (channel, chip_idx, die, plane)
-        block_id = victim.block_id
+        plane_obj = self._planes[plane_key]
         # Resolve the victim's valid pages to LPNs in one bulk reverse-map
         # pass (set bits of the mask, ascending page order - identical to
         # scanning every page; greedy victims are mostly invalid).
-        pages, lpns = self.ftl.valid_lpns_in_block(plane_key, block_id, victim.valid_mask)
+        pages, lpns = self.ftl.valid_lpns_in_block(
+            plane_key, victim, plane_obj.valid_bits[victim]
+        )
         if None in lpns:
             # Orphaned valid bits: the block says those pages are live but
             # the FTL has no owner for them.  Count them loudly (tests assert
@@ -154,7 +155,7 @@ class GarbageCollector:
             for page, lpn in zip(pages, lpns):
                 if lpn is None:
                     self.stats.orphaned_pages += 1
-                    victim.invalidate(page)
+                    plane_obj.invalidate(victim, page)
                 else:
                     live_pages.append(page)
                     migrated.append(lpn)
@@ -164,7 +165,7 @@ class GarbageCollector:
         # Relocate every live page as one bulk operation: one allocation run
         # per destination block, one victim mask update, one overlay pass.
         runs: List[Tuple[int, int]] = []
-        moves = self.ftl.migrate_pages(plane_key, block_id, pages, migrated, runs_out=runs)
+        moves = self.ftl.migrate_pages(plane_key, victim, pages, migrated, runs_out=runs)
         # Price each destination run from the program-latency prefix sums:
         # the run list covers every move (contiguous page spans within one
         # destination block), so the sum equals pricing every move's
@@ -175,13 +176,13 @@ class GarbageCollector:
             duration += prefix[start + run_count] - prefix[start]
         # migrate_pages just relocated every valid page (and invalidation
         # popped the rest), so the victim has no reverse entries left.
-        self.ftl.erase_block(chip_key, die, plane, victim.block_id, swept=True)
+        self.ftl.erase_block(chip_key, die, plane, victim, swept=True)
         duration += self.timing.erase_latency_ns()
         job = GCJob(
             chip_key=chip_key,
             die=die,
             plane=plane,
-            victim_block=victim.block_id,
+            victim_block=victim,
             migrated_lpns=migrated,
             moves=moves,
             duration_ns=duration,
@@ -190,7 +191,7 @@ class GarbageCollector:
         self.stats.blocks_erased += 1
         self.stats.pages_migrated += len(migrated)
         self.stats.total_gc_time_ns += duration
-        self.history.append((chip_key, die, plane, victim.block_id, len(migrated)))
+        self.history.append((chip_key, die, plane, victim, len(migrated)))
         if self.sink.enabled:
             self.sink.instant(
                 "gc.trigger",
@@ -199,7 +200,7 @@ class GarbageCollector:
                 ts_ns=now_ns,
                 die=die,
                 plane=plane,
-                victim_block=victim.block_id,
+                victim_block=victim,
                 pages_migrated=len(migrated),
                 duration_ns=duration,
             )

@@ -112,8 +112,8 @@ class PageMapFTL:
         #: on ``_plane_list[lpn % P]``.
         self._plane_list = [self._planes[key] for key in self.allocator.plane_sequence]
         self.stats = FTLStats()
-        #: Called as ``hook(lpns, moves, *, all_same_plane)`` after every
-        #: :meth:`migrate_pages` batch; the simulator sets it to
+        #: Called as ``hook(lpns, moves)`` after every :meth:`migrate_pages`
+        #: batch; the simulator sets it, once preconditioning is done, to
         #: :meth:`repro.ftl.callbacks.ReaddressingCallback.on_migrations`.
         self.migration_hook: Optional[Callable[..., None]] = None
 
@@ -145,14 +145,14 @@ class PageMapFTL:
         """
         old = self._map.get(lpn)
         if old is not None:
-            self._planes[old[:4]].blocks[old[4]].invalidate(old[5])
+            self._planes[old[:4]].invalidate(old[4], old[5])
             self._reverse.pop(old, None)
             self.stats.invalidations += 1
         elif lpn < self._base_live and not self._base_moved[lpn]:
             num_planes = len(self._plane_list)
             position = lpn // num_planes
             block, page = divmod(position, self.geometry.pages_per_block)
-            self._plane_list[lpn % num_planes].blocks[block].invalidate(page)
+            self._plane_list[lpn % num_planes].invalidate(block, page)
             self._base_moved[lpn] = 1
             self._base_moved_count += 1
             self.stats.invalidations += 1
@@ -246,13 +246,15 @@ class PageMapFTL:
         """Write logical pages ``0..live-1`` sequentially, in bulk.
 
         The state ``live`` ``translate_write`` calls leave on a fresh
-        device, reached in O(blocks): the round-robin allocator stripes
-        write ``i`` onto plane ``i % P`` and fills that plane's blocks in
-        order, so every address is arithmetic.  Blocks are bulk-programmed
-        (one operation per block instead of one per page), each plane's
-        active block and the allocator cursor are placed where the per-page
-        writes would leave them, and the logical map is declared as the
-        implicit base layout (:meth:`install_base_layout`).
+        device, reached in O(planes) Python steps: the round-robin
+        allocator stripes write ``i`` onto plane ``i % P`` and fills that
+        plane's blocks in order, so every address is arithmetic.  Each
+        plane's full blocks are programmed by one slice assignment per
+        state list and its partial last block by
+        :meth:`repro.flash.plane.Plane.program_bulk`; each plane's active
+        block and the allocator cursor are placed where the per-page writes
+        would leave them, and the logical map is declared as the implicit
+        base layout (:meth:`install_base_layout`).
 
         Raises ``ValueError`` unless the device is factory-fresh: no mapped
         page, the allocator at its first plane, and every block erased
@@ -264,7 +266,7 @@ class PageMapFTL:
                 "mapped or the allocator has moved"
             )
         for plane in self._planes.values():
-            if plane.free_blocks != len(plane.blocks):
+            if plane.free_blocks != plane.blocks_per_plane:
                 raise ValueError(
                     "base fill requires a factory-fresh FTL: every block must "
                     "be erased (replay page by page instead)"
@@ -273,6 +275,7 @@ class PageMapFTL:
         sequence = self.allocator.plane_sequence
         num_planes = len(sequence)
         pages_per_block = self.geometry.pages_per_block
+        full_mask = (1 << pages_per_block) - 1
         base, extra = divmod(live, num_planes)
         for index, plane_key in enumerate(sequence):
             count = base + (1 if index < extra else 0)
@@ -280,10 +283,14 @@ class PageMapFTL:
                 continue
             plane = self._planes[plane_key]
             full_blocks, remainder = divmod(count, pages_per_block)
-            for block_id in range(full_blocks):
-                plane.blocks[block_id].program_bulk(pages_per_block)
+            if full_blocks:
+                plane.write_pointer[:full_blocks] = [pages_per_block] * full_blocks
+                plane.valid_bits[:full_blocks] = [full_mask] * full_blocks
+                plane.valid_count[:full_blocks] = [pages_per_block] * full_blocks
+                plane.free_blocks -= full_blocks
+                plane.free_pages -= full_blocks * pages_per_block
             if remainder:
-                plane.blocks[full_blocks].program_bulk(remainder)
+                plane.program_bulk(full_blocks, remainder)
             plane.active_block_id = (count - 1) // pages_per_block
         self.allocator.cursor = live % num_planes
 
@@ -368,7 +375,7 @@ class PageMapFTL:
             explicit_map[lpn] = new
         for key, mask in masks.items():
             index, block = divmod(key, blocks_per_plane)
-            planes[index].blocks[block].invalidate_mask(mask)
+            planes[index].invalidate_mask(block, mask)
         # 3. Reverse map: every new version in write order, then the
         #    superseded overlay versions (including ones written earlier in
         #    this batch) dropped - the contents and order the interleaved
@@ -474,7 +481,7 @@ class PageMapFTL:
         victim_mask = 0
         for page in pages:
             victim_mask |= 1 << page
-        plane_obj.blocks[block_id].invalidate_mask(victim_mask)
+        plane_obj.invalidate_mask(block_id, victim_mask)
         # 2. One fused pass per destination run: allocate, then do the
         #    overlay/reverse-map bookkeeping for each page of the run
         #    immediately.  The destination sequence is exactly what the
@@ -491,15 +498,12 @@ class PageMapFTL:
         append_move = moves.append
         index = 0
         remaining = count
-        all_same_plane = True
         while remaining:
             run = allocate_run(remaining)
             if run is None:
                 # Fallback: plane full - the allocator picks the next plane
                 # in its global round-robin order (a cross-plane move).
                 new = allocator.allocate(preferred_plane=plane_key)
-                if new[:4] != plane_key:
-                    all_same_plane = False
                 lpn = lpns[index]
                 old = new_address(
                     address_cls, (channel, chip, die, plane, block_id, pages[index])
@@ -551,12 +555,9 @@ class PageMapFTL:
         stats.invalidations += count
         stats.migrations += count
         stats.gc_writes += count
-        # 3. The hook learns whether every move stayed in the victim's plane
-        #    so it can skip the per-move plane comparison (the common case:
-        #    GC copyback with no allocator fallback).
         hook = self.migration_hook
         if hook is not None:
-            hook(lpns, moves, all_same_plane=all_same_plane)
+            hook(lpns, moves)
         return moves
 
     def erase_block(
@@ -574,7 +575,6 @@ class PageMapFTL:
         """
         chip = self.chips[chip_key]
         plane_obj = chip.plane(die, plane)
-        block_obj = plane_obj.blocks[block]
         channel, chip_idx = chip_key
         base_live = self._base_live
         if base_live:
@@ -587,7 +587,7 @@ class PageMapFTL:
                 block * self.geometry.pages_per_block * num_planes
                 + self._plane_index[(channel, chip_idx, die, plane)]
             )
-            stop = min(start + block_obj.pages_per_block * num_planes, base_live)
+            stop = min(start + plane_obj.pages_per_block * num_planes, base_live)
             moved = self._base_moved
             flags = moved[start:stop:num_planes]
             self._base_moved_count += flags.count(0)
@@ -600,12 +600,12 @@ class PageMapFTL:
             # reverse map without constructing one address object per page.
             reverse_pop = self._reverse.pop
             explicit_map = self._map
-            for page in range(block_obj.pages_per_block):
+            for page in range(plane_obj.pages_per_block):
                 address = (channel, chip_idx, die, plane, block, page)
                 lpn = reverse_pop(address, None)
                 if lpn is not None and explicit_map.get(lpn) == address:
                     del explicit_map[lpn]
-        block_obj.erase()
+        plane_obj.erase(block)
 
     def fill(
         self,

@@ -38,14 +38,14 @@ def wear_stats(chips: Dict[tuple, FlashChip]) -> WearStats:
     blocks = 0
     for chip in chips.values():
         for plane in chip.iter_planes():
-            if plane.total_erases == 0:
+            if plane.erases == 0:
                 # No block of this plane was ever erased - the common case
                 # for most planes of a fresh or lightly-aged device.  They
                 # all sit at erase count zero; skip the block scan.
-                blocks += len(plane.blocks)
+                blocks += plane.blocks_per_plane
                 lowest = 0
                 continue
-            counts = [block.erase_count for block in plane.blocks]
+            counts = plane.erase_count
             blocks += len(counts)
             total += sum(counts)
             low = min(counts)

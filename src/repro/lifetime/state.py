@@ -321,8 +321,11 @@ def occupancy_snapshot(ftl: PageMapFTL) -> tuple:
                         plane,
                         plane_obj.active_block_id,
                         tuple(
-                            (block.write_pointer, block.valid_mask, block.erase_count)
-                            for block in plane_obj.blocks
+                            zip(
+                                plane_obj.write_pointer,
+                                plane_obj.valid_bits,
+                                plane_obj.erase_count,
+                            )
                         ),
                     )
                 )

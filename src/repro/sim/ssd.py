@@ -141,7 +141,6 @@ class SSDSimulator:
             if config.gc_enabled
             else None,
         )
-        self.ftl.migration_hook = self.callback.on_migrations
 
         # --- observability --------------------------------------------------------
         # One sink shared by every component; with the default null sink the
@@ -200,9 +199,13 @@ class SSDSimulator:
                     live_pages=self.precondition.live_pages,
                     rng=rng,
                 )
-        # The collector joins the trace only now: aging collections are
-        # untimed and stay out of it, as they stay out of the counters below.
+        # The collector joins the trace and the callback joins the FTL only
+        # now: aging collections are untimed and move pages no request
+        # points at, so they stay out of the trace, out of the callback
+        # (which starts indexing commits at the run's first migration), and
+        # out of the counters below.
         self.gc.sink = self.sink
+        self.ftl.migration_hook = self.callback.on_migrations
         # Snapshot the firmware counters so results report the measured run
         # only - aging writes/collections stay out of the run's accounting.
         self._ftl_baseline = replace(self.ftl.stats)

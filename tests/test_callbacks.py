@@ -10,6 +10,7 @@ from repro.flash.commands import FlashOp
 from repro.flash.geometry import PhysicalPageAddress
 from repro.flash.request import MemoryRequest
 from repro.ftl.callbacks import STALE_PENALTY_NS, CallbackStats, ReaddressingCallback
+from repro.lifetime.state import DeviceState
 from repro.sim.config import SimulationConfig, stable_fingerprint
 from repro.sim.ssd import SSDSimulator
 from repro.workloads.synthetic import generate_random_workload
@@ -67,12 +68,16 @@ class TestEnabledCallback:
         callback.on_migration(7, address(block=0), address(block=3))
         assert req.address == address(block=5)
 
-    def test_cross_resource_counter(self):
+    def test_cross_plane_move_retargets(self):
         callback = ReaddressingCallback(enabled=True)
+        near, far = request_at(address(block=0, page=1)), request_at(address(plane=0), io_id=2)
+        callback.track_request(near)
+        callback.track_request(far)
         callback.on_migration(1, address(plane=0), address(plane=1))
         callback.on_migration(2, address(block=0, page=1), address(block=2, page=1))
-        assert callback.stats.migrations_observed == 2
-        assert callback.stats.cross_resource_migrations == 1
+        assert far.address == address(plane=1)
+        assert near.address == address(block=2, page=1)
+        assert callback.stats.requests_retargeted == 2
 
     def test_track_ignores_untranslated(self):
         callback = ReaddressingCallback(enabled=True)
@@ -192,40 +197,43 @@ class TestBatchedMigrations:
         batch, batch_requests = self.tracking_callback(enabled, tracked)
         for lpn, (old, new) in zip(lpns, moves):
             per_move.on_migration(lpn, old, new)
-        all_same_plane = path != "cross"
-        assert all_same_plane == all(old.same_plane_as(new) for old, new in moves)
+        assert (path != "cross") == all(old.plane_key == new.plane_key for old, new in moves)
         probes = len(batch._pending_index) * 4 <= len(moves)
         assert probes == (path == "probe")
-        batch.on_migrations(lpns, moves, all_same_plane=all_same_plane)
+        batch.on_migrations(lpns, moves)
         assert self.outcome(batch, batch_requests) == self.outcome(
             per_move, per_move_requests
         )
         retargets = per_move.stats.requests_retargeted + per_move.stats.requests_penalized
         assert retargets > 0
 
-    def test_untracked_batch_counts_moves_only(self):
+    def test_untracked_batch_is_a_no_op(self):
         callback = ReaddressingCallback(enabled=True)
         moves = [(address(block=0), address(block=1)), (address(block=2), address(block=3))]
-        callback.on_migrations([1, 2], moves, all_same_plane=True)
-        assert callback.stats == CallbackStats(migrations_observed=2)
+        callback.on_migrations([1, 2], moves)
+        assert callback.stats == CallbackStats()
+        assert callback._pending_index == {}
 
 
-def gc_run(workload, scheduler, *, eager):
-    """Run an 85%-full device; returns callback stats, result digest, queue probe.
+def gc_run(workload, scheduler, *, eager, config=None):
+    """Run a GC-bound device; returns callback stats, result digest, queue probe.
 
+    The device is ``config``, by default an 85%-full small one.
     ``eager=True`` indexes every committed request from the start, as the
     simulator once did; by default the index is built at the first
     migration.  The probe is the number of committed requests waiting in
     the controllers' queues when that first migration came.
     """
-    simulator = SSDSimulator(SimulationConfig.small(prefill_fraction=0.85), scheduler)
+    if config is None:
+        config = SimulationConfig.small(prefill_fraction=0.85)
+    simulator = SSDSimulator(config, scheduler)
     callback = simulator.callback
     if eager:
         callback = simulator.callback = ReaddressingCallback(enabled=callback.enabled)
         callback.tracking = True
     waiting = []
 
-    def probe(*args, **kwargs):
+    def probe(lpns, moves):
         if not callback.tracking:
             waiting.append(
                 sum(
@@ -234,10 +242,11 @@ def gc_run(workload, scheduler, *, eager):
                     for queue in controller.pending.values()
                 )
             )
-        callback.on_migrations(*args, **kwargs)
+        callback.on_migrations(lpns, moves)
 
     simulator.ftl.migration_hook = probe
     result = simulator.run([dataclasses.replace(io) for io in workload])
+    assert result.gc_stats.pages_migrated > 0
     return callback.stats, stable_fingerprint(result), waiting
 
 
@@ -262,10 +271,34 @@ class TestLazyIndex:
             assert lazy_stats == eager_stats
             assert lazy_digest == eager_digest
             assert len(waiting) == 1 and never == []
-            assert lazy_stats.migrations_observed > 0
             seeded += waiting[0]
             touched += lazy_stats.requests_retargeted + lazy_stats.requests_penalized
         # The first migration came mid-run, with committed requests to
         # index, and migrations hit tracked requests.
         assert seeded > 0
         assert touched > 0
+
+    def test_aging_leaves_the_callback_untracked(self):
+        # Steady aging collects (and moves pages) before the run; the
+        # callback joins the FTL only afterwards, so it starts untracked
+        # and the run indexes commits from its own first migration on -
+        # with the result of indexing every commit from t=0.
+        state = DeviceState(fill_fraction=0.85, invalid_fraction=0.3, seed=7, steady_state=True)
+        config = SimulationConfig.small(device_state=state)
+        simulator = SSDSimulator(config, "SPK3")
+        assert simulator.steady_state.gc_invocations > 0
+        assert simulator.callback.tracking is False
+        assert simulator.callback.stats == CallbackStats()
+        workload = generate_random_workload(
+            num_requests=150,
+            size_bytes=16 * 1024,
+            address_space_bytes=config.logical_pages * config.geometry.page_size_bytes // 2,
+            read_fraction=0.3,
+            interarrival_ns=500,
+            seed=5,
+        )
+        lazy_stats, lazy_digest, waiting = gc_run(workload, "SPK3", eager=False, config=config)
+        eager_stats, eager_digest, _ = gc_run(workload, "SPK3", eager=True, config=config)
+        assert len(waiting) == 1
+        assert lazy_stats == eager_stats
+        assert lazy_digest == eager_digest

@@ -26,7 +26,7 @@ def fill_plane(ftl, small_geometry, chip_key, die, plane, blocks_to_fill):
     target_plane_key = (*chip_key, die, plane)
     while True:
         plane_obj = ftl.chips[chip_key].plane(die, plane)
-        full = sum(1 for block in plane_obj.blocks if block.write_pointer == block.pages_per_block)
+        full = plane_obj.write_pointer.count(plane_obj.pages_per_block)
         if full >= blocks_to_fill:
             break
         address = ftl.translate_write(lpn)
@@ -76,8 +76,8 @@ class TestCollection:
         _, gc = gc_setup
         # Below the watermark, but no block is full: nothing to collect.
         plane_obj = small_chips[(0, 0)].plane(0, 0)
-        for block in plane_obj.blocks[1:]:
-            block.program_bulk(1)
+        for block in range(1, plane_obj.blocks_per_plane):
+            plane_obj.program_bulk(block, 1)
         assert plane_obj.free_blocks < FREE_BLOCK_WATERMARK
         assert plane_obj.greedy_victim() is None
         assert gc.collect_plane_if_needed((0, 0), 0, 0) is None
@@ -148,14 +148,14 @@ class TestCollection:
         # they are valid-marked but unmapped, and make the block the
         # cheapest (fewest-valid) victim so greedy selection picks it.
         plane_obj = ftl.chips[(0, 0)].plane(0, 0)
-        free_block = next(block for block in plane_obj.blocks if block.is_free)
+        free_block = plane_obj.write_pointer.index(0)
         orphans = 2
-        free_block.program_bulk(orphans)
-        while free_block.write_pointer < free_block.pages_per_block:
-            free_block.invalidate(free_block.program_next())
+        plane_obj.program_bulk(free_block, orphans)
+        while plane_obj.write_pointer[free_block] < plane_obj.pages_per_block:
+            plane_obj.invalidate(free_block, plane_obj.program_next(free_block))
         job = collect(ftl, gc)
         assert job is not None
-        assert job.victim_block == free_block.block_id
+        assert job.victim_block == free_block
         assert job.migrated_lpns == []
         assert gc.stats.orphaned_pages == orphans
 

@@ -220,10 +220,9 @@ class TestFastForwardIdentity:
         )
         assert ftl.mapped_pages / ftl.geometry.total_pages == pytest.approx(0.8, abs=0.01)
         programmed = sum(
-            block.write_pointer
+            sum(plane.write_pointer)
             for chip in ftl.chips.values()
             for plane in chip.iter_planes()
-            for block in plane.blocks
         )
         assert programmed == report.page_writes
         invalid = programmed - ftl.mapped_pages

@@ -41,7 +41,7 @@ def invalidate_current(ftl, lpn):
     """
     old = ftl.lookup(lpn)
     if old is not None:
-        ftl._planes[old.plane_key].blocks[old.block].invalidate(old.page)
+        ftl._planes[old.plane_key].invalidate(old.block, old.page)
         ftl._reverse.pop(old, None)
         ftl.stats.invalidations += 1
         if lpn < ftl._base_live and not ftl._base_moved[lpn]:
@@ -106,8 +106,8 @@ def record_hook(ftl):
     """Install a migration hook on ``ftl`` that records its calls."""
     calls = []
 
-    def hook(lpns, moves, *, all_same_plane):
-        calls.append((list(lpns), list(moves), all_same_plane))
+    def hook(lpns, moves):
+        calls.append((list(lpns), list(moves)))
 
     ftl.migration_hook = hook
     return calls
@@ -136,7 +136,7 @@ class TestTranslation:
         second = ftl.translate_write(3)
         assert first != second
         plane = small_chips[first.chip_key].plane(first.die, first.plane)
-        assert not plane.blocks[first.block].valid_mask >> first.page & 1
+        assert not plane.valid_bits[first.block] >> first.page & 1
         assert ftl.reverse_lookup(first) is None
         assert ftl.reverse_lookup(second) == 3
 
@@ -180,11 +180,12 @@ class TestMigration:
         calls = record_hook(ftl)
         ftl.install_base_fill(small_geometry.num_planes * small_geometry.pages_per_block * 2)
         plane_key = ftl.allocator.plane_sequence[0]
-        victim = ftl.chips[plane_key[:2]].plane(*plane_key[2:]).blocks[0]
-        pages, lpns = ftl.valid_lpns_in_block(plane_key, 0, victim.valid_mask)
+        plane = ftl.chips[plane_key[:2]].plane(*plane_key[2:])
+        pages, lpns = ftl.valid_lpns_in_block(plane_key, 0, plane.valid_bits[0])
         moves = ftl.migrate_pages(plane_key, 0, pages, lpns)
         assert len(moves) == small_geometry.pages_per_block
-        assert calls == [(lpns, moves, True)]
+        assert calls == [(lpns, moves)]
+        assert all(old[:4] == new[:4] == plane_key for old, new in moves)
 
     def test_migration_counters(self, ftl):
         ftl.translate_write(4)
@@ -200,8 +201,9 @@ class TestEraseBlock:
         assert ftl.lookup(11) is None
         assert ftl.reverse_lookup(address) is None
         plane = small_chips[address.chip_key].plane(address.die, address.plane)
-        assert plane.blocks[address.block].is_free
-        assert plane.blocks[address.block].erase_count == 1
+        assert plane.write_pointer[address.block] == 0
+        assert plane.valid_bits[address.block] == 0
+        assert plane.erase_count[address.block] == 1
 
 
 class TestFill:
@@ -217,8 +219,8 @@ class TestFill:
         invalid = 0
         for chip in small_chips.values():
             for plane in chip.iter_planes():
-                for block in plane.blocks:
-                    invalid += block.write_pointer - block.valid_mask.bit_count()
+                for used, bits in zip(plane.write_pointer, plane.valid_bits):
+                    invalid += used - bits.bit_count()
         assert invalid > 0
         # Live data is less than the total pages written.
         assert ftl.mapped_pages / ftl.geometry.total_pages < 0.8
@@ -248,7 +250,7 @@ class TestFill:
 
     def test_fill_rejects_programmed_blocks(self, ftl, small_chips):
         plane = next(iter(small_chips.values())).plane(0, 0)
-        plane.blocks[3].program_bulk(1)
+        plane.program_bulk(3, 1)
         with pytest.raises(ValueError, match="every block must be erased"):
             ftl.fill(0.5)
 
@@ -288,8 +290,8 @@ class TestBaseLayout:
         assert ftl.reverse_lookup(old) is None
         assert ftl.reverse_lookup(new) == 5
         assert ftl.lookup(5) == new
-        block = ftl.chips[old.chip_key].plane(old.die, old.plane).blocks[old.block]
-        assert not block.valid_mask >> old.page & 1
+        plane = ftl.chips[old.chip_key].plane(old.die, old.plane)
+        assert not plane.valid_bits[old.block] >> old.page & 1
 
     def test_migrate_base_page(self, ftl, small_geometry):
         self.install(ftl, small_geometry)
@@ -597,15 +599,14 @@ class TestMigratePages:
             plane_key = rng.choice(reference.allocator.plane_sequence)
             plane = reference._planes[plane_key]
             victims = [
-                block.block_id
-                for block in plane.blocks
-                if block.write_pointer == block.pages_per_block
-                and block.block_id != plane.active_block_id
+                block_id
+                for block_id, used in enumerate(plane.write_pointer)
+                if used == plane.pages_per_block and block_id != plane.active_block_id
             ]
             if not victims:
                 continue
             block_id = rng.choice(victims)
-            valid = plane.blocks[block_id].valid_mask.bit_count()
+            valid = plane.valid_bits[block_id].bit_count()
             elsewhere = sum(p.free_pages for p in reference._planes.values()) - plane.free_pages
             if pass_index % 2 and 0 < valid <= elsewhere:
                 # Leave fewer free pages than the victim has valid ones, so
@@ -614,7 +615,7 @@ class TestMigratePages:
             same_plane = plane.free_pages >= valid
             fallbacks += not same_plane
             passes += 1
-            mask = plane.blocks[block_id].valid_mask
+            mask = plane.valid_bits[block_id]
             pages, lpns = bulk.valid_lpns_in_block(plane_key, block_id, mask)
             assert (pages, lpns) == reference.valid_lpns_in_block(plane_key, block_id, mask)
             assert None not in lpns
@@ -622,7 +623,8 @@ class TestMigratePages:
             runs = []
             moves = bulk.migrate_pages(plane_key, block_id, pages, lpns, runs_out=runs)
             assert moves == expected
-            assert calls[-1] == (lpns, expected, same_plane)
+            assert calls[-1] == (lpns, expected)
+            assert all(old[:4] == new[:4] for old, new in expected) == same_plane
             # The runs cover every move in order, each a page span of one
             # destination block.
             index = 0

@@ -47,7 +47,6 @@ def instances():
         "repro.core.scheduler:SchedulerBase": simulator.scheduler,
         "repro.flash.channel:Channel": simulator.channels[0],
         "repro.flash.chip:FlashChip": simulator.chips[address.chip_key],
-        "repro.flash.plane:Block": plane.blocks[address.block],
         "repro.flash.plane:Plane": plane,
         "repro.flash.request:MemoryRequest": request,
         "repro.nvmhc.tag:Tag": tag,

@@ -10,9 +10,9 @@ class TestWearStats:
         assert stats.spread == 0
 
     def test_wear_stats_track_erases(self, small_geometry, small_chips):
-        block = small_chips[(0, 0)].plane(0, 0).blocks[0]
-        block.erase()
-        block.erase()
+        plane = small_chips[(0, 0)].plane(0, 0)
+        plane.erase(0)
+        plane.erase(0)
         stats = wear_stats(small_chips)
         assert stats.max_erase_count == 2
         assert stats.min_erase_count == 0

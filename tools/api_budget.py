@@ -96,14 +96,12 @@ REACH_ALLOWLIST: Dict[str, str] = {
     "repro.flash.geometry:SSDGeometry.address_to_ppn": _ORACLE,
     "repro.flash.geometry:SSDGeometry._validate_address": _ORACLE,
     "repro.flash.geometry:PhysicalPageAddress.plane_key": _GEOMETRY,
-    "repro.flash.geometry:PhysicalPageAddress.same_plane_as": _GEOMETRY,
     "repro.__init__:__getattr__": _ABSTRACT,
     "repro.array.host:PooledResult.parts": _ABSTRACT,
     "repro.core.scheduler:SchedulerBase.__repr__": _ABSTRACT,
     "repro.core.scheduler:SchedulerBase.next_composition": _ABSTRACT,
     "repro.flash.channel:Channel.__repr__": _ABSTRACT,
     "repro.flash.chip:FlashChip.__repr__": _ABSTRACT,
-    "repro.flash.plane:Block.__repr__": _ABSTRACT,
     "repro.flash.plane:Plane.__repr__": _ABSTRACT,
     "repro.flash.request:MemoryRequest.__repr__": _ABSTRACT,
     "repro.nvmhc.tag:Tag.__repr__": _ABSTRACT,
