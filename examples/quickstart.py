@@ -16,7 +16,7 @@ it through ``repro.experiments.engine.ExecutionEngine`` instead - see
 ``examples/scheduler_comparison.py``.
 """
 
-from repro import SimulationConfig, SSDSimulator
+from repro import SimulationConfig, SSDSimulator, format_table
 from repro.workloads import generate_random_workload
 
 KB = 1024
@@ -39,18 +39,8 @@ def main() -> None:
 
     result = SSDSimulator(config, "SPK3").run(workload, workload_name="quickstart")
 
-    print("Sprinkler (SPK3) on a 64-chip SSD")
-    print("-" * 40)
-    print(f"completed I/Os        : {result.completed_ios}")
-    print(f"bandwidth             : {result.bandwidth_kb_s / 1024:.1f} MB/s")
-    print(f"IOPS                  : {result.iops:.0f}")
-    print(f"average latency       : {result.avg_latency_ns / 1000:.1f} us")
-    print(f"chip utilisation      : {100 * result.chip_utilization:.1f} %")
-    print(f"inter-chip idleness   : {100 * result.inter_chip_idleness:.1f} %")
-    print(f"intra-chip idleness   : {100 * result.intra_chip_idleness:.1f} %")
-    print(f"flash transactions    : {result.transactions}")
-    print(f"requests per txn      : {result.coalescing_degree:.2f}")
-    print("FLP breakdown         :", {k: f"{100 * v:.0f}%" for k, v in result.flp_fractions().items()})
+    print(format_table([result.summary_row()], title="Sprinkler (SPK3) on a 64-chip SSD"))
+    print("FLP breakdown:", {k: f"{100 * v:.0f}%" for k, v in result.flp_fractions().items()})
 
 
 if __name__ == "__main__":

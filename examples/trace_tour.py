@@ -5,7 +5,7 @@ A single bursty multi-tenant scenario runs under SPK3 with a memory trace
 sink attached.  The script then reads the run back three ways:
 
 * the ten longest spans (where did simulated time actually go?),
-* the counter registry (how much work of each kind happened?),
+* the result's counters (how much work of each kind happened?),
 * the per-window p99/p999 tail table (when was latency bad, not just
   how bad was it on average?).
 

@@ -14,9 +14,10 @@ Three placement policies are supported:
   ``chunk_bytes`` stripe units assigned round-robin (unit ``u`` lives on
   device ``u % N`` at local unit ``u // N``).  Large requests fan out over
   many devices; small ones land on a single device.
-* ``range`` - contiguous range sharding: the space is cut into ``N`` equal
-  shards and each device owns one, so spatial locality stays intact but a
-  skewed trace loads devices unevenly.
+* ``range`` - contiguous range sharding: the touched space (up to the
+  highest offset the trace reaches) is cut into ``N`` equal shards, each
+  rounded up to a ``chunk_bytes`` multiple, and each device owns one, so
+  spatial locality stays intact but a skewed trace loads devices unevenly.
 * ``hash`` - hashed chunk placement: each ``chunk_bytes`` chunk is assigned
   by a deterministic integer hash of its index, breaking up pathological
   striding.  Chunks are packed densely into each device's local space in
@@ -61,11 +62,9 @@ class ArrayLayout:
 
     num_devices: int
     policy: str = "stripe"
-    #: Stripe unit (``stripe``) or placement chunk (``hash``) in bytes.
+    #: Stripe unit (``stripe``), placement chunk (``hash``) or shard
+    #: alignment (``range``) in bytes.
     chunk_bytes: int = 64 * KB
-    #: Shard size for ``range`` placement; ``None`` derives it from the trace
-    #: (the smallest equal split covering the highest touched offset).
-    shard_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_devices <= 0:
@@ -76,8 +75,6 @@ class ArrayLayout:
             )
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        if self.shard_bytes is not None and self.shard_bytes <= 0:
-            raise ValueError("shard_bytes must be positive when given")
 
 
 #: One placement fragment: ``(device, device_local_offset, size_bytes)``.
@@ -165,8 +162,6 @@ def _merge_adjacent(fragments: Iterable[_Fragment], num_devices: int) -> List[_F
 
 def _derived_shard_bytes(requests: Sequence[IORequest], layout: ArrayLayout) -> int:
     """Smallest equal split of the touched address range, chunk-aligned up."""
-    if layout.shard_bytes is not None:
-        return layout.shard_bytes
     highest = max((io.end_offset_bytes for io in requests), default=0)
     shard = -(-max(highest, 1) // layout.num_devices)  # ceil division
     # Round up to a chunk multiple so shard edges line up with stripe units.

@@ -30,6 +30,8 @@ DEFAULT_DEVICE_COUNTS = (1, 2, 4)
 DEFAULT_POLICIES = ("stripe", "range", "hash")
 DEFAULT_SCHEDULERS = ("VAS", "SPK1", "SPK2", "SPK3")
 DEFAULT_CHUNK_KB = 64
+#: Host request size of the array workload.
+REQUEST_KB = 128
 
 
 def build_specs(
@@ -38,7 +40,6 @@ def build_specs(
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     *,
     num_requests: int = 48,
-    size_kb: int = 128,
     chunk_kb: int = DEFAULT_CHUNK_KB,
     chips_per_device: int = 16,
     read_fraction: float = 1.0,
@@ -52,10 +53,10 @@ def build_specs(
     which anchors the scaling curves at the paper's intra-SSD numbers.
     """
     workload = WorkloadSpec.random(
-        f"array-{size_kb}KB",
+        f"array-{REQUEST_KB}KB",
         num_requests=num_requests,
-        size_bytes=size_kb * KB,
-        address_space_bytes=max(64 * KB * num_requests, 8 * size_kb * KB * num_requests),
+        size_bytes=REQUEST_KB * KB,
+        address_space_bytes=max(64 * KB * num_requests, 8 * REQUEST_KB * KB * num_requests),
         read_fraction=read_fraction,
         interarrival_ns=1_000,
         seed=seed,
@@ -101,7 +102,7 @@ def run_array_specs(
     for spec in specs:
         if spec.workload not in traces:
             traces[spec.workload] = spec.workload.build()
-        split_key = (spec.workload, spec.num_devices, spec.policy, spec.chunk_bytes, spec.shard_bytes)
+        split_key = (spec.workload, spec.num_devices, spec.policy, spec.chunk_bytes)
         if split_key not in splits:
             splits[split_key] = split_trace(traces[spec.workload], spec.layout())
         per_spec_jobs.append(spec.device_jobs(splits[split_key]))
@@ -127,7 +128,6 @@ def run_array_scaling(
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     *,
     num_requests: int = 48,
-    size_kb: int = 128,
     chunk_kb: int = DEFAULT_CHUNK_KB,
     chips_per_device: int = 16,
     read_fraction: float = 1.0,
@@ -140,7 +140,6 @@ def run_array_scaling(
         policies,
         schedulers,
         num_requests=num_requests,
-        size_kb=size_kb,
         chunk_kb=chunk_kb,
         chips_per_device=chips_per_device,
         read_fraction=read_fraction,

@@ -829,7 +829,8 @@ ARTIFACTS: Dict[str, Artifact] = {
         "Steady state: over-provisioning x fill x scheduler",
         steady_state.run_steady_state,
         lambda rows: [
-            f"WA vs over-provisioning (steady): {steady_state.wa_by_overprovisioning(rows)}",
+            "WA vs over-provisioning (steady): "
+            f"{steady_state.wa_by_overprovisioning([r for r in rows if r['state'] == 'steady'])}",
             f"Bandwidth cost of aging: {steady_state.aging_cost(rows)}",
         ],
     ),

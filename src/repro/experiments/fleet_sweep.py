@@ -70,7 +70,6 @@ def build_fleet_spec(
     *,
     zoo_cycle: Sequence[str] = DEFAULT_ZOO_CYCLE,
     slo: Optional[SLOThresholds] = DEFAULT_SLO,
-    with_background: bool = True,
 ) -> FleetSpec:
     """One sweep cell: a sized, policy-bound fleet serving ``scenario``.
 
@@ -80,14 +79,9 @@ def build_fleet_spec(
     background scheduler always has valleys to fill.
     """
     nodes = default_fleet_nodes(size, zoo_cycle=zoo_cycle)
-    background: Tuple[BackgroundJob, ...] = ()
-    if with_background:
-        jobs = [BackgroundJob(kind="scrub", node=nodes[0].name, num_requests=8)]
-        if len(nodes) > 1:
-            jobs.append(
-                BackgroundJob(kind="gc-debt", node=nodes[1].name, num_requests=8)
-            )
-        background = tuple(jobs)
+    background = [BackgroundJob(kind="scrub", node=nodes[0].name, num_requests=8)]
+    if len(nodes) > 1:
+        background.append(BackgroundJob(kind="gc-debt", node=nodes[1].name, num_requests=8))
     return FleetSpec(
         name=f"{scenario.name}-x{size}-{placement}",
         scenario=scenario,
@@ -98,7 +92,7 @@ def build_fleet_spec(
             ("logger", TenantPolicy(max_queue_depth=8)),
         ),
         default_slo=slo,
-        background=background,
+        background=tuple(background),
     )
 
 

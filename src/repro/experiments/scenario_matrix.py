@@ -97,13 +97,12 @@ def run_scenario_matrix(
     chips_per_device: int = 16,
     policy: str = "stripe",
     chunk_kb: int = DEFAULT_CHUNK_KB,
-    scale: float = 1.0,
     seed: int = 11,
     engine: Optional[ExecutionEngine] = None,
 ) -> List[Dict[str, object]]:
     """One row per (scenario, devices, scheduler) cell of the matrix."""
     if scenarios is None:
-        scenarios = default_scenarios(scale=scale, seed=seed)
+        scenarios = default_scenarios(seed=seed)
     engine = engine or ExecutionEngine()
     spec, array_specs = build_grid(
         scenarios,

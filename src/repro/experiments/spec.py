@@ -288,7 +288,6 @@ class ArraySpec:
     config: Optional[SimulationConfig] = None
     policy: str = "stripe"
     chunk_bytes: int = 64 * 1024
-    shard_bytes: Optional[int] = None
     key: Tuple[Any, ...] = ()
     #: Per-slot device-zoo ids - the heterogeneous-array form.  When set,
     #: one id per device slot (``len(devices) == num_devices``) and
@@ -313,7 +312,6 @@ class ArraySpec:
             num_devices=self.num_devices,
             policy=self.policy,
             chunk_bytes=self.chunk_bytes,
-            shard_bytes=self.shard_bytes,
         )
 
     def device_jobs(self, sub_traces=None) -> Tuple[SimJob, ...]:

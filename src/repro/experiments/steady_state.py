@@ -44,6 +44,8 @@ KB = 1024
 DEFAULT_SCHEDULERS = ("VAS", "PAS", "SPK1", "SPK2", "SPK3")
 DEFAULT_OVERPROVISIONING = (0.07, 0.15, 0.28)
 DEFAULT_FILL_STATES = ("fresh", "aged", "steady")
+#: Host write size of the sustained overwrite workload.
+WRITE_SIZE_KB = 16
 
 
 def device_state_for(name: str, *, seed: int = 11) -> Optional[DeviceState]:
@@ -68,7 +70,6 @@ def build_spec(
     *,
     num_chips: int = 64,
     requests_per_point: int = 96,
-    write_size_kb: int = 16,
     seed: int = 11,
 ) -> ExperimentSpec:
     """Declare the steady-state grid, keyed ``(op, state, scheduler)``.
@@ -92,8 +93,8 @@ def build_spec(
     )
     scenario = sustained_write_scenario(
         num_requests=requests_per_point,
-        size_bytes=write_size_kb * KB,
-        address_space_bytes=max(live_bytes, 2 * write_size_kb * KB),
+        size_bytes=WRITE_SIZE_KB * KB,
+        address_space_bytes=max(live_bytes, 2 * WRITE_SIZE_KB * KB),
         seed=seed,
     )
     workload = WorkloadSpec.scenario(scenario)
@@ -127,7 +128,6 @@ def run_steady_state(
     *,
     num_chips: int = 64,
     requests_per_point: int = 96,
-    write_size_kb: int = 16,
     seed: int = 11,
     engine: Optional[ExecutionEngine] = None,
 ) -> List[Dict[str, object]]:
@@ -138,7 +138,6 @@ def run_steady_state(
         schedulers,
         num_chips=num_chips,
         requests_per_point=requests_per_point,
-        write_size_kb=write_size_kb,
         seed=seed,
     )
     results = (engine or ExecutionEngine()).run(spec)
@@ -167,17 +166,16 @@ def run_steady_state(
 
 
 def wa_by_overprovisioning(
-    rows: Sequence[Dict[str, object]], *, state: str = "steady"
+    rows: Sequence[Dict[str, object]],
 ) -> Dict[str, Tuple[Tuple[float, float], ...]]:
-    """Per scheduler: ``(op, write_amplification)`` points for one fill state.
+    """Per scheduler: ``(op, write_amplification)`` points of ``rows``.
 
     The headline curve of the sweep - more spare capacity, less
     amplification - in a shape ready for plotting or asserting monotonicity.
+    Pass the rows of one fill state.
     """
     curves: Dict[str, List[Tuple[float, float]]] = {}
     for row in rows:
-        if row["state"] != state:
-            continue
         curves.setdefault(str(row["scheduler"]), []).append(
             (float(row["overprovisioning"]), float(row["write_amplification"]))
         )

@@ -8,7 +8,7 @@ deterministic pure functions of the tenant's arrival stream:
   gap boundary (counted as throttled), never dropped.  This models an
   ingress shaper smoothing a bursty tenant.
 * ``max_queue_depth`` - a virtual in-flight window: each admitted request
-  occupies a slot for ``nominal_service_ns`` (the same first-order service
+  occupies a slot for ``NOMINAL_SERVICE_NS`` (the first-order service
   model :func:`repro.scenarios.characterize.characterize` uses); an arrival
   finding every slot occupied is *rejected* (dropped before simulation).
   This models load-shedding at the cluster front end.
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.spec import TenantPolicy
+from repro.scenarios.characterize import NOMINAL_SERVICE_NS
 from repro.scenarios.transforms import copy_request
 from repro.workloads.request import IORequest
 
@@ -62,8 +63,6 @@ class AdmissionStats:
 def admit_stream(
     requests: Sequence[IORequest],
     policy: Optional[TenantPolicy],
-    *,
-    nominal_service_ns: int,
 ) -> Tuple[List[IORequest], int, int]:
     """Apply one tenant's admission limits to its arrival-ordered stream.
 
@@ -97,6 +96,6 @@ def admit_stream(
             if len(busy_until) >= depth:
                 rejected += 1
                 continue
-            heapq.heappush(busy_until, arrival_ns + nominal_service_ns)
+            heapq.heappush(busy_until, arrival_ns + NOMINAL_SERVICE_NS)
         admitted.append(copy_request(io, arrival_ns=arrival_ns))
     return admitted, throttled, rejected

@@ -4,11 +4,10 @@ Real fleets run scrubs, rebuilds and GC-debt repayment *around* tenant
 traffic.  This module does the same, deterministically: the node's
 foreground arrival series is histogrammed into equal time windows, windows
 are ranked emptiest-first, and each background job's requests are spread
-uniformly across the best window still compatible with its deadline
-(earliest-deadline-first across jobs, one window per job so the placement
-is easy to reason about and test).  Best effort, not admission control: a
-job whose only eligible windows are busy still runs, and the stats record
-whether its deadline held.
+uniformly across the emptiest window no earlier job claimed (jobs in
+declaration order, one window per job so the placement is easy to reason
+about and test).  Best effort, not admission control: when every window is
+claimed, a job shares the emptiest one.
 
 Background requests are ordinary :class:`~repro.workloads.request.
 IORequest` objects tagged ``bg:<kind>``, so they flow through placement,
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.fleet.spec import BackgroundJob
 from repro.workloads.request import IOKind, IORequest
@@ -53,10 +52,6 @@ class BackgroundStats:
     #: Arrival window the job was scheduled into.
     start_ns: int
     end_ns: int
-    deadline_ns: Optional[int]
-    #: Whether the last scheduled arrival beat the deadline (``True`` when
-    #: the job has no deadline).
-    met_deadline: bool
 
     def rows(self) -> Dict[str, object]:
         """One printable row of the background table."""
@@ -66,8 +61,6 @@ class BackgroundStats:
             "requests": self.requests,
             "mb": round(self.bytes / (1024.0 * 1024.0), 2),
             "window_ms": f"{self.start_ns / 1e6:.2f}-{self.end_ns / 1e6:.2f}",
-            "deadline_ms": "-" if self.deadline_ns is None else round(self.deadline_ns / 1e6, 2),
-            "met_deadline": "yes" if self.met_deadline else "NO",
         }
 
 
@@ -137,39 +130,27 @@ def schedule_background(
 ) -> Tuple[List[List[IORequest]], List[BackgroundStats]]:
     """Slot each job's requests into a load valley of one node's traffic.
 
-    Jobs are processed earliest-deadline-first (deadline-free jobs last, in
-    declaration order); each takes the emptiest unclaimed window whose
-    start precedes its deadline, falling back to the emptiest eligible
-    window when every one is claimed.  Returns one request stream per job
-    (in the *declaration* order of ``jobs``) plus the matching stats.
+    Jobs are processed in declaration order; each takes the emptiest
+    unclaimed window, falling back to the emptiest window when every one is
+    claimed.  Returns one request stream per job plus the matching stats.
     """
     valleys = find_load_valleys([io.arrival_ns for io in foreground], num_windows)
     claimed: set = set()
-    streams: List[List[IORequest]] = [[] for _ in jobs]
-    stats: List[Optional[BackgroundStats]] = [None] * len(jobs)
-
-    def deadline_key(item: Tuple[int, BackgroundJob]) -> Tuple[int, int]:
-        index, job = item
-        return (job.deadline_ns if job.deadline_ns is not None else 1 << 62, index)
-
-    for index, job in sorted(enumerate(jobs), key=deadline_key):
-        eligible = [
-            w for w in valleys
-            if job.deadline_ns is None or w.start_ns < job.deadline_ns
-        ] or valleys
-        window = next((w for w in eligible if w.start_ns not in claimed), eligible[0])
+    streams: List[List[IORequest]] = []
+    stats: List[BackgroundStats] = []
+    for job in jobs:
+        window = next((w for w in valleys if w.start_ns not in claimed), valleys[0])
         claimed.add(window.start_ns)
         requests = _job_requests(job, window)
-        streams[index] = requests
-        last_arrival = requests[-1].arrival_ns if requests else window.start_ns
-        stats[index] = BackgroundStats(
-            kind=job.kind,
-            node=job.node,
-            requests=len(requests),
-            bytes=sum(io.size_bytes for io in requests),
-            start_ns=window.start_ns,
-            end_ns=window.end_ns,
-            deadline_ns=job.deadline_ns,
-            met_deadline=job.deadline_ns is None or last_arrival <= job.deadline_ns,
+        streams.append(requests)
+        stats.append(
+            BackgroundStats(
+                kind=job.kind,
+                node=job.node,
+                requests=len(requests),
+                bytes=sum(io.size_bytes for io in requests),
+                start_ns=window.start_ns,
+                end_ns=window.end_ns,
+            )
         )
-    return streams, [s for s in stats if s is not None]
+    return streams, stats

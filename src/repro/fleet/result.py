@@ -132,7 +132,7 @@ def merge_node_results(
         admission=tuple(admission),
         background=tuple(background),
     )
-    fleet.slo_checks = tuple(slo_verdicts(fleet, spec.slo_for))
+    fleet.slo_checks = tuple(slo_verdicts(fleet, spec.default_slo))
     return fleet
 
 

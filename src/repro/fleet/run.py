@@ -65,11 +65,7 @@ def build_fleet_workloads(spec: FleetSpec) -> FleetWorkloads:
         streams: List[List[IORequest]] = []
         for tenant in plan.tenants_on(node_index):
             offered = [io for io in trace if io.tenant == tenant]
-            admitted, throttled, rejected = admit_stream(
-                offered,
-                spec.policy_for(tenant),
-                nominal_service_ns=spec.nominal_service_ns,
-            )
+            admitted, throttled, rejected = admit_stream(offered, spec.policy_for(tenant))
             streams.append(admitted)
             admission.append(
                 AdmissionStats(

@@ -5,8 +5,9 @@ A :class:`FleetSpec` is the cluster-level analogue of
 multi-tenant :class:`~repro.scenarios.scenario.Scenario` served by a fleet
 of heterogeneous array nodes (:class:`FleetNodeSpec`, device-zoo ids
 welcome), a placement policy assigning tenants to nodes, per-tenant
-admission limits and SLO targets (:class:`TenantPolicy`), and deferrable
-background work (:class:`BackgroundJob`) scheduled into load valleys.
+admission limits (:class:`TenantPolicy`), one SLO target for every
+tenant, and deferrable background work (:class:`BackgroundJob`) scheduled
+into load valleys.
 
 Like every spec layer below it, a fleet spec is hashable and picklable;
 :func:`repro.fleet.run.run_fleet` expands it into ordinary cache-aware
@@ -41,13 +42,11 @@ class TenantPolicy:
 
     ``max_iops`` paces admissions to a minimum inter-arrival gap and
     ``max_queue_depth`` rejects arrivals that would exceed the tenant's
-    virtual in-flight window (see :mod:`repro.fleet.admission`).  ``slo``
-    overrides the fleet's ``default_slo`` for this tenant's verdicts.
+    virtual in-flight window (see :mod:`repro.fleet.admission`).
     """
 
     max_iops: Optional[float] = None
     max_queue_depth: Optional[int] = None
-    slo: Optional[SLOThresholds] = None
 
     def __post_init__(self) -> None:
         """Validate the limit fields."""
@@ -63,9 +62,8 @@ class BackgroundJob:
 
     ``kind`` selects the request shape (``scrub``/``rebuild`` issue reads,
     ``gc-debt`` issues seeded random overwrites); the job's requests are
-    injected into the emptiest load valley of the node's foreground traffic
-    that still meets ``deadline_ns`` (best effort - the result records
-    whether the deadline held).  Background requests carry the provenance
+    injected into the emptiest unclaimed load valley of the node's
+    foreground traffic.  Background requests carry the provenance
     tag ``bg:<kind>``, so they show up as their own attribution slice and
     are excluded from tenant SLO accounting.
     """
@@ -74,8 +72,6 @@ class BackgroundJob:
     node: str
     num_requests: int = 16
     size_bytes: int = 64 * KB
-    #: Absolute scenario-time deadline for the last request (``None`` = none).
-    deadline_ns: Optional[int] = None
     #: Address window the job touches (``gc-debt`` scatters inside it).
     address_span_bytes: int = 16 * MB
     seed: int = 0
@@ -90,8 +86,6 @@ class BackgroundJob:
             raise ValueError("num_requests must be positive")
         if self.size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
-        if self.deadline_ns is not None and self.deadline_ns <= 0:
-            raise ValueError("deadline_ns must be positive when given")
         if self.address_span_bytes < self.size_bytes:
             raise ValueError("address_span_bytes must cover at least one request")
 
@@ -117,7 +111,6 @@ class FleetNodeSpec:
     num_devices: int = 1
     policy: str = "stripe"
     chunk_bytes: int = 64 * KB
-    shard_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         """Validate the device setup."""
@@ -140,7 +133,6 @@ class FleetNodeSpec:
             config=self.config,
             policy=self.policy,
             chunk_bytes=self.chunk_bytes,
-            shard_bytes=self.shard_bytes,
             key=key,
             devices=self.devices,
         )
@@ -155,9 +147,7 @@ class FleetSpec:
     :class:`TenantPolicy` admission limits, background jobs are slotted
     into per-node load valleys, and every node then runs as an ordinary
     :class:`~repro.experiments.spec.ArraySpec` through the execution
-    engine.  ``default_slo`` applies to tenants without a policy-level
-    override; ``nominal_service_ns`` is the service-time model of the
-    virtual queue-depth limiter.
+    engine.  ``default_slo`` applies to every foreground tenant.
     """
 
     name: str
@@ -168,7 +158,6 @@ class FleetSpec:
     tenant_policies: Tuple[Tuple[str, TenantPolicy], ...] = ()
     default_slo: Optional[SLOThresholds] = None
     background: Tuple[BackgroundJob, ...] = ()
-    nominal_service_ns: int = 100_000
 
     def __post_init__(self) -> None:
         """Validate node names, placement policy and background targets."""
@@ -187,8 +176,6 @@ class FleetSpec:
                 raise ValueError(
                     f"background job {job.kind!r} targets unknown node {job.node!r}"
                 )
-        if self.nominal_service_ns <= 0:
-            raise ValueError("nominal_service_ns must be positive")
 
     def node_names(self) -> Tuple[str, ...]:
         """Node names in declaration order."""
@@ -213,10 +200,3 @@ class FleetSpec:
             if name == tenant:
                 return policy
         return None
-
-    def slo_for(self, tenant: str) -> Optional[SLOThresholds]:
-        """The SLO checked for one tenant (policy override, else default)."""
-        policy = self.policy_for(tenant)
-        if policy is not None and policy.slo is not None:
-            return policy.slo
-        return self.default_slo

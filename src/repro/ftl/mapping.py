@@ -40,6 +40,9 @@ from repro.flash.chip import FlashChip, planes_by_key
 from repro.flash.geometry import PhysicalPageAddress, SSDGeometry
 from repro.ftl.allocation import PageAllocator
 
+#: Seed of the overwrite draw in :meth:`PageMapFTL.fill`.
+FILL_SEED = 12345
+
 
 @dataclass
 class FTLStats:
@@ -612,7 +615,6 @@ class PageMapFTL:
         fraction: float,
         *,
         overwrite_fraction: float = 0.0,
-        seed: int = 12345,
     ) -> PreconditionReport:
         """Pre-condition the SSD by writing ``fraction`` of its physical space.
 
@@ -641,7 +643,7 @@ class PageMapFTL:
         # Overwrite a pseudo-random subset of the filled logical pages so the
         # surviving valid pages are spread uniformly across blocks (no
         # correlation with the plane/block striping of the first pass).
-        rng = random.Random(seed)
+        rng = random.Random(FILL_SEED)
         remaining = overwrites
         while remaining > 0:
             batch = min(remaining, filled)

@@ -48,6 +48,9 @@ from repro.workloads.request import IOKind, IORequest
 #: cached result computed against a preconditioned device.
 LIFETIME_VERSION = 1
 
+#: Pages per sequential base-fill write of :func:`device_state_workload`.
+FILL_CHUNK_PAGES = 32
+
 
 @dataclass(frozen=True)
 class DeviceState:
@@ -246,12 +249,11 @@ def device_state_workload(
     geometry: SSDGeometry,
     *,
     logical_pages: int,
-    chunk_pages: int = 32,
     interarrival_ns: int = 1,
 ) -> List[IORequest]:
     """The host write workload equivalent to fast-forwarding into ``state``.
 
-    Sequential base fill as ``chunk_pages``-sized writes followed by
+    Sequential base fill as ``FILL_CHUNK_PAGES``-sized writes followed by
     page-sized overwrite writes, arrival times strictly increasing so the
     simulator admits (and therefore FTL-translates) pages in exactly the
     fast-forward order.  Run it through :class:`~repro.sim.ssd.SSDSimulator`
@@ -259,15 +261,13 @@ def device_state_workload(
     :func:`apply_device_state` byte for byte - the equivalence is asserted
     in ``tests/test_lifetime.py``.
     """
-    if chunk_pages <= 0:
-        raise ValueError("chunk_pages must be positive")
     live, overwrites = state.precondition_plan(geometry, logical_pages)
     rng = random.Random(state.seed)
     page = geometry.page_size_bytes
     requests: List[IORequest] = []
     now = 0
-    for start in range(0, live, chunk_pages):
-        pages = min(chunk_pages, live - start)
+    for start in range(0, live, FILL_CHUNK_PAGES):
+        pages = min(FILL_CHUNK_PAGES, live - start)
         requests.append(
             IORequest(
                 kind=IOKind.WRITE,

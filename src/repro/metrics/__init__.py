@@ -10,7 +10,7 @@
 """
 
 from repro.metrics.latency import (
-    DEFAULT_TAIL_WINDOW_NS,
+    TAIL_WINDOW_NS,
     LatencyStats,
     TailWindow,
     WindowedTailTracker,
@@ -30,7 +30,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import SimulationResult, format_table
 
 __all__ = [
-    "DEFAULT_TAIL_WINDOW_NS",
+    "TAIL_WINDOW_NS",
     "LatencyStats",
     "TailWindow",
     "WindowedTailTracker",

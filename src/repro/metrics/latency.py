@@ -16,8 +16,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 NS_PER_S = 1_000_000_000
 
-#: Default tail-latency window width: 1 ms of simulated time.
-DEFAULT_TAIL_WINDOW_NS = 1_000_000
+#: Tail-latency window width: 1 ms of simulated time.
+TAIL_WINDOW_NS = 1_000_000
 
 
 def bandwidth_kb_per_sec(total_bytes: int, elapsed_ns: int) -> float:
@@ -93,7 +93,7 @@ class TailWindow:
     """Exact latency percentiles of one fixed-width completion window.
 
     ``index`` is the window's ordinal position on the simulated clock
-    (``completion_ns // window_ns``); empty windows produce no entry, so
+    (``completion_ns // TAIL_WINDOW_NS``); empty windows produce no entry, so
     consecutive records may skip indices.  Percentiles use the same
     ceil-based nearest-rank :func:`percentile` as the end-of-run stats,
     which is what makes the windowed series *exactly* reproducible from a
@@ -119,12 +119,9 @@ class WindowedTailTracker:
     the completion time.
     """
 
-    __slots__ = ("window_ns", "windows", "_current_index", "_samples")
+    __slots__ = ("windows", "_current_index", "_samples")
 
-    def __init__(self, window_ns: int = DEFAULT_TAIL_WINDOW_NS) -> None:
-        if window_ns <= 0:
-            raise ValueError("window_ns must be positive")
-        self.window_ns = window_ns
+    def __init__(self) -> None:
         self.windows: List[TailWindow] = []
         self._current_index: Optional[int] = None
         self._samples: List[int] = []
@@ -139,7 +136,7 @@ class WindowedTailTracker:
         guarantee monotonic time; with a monotonic feed the branch never
         fires and the series is exact.
         """
-        index = completion_ns // self.window_ns
+        index = completion_ns // TAIL_WINDOW_NS
         current = self._current_index
         if current is None:
             self._current_index = index
@@ -155,8 +152,8 @@ class WindowedTailTracker:
         self.windows.append(
             TailWindow(
                 index=index,
-                start_ns=index * self.window_ns,
-                end_ns=(index + 1) * self.window_ns,
+                start_ns=index * TAIL_WINDOW_NS,
+                end_ns=(index + 1) * TAIL_WINDOW_NS,
                 count=len(samples),
                 p50_ns=percentile(samples, 0.50),
                 p99_ns=percentile(samples, 0.99),

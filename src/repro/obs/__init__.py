@@ -11,7 +11,7 @@ an eager import here would close a cycle whenever a leaf consumer (say
 :mod:`repro.flash.controller`) is the first to touch this package.
 """
 
-from repro.obs.counters import CounterRegistry, merge_counter_snapshots
+from repro.obs.counters import merge_counter_snapshots
 from repro.obs.export import (
     chrome_trace_document,
     load_trace,
@@ -23,7 +23,7 @@ from repro.obs.export import (
 )
 from repro.obs.health import (
     DEFAULT_HEALTH_INTERVAL_NS,
-    DEFAULT_MAX_HEALTH_SAMPLES,
+    MAX_HEALTH_SAMPLES,
     HealthSample,
     HealthSampler,
 )
@@ -36,7 +36,7 @@ from repro.obs.trace import (
 )
 
 _WINDOW_EXPORTS = (
-    "DEFAULT_TAIL_WINDOW_NS",
+    "TAIL_WINDOW_NS",
     "TailWindow",
     "WindowedTailTracker",
     "format_tail_windows",
@@ -73,7 +73,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "CounterRegistry",
     "merge_counter_snapshots",
     "chrome_trace_document",
     "load_trace",
@@ -83,7 +82,7 @@ __all__ = [
     "write_job_trace",
     "write_skipped_trace_marker",
     "DEFAULT_HEALTH_INTERVAL_NS",
-    "DEFAULT_MAX_HEALTH_SAMPLES",
+    "MAX_HEALTH_SAMPLES",
     "HealthSample",
     "HealthSampler",
     "NULL_SINK",
@@ -91,7 +90,7 @@ __all__ = [
     "NullTraceSink",
     "SpanRecord",
     "TraceSink",
-    "DEFAULT_TAIL_WINDOW_NS",
+    "TAIL_WINDOW_NS",
     "TailWindow",
     "WindowedTailTracker",
     "format_tail_windows",

@@ -3,8 +3,8 @@
 Three subcommands:
 
 ``summarize PATH``
-    Span counts, total time per span name, and the recorded counter registry
-    of a trace artifact.
+    Span counts, total time per span name, and the recorded counters of a
+    trace artifact.
 
 ``top-spans PATH [-n N]``
     The N longest duration spans in a trace artifact.

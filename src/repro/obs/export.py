@@ -171,7 +171,7 @@ def span_event_count(document: Mapping[str, Any]) -> int:
     """Number of non-metadata (``X`` + ``i``) events in a trace document.
 
     This is the figure that must reconcile with the ``trace.spans`` counter
-    recorded in the run's counter registry.
+    recorded in the run's counters.
     """
     return sum(
         1

@@ -23,9 +23,9 @@ from typing import Deque, NamedTuple, Tuple
 #: tail-latency window, so health and tail series line up).
 DEFAULT_HEALTH_INTERVAL_NS = 1_000_000
 
-#: Default bound on retained samples: old samples are dropped first, so the
-#: series stays memory-flat on arbitrarily long replays.
-DEFAULT_MAX_HEALTH_SAMPLES = 4096
+#: Bound on retained samples: old samples are dropped first, so the series
+#: stays memory-flat on arbitrarily long replays.
+MAX_HEALTH_SAMPLES = 4096
 
 
 class HealthSample(NamedTuple):
@@ -63,23 +63,16 @@ class HealthSampler:
     The simulator calls :meth:`sample` whenever its clock advances to or
     past :attr:`next_due_ns`; the sampler snapshots the gauges and arms the
     next boundary strictly after ``now_ns`` (idle gaps produce no backfilled
-    samples).  ``max_samples`` bounds retention ring-buffer style.
+    samples).  :data:`MAX_HEALTH_SAMPLES` bounds retention ring-buffer style.
     """
 
-    def __init__(
-        self,
-        interval_ns: int = DEFAULT_HEALTH_INTERVAL_NS,
-        max_samples: int = DEFAULT_MAX_HEALTH_SAMPLES,
-    ) -> None:
+    def __init__(self, interval_ns: int = DEFAULT_HEALTH_INTERVAL_NS) -> None:
         if interval_ns <= 0:
             raise ValueError("interval_ns must be positive")
-        if max_samples <= 0:
-            raise ValueError("max_samples must be positive")
         self.interval_ns = interval_ns
-        self.max_samples = max_samples
         self.next_due_ns = interval_ns
         self.taken = 0
-        self.samples: Deque[HealthSample] = deque(maxlen=max_samples)
+        self.samples: Deque[HealthSample] = deque(maxlen=MAX_HEALTH_SAMPLES)
 
     def sample(self, simulator, now_ns: int) -> HealthSample:
         """Record one sample from ``simulator`` state at ``now_ns``."""
@@ -124,5 +117,5 @@ class HealthSampler:
         return record
 
     def finish(self) -> Tuple[HealthSample, ...]:
-        """The retained series, oldest first (most recent ``max_samples``)."""
+        """The retained series, oldest first (most recent ``MAX_HEALTH_SAMPLES``)."""
         return tuple(self.samples)

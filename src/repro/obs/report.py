@@ -38,6 +38,11 @@ _Block = Tuple[str, object]
 _Section = Tuple[str, List[_Block]]
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+#: Size in pixels of an inline SVG sparkline.
+_SVG_WIDTH = 240
+_SVG_HEIGHT = 32
+#: Longest spans listed in a run report.
+_TOP_SPANS = 10
 
 #: Health metrics rendered as sparklines, in display order.
 _HEALTH_METRICS = (
@@ -97,21 +102,18 @@ class SLOThresholds:
         ]
 
 
-def slo_verdicts(result, slo) -> List[SLOCheck]:
-    """Every foreground tenant's verdicts (empty without attribution).
+def slo_verdicts(result, slo: Optional[SLOThresholds]) -> List[SLOCheck]:
+    """Every foreground tenant's verdicts against ``slo``.
 
-    ``slo`` is one :class:`SLOThresholds` for every tenant or a ``tenant ->
-    SLOThresholds`` lookup (a fleet's per-tenant overrides).  ``bg:``
-    maintenance slices are never checked: they carry no tenant SLO.
+    Empty without attribution or without ``slo``.  ``bg:`` maintenance
+    slices are never checked: they carry no tenant SLO.
     """
-    if result.attribution is None:
+    if result.attribution is None or slo is None:
         return []
-    lookup = slo if callable(slo) else (lambda tenant: slo)
     checks: List[SLOCheck] = []
     for entry in result.attribution.tenant_totals():
-        limits = lookup(entry.tenant)
-        if limits and not entry.tenant.startswith("bg:"):
-            checks.extend(limits.check(entry.tenant, entry.latency))
+        if not entry.tenant.startswith("bg:"):
+            checks.extend(slo.check(entry.tenant, entry.latency))
     return checks
 
 
@@ -129,7 +131,7 @@ def sparkline(values: Sequence[float]) -> str:
     )
 
 
-def svg_sparkline(values: Sequence[float], *, width: int = 240, height: int = 32) -> str:
+def svg_sparkline(values: Sequence[float]) -> str:
     """Render a numeric series as a self-contained inline SVG polyline."""
     if not values:
         return "<svg></svg>"
@@ -138,11 +140,12 @@ def svg_sparkline(values: Sequence[float], *, width: int = 240, height: int = 32
     n = max(len(values) - 1, 1)
     points = []
     for index, value in enumerate(values):
-        x = index / n * (width - 2) + 1
-        y = height - 2 - ((value - low) / span * (height - 4) if span > 0 else 0)
+        x = index / n * (_SVG_WIDTH - 2) + 1
+        y = _SVG_HEIGHT - 2 - ((value - low) / span * (_SVG_HEIGHT - 4) if span > 0 else 0)
         points.append(f"{x:.1f},{y:.1f}")
     return (
-        f'<svg width="{width}" height="{height}" viewBox="0 0 {width} {height}" '
+        f'<svg width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
+        f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}" '
         'xmlns="http://www.w3.org/2000/svg">'
         f'<polyline fill="none" stroke="#2a6" stroke-width="1.5" '
         f'points="{" ".join(points)}"/></svg>'
@@ -208,7 +211,7 @@ def _health_blocks(result) -> List[_Block]:
     ]
 
 
-def _top_spans(sink: Optional[MemoryTraceSink], count: int) -> List[Dict[str, object]]:
+def _top_spans(sink: Optional[MemoryTraceSink]) -> List[Dict[str, object]]:
     if sink is None:
         return []
     spans = [record for record in sink.records if record.phase == "X"]
@@ -220,7 +223,7 @@ def _top_spans(sink: Optional[MemoryTraceSink], count: int) -> List[Dict[str, ob
             "start_us": round(record.start_ns / 1_000.0, 1),
             "dur_us": round(record.duration_ns / 1_000.0, 1),
         }
-        for record in spans[:count]
+        for record in spans[:_TOP_SPANS]
     ]
 
 
@@ -230,7 +233,6 @@ def run_report(
     slo: Optional[SLOThresholds] = None,
     sink: Optional[MemoryTraceSink] = None,
     title: Optional[str] = None,
-    top_span_count: int = 10,
 ) -> List[_Section]:
     """The report sections of one finished run."""
     if result.attribution is None:
@@ -264,12 +266,12 @@ def run_report(
         ("SLO checks", _table(_slo_rows(slo_verdicts(result, slo)))),
         ("Health", _health_blocks(result)),
         ("Counters", _table(counters)),
-        ("Top spans", _table(_top_spans(sink, top_span_count))),
+        ("Top spans", _table(_top_spans(sink))),
     ]
     return [section for section in sections if section[1]]
 
 
-def fleet_report(fleet, *, title: Optional[str] = None) -> List[_Section]:
+def fleet_report(fleet) -> List[_Section]:
     """The report sections of one fleet run (a :class:`FleetResult`)."""
     row = fleet.summary_row()
     summary = [
@@ -294,7 +296,7 @@ def fleet_report(fleet, *, title: Optional[str] = None) -> List[_Section]:
     ]
     attribution = fleet.attribution
     sections = [
-        (title or f"Fleet report: {fleet.name} [{fleet.placement}]", [("fields", summary)]),
+        (f"Fleet report: {fleet.name} [{fleet.placement}]", [("fields", summary)]),
         ("Placement", _table(placement)),
         ("Nodes", _table(fleet.node_rows())),
         ("Tenants", _table(_tenant_rows(attribution)) if attribution else []),
@@ -433,23 +435,14 @@ def render_html(sections: Sequence[_Section]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_report(
-    path: Union[str, Path], sections: Sequence[_Section], *, fmt: Optional[str] = None
-) -> Path:
-    """Write report sections to ``path``; format from ``fmt`` or the suffix.
-
-    ``.html``/``.htm`` produce the HTML page, anything else markdown
-    (``fmt`` in ``{"html", "markdown", "md"}`` overrides the suffix).
-    """
+def write_report(path: Union[str, Path], sections: Sequence[_Section]) -> Path:
+    """Write report sections to ``path``: ``.html``/``.htm`` produce the HTML
+    page, any other suffix markdown."""
     target = Path(path)
-    if fmt is None:
-        fmt = "html" if target.suffix.lower() in (".html", ".htm") else "markdown"
-    if fmt == "html":
+    if target.suffix.lower() in (".html", ".htm"):
         content = render_html(sections)
-    elif fmt in ("markdown", "md"):
-        content = render_markdown(sections)
     else:
-        raise ValueError(f"unknown report format {fmt!r}; expected html or markdown")
+        content = render_markdown(sections)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(content, encoding="utf-8")
     return target

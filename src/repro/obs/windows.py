@@ -13,14 +13,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.metrics.collector import TimeSeriesPoint
 from repro.metrics.latency import (
-    DEFAULT_TAIL_WINDOW_NS,
+    TAIL_WINDOW_NS,
     TailWindow,
     WindowedTailTracker,
     percentile,
 )
 
 __all__ = [
-    "DEFAULT_TAIL_WINDOW_NS",
+    "TAIL_WINDOW_NS",
     "TailWindow",
     "WindowedTailTracker",
     "reference_tail_windows",
@@ -28,30 +28,26 @@ __all__ = [
 ]
 
 
-def reference_tail_windows(
-    time_series: Iterable[TimeSeriesPoint], window_ns: int = DEFAULT_TAIL_WINDOW_NS
-) -> Tuple[TailWindow, ...]:
+def reference_tail_windows(time_series: Iterable[TimeSeriesPoint]) -> Tuple[TailWindow, ...]:
     """Windowed tail series recomputed from a full completion history.
 
     Deliberately *not* implemented via the streaming tracker: this is the
     brute-force reference (bucket every completion by ``completion_ns //
-    window_ns``, then take percentiles per bucket with the shared
+    TAIL_WINDOW_NS``, then take percentiles per bucket with the shared
     nearest-rank :func:`~repro.metrics.latency.percentile`) that the
     tracker's output must match exactly.
     """
-    if window_ns <= 0:
-        raise ValueError("window_ns must be positive")
     buckets: Dict[int, List[int]] = {}
     for point in time_series:
-        buckets.setdefault(point.completion_ns // window_ns, []).append(point.latency_ns)
+        buckets.setdefault(point.completion_ns // TAIL_WINDOW_NS, []).append(point.latency_ns)
     windows = []
     for index in sorted(buckets):
         samples = buckets[index]
         windows.append(
             TailWindow(
                 index=index,
-                start_ns=index * window_ns,
-                end_ns=(index + 1) * window_ns,
+                start_ns=index * TAIL_WINDOW_NS,
+                end_ns=(index + 1) * TAIL_WINDOW_NS,
                 count=len(samples),
                 p50_ns=percentile(samples, 0.50),
                 p99_ns=percentile(samples, 0.99),

@@ -21,6 +21,12 @@ from repro.workloads.request import IORequest
 KB = 1024
 MB = 1024 * KB
 
+#: Footprint granularity of the working-set measurement.
+FOOTPRINT_PAGE_BYTES = 4 * KB
+#: First-order per-request service time of the offered queue-depth model;
+#: the fleet's virtual queue-depth limiter uses the same model.
+NOMINAL_SERVICE_NS = 100_000
+
 
 @dataclass(frozen=True)
 class WorkloadCharacterization:
@@ -76,24 +82,15 @@ _EMPTY = WorkloadCharacterization(
 )
 
 
-def characterize(
-    requests: Sequence[IORequest],
-    *,
-    page_size_bytes: int = 4 * KB,
-    nominal_service_ns: int = 100_000,
-) -> WorkloadCharacterization:
+def characterize(requests: Sequence[IORequest]) -> WorkloadCharacterization:
     """Compute the characterization of a request stream.
 
-    ``page_size_bytes`` sets the footprint granularity of the working-set
-    measurement.  The queue-depth profile is *offered* load: each request is
-    assumed outstanding for ``nominal_service_ns`` after arrival, and depth
-    is sampled at every arrival instant - a device-independent measure of
-    how much concurrency the arrival process exposes to the scheduler.
+    The working set counts ``FOOTPRINT_PAGE_BYTES`` pages.  The queue-depth
+    profile is *offered* load: each request is assumed outstanding for
+    ``NOMINAL_SERVICE_NS`` after arrival, and depth is sampled at every
+    arrival instant - a device-independent measure of how much concurrency
+    the arrival process exposes to the scheduler.
     """
-    if page_size_bytes <= 0:
-        raise ValueError("page_size_bytes must be positive")
-    if nominal_service_ns <= 0:
-        raise ValueError("nominal_service_ns must be positive")
     if not requests:
         return _EMPTY
 
@@ -104,7 +101,7 @@ def characterize(
 
     pages = set()
     for io in ordered:
-        pages.update(io.logical_pages(page_size_bytes))
+        pages.update(io.logical_pages(FOOTPRINT_PAGE_BYTES))
 
     sequential = sum(
         1
@@ -133,7 +130,7 @@ def characterize(
     for io in ordered:
         while outstanding and outstanding[0] <= io.arrival_ns:
             heapq.heappop(outstanding)
-        heapq.heappush(outstanding, io.arrival_ns + nominal_service_ns)
+        heapq.heappush(outstanding, io.arrival_ns + NOMINAL_SERVICE_NS)
         depth = len(outstanding)
         depth_sum += depth
         depth_max = max(depth_max, depth)
@@ -143,7 +140,7 @@ def characterize(
         total_bytes=total_bytes,
         read_fraction=reads / num,
         avg_request_bytes=total_bytes / num,
-        working_set_bytes=len(pages) * page_size_bytes,
+        working_set_bytes=len(pages) * FOOTPRINT_PAGE_BYTES,
         sequentiality=sequential / (num - 1) if num > 1 else 0.0,
         duration_ns=duration,
         arrival_rate_per_s=(num - 1) / duration * 1e9 if duration > 0 else 0.0,

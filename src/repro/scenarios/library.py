@@ -141,7 +141,6 @@ def sustained_write_scenario(
     num_requests: int = 96,
     size_bytes: int = 16 * KB,
     address_space_bytes: int = 32 * MB,
-    mean_interarrival_ns: int = 2_500,
     seed: int = 11,
 ) -> Scenario:
     """Sustained random overwrites - the preconditioning-aware workload.
@@ -171,7 +170,7 @@ def sustained_write_scenario(
                         seed=seed,
                     ),
                 ),
-                arrivals=PoissonArrivals(mean_interarrival_ns=mean_interarrival_ns),
+                arrivals=PoissonArrivals(mean_interarrival_ns=2_500),
             ),
         ),
     )

@@ -271,31 +271,25 @@ class Scenario:
             io.io_id = index
         return requests
 
-    def build_with_report(
-        self,
-        *,
-        page_size_bytes: int = 4 * KB,
-        nominal_service_ns: int = 100_000,
-    ) -> BuiltScenario:
+    def build_with_report(self) -> BuiltScenario:
         """Materialise the trace and stamp the characterization report on it."""
         per_phase = self._build_phases()
         requests = [io for phase in per_phase for io in phase]
         for index, io in enumerate(requests):
             io.io_id = index
-        kwargs = dict(page_size_bytes=page_size_bytes, nominal_service_ns=nominal_service_ns)
         report = ScenarioReport(
             scenario=self.name,
-            overall=characterize(requests, **kwargs),
+            overall=characterize(requests),
             phases=tuple(
-                (phase.name, characterize(built, **kwargs))
+                (phase.name, characterize(built))
                 for phase, built in zip(self.phases, per_phase)
             ),
         )
         return BuiltScenario(requests=requests, report=report)
 
-    def report(self, **kwargs) -> ScenarioReport:
+    def report(self) -> ScenarioReport:
         """Just the characterization report (builds and discards the trace)."""
-        return self.build_with_report(**kwargs).report
+        return self.build_with_report().report
 
     def fingerprint(self) -> str:
         """Stable content hash over the whole scenario recipe."""

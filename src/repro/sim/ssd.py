@@ -45,7 +45,6 @@ from repro.lifetime.state import PreconditionReport, apply_device_state
 from repro.lifetime.steady import SteadyStateReport, age_to_steady_state
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.report import SimulationResult
-from repro.obs.counters import CounterRegistry
 from repro.obs.health import HealthSampler
 from repro.obs.trace import NULL_SINK, TraceSink
 from repro.nvmhc.dma import DmaEngine
@@ -531,30 +530,28 @@ class SSDSimulator:
                 self.steady_state.write_amplification if self.steady_state else 0.0
             ),
         )
-        # Counter registry: mostly derived here from stats the run already
-        # kept (so the event loop never touches the registry), plus the
-        # handful of live counters components maintain on cold branches.
-        counters = CounterRegistry(
-            {
-                "arrivals.backlogged": self.queue.stats.stalled_requests,
-                "callback.requests_penalized": self.callback.stats.requests_penalized,
-                "callback.requests_retargeted": self.callback.stats.requests_retargeted,
-                "chip.busy_transitions": sum(
-                    controller.busy_transitions for controller in self.controllers.values()
-                ),
-                "events.batches": self.events.batches,
-                "events.largest_batch": self.events.largest_batch,
-                "events.processed": self.events.processed,
-                "gc.blocks_erased": gc_run.blocks_erased,
-                "gc.pages_migrated": gc_run.pages_migrated,
-                "gc.triggers": gc_run.invocations,
-                "io.completed": self.metrics.completed_ios,
-                "requests.composed": self._requests_composed,
-                "trace.spans": getattr(self.sink, "total_records", 0),
-                "transactions.gc": self.metrics.gc_transactions,
-                "transactions.host": self.metrics.flp.total_transactions,
-            }
-        )
+        # Counters: mostly derived here from stats the run already kept (so
+        # the event loop never touches them), plus the handful of live
+        # counters components maintain on cold branches.
+        counters = {
+            "arrivals.backlogged": self.queue.stats.stalled_requests,
+            "callback.requests_penalized": self.callback.stats.requests_penalized,
+            "callback.requests_retargeted": self.callback.stats.requests_retargeted,
+            "chip.busy_transitions": sum(
+                controller.busy_transitions for controller in self.controllers.values()
+            ),
+            "events.batches": self.events.batches,
+            "events.largest_batch": self.events.largest_batch,
+            "events.processed": self.events.processed,
+            "gc.blocks_erased": gc_run.blocks_erased,
+            "gc.pages_migrated": gc_run.pages_migrated,
+            "gc.triggers": gc_run.invocations,
+            "io.completed": self.metrics.completed_ios,
+            "requests.composed": self._requests_composed,
+            "trace.spans": getattr(self.sink, "total_records", 0),
+            "transactions.gc": self.metrics.gc_transactions,
+            "transactions.host": self.metrics.flp.total_transactions,
+        }
         counters.update(self.scheduler.observability_counters())
         attribution = self.metrics.attribution.finish(
             total_ios=self.metrics.completed_ios, total_bytes=self.metrics.total_bytes
@@ -594,7 +591,7 @@ class SSDSimulator:
             events_processed=self.events.processed,
             event_batches=self.events.batches,
             largest_event_batch=self.events.largest_batch,
-            counters=counters.snapshot(),
+            counters=dict(sorted(counters.items())),
             latency_windows=self.metrics.tail.finish(),
             attribution=attribution,
             health=self._health.finish() if self._health is not None else (),

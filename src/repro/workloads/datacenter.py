@@ -36,6 +36,11 @@ MB = 1024 * KB
 #: Locality class -> probability that a request clusters near a recent one.
 LOCALITY_PROBABILITY = {"low": 0.10, "medium": 0.35, "high": 0.65}
 
+#: How far a "local" request may stray from the request it clusters around:
+#: after channel/way striping it stays on the same chip but on different
+#: dies/planes.
+LOCALITY_WINDOW_BYTES = 512 * KB
+
 
 @dataclass(frozen=True)
 class TraceProfile:
@@ -150,17 +155,13 @@ def generate_datacenter_trace(
     address_space_bytes: int = 512 * MB,
     page_size_bytes: int = 2 * KB,
     interarrival_ns: int = 3_000,
-    locality_window_bytes: int = 512 * KB,
     seed: Optional[int] = None,
 ) -> List[IORequest]:
     """Synthesise ``num_requests`` I/Os whose statistics follow Table 1.
 
     ``num_requests`` replaces the paper's full instruction counts (which run
     into the millions); the read/write mix, size distribution, randomness and
-    locality all follow the per-trace profile.  ``locality_window_bytes``
-    bounds how far a "local" request may stray from the request it clusters
-    around - after channel/way striping this keeps local requests on the same
-    chip but on different dies/planes.
+    locality all follow the per-trace profile.
     """
     profile = datacenter_profile(name)
     rng = random.Random(seed if seed is not None else hash(name) & 0xFFFF)
@@ -181,7 +182,7 @@ def generate_datacenter_trace(
         if recent_offsets and rng.random() < profile.locality_probability:
             # Cluster near a recent request: same stripe group, different page.
             anchor = rng.choice(recent_offsets)
-            delta = rng.randint(1, max(1, locality_window_bytes // page_size_bytes))
+            delta = rng.randint(1, max(1, LOCALITY_WINDOW_BYTES // page_size_bytes))
             offset = anchor + delta * page_size_bytes
         elif rng.random() < randomness:
             offset = rng.randint(0, max_offset)

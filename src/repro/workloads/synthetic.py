@@ -116,7 +116,6 @@ def generate_sequential_workload(
     num_requests: int,
     size_bytes: int,
     *,
-    start_offset_bytes: int = 0,
     read_fraction: float = 1.0,
     interarrival_ns: int = 2_000,
     address_space_bytes: Optional[int] = None,
@@ -131,13 +130,11 @@ def generate_sequential_workload(
         raise ValueError("size_bytes must be positive")
     if interarrival_ns < 0:
         raise ValueError("interarrival_ns must be non-negative")
-    if start_offset_bytes < 0:
-        raise ValueError("start_offset_bytes must be non-negative")
     rng = random.Random(seed)
     requests: List[IORequest] = []
-    offset = start_offset_bytes
+    offset = 0
     now = 0
-    space = address_space_bytes or (start_offset_bytes + num_requests * size_bytes)
+    space = address_space_bytes or num_requests * size_bytes
     for _ in range(num_requests):
         if offset + size_bytes > space:
             offset = 0

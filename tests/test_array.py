@@ -48,8 +48,6 @@ class TestArrayLayout:
             ArrayLayout(num_devices=2, policy="raid6")
         with pytest.raises(ValueError):
             ArrayLayout(num_devices=2, chunk_bytes=0)
-        with pytest.raises(ValueError):
-            ArrayLayout(num_devices=2, policy="range", shard_bytes=-1)
 
     def test_stripe_round_robin_and_local_offsets(self):
         layout = ArrayLayout(num_devices=2, policy="stripe", chunk_bytes=4 * KB)
@@ -68,7 +66,9 @@ class TestArrayLayout:
             assert all(io.size_bytes == 4 * KB for io in sub)
 
     def test_range_sharding_keeps_locality(self):
-        layout = ArrayLayout(num_devices=2, policy="range", shard_bytes=128 * KB)
+        # The trace ends at 138 KB: two shards of 69 KB, rounded up to the
+        # 128 KB chunk.
+        layout = ArrayLayout(num_devices=2, policy="range", chunk_bytes=128 * KB)
         subs = split_trace(
             [one_request(0, 8 * KB), one_request(130 * KB, 8 * KB), one_request(126 * KB, 4 * KB)],
             layout,
@@ -84,10 +84,12 @@ class TestArrayLayout:
         ]
 
     def test_range_offsets_past_last_shard_clamp(self):
-        layout = ArrayLayout(num_devices=2, policy="range", shard_bytes=64 * KB)
+        # The trace ends at 1028 KB: two shards of 514 KB, rounded up to
+        # 576 KB, so the lone request lands on the last shard.
+        layout = ArrayLayout(num_devices=2, policy="range", chunk_bytes=64 * KB)
         subs = split_trace([one_request(1024 * KB, 4 * KB)], layout)
         assert subs[0] == []
-        assert subs[1][0].offset_bytes == 1024 * KB - 64 * KB
+        assert subs[1][0].offset_bytes == 1024 * KB - 576 * KB
 
     @pytest.mark.parametrize("policy", ["stripe", "range", "hash"])
     def test_bytes_kinds_and_arrivals_conserved(self, policy):
@@ -230,13 +232,14 @@ class TestArraySimulation:
         assert warm.summary_row() == cached.summary_row()
 
     def test_empty_device_is_tolerated(self):
-        # Range sharding with everything in the first shard leaves device 1
-        # with no work; the array must still merge cleanly.
+        # Range sharding with one chunk larger than the trace puts it all
+        # in the first shard and leaves device 1 with no work; the array
+        # must still merge cleanly.
         result = run_array(
             demo_workload(num_requests=8),
             num_devices=2,
             policy="range",
-            shard_bytes=1024 * 1024 * KB,
+            chunk_bytes=1024 * 1024 * KB,
         )
         assert result.device_results[1].completed_ios == 0
         assert result.byte_imbalance() == pytest.approx(2.0)
@@ -256,7 +259,6 @@ class TestArrayScaling:
         policies=("stripe", "range"),
         schedulers=("VAS", "SPK3"),
         num_requests=8,
-        size_kb=64,
         chips_per_device=16,
         seed=3,
     )

@@ -222,31 +222,93 @@ class TestApiBudget:
         _, unset = budget.scan_options()
         assert budget.OPTION_ALLOWLIST.keys() <= set(unset)
 
-    def test_a_test_only_config_field_is_caught(self, tmp_path):
+    #: A public function with a defaulted keyword-only parameter.
+    SHARD_TABLE = {
+        "experiments/array_scaling.py": (
+            "DEFAULT_CHUNK_KB = 64\n",
+            "def shard_table(rows, *, decimal_places=2):\n    return rows\n",
+        )
+    }
+
+    @staticmethod
+    def scan_copy(root, edits, callers):
+        """``scan_options`` over a copy of the tree with ``edits`` applied.
+
+        ``edits`` maps a ``src/`` file to ``(anchor, addition)``: the
+        addition goes after the anchor line.  ``callers`` maps a file under
+        ``tools/`` or ``tests/`` to its code.  Returns ``(options, unset
+        options not allowlisted)``.
+        """
         budget = _load_tool("api_budget")
         for directory in ("src", "perfbench", "examples"):
             shutil.copytree(
                 REPO_ROOT / directory,
-                tmp_path / directory,
+                root / directory,
                 ignore=shutil.ignore_patterns("__pycache__"),
             )
-        (tmp_path / "tools").mkdir()
-        config = tmp_path / "src" / "repro" / "sim" / "config.py"
-        text = config.read_text(encoding="utf-8")
-        field = "    queue_depth: int = 64\n"
-        assert field in text
-        config.write_text(
-            text.replace(field, field + "    decision_window_ns: int = 2_000\n"), encoding="utf-8"
+        for directory in ("tools", "tests"):
+            (root / directory).mkdir()
+        for name, (anchor, addition) in edits.items():
+            path = root / "src" / "repro" / name
+            text = path.read_text(encoding="utf-8")
+            assert anchor in text
+            path.write_text(text.replace(anchor, anchor + addition, 1), encoding="utf-8")
+        for name, code in callers.items():
+            (root / name).write_text(code, encoding="utf-8")
+        options, unset = budget.scan_options(root)
+        return options, set(unset) - budget.OPTION_ALLOWLIST.keys()
+
+    def test_a_test_only_config_field_is_caught(self, tmp_path):
+        options, unset = self.scan_copy(
+            tmp_path,
+            {
+                "sim/config.py": (
+                    "    queue_depth: int = 64\n",
+                    "    decision_window_ns: int = 2_000\n",
+                )
+            },
+            {"tests/test_config.py": "SimulationConfig(decision_window_ns=999)\n"},
         )
-        (tmp_path / "tests").mkdir()
-        (tmp_path / "tests" / "test_config.py").write_text(
-            "SimulationConfig(decision_window_ns=999)\n", encoding="utf-8"
-        )
-        options, unset = budget.scan_options(tmp_path)
         assert "repro.sim.config:SimulationConfig.decision_window_ns" in options
-        assert set(unset) - budget.OPTION_ALLOWLIST.keys() == {
-            "repro.sim.config:SimulationConfig.decision_window_ns"
-        }
+        assert unset == {"repro.sim.config:SimulationConfig.decision_window_ns"}
+
+    def test_a_forwarded_config_field_is_caught(self, tmp_path):
+        # Copying a field from one spec to the next sets nothing.
+        options, unset = self.scan_copy(
+            tmp_path,
+            {
+                "experiments/spec.py": (
+                    "    chunk_bytes: int = 64 * 1024\n",
+                    "    stripe_width: int = 4\n",
+                )
+            },
+            {"tools/caller.py": "ArraySpec(workload, 2, 'SPK3', stripe_width=spec.stripe_width)\n"},
+        )
+        assert "repro.experiments.spec:ArraySpec.stripe_width" in options
+        assert unset == {"repro.experiments.spec:ArraySpec.stripe_width"}
+
+    def test_a_test_only_keyword_parameter_is_caught(self, tmp_path):
+        options, unset = self.scan_copy(
+            tmp_path,
+            self.SHARD_TABLE,
+            {
+                "tools/caller.py": "shard_table(rows)\n",
+                "tests/test_table.py": "shard_table(rows, decimal_places=3)\n",
+            },
+        )
+        assert "repro.experiments.array_scaling:shard_table.decimal_places" in options
+        assert unset == {"repro.experiments.array_scaling:shard_table.decimal_places"}
+
+    def test_a_keyword_parameter_set_from_the_cli_counts(self, tmp_path):
+        # ``x=args.x`` is a real setting when ``x`` is a keyword-only
+        # parameter: the command line chose it.
+        options, unset = self.scan_copy(
+            tmp_path,
+            self.SHARD_TABLE,
+            {"tools/caller.py": "shard_table(rows, decimal_places=args.decimal_places)\n"},
+        )
+        assert "repro.experiments.array_scaling:shard_table.decimal_places" in options
+        assert not unset
 
 
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))

@@ -32,7 +32,6 @@ from repro.experiments.spec import ExperimentSpec
 from repro.lifetime.state import DeviceState
 from repro.obs import (
     NULL_SINK,
-    CounterRegistry,
     MemoryTraceSink,
     chrome_trace_document,
     load_trace,
@@ -69,33 +68,33 @@ def execute_traced(job):
 
 
 class TestCounterRegistry:
-    def test_increment_and_snapshot_sorted(self):
-        counters = CounterRegistry()
-        counters.increment("b.second")
-        counters.increment("a.first", 3)
-        counters.increment("b.second", 2)
-        assert counters.snapshot() == {"a.first": 3, "b.second": 3}
-        assert list(counters.snapshot()) == ["a.first", "b.second"]
+    """Counter snapshots: the sorted ``{name: int}`` dicts results carry, and their merge."""
 
-    def test_record_max_keeps_high_water_mark(self):
-        counters = CounterRegistry()
-        counters.record_max("batch", 4)
-        counters.record_max("batch", 2)
-        assert counters.snapshot() == {"batch": 4}
-
-    def test_update_overwrites_and_contains(self):
-        counters = CounterRegistry({"x": 1})
-        counters.update({"x": 2, "y": 5})
-        assert counters.snapshot() == {"x": 2, "y": 5}
+    def test_merge_sums_and_sorts(self):
+        merged = merge_counter_snapshots([{"b.second": 1, "a.first": 3}, {"b.second": 2}])
+        assert merged == {"a.first": 3, "b.second": 3}
+        assert list(merged) == ["a.first", "b.second"]
 
     def test_merge_sums_but_maxes_largest_batch(self):
         merged = merge_counter_snapshots(
             [
                 {"events.processed": 10, "events.largest_batch": 4},
                 {"events.processed": 7, "events.largest_batch": 9},
+                {"events.processed": 1, "events.largest_batch": 2},
             ]
         )
-        assert merged == {"events.processed": 17, "events.largest_batch": 9}
+        assert merged == {"events.processed": 18, "events.largest_batch": 9}
+
+    def test_record_max_keeps_high_water_mark(self):
+        merged = merge_counter_snapshots([{"events.largest_batch": 4}, {"events.largest_batch": 2}])
+        assert merged == {"events.largest_batch": 4}
+        result = one_tiny_job("tiny-grid").execute()
+        assert result.counters["events.largest_batch"] == result.largest_event_batch >= 1
+
+    def test_simulator_snapshot_is_sorted(self):
+        result = one_tiny_job("tiny-grid").execute()
+        assert list(result.counters) == sorted(result.counters)
+        assert result.counters["io.completed"] == result.completed_ios
 
 
 class TestTraceSinks:

@@ -115,7 +115,6 @@ ARTIFACTS: dict[str, Callable[[ExecutionEngine], Any]] = {
         policies=("stripe", "range"),
         schedulers=("VAS", "SPK3"),
         num_requests=16,
-        size_kb=128,
         chips_per_device=16,
         engine=engine,
     ),

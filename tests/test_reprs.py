@@ -13,7 +13,6 @@ import pytest
 from repro.flash.commands import FlashOp
 from repro.flash.request import MemoryRequest
 from repro.nvmhc.tag import Tag
-from repro.obs.counters import CounterRegistry
 from repro.sim.config import SimulationConfig
 from repro.sim.ssd import SSDSimulator
 from repro.workloads.request import IOKind, IORequest
@@ -50,7 +49,6 @@ def instances():
         "repro.flash.plane:Plane": plane,
         "repro.flash.request:MemoryRequest": request,
         "repro.nvmhc.tag:Tag": tag,
-        "repro.obs.counters:CounterRegistry": CounterRegistry({"gc.triggers": 2}),
         "repro.workloads.request:IORequest": io,
     }
 

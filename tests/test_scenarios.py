@@ -18,6 +18,7 @@ from repro.scenarios import (
     remap_offsets,
     time_dilate,
 )
+from repro.scenarios.characterize import NOMINAL_SERVICE_NS
 from repro.scenarios.library import (
     bursty_multitenant_scenario,
     default_scenarios,
@@ -214,7 +215,7 @@ class TestCharacterize:
         stream = generate_sequential_workload(
             num_requests=16, size_bytes=8 * KB, interarrival_ns=1_000
         )
-        stats = characterize(stream, page_size_bytes=4 * KB)
+        stats = characterize(stream)
         assert stats.num_requests == 16
         assert stats.total_bytes == 16 * 8 * KB
         assert stats.read_fraction == 1.0
@@ -224,24 +225,26 @@ class TestCharacterize:
         assert stats.duration_ns == 15_000
 
     def test_queue_depth_against_nominal_service(self):
-        # 4 requests at t=0; nominal service 10us: all outstanding together.
+        # 4 requests at t=0, within one nominal service time: all outstanding
+        # together.
         burst = [
             IORequest(kind=IOKind.READ, offset_bytes=i * 4 * KB, size_bytes=4 * KB, arrival_ns=0)
             for i in range(4)
         ]
-        stats = characterize(burst, nominal_service_ns=10_000)
+        stats = characterize(burst)
         assert stats.max_queue_depth == 4
-        # Same 4 requests spread far apart: never more than one outstanding.
+        # Same 4 requests one service time apart: never more than one
+        # outstanding.
         sparse = [
             IORequest(
                 kind=IOKind.READ,
                 offset_bytes=i * 4 * KB,
                 size_bytes=4 * KB,
-                arrival_ns=i * 100_000,
+                arrival_ns=i * NOMINAL_SERVICE_NS,
             )
             for i in range(4)
         ]
-        assert characterize(sparse, nominal_service_ns=10_000).max_queue_depth == 1
+        assert characterize(sparse).max_queue_depth == 1
 
     def test_read_fraction_and_working_set_overlap(self):
         # Two requests on the same page: working set counts the page once.
@@ -249,15 +252,9 @@ class TestCharacterize:
             IORequest(kind=IOKind.READ, offset_bytes=0, size_bytes=4 * KB, arrival_ns=0),
             IORequest(kind=IOKind.WRITE, offset_bytes=0, size_bytes=4 * KB, arrival_ns=100),
         ]
-        stats = characterize(stream, page_size_bytes=4 * KB)
+        stats = characterize(stream)
         assert stats.read_fraction == 0.5
         assert stats.working_set_bytes == 4 * KB
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            characterize([], page_size_bytes=0)
-        with pytest.raises(ValueError):
-            characterize([], nominal_service_ns=0)
 
 
 class TestScenarioDSL:

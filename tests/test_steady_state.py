@@ -97,7 +97,9 @@ class TestRows:
 
     def test_overprovisioning_lowers_wa(self, rows):
         for state in ("aged", "steady"):
-            curves = steady_state.wa_by_overprovisioning(rows, state=state)
+            curves = steady_state.wa_by_overprovisioning(
+                [row for row in rows if row["state"] == state]
+            )
             for scheduler, points in curves.items():
                 ops = [op for op, _ in points]
                 was = [wa for _, wa in points]

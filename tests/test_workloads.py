@@ -89,7 +89,6 @@ class TestSyntheticGenerators:
             dict(num_requests=0),
             dict(size_bytes=-4096),
             dict(interarrival_ns=-1),
-            dict(start_offset_bytes=-1),
         ],
     )
     def test_sequential_generator_validation(self, overrides):

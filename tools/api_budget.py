@@ -17,16 +17,20 @@ calls, which is how such helpers creep back in.  Homonyms are the job of
 the reachability census (``tools/reach.py``), which runs every shipped
 entry point and reports the functions that never ran.
 
-The option scan applies the same rule to the configuration surface
-(:data:`OPTION_CLASSES`, :data:`OPTION_METHODS`): the fields of
-``SimulationConfig`` and of every dataclass it nests, the fields of
-``SimJob`` and ``ArraySpec``, of the scenario DSL (tenants, phases,
-scenarios, arrival processes) and of the fleet specs, and the keyword-only
-parameters of ``Sprinkler.__init__``.  Only a field with a default is an
-option: every construction sets a required one.  The scan is name-based
-too.  An option is *set* when a file under :data:`CALLER_ROOTS` passes it
-by keyword name outside the body of the class that declares it, or a
-device-zoo TOML file sets the key.  A ``**mapping`` splat sets nothing.
+The option scan applies the same rule to the configuration surface: the
+dataclass fields of :data:`OPTION_CLASSES` (``SimulationConfig`` and every
+dataclass it nests, ``SimJob`` and ``ArraySpec``, the scenario DSL's
+tenants, phases, scenarios and arrival processes, and the fleet specs), and
+the keyword-only parameters of every public function and method under
+``src/`` (a constructor's are named after its class).  Only a field or a
+parameter with a default is an option: every call sets a required one.  The
+scan is name-based too.  An option is *set* when a file under
+:data:`CALLER_ROOTS` passes it by keyword name outside the body of the
+class or function that declares it, or a device-zoo TOML file sets the key.
+A ``**mapping`` splat sets nothing, and neither does a pass of the form
+``f=<expr>.f`` to a dataclass field ``f``: copying a field from one spec to
+the next sets nothing.  A keyword-only parameter keeps plain name counting,
+because ``progress=args.progress`` is a choice made on the command line.
 An option nobody but the tests sets is a constant in disguise.
 
 Prints the public-name count, the option count and the ``src/`` line count;
@@ -79,9 +83,8 @@ _ORACLE = "test oracle or oracle helper"
 _GEOMETRY = "geometry vocabulary"
 _ABSTRACT = "abstract method or dunder"
 _ERROR = "error path"
-_DOCUMENTED = "API documented in the README or the package docstring"
 _PATCH_POINT = "perfbench/tracing.py patch point"
-REACH_REASONS = frozenset({_ORACLE, _GEOMETRY, _ABSTRACT, _ERROR, _DOCUMENTED, _PATCH_POINT})
+REACH_REASONS = frozenset({_ORACLE, _GEOMETRY, _ABSTRACT, _ERROR, _PATCH_POINT})
 
 #: Functions the census excuses although no entry point runs them.  The
 #: name scan passes them (a caller by name, a private name or a dunder), so
@@ -105,7 +108,6 @@ REACH_ALLOWLIST: Dict[str, str] = {
     "repro.flash.plane:Plane.__repr__": _ABSTRACT,
     "repro.flash.request:MemoryRequest.__repr__": _ABSTRACT,
     "repro.nvmhc.tag:Tag.__repr__": _ABSTRACT,
-    "repro.obs.counters:CounterRegistry.__repr__": _ABSTRACT,
     "repro.obs.trace:TraceSink.instant": _ABSTRACT,
     "repro.obs.trace:TraceSink.span": _ABSTRACT,
     "repro.scenarios.arrivals:ArrivalProcess.sample": _ABSTRACT,
@@ -113,15 +115,13 @@ REACH_ALLOWLIST: Dict[str, str] = {
     "repro.devices.loader:DeviceConfigError.__init__": _ERROR,
     "repro.devices.loader:_type_name": _ERROR,
     "repro.devices.registry:DeviceRegistry.names": _ERROR,
-    "repro.metrics.report:SimulationResult.summary_row": _DOCUMENTED,
-    "repro.metrics.report:SimulationResult.queue_stall_fraction": _DOCUMENTED,
     "repro.metrics.collector:MetricsCollector.on_queue_stall": _PATCH_POINT,
 }
 
-#: The configuration surface: ``(class, nested)`` pairs whose defaulted init
-#: fields are options (with ``nested``, a field typed with another ``src/``
-#: dataclass contributes that dataclass's fields instead), and methods whose
-#: keyword-only parameters are.
+#: The dataclass half of the configuration surface: ``(class, nested)``
+#: pairs whose defaulted init fields are options (with ``nested``, a field
+#: typed with another ``src/`` dataclass contributes that dataclass's fields
+#: instead).
 OPTION_CLASSES = (
     ("SimulationConfig", True),
     *(
@@ -142,13 +142,13 @@ OPTION_CLASSES = (
         )
     ),
 )
-OPTION_METHODS = (("Sprinkler", "__init__"),)
 
 #: Where the device zoo's TOML files live; their keys set options.
 ZOO_GLOB = "src/repro/devices/zoo/*.toml"
 
 #: Options kept although only the tests set them: the paper-claims ledger
-#: (``tests/test_paper_claims.py``) toggles them to test a design claim.
+#: (``tests/test_paper_claims.py``) sets them to test a design claim or to
+#: size an artifact.
 OPTION_ALLOWLIST = {
     "repro.core.sprinkler:Sprinkler.overcommit_limit": (
         'ledger row "FARO over-commitment coalesces at least as much as one per visit"'
@@ -158,6 +158,9 @@ OPTION_ALLOWLIST = {
     ),
     "repro.experiments.spec:SimJob.scheduler_options": (
         "carries the two ledger ablation knobs above into their jobs"
+    ),
+    "repro.scenarios.library:default_scenarios.scale": (
+        'ledger artifact "scenario matrix" runs the scenario set at half its request counts'
     ),
 }
 
@@ -294,10 +297,35 @@ def _is_init_field(node: ast.AnnAssign) -> bool:
     )
 
 
-def _options(root: Path) -> Dict[str, ast.ClassDef]:
-    """Qualified ``module:Class.option`` names of the surface, with their class."""
+def _keyword_only_options(module: str, tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """Defaulted keyword-only parameters of the public functions and methods.
+
+    A constructor's parameters are named after its class (``C.f``), a
+    method's after the method (``C.m.f``).
+    """
+
+    def parameters(function: ast.FunctionDef, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
+        for argument, default in zip(function.args.kwonlyargs, function.args.kw_defaults):
+            if default is not None:
+                yield f"{module}:{prefix}{argument.arg}", function
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _public(node.name):
+            yield from parameters(node, f"{node.name}.")
+        elif isinstance(node, ast.ClassDef) and _public(node.name):
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                if method.name == "__init__":
+                    yield from parameters(method, f"{node.name}.")
+                elif _public(method.name):
+                    yield from parameters(method, f"{node.name}.{method.name}.")
+
+
+def _options(root: Path) -> Tuple[Dict[str, ast.AST], Dict[str, ast.AST]]:
+    """``(dataclass options, keyword-only options)``: qualified names with their owner."""
     classes = _classes(root)
-    options: Dict[str, ast.ClassDef] = {}
+    fields_found: Dict[str, ast.AST] = {}
 
     def fields(name: str, nested: bool) -> None:
         module, node = classes[name]
@@ -317,24 +345,24 @@ def _options(root: Path) -> Dict[str, ast.ClassDef]:
                 for other in inner:
                     fields(other, nested)
             elif statement.value is not None:  # every construction sets a required field
-                options[f"{module}:{name}.{statement.target.id}"] = node
+                fields_found[f"{module}:{name}.{statement.target.id}"] = node
 
     for name, nested in OPTION_CLASSES:
         fields(name, nested)
-    for name, method in OPTION_METHODS:
-        module, node = classes[name]
-        function = next(
-            statement
-            for statement in node.body
-            if isinstance(statement, ast.FunctionDef) and statement.name == method
-        )
-        for argument in function.args.kwonlyargs:
-            options[f"{module}:{name}.{argument.arg}"] = node
-    return options
+    parameters: Dict[str, ast.AST] = {}
+    for path in _python_files(root, "src"):
+        module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        parameters.update(_keyword_only_options(module, tree))
+    return fields_found, parameters
 
 
-def _keywords(tree: ast.AST) -> Counter:
-    """Keyword names passed in the calls of ``tree``."""
+def _keywords(tree: ast.AST, forwards: bool = True) -> Counter:
+    """Keyword names passed in the calls of ``tree``.
+
+    ``forwards=False`` skips a pass of the form ``f=<expr>.f``: copying a
+    field from one spec to the next sets nothing.
+    """
     # ``keyword.arg`` is None for a ``**mapping`` splat.
     return Counter(
         keyword.arg
@@ -342,28 +370,39 @@ def _keywords(tree: ast.AST) -> Counter:
         if isinstance(node, ast.Call)
         for keyword in node.keywords
         if keyword.arg
+        and (
+            forwards
+            or not (isinstance(keyword.value, ast.Attribute) and keyword.value.attr == keyword.arg)
+        )
     )
 
 
 def scan_options(root: Path = REPO_ROOT) -> Tuple[List[str], List[str]]:
     """``(every option, the unset ones)`` of the configuration surface."""
-    options = _options(root)
+    fields, parameters = _options(root)
     keywords: Counter = Counter()
+    set_fields: Counter = Counter()
     for directory in CALLER_ROOTS:
         for path in _python_files(root, directory):
             if path.resolve() != Path(__file__).resolve():
-                keywords.update(_keywords(ast.parse(path.read_text(encoding="utf-8"))))
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                keywords.update(_keywords(tree))
+                set_fields.update(_keywords(tree, forwards=False))
     zoo_keys: Set[str] = set()
     for path in sorted(root.glob(ZOO_GLOB)):
         for section in tomllib.loads(path.read_text(encoding="utf-8")).values():
             zoo_keys.update(section)
     unset = []
-    for option, owner in options.items():
-        name = option.rsplit(".", 1)[1]
-        # The declaring class forwarding its own option sets nothing.
-        if name not in zoo_keys and keywords[name] - _keywords(owner)[name] <= 0:
-            unset.append(option)
-    return list(options), unset
+    for options, counted, forwards in (
+        (fields, set_fields, False),
+        (parameters, keywords, True),
+    ):
+        for option, owner in options.items():
+            name = option.rsplit(".", 1)[1]
+            # The declaring class or function passing its own option sets nothing.
+            if name not in zoo_keys and counted[name] - _keywords(owner, forwards)[name] <= 0:
+                unset.append(option)
+    return [*fields, *parameters], unset
 
 
 def src_lines(root: Path = REPO_ROOT) -> int:
