@@ -99,19 +99,19 @@ def _stripe_fragments(io: IORequest, layout: ArrayLayout) -> List[_Fragment]:
     return fragments
 
 
-def _range_fragments(io: IORequest, layout: ArrayLayout, shard_bytes: int) -> List[_Fragment]:
-    """Cut a request at shard boundaries; offsets past the last shard clamp."""
+def _range_fragments(io: IORequest, shard_bytes: int) -> List[_Fragment]:
+    """Cut a request at shard boundaries.
+
+    ``shard_bytes`` comes from :func:`_derived_shard_bytes`, so the shards
+    cover every byte of the trace and each fragment has a device.
+    """
     fragments: List[_Fragment] = []
-    last = layout.num_devices - 1
     offset = io.offset_bytes
     remaining = io.size_bytes
     while remaining > 0:
-        device = min(offset // shard_bytes, last)
+        device = offset // shard_bytes
         shard_start = device * shard_bytes
-        if device == last:
-            take = remaining
-        else:
-            take = min(remaining, shard_start + shard_bytes - offset)
+        take = min(remaining, shard_start + shard_bytes - offset)
         fragments.append((device, offset - shard_start, take))
         offset += take
         remaining -= take
@@ -211,7 +211,7 @@ def split_trace(requests: Sequence[IORequest], layout: ArrayLayout) -> List[List
         if layout.policy == "stripe":
             fragments = _stripe_fragments(io, layout)
         elif layout.policy == "range":
-            fragments = _range_fragments(io, layout, shard_bytes)
+            fragments = _range_fragments(io, shard_bytes)
         else:
             fragments = _hash_fragments(io, layout, directory)
         for device, local, size in _merge_adjacent(fragments, layout.num_devices):

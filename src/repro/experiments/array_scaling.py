@@ -29,7 +29,10 @@ KB = 1024
 DEFAULT_DEVICE_COUNTS = (1, 2, 4)
 DEFAULT_POLICIES = ("stripe", "range", "hash")
 DEFAULT_SCHEDULERS = ("VAS", "SPK1", "SPK2", "SPK3")
-DEFAULT_CHUNK_KB = 64
+#: Stripe unit, chips of every device, and the host workload's seed.
+CHUNK_KB = 64
+CHIPS_PER_DEVICE = 16
+SEED = 11
 #: Host request size of the array workload.
 REQUEST_KB = 128
 
@@ -40,10 +43,6 @@ def build_specs(
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     *,
     num_requests: int = 48,
-    chunk_kb: int = DEFAULT_CHUNK_KB,
-    chips_per_device: int = 16,
-    read_fraction: float = 1.0,
-    seed: int = 11,
 ) -> Tuple[ArraySpec, ...]:
     """Declare the device-count x placement x scheduler array grid.
 
@@ -57,11 +56,10 @@ def build_specs(
         num_requests=num_requests,
         size_bytes=REQUEST_KB * KB,
         address_space_bytes=max(64 * KB * num_requests, 8 * REQUEST_KB * KB * num_requests),
-        read_fraction=read_fraction,
         interarrival_ns=1_000,
-        seed=seed,
+        seed=SEED,
     )
-    config = SimulationConfig.paper_scale(chips_per_device).with_overrides(gc_enabled=False)
+    config = SimulationConfig.paper_scale(CHIPS_PER_DEVICE).with_overrides(gc_enabled=False)
     specs: List[ArraySpec] = []
     for num_devices in device_counts:
         for policy in policies:
@@ -73,7 +71,7 @@ def build_specs(
                         scheduler=scheduler,
                         config=config,
                         policy=policy,
-                        chunk_bytes=chunk_kb * KB,
+                        chunk_bytes=CHUNK_KB * KB,
                         key=(num_devices, policy, scheduler),
                     )
                 )
@@ -128,23 +126,10 @@ def run_array_scaling(
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     *,
     num_requests: int = 48,
-    chunk_kb: int = DEFAULT_CHUNK_KB,
-    chips_per_device: int = 16,
-    read_fraction: float = 1.0,
-    seed: int = 11,
     engine: Optional[ExecutionEngine] = None,
 ) -> List[Dict[str, object]]:
     """Array-scaling rows per (device count, placement policy, scheduler)."""
-    specs = build_specs(
-        device_counts,
-        policies,
-        schedulers,
-        num_requests=num_requests,
-        chunk_kb=chunk_kb,
-        chips_per_device=chips_per_device,
-        read_fraction=read_fraction,
-        seed=seed,
-    )
+    specs = build_specs(device_counts, policies, schedulers, num_requests=num_requests)
     results = run_array_specs(specs, engine)
     rows: List[Dict[str, object]] = []
     for spec in specs:

@@ -46,39 +46,26 @@ DEFAULT_PLACEMENTS = ("round-robin", "least-loaded", "hash")
 DEFAULT_FLEET_SIZES = (2, 3, 4)
 
 #: Node device mix, cycled across slots: small SLC, mid MLC, large TLC.
-DEFAULT_ZOO_CYCLE = ("slc-gen1", "mlc-gen1", "tlc-gen3")
+ZOO_CYCLE = ("slc-gen1", "mlc-gen1", "tlc-gen3")
 
-#: Generous default tail SLO so verdict accounting is exercised without
+#: Generous tail SLO of every cell, so verdict accounting is exercised without
 #: drowning the table in failures on slow zoo devices.
-DEFAULT_SLO = SLOThresholds(p99_us=250_000.0)
+CELL_SLO = SLOThresholds(p99_us=250_000.0)
 
 
-def default_fleet_nodes(
-    size: int, *, zoo_cycle: Sequence[str] = DEFAULT_ZOO_CYCLE
-) -> Tuple[FleetNodeSpec, ...]:
-    """``size`` single-device nodes cycling through the zoo mix."""
-    return tuple(
-        FleetNodeSpec(name=f"node{index}", devices=(zoo_cycle[index % len(zoo_cycle)],))
-        for index in range(size)
-    )
-
-
-def build_fleet_spec(
-    scenario: Scenario,
-    size: int,
-    placement: str,
-    *,
-    zoo_cycle: Sequence[str] = DEFAULT_ZOO_CYCLE,
-    slo: Optional[SLOThresholds] = DEFAULT_SLO,
-) -> FleetSpec:
+def build_fleet_spec(scenario: Scenario, size: int, placement: str) -> FleetSpec:
     """One sweep cell: a sized, policy-bound fleet serving ``scenario``.
 
-    The key-value tenant is rate-paced and the log writer depth-limited, so
+    The ``size`` single-device nodes cycle through the zoo mix.  The
+    key-value tenant is rate-paced and the log writer depth-limited, so
     every cell exercises both admission mechanisms; a scrub job rides on
     the first node (and a GC-debt job on the second, when present) so the
     background scheduler always has valleys to fill.
     """
-    nodes = default_fleet_nodes(size, zoo_cycle=zoo_cycle)
+    nodes = tuple(
+        FleetNodeSpec(name=f"node{index}", devices=(ZOO_CYCLE[index % len(ZOO_CYCLE)],))
+        for index in range(size)
+    )
     background = [BackgroundJob(kind="scrub", node=nodes[0].name, num_requests=8)]
     if len(nodes) > 1:
         background.append(BackgroundJob(kind="gc-debt", node=nodes[1].name, num_requests=8))
@@ -91,7 +78,7 @@ def build_fleet_spec(
             ("kv", TenantPolicy(max_iops=250_000.0)),
             ("logger", TenantPolicy(max_queue_depth=8)),
         ),
-        default_slo=slo,
+        default_slo=CELL_SLO,
         background=tuple(background),
     )
 
@@ -101,7 +88,6 @@ def run_fleet_sweep(
     placements: Sequence[str] = DEFAULT_PLACEMENTS,
     scenarios: Optional[Sequence[Scenario]] = None,
     *,
-    zoo_cycle: Sequence[str] = DEFAULT_ZOO_CYCLE,
     requests_per_tenant: int = 32,
     seed: int = 11,
     engine: Optional[ExecutionEngine] = None,
@@ -120,10 +106,7 @@ def run_fleet_sweep(
     for scenario in scenarios:
         for size in fleet_sizes:
             for placement in placements:
-                spec = build_fleet_spec(
-                    scenario, size, placement, zoo_cycle=zoo_cycle
-                )
-                fleet = run_fleet(spec, engine)
+                fleet = run_fleet(build_fleet_spec(scenario, size, placement), engine)
                 results[(scenario.name, size, placement)] = fleet
                 rows.append({"scenario": scenario.name, **fleet.summary_row()})
     return rows, results

@@ -26,21 +26,17 @@ from repro.scenarios.library import default_scenarios
 from repro.scenarios.scenario import Scenario
 from repro.sim.config import SimulationConfig
 
-KB = 1024
-
 DEFAULT_SCHEDULERS = ("VAS", "SPK1", "SPK2", "SPK3")
 DEFAULT_DEVICE_COUNTS = (1, 2)
-DEFAULT_CHUNK_KB = 64
+#: Chips of every device.  Array cells stripe in the :class:`ArraySpec`
+#: default chunk.
+CHIPS_PER_DEVICE = 16
 
 
 def build_grid(
     scenarios: Sequence[Scenario],
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
-    *,
-    chips_per_device: int = 16,
-    policy: str = "stripe",
-    chunk_kb: int = DEFAULT_CHUNK_KB,
 ) -> Tuple[ExperimentSpec, Tuple[ArraySpec, ...]]:
     """Declare the grid: single-device jobs plus multi-device array cells.
 
@@ -48,7 +44,7 @@ def build_grid(
     rows land in one table.  Every cell of one scenario shares the same
     :class:`WorkloadSpec`, hence the same built trace and fingerprint base.
     """
-    config = SimulationConfig.paper_scale(chips_per_device).with_overrides(gc_enabled=False)
+    config = SimulationConfig.paper_scale(CHIPS_PER_DEVICE).with_overrides(gc_enabled=False)
     workloads = {scenario.name: WorkloadSpec.scenario(scenario) for scenario in scenarios}
     single_jobs: List[SimJob] = []
     array_specs: List[ArraySpec] = []
@@ -72,8 +68,6 @@ def build_grid(
                             num_devices=num_devices,
                             scheduler=scheduler,
                             config=config,
-                            policy=policy,
-                            chunk_bytes=chunk_kb * KB,
                             key=key,
                         )
                     )
@@ -94,24 +88,13 @@ def run_scenario_matrix(
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     *,
-    chips_per_device: int = 16,
-    policy: str = "stripe",
-    chunk_kb: int = DEFAULT_CHUNK_KB,
-    seed: int = 11,
     engine: Optional[ExecutionEngine] = None,
 ) -> List[Dict[str, object]]:
     """One row per (scenario, devices, scheduler) cell of the matrix."""
     if scenarios is None:
-        scenarios = default_scenarios(seed=seed)
+        scenarios = default_scenarios()
     engine = engine or ExecutionEngine()
-    spec, array_specs = build_grid(
-        scenarios,
-        schedulers,
-        device_counts,
-        chips_per_device=chips_per_device,
-        policy=policy,
-        chunk_kb=chunk_kb,
-    )
+    spec, array_specs = build_grid(scenarios, schedulers, device_counts)
     single_results = engine.run(spec)
     array_results = run_array_specs(array_specs, engine) if array_specs else {}
 

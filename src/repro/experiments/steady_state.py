@@ -44,11 +44,14 @@ KB = 1024
 DEFAULT_SCHEDULERS = ("VAS", "PAS", "SPK1", "SPK2", "SPK3")
 DEFAULT_OVERPROVISIONING = (0.07, 0.15, 0.28)
 DEFAULT_FILL_STATES = ("fresh", "aged", "steady")
-#: Host write size of the sustained overwrite workload.
+#: Host write size and request count of the sustained overwrite workload,
+#: and the chips of every device.
 WRITE_SIZE_KB = 16
+REQUESTS_PER_POINT = 96
+NUM_CHIPS = 64
 
 
-def device_state_for(name: str, *, seed: int = 11) -> Optional[DeviceState]:
+def device_state_for(name: str) -> Optional[DeviceState]:
     """The canned :class:`DeviceState` behind a fill-state name.
 
     ``fresh`` is ``None`` (factory device), ``aged`` the fast-forwarded
@@ -57,9 +60,9 @@ def device_state_for(name: str, *, seed: int = 11) -> Optional[DeviceState]:
     if name == "fresh":
         return None
     if name == "aged":
-        return aged_device_state(steady_state=False, seed=seed)
+        return aged_device_state()
     if name == "steady":
-        return aged_device_state(steady_state=True, seed=seed)
+        return aged_device_state(steady_state=True)
     raise ValueError(f"unknown fill state {name!r}; expected fresh/aged/steady")
 
 
@@ -67,10 +70,6 @@ def build_spec(
     overprovisioning: Sequence[float] = DEFAULT_OVERPROVISIONING,
     fill_states: Sequence[str] = DEFAULT_FILL_STATES,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    *,
-    num_chips: int = 64,
-    requests_per_point: int = 96,
-    seed: int = 11,
 ) -> ExperimentSpec:
     """Declare the steady-state grid, keyed ``(op, state, scheduler)``.
 
@@ -83,25 +82,24 @@ def build_spec(
     alone.  VAS/PAS run without the readdressing callback, Sprinkler
     variants with it (the paper's setup).
     """
-    base = SimulationConfig.paper_scale(num_chips)
+    base = SimulationConfig.paper_scale(NUM_CHIPS)
     geometry = base.geometry.scaled(blocks_per_plane=16, pages_per_block=32)
     max_op = max(overprovisioning)
     smallest_logical = int(geometry.total_pages * (1.0 - max_op))
-    reference_state = aged_device_state(seed=seed)
+    reference_state = aged_device_state()
     live_bytes = int(
         smallest_logical * reference_state.fill_fraction * geometry.page_size_bytes
     )
     scenario = sustained_write_scenario(
-        num_requests=requests_per_point,
+        num_requests=REQUESTS_PER_POINT,
         size_bytes=WRITE_SIZE_KB * KB,
         address_space_bytes=max(live_bytes, 2 * WRITE_SIZE_KB * KB),
-        seed=seed,
     )
     workload = WorkloadSpec.scenario(scenario)
     jobs: List[SimJob] = []
     for op in overprovisioning:
         for state_name in fill_states:
-            state = device_state_for(state_name, seed=seed)
+            state = device_state_for(state_name)
             for scheduler in schedulers:
                 config = base.with_overrides(
                     geometry=geometry,
@@ -126,20 +124,10 @@ def run_steady_state(
     fill_states: Sequence[str] = DEFAULT_FILL_STATES,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     *,
-    num_chips: int = 64,
-    requests_per_point: int = 96,
-    seed: int = 11,
     engine: Optional[ExecutionEngine] = None,
 ) -> List[Dict[str, object]]:
     """Execute the grid; one row per ``(op, state, scheduler)`` cell."""
-    spec = build_spec(
-        overprovisioning,
-        fill_states,
-        schedulers,
-        num_chips=num_chips,
-        requests_per_point=requests_per_point,
-        seed=seed,
-    )
+    spec = build_spec(overprovisioning, fill_states, schedulers)
     results = (engine or ExecutionEngine()).run(spec)
     rows: List[Dict[str, object]] = []
     for job in spec.jobs:

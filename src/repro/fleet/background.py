@@ -1,6 +1,6 @@
 """Deferrable background work scheduled into load valleys.
 
-Real fleets run scrubs, rebuilds and GC-debt repayment *around* tenant
+Real fleets run scrubs and GC-debt repayment *around* tenant
 traffic.  This module does the same, deterministically: the node's
 foreground arrival series is histogrammed into equal time windows, windows
 are ranked emptiest-first, and each background job's requests are spread
@@ -21,10 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.fleet.spec import BackgroundJob
+from repro.fleet.spec import BACKGROUND_REQUEST_BYTES, BACKGROUND_SPAN_BYTES, BackgroundJob
 from repro.workloads.request import IOKind, IORequest
-
-KB = 1024
 
 #: Slots of the foreground load histogram the background scheduler ranks
 #: valleys in.
@@ -96,24 +94,21 @@ def _job_requests(job: BackgroundJob, window: LoadWindow) -> List[IORequest]:
     """Materialise one job's requests, spread uniformly over its window."""
     span_ns = max(window.end_ns - window.start_ns, 1)
     step_ns = max(span_ns // (job.num_requests + 1), 1)
-    span_slots = job.address_span_bytes // job.size_bytes
+    size = BACKGROUND_REQUEST_BYTES
+    span_slots = BACKGROUND_SPAN_BYTES // size
     if job.kind == "gc-debt":
-        rng = random.Random(job.seed * 0x9E3779B9 + len(job.node))
-        offsets = [rng.randrange(span_slots) * job.size_bytes for _ in range(job.num_requests)]
+        rng = random.Random(len(job.node))
+        offsets = [rng.randrange(span_slots) * size for _ in range(job.num_requests)]
         kind = IOKind.WRITE
-    elif job.kind == "rebuild":
-        # Dense sequential reads from the start of the span (reconstruction).
-        offsets = [(i % span_slots) * job.size_bytes for i in range(job.num_requests)]
-        kind = IOKind.READ
     else:  # "scrub": strided reads sampling the whole span (media scan)
         stride = max(span_slots // job.num_requests, 1)
-        offsets = [((i * stride) % span_slots) * job.size_bytes for i in range(job.num_requests)]
+        offsets = [((i * stride) % span_slots) * size for i in range(job.num_requests)]
         kind = IOKind.READ
     return [
         IORequest(
             kind=kind,
             offset_bytes=offset,
-            size_bytes=job.size_bytes,
+            size_bytes=size,
             arrival_ns=window.start_ns + (i + 1) * step_ns,
             tenant=job.tag,
             phase_index=None,

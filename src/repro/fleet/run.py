@@ -32,7 +32,7 @@ from repro.fleet.admission import AdmissionStats, admit_stream
 from repro.fleet.background import VALLEY_WINDOWS, BackgroundStats, schedule_background
 from repro.fleet.placement import PlacementPlan, plan_placement, tenant_demands
 from repro.fleet.result import FleetResult, merge_node_results
-from repro.fleet.spec import FleetSpec
+from repro.fleet.spec import NODE_SCHEDULER, FleetSpec
 from repro.scenarios.transforms import merge_streams
 from repro.workloads.request import IORequest
 
@@ -101,7 +101,7 @@ def fleet_jobs(
     """Expand a fleet spec into its flat, ordered device-job list.
 
     Jobs are ordered node by node (node order = spec order), each node
-    contributing ``num_devices`` jobs keyed ``(fleet, node, device)``; the
+    contributing one job per device keyed ``(fleet, node, device)``; the
     per-node sub-traces are frozen with their provenance tags so device
     results carry attribution.
     """
@@ -133,14 +133,14 @@ def run_fleet(spec: FleetSpec, engine=None) -> FleetResult:
     node_results = []
     cursor = 0
     for node in spec.nodes:
-        device_results = results[cursor : cursor + node.num_devices]
-        cursor += node.num_devices
+        device_results = results[cursor : cursor + len(node.devices)]
+        cursor += len(node.devices)
         node_results.append(
             merge_device_results(
                 device_results,
-                scheduler=node.scheduler,
+                scheduler=NODE_SCHEDULER,
                 workload=f"{spec.name}@{node.name}",
-                policy=node.policy,
+                policy="stripe",  # every node stripes (the ArraySpec default)
             )
         )
     return merge_node_results(

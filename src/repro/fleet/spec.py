@@ -23,7 +23,6 @@ from typing import Any, List, Optional, Tuple
 from repro.experiments.spec import ArraySpec, WorkloadSpec
 from repro.obs.report import SLOThresholds
 from repro.scenarios.scenario import Scenario
-from repro.sim.config import SimulationConfig
 
 KB = 1024
 MB = 1024 * KB
@@ -33,7 +32,14 @@ MB = 1024 * KB
 FLEET_PLACEMENT_POLICIES = ("round-robin", "least-loaded", "hash")
 
 #: Background job kinds understood by :mod:`repro.fleet.background`.
-BACKGROUND_KINDS = ("scrub", "rebuild", "gc-debt")
+BACKGROUND_KINDS = ("scrub", "gc-debt")
+#: Size of every background request, and the address window a job touches
+#: (``gc-debt`` scatters inside it).
+BACKGROUND_REQUEST_BYTES = 64 * KB
+BACKGROUND_SPAN_BYTES = 16 * MB
+
+#: The device-level scheduler of every fleet node.
+NODE_SCHEDULER = "SPK3"
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,12 @@ class TenantPolicy:
 class BackgroundJob:
     """One deferrable maintenance job targeted at one node.
 
-    ``kind`` selects the request shape (``scrub``/``rebuild`` issue reads,
-    ``gc-debt`` issues seeded random overwrites); the job's requests are
-    injected into the emptiest unclaimed load valley of the node's
-    foreground traffic.  Background requests carry the provenance
+    ``kind`` selects the request shape (``scrub`` issues strided reads,
+    ``gc-debt`` seeded random overwrites), each request
+    :data:`BACKGROUND_REQUEST_BYTES` long inside the first
+    :data:`BACKGROUND_SPAN_BYTES` of the node's address space; the job's
+    requests are injected into the emptiest unclaimed load valley of the
+    node's foreground traffic.  Background requests carry the provenance
     tag ``bg:<kind>``, so they show up as their own attribution slice and
     are excluded from tenant SLO accounting.
     """
@@ -71,10 +79,6 @@ class BackgroundJob:
     kind: str
     node: str
     num_requests: int = 16
-    size_bytes: int = 64 * KB
-    #: Address window the job touches (``gc-debt`` scatters inside it).
-    address_span_bytes: int = 16 * MB
-    seed: int = 0
 
     def __post_init__(self) -> None:
         """Validate the job shape."""
@@ -84,10 +88,6 @@ class BackgroundJob:
             )
         if self.num_requests <= 0:
             raise ValueError("num_requests must be positive")
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be positive")
-        if self.address_span_bytes < self.size_bytes:
-            raise ValueError("address_span_bytes must cover at least one request")
 
     @property
     def tag(self) -> str:
@@ -97,42 +97,27 @@ class BackgroundJob:
 
 @dataclass(frozen=True)
 class FleetNodeSpec:
-    """One array node of the fleet: a named ArraySpec recipe.
+    """One array node of the fleet: one device-zoo id per device slot.
 
-    Mirrors :class:`~repro.experiments.spec.ArraySpec`'s device setup -
-    exactly one of ``config`` (homogeneous slots) or ``devices`` (one
-    device-zoo id per slot).
+    Every node stripes its share of the traffic over its devices
+    (:class:`~repro.experiments.spec.ArraySpec` defaults) and schedules each
+    device with :data:`NODE_SCHEDULER`.
     """
 
     name: str
-    scheduler: str = "SPK3"
-    config: Optional[SimulationConfig] = None
-    devices: Tuple[str, ...] = ()
-    num_devices: int = 1
-    policy: str = "stripe"
-    chunk_bytes: int = 64 * KB
+    devices: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         """Validate the device setup."""
-        if (self.config is None) == (not self.devices):
-            raise ValueError(
-                f"node {self.name!r}: set exactly one of config= or devices="
-            )
-        if self.devices and len(self.devices) != self.num_devices:
-            raise ValueError(
-                f"node {self.name!r}: devices= lists {len(self.devices)} ids "
-                f"for {self.num_devices} slots"
-            )
+        if not self.devices:
+            raise ValueError(f"node {self.name!r}: devices= lists no device")
 
     def array_spec(self, workload: WorkloadSpec, key: Tuple[Any, ...] = ()) -> ArraySpec:
         """The :class:`ArraySpec` running ``workload`` on this node."""
         return ArraySpec(
             workload=workload,
-            num_devices=self.num_devices,
-            scheduler=self.scheduler,
-            config=self.config,
-            policy=self.policy,
-            chunk_bytes=self.chunk_bytes,
+            num_devices=len(self.devices),
+            scheduler=NODE_SCHEDULER,
             key=key,
             devices=self.devices,
         )

@@ -224,7 +224,6 @@ def replay_device_state(
     state: DeviceState,
     *,
     logical_pages: int,
-    rng: Optional[random.Random] = None,
 ) -> PreconditionReport:
     """Reference preconditioner: every write through ``translate_write``.
 
@@ -233,8 +232,7 @@ def replay_device_state(
     """
     geometry = ftl.geometry
     live, overwrites = state.precondition_plan(geometry, logical_pages)
-    if rng is None:
-        rng = random.Random(state.seed)
+    rng = random.Random(state.seed)
     for lpn in range(live):
         ftl.translate_write(lpn)
     for lpn in _overwrite_sequence(
@@ -249,12 +247,11 @@ def device_state_workload(
     geometry: SSDGeometry,
     *,
     logical_pages: int,
-    interarrival_ns: int = 1,
 ) -> List[IORequest]:
     """The host write workload equivalent to fast-forwarding into ``state``.
 
     Sequential base fill as ``FILL_CHUNK_PAGES``-sized writes followed by
-    page-sized overwrite writes, arrival times strictly increasing so the
+    page-sized overwrite writes, one arrival per nanosecond so the
     simulator admits (and therefore FTL-translates) pages in exactly the
     fast-forward order.  Run it through :class:`~repro.sim.ssd.SSDSimulator`
     with ``gc_enabled=False`` and the FTL occupancy matches
@@ -276,7 +273,7 @@ def device_state_workload(
                 arrival_ns=now,
             )
         )
-        now += interarrival_ns
+        now += 1
     for lpn in _overwrite_sequence(
         rng, live, overwrites, state.hot_fraction, state.hot_write_share
     ):
@@ -288,7 +285,7 @@ def device_state_workload(
                 arrival_ns=now,
             )
         )
-        now += interarrival_ns
+        now += 1
     return requests
 
 

@@ -111,8 +111,14 @@ class SimulationResult:
         return self.latency.mean_ns
 
     @property
-    def queue_stall_fraction(self) -> float:
-        """Queue stall time as a fraction of the makespan (Figure 10d)."""
+    def mean_backlog_requests(self) -> float:
+        """Mean number of host requests waiting for a queue tag.
+
+        ``queue_stall_time_ns`` sums every request's wait in the host-side
+        backlog, so over the makespan it is the time-averaged backlog length
+        (Little's law), not a fraction: it exceeds 1 whenever more than one
+        request waits on average.  Figure 10d plots the stall time itself.
+        """
         if self.makespan_ns <= 0:
             return 0.0
         return self.queue_stall_time_ns / self.makespan_ns
@@ -186,7 +192,7 @@ class SimulationResult:
             "bandwidth_kb_s": round(self.bandwidth_kb_s, 1),
             "iops": round(self.iops, 1),
             "avg_latency_us": round(self.avg_latency_ns / 1_000.0, 1),
-            "queue_stall_frac": round(self.queue_stall_fraction, 4),
+            "mean_backlog": round(self.mean_backlog_requests, 4),
             "chip_utilization": round(self.chip_utilization, 4),
             "inter_chip_idleness": round(self.inter_chip_idleness, 4),
             "intra_chip_idleness": round(self.intra_chip_idleness, 4),

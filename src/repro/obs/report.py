@@ -214,8 +214,6 @@ def _health_blocks(result) -> List[_Block]:
 def _top_spans(sink: Optional[MemoryTraceSink]) -> List[Dict[str, object]]:
     if sink is None:
         return []
-    spans = [record for record in sink.records if record.phase == "X"]
-    spans.sort(key=lambda r: (-r.duration_ns, r.start_ns))
     return [
         {
             "name": record.name,
@@ -223,7 +221,7 @@ def _top_spans(sink: Optional[MemoryTraceSink]) -> List[Dict[str, object]]:
             "start_us": round(record.start_ns / 1_000.0, 1),
             "dur_us": round(record.duration_ns / 1_000.0, 1),
         }
-        for record in spans[:_TOP_SPANS]
+        for record in sink.longest(_TOP_SPANS)
     ]
 
 

@@ -172,7 +172,6 @@ class Phase:
     tenants: Tuple[Tenant, ...]
     arrivals: ArrivalProcess
     time_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.tenants:
@@ -185,9 +184,8 @@ class Phase:
         streams: List[List[IORequest]] = []
         for tenant_index, tenant in enumerate(self.tenants):
             stream = tenant.build_stream()
-            rng = random.Random(
-                _derive_seed(scenario_seed, self.seed, phase_index, tenant_index)
-            )
+            # The constant 0 is part of the mix every scenario trace was drawn with.
+            rng = random.Random(_derive_seed(scenario_seed, 0, phase_index, tenant_index))
             times = self.arrivals.sample(len(stream), rng)
             # Stamp provenance here, where tenant identity still exists -
             # merge_streams interleaves the copies and would otherwise lose

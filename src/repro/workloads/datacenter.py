@@ -41,6 +41,12 @@ LOCALITY_PROBABILITY = {"low": 0.10, "medium": 0.35, "high": 0.65}
 #: dies/planes.
 LOCALITY_WINDOW_BYTES = 512 * KB
 
+#: Logical address space a trace spans, the alignment of its offsets and
+#: sizes, and the gap between arrivals.
+ADDRESS_SPACE_BYTES = 512 * MB
+PAGE_BYTES = 2 * KB
+INTERARRIVAL_NS = 3_000
+
 
 @dataclass(frozen=True)
 class TraceProfile:
@@ -152,23 +158,22 @@ def generate_datacenter_trace(
     name: str,
     *,
     num_requests: int = 512,
-    address_space_bytes: int = 512 * MB,
-    page_size_bytes: int = 2 * KB,
-    interarrival_ns: int = 3_000,
     seed: Optional[int] = None,
 ) -> List[IORequest]:
     """Synthesise ``num_requests`` I/Os whose statistics follow Table 1.
 
     ``num_requests`` replaces the paper's full instruction counts (which run
     into the millions); the read/write mix, size distribution, randomness and
-    locality all follow the per-trace profile.
+    locality all follow the per-trace profile.  Offsets fall in the first
+    :data:`ADDRESS_SPACE_BYTES` and are aligned to :data:`PAGE_BYTES`;
+    requests arrive every :data:`INTERARRIVAL_NS`.
     """
     profile = datacenter_profile(name)
     rng = random.Random(seed if seed is not None else hash(name) & 0xFFFF)
     requests: List[IORequest] = []
-    max_offset = address_space_bytes - 8 * MB
-    read_cursor = _aligned(rng.randint(0, max_offset), page_size_bytes)
-    write_cursor = _aligned(rng.randint(0, max_offset), page_size_bytes)
+    max_offset = ADDRESS_SPACE_BYTES - 8 * MB
+    read_cursor = _aligned(rng.randint(0, max_offset), PAGE_BYTES)
+    write_cursor = _aligned(rng.randint(0, max_offset), PAGE_BYTES)
     recent_offsets: Deque[int] = deque(maxlen=16)
     now = 0
     for _ in range(num_requests):
@@ -176,19 +181,19 @@ def generate_datacenter_trace(
         kind = IOKind.READ if is_read else IOKind.WRITE
         randomness = profile.read_randomness if is_read else profile.write_randomness
         avg_bytes = profile.avg_read_bytes if is_read else profile.avg_write_bytes
-        size = _choose_size(rng, avg_bytes, page_size_bytes)
+        size = _choose_size(rng, avg_bytes, PAGE_BYTES)
         size = min(size, 4 * MB)
 
         if recent_offsets and rng.random() < profile.locality_probability:
             # Cluster near a recent request: same stripe group, different page.
             anchor = rng.choice(recent_offsets)
-            delta = rng.randint(1, max(1, LOCALITY_WINDOW_BYTES // page_size_bytes))
-            offset = anchor + delta * page_size_bytes
+            delta = rng.randint(1, max(1, LOCALITY_WINDOW_BYTES // PAGE_BYTES))
+            offset = anchor + delta * PAGE_BYTES
         elif rng.random() < randomness:
             offset = rng.randint(0, max_offset)
         else:
             offset = read_cursor if is_read else write_cursor
-        offset = _aligned(max(0, min(offset, max_offset)), page_size_bytes)
+        offset = _aligned(max(0, min(offset, max_offset)), PAGE_BYTES)
 
         if is_read:
             read_cursor = offset + size
@@ -200,7 +205,7 @@ def generate_datacenter_trace(
         requests.append(
             IORequest(kind=kind, offset_bytes=offset, size_bytes=size, arrival_ns=now)
         )
-        now += interarrival_ns
+        now += INTERARRIVAL_NS
     return requests
 
 

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.workloads.request import IOKind, IORequest
 
 KB = 1024
 MB = 1024 * KB
+
+#: Gap between the arrivals of :func:`generate_sequential_workload`.
+SEQUENTIAL_INTERARRIVAL_NS = 2_000
 
 
 @dataclass
@@ -117,31 +120,23 @@ def generate_sequential_workload(
     size_bytes: int,
     *,
     read_fraction: float = 1.0,
-    interarrival_ns: int = 2_000,
-    address_space_bytes: Optional[int] = None,
     seed: int = 42,
 ) -> List[IORequest]:
-    """Back-to-back sequential workload used for the bandwidth sweeps."""
-    # This generator bypasses SyntheticWorkloadConfig, so repeat the checks
-    # that would otherwise fire at declaration time.
-    if num_requests <= 0:
-        raise ValueError("num_requests must be positive")
-    if size_bytes <= 0:
-        raise ValueError("size_bytes must be positive")
-    if interarrival_ns < 0:
-        raise ValueError("interarrival_ns must be non-negative")
+    """Back-to-back sequential workload used for the bandwidth sweeps.
+
+    Request ``i`` covers ``[i * size_bytes, (i + 1) * size_bytes)`` and
+    arrives at ``i * SEQUENTIAL_INTERARRIVAL_NS``.
+    """
     rng = random.Random(seed)
     requests: List[IORequest] = []
-    offset = 0
-    now = 0
-    space = address_space_bytes or num_requests * size_bytes
-    for _ in range(num_requests):
-        if offset + size_bytes > space:
-            offset = 0
+    for index in range(num_requests):
         kind = IOKind.READ if rng.random() < read_fraction else IOKind.WRITE
         requests.append(
-            IORequest(kind=kind, offset_bytes=offset, size_bytes=size_bytes, arrival_ns=now)
+            IORequest(
+                kind=kind,
+                offset_bytes=index * size_bytes,
+                size_bytes=size_bytes,
+                arrival_ns=index * SEQUENTIAL_INTERARRIVAL_NS,
+            )
         )
-        offset += size_bytes
-        now += interarrival_ns
     return requests

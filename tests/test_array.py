@@ -83,7 +83,7 @@ class TestArrayLayout:
             (0, 2 * KB),
         ]
 
-    def test_range_offsets_past_last_shard_clamp(self):
+    def test_range_request_near_the_trace_end_lands_in_the_last_shard(self):
         # The trace ends at 1028 KB: two shards of 514 KB, rounded up to
         # 576 KB, so the lone request lands on the last shard.
         layout = ArrayLayout(num_devices=2, policy="range", chunk_bytes=64 * KB)
@@ -259,8 +259,6 @@ class TestArrayScaling:
         policies=("stripe", "range"),
         schedulers=("VAS", "SPK3"),
         num_requests=8,
-        chips_per_device=16,
-        seed=3,
     )
 
     def test_serial_and_process_backends_are_bit_identical(self):

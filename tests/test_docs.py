@@ -1,6 +1,7 @@
 """Docs stay truthful: links resolve, packages are documented."""
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import re
@@ -75,7 +76,9 @@ def _doc_commands():
                     yield f"{path.relative_to(REPO_ROOT)}:{number}", module, word
 
 
+@functools.lru_cache(maxsize=None)
 def _load_tool(name):
+    """Import ``tools/<name>.py`` once per session (the budget's parse cache spans its tests)."""
     path = REPO_ROOT / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -225,7 +228,7 @@ class TestApiBudget:
     #: A public function with a defaulted keyword-only parameter.
     SHARD_TABLE = {
         "experiments/array_scaling.py": (
-            "DEFAULT_CHUNK_KB = 64\n",
+            "CHUNK_KB = 64\n",
             "def shard_table(rows, *, decimal_places=2):\n    return rows\n",
         )
     }
@@ -286,6 +289,51 @@ class TestApiBudget:
         )
         assert "repro.experiments.spec:ArraySpec.stripe_width" in options
         assert unset == {"repro.experiments.spec:ArraySpec.stripe_width"}
+
+    #: A ``Phase`` field and a generator parameter no shipped caller sets.
+    PHASE_AND_GENERATOR = {
+        "scenarios/scenario.py": (
+            "    time_scale: float = 1.0\n",
+            "    num_devices: int = 1\n",
+        ),
+        "workloads/synthetic.py": (
+            "    interarrival_ns: int = 2_000,\n",
+            "    burst_bytes: int = 0,\n",
+        ),
+    }
+
+    def test_a_keyword_sets_only_the_options_of_its_callee(self, tmp_path):
+        # ``num_devices=`` passed to ``ArraySpec`` sets no ``Phase`` field of
+        # that name, and ``Tenant.random`` hands its keywords to its
+        # generator through the forwarding table.
+        options, unset = self.scan_copy(
+            tmp_path,
+            self.PHASE_AND_GENERATOR,
+            {
+                "tools/caller.py": (
+                    "ArraySpec(workload, num_devices=2, scheduler='SPK3')\n"
+                    "Tenant.random('t', num_requests=1, size_bytes=1, burst_bytes=4)\n"
+                ),
+            },
+        )
+        assert "repro.scenarios.scenario:Phase.num_devices" in options
+        assert "repro.workloads.synthetic:generate_random_workload.burst_bytes" in options
+        assert unset == {"repro.scenarios.scenario:Phase.num_devices"}
+
+    def test_a_positional_argument_sets_the_field_in_its_slot(self, tmp_path):
+        # ``WorkloadSpec.mixed`` forwards to ``SyntheticWorkloadConfig``, not
+        # to the random generator.
+        _, unset = self.scan_copy(
+            tmp_path,
+            self.PHASE_AND_GENERATOR,
+            {
+                "tools/caller.py": (
+                    "Phase('p', tenants, arrivals, 1.0, 2)\n"
+                    "WorkloadSpec.mixed('w', burst_bytes=4)\n"
+                ),
+            },
+        )
+        assert unset == {"repro.workloads.synthetic:generate_random_workload.burst_bytes"}
 
     def test_a_test_only_keyword_parameter_is_caught(self, tmp_path):
         options, unset = self.scan_copy(
@@ -387,11 +435,14 @@ class TestReachCensus:
 
         engine = _flags(add_engine_arguments(argparse.ArgumentParser()))
         fleet = [flags for flags in _flags(fleet_parser()) if flags not in engine]
-        export = _flags(_subcommands(obs_parser())["export"])
+        obs = [
+            (_flags(subparser), self.commands(entries, "-m", "repro.obs", name))
+            for name, subparser in _subcommands(obs_parser()).items()
+        ]
         for flags, commands in (
             (engine, entries),
             (fleet, self.commands(entries, "-m", "repro.experiments.fleet_sweep")),
-            (export, self.commands(entries, "-m", "repro.obs", "export")),
+            *obs,
         ):
             passed = {word for command in commands for word in command}
             missing = [strings for strings in flags if not passed & set(strings)]

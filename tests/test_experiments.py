@@ -177,7 +177,6 @@ class TestSweepFigures:
             scenarios,
             schedulers=("VAS", "SPK3"),
             device_counts=(1, 2),
-            chips_per_device=16,
         )
         assert len(rows) == len(scenarios) * 2 * 2
         by_cell = {
@@ -198,7 +197,7 @@ class TestSweepFigures:
         from repro.scenarios.library import default_scenarios
 
         scenarios = default_scenarios(scale=0.2, seed=3)
-        kwargs = dict(schedulers=("VAS", "SPK3"), device_counts=(1, 2), chips_per_device=16)
+        kwargs = dict(schedulers=("VAS", "SPK3"), device_counts=(1, 2))
         serial = scenario_matrix.run_scenario_matrix(
             scenarios, **kwargs, engine=ExecutionEngine("serial")
         )

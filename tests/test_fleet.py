@@ -28,6 +28,7 @@ from repro.fleet import (
     tenant_demands,
 )
 from repro.fleet.result import FleetResult
+from repro.fleet.spec import BACKGROUND_REQUEST_BYTES, BACKGROUND_SPAN_BYTES
 from repro.metrics.attribution import (
     AttributionReport,
     TenantPhaseStats,
@@ -50,7 +51,6 @@ from repro.workloads.build import freeze_requests, strip_request_tags, thaw_requ
 from repro.workloads.request import IOKind, IORequest
 
 KB = 1024
-MB = 1024 * KB
 PLACEMENTS = ["round-robin", "least-loaded", "hash"]
 
 
@@ -122,7 +122,7 @@ def _tiny_fleet_spec(placement="round-robin", **overrides):
         nodes=(
             FleetNodeSpec(name="n0", devices=("slc-gen1",)),
             FleetNodeSpec(name="n1", devices=("mlc-gen1",)),
-            FleetNodeSpec(name="n2", devices=("slc-gen1",), scheduler="SPK2"),
+            FleetNodeSpec(name="n2", devices=("slc-gen1",)),
         ),
         placement=placement,
         tenant_policies=(
@@ -324,25 +324,23 @@ class TestBackground:
     def test_jobs_claim_distinct_windows_in_declaration_order(self):
         foreground = [_req(i * KB, arrival=i * 100) for i in range(64)]
         first = BackgroundJob(kind="scrub", node="n0", num_requests=4)
-        second = BackgroundJob(kind="rebuild", node="n0", num_requests=4)
+        second = BackgroundJob(kind="gc-debt", node="n0", num_requests=4)
         streams, stats = schedule_background(foreground, [first, second], num_windows=8)
         # Streams and stats stay in declaration order; the first job takes
         # the emptiest window and the second the next one.
-        assert [stat.kind for stat in stats] == ["scrub", "rebuild"]
-        assert [io.tenant for io in streams[1]] == ["bg:rebuild"] * 4
+        assert [stat.kind for stat in stats] == ["scrub", "gc-debt"]
+        assert [io.tenant for io in streams[1]] == ["bg:gc-debt"] * 4
         valleys = find_load_valleys([io.arrival_ns for io in foreground], 8)
         assert [stat.start_ns for stat in stats] == [w.start_ns for w in valleys[:2]]
 
     def test_gc_debt_writes_inside_span(self):
-        job = BackgroundJob(
-            kind="gc-debt", node="n0", num_requests=16, size_bytes=8 * KB,
-            address_span_bytes=1 * MB,
-        )
+        job = BackgroundJob(kind="gc-debt", node="n0", num_requests=16)
         streams, _ = schedule_background([], [job], num_windows=4)
+        size = BACKGROUND_REQUEST_BYTES
         for io in streams[0]:
             assert io.kind == IOKind.WRITE
-            assert 0 <= io.offset_bytes <= 1 * MB - 8 * KB
-            assert io.offset_bytes % (8 * KB) == 0
+            assert 0 <= io.offset_bytes <= BACKGROUND_SPAN_BYTES - size
+            assert io.offset_bytes % size == 0 and io.size_bytes == size
 
     def test_empty_foreground_still_schedules(self):
         job = BackgroundJob(kind="scrub", node="n0", num_requests=3)
@@ -582,7 +580,6 @@ class TestFleetSweep:
             fleet_sizes=(2,),
             placements=("round-robin", "hash"),
             requests_per_tenant=8,
-            zoo_cycle=("slc-gen1", "mlc-gen1"),
         )
         assert len(rows) == 2
         for row in rows:

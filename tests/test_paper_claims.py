@@ -115,14 +115,12 @@ ARTIFACTS: dict[str, Callable[[ExecutionEngine], Any]] = {
         policies=("stripe", "range"),
         schedulers=("VAS", "SPK3"),
         num_requests=16,
-        chips_per_device=16,
         engine=engine,
     ),
     "scenario matrix": lambda engine: scenario_matrix.run_scenario_matrix(
         default_scenarios(scale=0.5, seed=7),
         schedulers=("VAS", "SPK3"),
         device_counts=(1, 2),
-        chips_per_device=16,
         engine=engine,
     ),
     "ablation": _ablations,

@@ -156,7 +156,13 @@ class TestSimulationResult:
     def test_latency_and_stall(self):
         result = make_result()
         assert result.avg_latency_ns == pytest.approx(2000)
-        assert result.queue_stall_fraction == pytest.approx(0.1)
+        assert result.mean_backlog_requests == pytest.approx(0.1)
+
+    def test_mean_backlog_exceeds_one_when_requests_wait_together(self):
+        # Three requests stalled for the whole 1 ms makespan, plus one for half.
+        result = make_result(queue_stall_time_ns=3_500_000)
+        assert result.mean_backlog_requests == 3.5
+        assert result.summary_row()["mean_backlog"] == 3.5
 
     def test_idleness_properties(self):
         result = make_result()
@@ -172,7 +178,7 @@ class TestSimulationResult:
         result = make_result(makespan_ns=0)
         assert result.bandwidth_kb_s == 0.0
         assert result.iops == 0.0
-        assert result.queue_stall_fraction == 0.0
+        assert result.mean_backlog_requests == 0.0
 
     def test_summary_row(self):
         row = make_result().summary_row()

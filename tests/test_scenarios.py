@@ -27,7 +27,11 @@ from repro.scenarios.library import (
 )
 from repro.sim.config import SimulationConfig
 from repro.workloads.request import IOKind, IORequest
-from repro.workloads.synthetic import generate_random_workload, generate_sequential_workload
+from repro.workloads.synthetic import (
+    SEQUENTIAL_INTERARRIVAL_NS,
+    generate_random_workload,
+    generate_sequential_workload,
+)
 
 KB = 1024
 MB = 1024 * KB
@@ -212,9 +216,7 @@ class TestCharacterize:
         assert stats.mean_queue_depth == 0.0
 
     def test_sequential_stream_statistics(self):
-        stream = generate_sequential_workload(
-            num_requests=16, size_bytes=8 * KB, interarrival_ns=1_000
-        )
+        stream = generate_sequential_workload(num_requests=16, size_bytes=8 * KB)
         stats = characterize(stream)
         assert stats.num_requests == 16
         assert stats.total_bytes == 16 * 8 * KB
@@ -222,7 +224,7 @@ class TestCharacterize:
         assert stats.sequentiality == 1.0
         assert stats.working_set_bytes == 16 * 8 * KB
         assert stats.interarrival_cv == 0.0
-        assert stats.duration_ns == 15_000
+        assert stats.duration_ns == 15 * SEQUENTIAL_INTERARRIVAL_NS
 
     def test_queue_depth_against_nominal_service(self):
         # 4 requests at t=0, within one nominal service time: all outstanding

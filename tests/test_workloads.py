@@ -59,12 +59,6 @@ class TestSyntheticGenerators:
         for earlier, later in zip(workload, workload[1:]):
             assert later.offset_bytes == earlier.end_offset_bytes
 
-    def test_sequential_wraps_at_address_space(self):
-        workload = generate_sequential_workload(
-            num_requests=4, size_bytes=4 * KB, address_space_bytes=8 * KB
-        )
-        assert all(io.end_offset_bytes <= 8 * KB for io in workload)
-
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -82,22 +76,6 @@ class TestSyntheticGenerators:
         values.update(overrides)
         with pytest.raises(ValueError):
             SyntheticWorkloadConfig(**values)
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(num_requests=0),
-            dict(size_bytes=-4096),
-            dict(interarrival_ns=-1),
-        ],
-    )
-    def test_sequential_generator_validation(self, overrides):
-        values = dict(num_requests=4, size_bytes=4 * KB)
-        values.update(overrides)
-        num_requests = values.pop("num_requests")
-        size_bytes = values.pop("size_bytes")
-        with pytest.raises(ValueError):
-            generate_sequential_workload(num_requests, size_bytes, **values)
 
 
 class TestDatacenterTraces:

@@ -17,19 +17,33 @@ calls, which is how such helpers creep back in.  Homonyms are the job of
 the reachability census (``tools/reach.py``), which runs every shipped
 entry point and reports the functions that never ran.
 
-The option scan applies the same rule to the configuration surface: the
+The option scan holds the configuration surface to the same standard: the
 dataclass fields of :data:`OPTION_CLASSES` (``SimulationConfig`` and every
 dataclass it nests, ``SimJob`` and ``ArraySpec``, the scenario DSL's
 tenants, phases, scenarios and arrival processes, and the fleet specs), and
 the keyword-only parameters of every public function and method under
 ``src/`` (a constructor's are named after its class).  Only a field or a
-parameter with a default is an option: every call sets a required one.  The
-scan is name-based too.  An option is *set* when a file under
-:data:`CALLER_ROOTS` passes it by keyword name outside the body of the
-class or function that declares it, or a device-zoo TOML file sets the key.
-A ``**mapping`` splat sets nothing, and neither does a pass of the form
+parameter with a default is an option: every call sets a required one.
+
+An option is *set* when a file under :data:`CALLER_ROOTS`, outside the body
+of the class or function that declares it, calls one of the option's own
+callees with it (see :func:`_callees` for how a call is named):
+
+* the declaring class or function itself (a method also as ``x.m``);
+* one of the class's own ``**kwargs`` methods (``SimulationConfig``'s
+  ``with_overrides``, ``small`` and ``paper_scale``), or ``replace`` for a
+  dataclass;
+* an entry of :data:`FORWARDS`, the ``WorkloadSpec``/``Tenant`` constructors
+  that hand their keywords to a generator, or ``ARTIFACTS[key].run``, which
+  calls the key's runner.
+
+The same keyword passed to any other callee sets nothing: ``seed=`` passed
+to ``fleet_scenario`` sets no other function's ``seed``.  A positional
+argument to a dataclass sets the field in its slot, and a device-zoo TOML
+key sets the field of its section's class (:data:`ZOO_SECTIONS`).  A
+``**mapping`` splat sets nothing, and neither does a pass of the form
 ``f=<expr>.f`` to a dataclass field ``f``: copying a field from one spec to
-the next sets nothing.  A keyword-only parameter keeps plain name counting,
+the next sets nothing.  A keyword-only parameter does count such a pass,
 because ``progress=args.progress`` is a choice made on the command line.
 An option nobody but the tests sets is a constant in disguise.
 
@@ -41,12 +55,13 @@ allowlisted, so CI can run it bare.
 from __future__ import annotations
 
 import ast
+import functools
 import re
 import sys
 import tomllib
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -143,8 +158,27 @@ OPTION_CLASSES = (
     ),
 )
 
-#: Where the device zoo's TOML files live; their keys set options.
+#: Calls that pass their keywords on to a generator, by callee (see
+#: :func:`_callees`): the ``WorkloadSpec`` and ``Tenant`` constructors.
+FORWARDS = {
+    f"{spec}.{constructor}": generator
+    for spec in ("WorkloadSpec", "Tenant")
+    for constructor, generator in (
+        ("datacenter", "generate_datacenter_trace"),
+        ("random", "generate_random_workload"),
+        ("sequential", "generate_sequential_workload"),
+        ("mixed", "SyntheticWorkloadConfig"),
+    )
+}
+
+#: The module of the ``ARTIFACTS`` registry, whose ``Artifact.run`` calls
+#: its runner.
+ARTIFACTS_MODULE = "src/repro/experiments/figures.py"
+
+#: Where the device zoo's TOML files live, and the class each section's keys
+#: are passed to (``[device]`` names the device and sets no option).
 ZOO_GLOB = "src/repro/devices/zoo/*.toml"
+ZOO_SECTIONS = {"geometry": "SSDGeometry", "timing": "FlashTiming", "config": "SimulationConfig"}
 
 #: Options kept although only the tests set them: the paper-claims ledger
 #: (``tests/test_paper_claims.py``) sets them to test a design claim or to
@@ -162,6 +196,12 @@ OPTION_ALLOWLIST = {
     "repro.scenarios.library:default_scenarios.scale": (
         'ledger artifact "scenario matrix" runs the scenario set at half its request counts'
     ),
+    "repro.scenarios.library:default_scenarios.seed": (
+        'ledger artifact "scenario matrix" builds the scenario set from its own seed'
+    ),
+    "repro.experiments.array_scaling:run_array_scaling.num_requests": (
+        'ledger artifact "array" sizes the array workload at 16 requests'
+    ),
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
@@ -169,6 +209,16 @@ _DOTTED = re.compile(r"[A-Za-z_][\w.:]*")
 
 def _python_files(root: Path, directory: str) -> Iterator[Path]:
     yield from sorted((root / directory).rglob("*.py"))
+
+
+def _parse(path: Path) -> ast.Module:
+    """The syntax tree of ``path``; the scans only read it, so equal sources share one."""
+    return _parse_source(path.read_text(encoding="utf-8"))
+
+
+@functools.lru_cache(maxsize=None)
+def _parse_source(source: str) -> ast.Module:
+    return ast.parse(source)
 
 
 def _is_enum(node: ast.ClassDef) -> bool:
@@ -238,7 +288,7 @@ def scan(root: Path = REPO_ROOT) -> Tuple[List[str], List[str]]:
         for path in _python_files(root, directory):
             if path.resolve() == Path(__file__).resolve():
                 continue  # the allowlist names its entries; that is no call
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            tree = _parse(path)
             references.update(_references(tree, strings=path.name != "__init__.py"))
             if directory == "src":
                 module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
@@ -259,7 +309,7 @@ def _classes(root: Path) -> Dict[str, Tuple[str, ast.ClassDef]]:
     classes: Dict[str, Tuple[str, ast.ClassDef]] = {}
     for path in _python_files(root, "src"):
         module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tree = _parse(path)
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 classes[node.name] = (module, node)
@@ -322,20 +372,57 @@ def _keyword_only_options(module: str, tree: ast.Module) -> Iterator[Tuple[str, 
                     yield from parameters(method, f"{node.name}.{method.name}.")
 
 
-def _options(root: Path) -> Tuple[Dict[str, ast.AST], Dict[str, ast.AST]]:
-    """``(dataclass options, keyword-only options)``: qualified names with their owner."""
+def _forwarders(node: ast.ClassDef) -> List[str]:
+    """The methods of ``node`` that take ``**kwargs``: they pass keywords to the class."""
+    return [
+        method.name
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.args.kwarg is not None
+    ]
+
+
+def _init_fields(node: ast.ClassDef) -> List[ast.AnnAssign]:
+    """A dataclass's init fields in declaration order: its positional slots."""
+    return [
+        statement
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+        and _is_init_field(statement)
+    ]
+
+
+class _Option(NamedTuple):
+    """One option: where it is declared and which calls may set it."""
+
+    #: The class or function that declares the option.
+    owner: ast.AST
+    #: The callee names (see :func:`_callees`) whose keywords set it.
+    callees: Set[str]
+    #: A dataclass field's position among its constructor's arguments.
+    slot: Optional[int] = None
+
+
+def _options(root: Path) -> Dict[str, _Option]:
+    """Every option of the configuration surface by qualified name."""
     classes = _classes(root)
-    fields_found: Dict[str, ast.AST] = {}
+    forwarded: Dict[str, Set[str]] = {}
+    for caller, target in FORWARDS.items():
+        forwarded.setdefault(target, set()).add(caller)
+
+    def class_callees(name: str) -> Set[str]:
+        callees = {name, *forwarded.get(name, ())}
+        if _is_dataclass(classes[name][1]):
+            callees.add("replace")
+        for method in _forwarders(classes[name][1]):
+            callees |= {method, f"{name}.{method}"}
+        return callees
+
+    found: Dict[str, _Option] = {}
 
     def fields(name: str, nested: bool) -> None:
         module, node = classes[name]
-        for statement in node.body:
-            if not (
-                isinstance(statement, ast.AnnAssign)
-                and isinstance(statement.target, ast.Name)
-                and _is_init_field(statement)
-            ):
-                continue
+        for slot, statement in enumerate(_init_fields(node)):
             inner = [
                 other
                 for other in _annotation_names(statement.annotation)
@@ -345,64 +432,132 @@ def _options(root: Path) -> Tuple[Dict[str, ast.AST], Dict[str, ast.AST]]:
                 for other in inner:
                     fields(other, nested)
             elif statement.value is not None:  # every construction sets a required field
-                fields_found[f"{module}:{name}.{statement.target.id}"] = node
+                found[f"{module}:{name}.{statement.target.id}"] = _Option(
+                    node, class_callees(name), slot
+                )
 
     for name, nested in OPTION_CLASSES:
         fields(name, nested)
-    parameters: Dict[str, ast.AST] = {}
     for path in _python_files(root, "src"):
         module = ".".join(path.relative_to(root / "src").with_suffix("").parts)
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        parameters.update(_keyword_only_options(module, tree))
-    return fields_found, parameters
+        tree = _parse(path)
+        for option, owner in _keyword_only_options(module, tree):
+            if isinstance(owner, ast.ClassDef):
+                callees = class_callees(owner.name)
+            else:
+                # ``f`` for a function, ``C.m`` for a method (also called as ``x.m``).
+                qualified = option.split(":")[1].rsplit(".", 1)[0]
+                callees = {owner.name, qualified, *forwarded.get(qualified, ())}
+            found[option] = _Option(owner, callees)
+    return found
 
 
-def _keywords(tree: ast.AST, forwards: bool = True) -> Counter:
-    """Keyword names passed in the calls of ``tree``.
+def _artifact_runners(root: Path) -> Dict[str, str]:
+    """``{artifact key: runner name}`` of the ``ARTIFACTS`` registry."""
+    tree = _parse(root / ARTIFACTS_MODULE)
+    runners: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "ARTIFACTS":
+            for key, value in zip(node.value.keys, node.value.values):
+                runner = value.args[1]
+                runners[key.value] = runner.attr if isinstance(runner, ast.Attribute) else runner.id
+    return runners
 
-    ``forwards=False`` skips a pass of the form ``f=<expr>.f``: copying a
-    field from one spec to the next sets nothing.
+
+def _callees(call: ast.Call, runners: Dict[str, str], artifacts: Set[str]) -> List[str]:
+    """The names ``call`` is matched by.
+
+    ``f(...)`` is ``f``; ``C.m(...)`` on a capitalised name is ``C.m``, any
+    other ``x.m(...)`` is ``m``.  ``ARTIFACTS[key].run(...)`` is the key's
+    runner, and the ``run`` of a name bound to ``ARTIFACTS[...]`` is every
+    runner.
     """
-    # ``keyword.arg`` is None for a ``**mapping`` splat.
-    return Counter(
-        keyword.arg
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if not isinstance(func, ast.Attribute):
+        return []
+    receiver = func.value
+    if func.attr == "run":
+        if (
+            isinstance(receiver, ast.Subscript)
+            and getattr(receiver.value, "id", None) == "ARTIFACTS"
+            and isinstance(receiver.slice, ast.Constant)
+        ):
+            return [runners[receiver.slice.value]]
+        if isinstance(receiver, ast.Name) and receiver.id in artifacts:
+            return list(runners.values())
+    if isinstance(receiver, ast.Name) and receiver.id[:1].isupper():
+        return [f"{receiver.id}.{func.attr}"]
+    return [func.attr]
+
+
+def _settings(tree: ast.AST, runners: Dict[str, str]) -> Counter:
+    """``(callee, keyword)`` and ``(callee, position)`` passes in the calls of ``tree``.
+
+    A keyword of the form ``f=<expr>.f`` counts as ``(callee, "=f")``: it
+    copies a field from one spec to the next.  A ``**mapping`` splat sets
+    nothing, and no position counts after a ``*sequence`` splat.
+    """
+    artifacts = {
+        target.id
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        for keyword in node.keywords
-        if keyword.arg
-        and (
-            forwards
-            or not (isinstance(keyword.value, ast.Attribute) and keyword.value.attr == keyword.arg)
-        )
-    )
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Subscript)
+        and getattr(node.value.value, "id", None) == "ARTIFACTS"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    passes: Counter = Counter()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        keys: List[object] = []
+        for position, argument in enumerate(node.args):
+            if isinstance(argument, ast.Starred):
+                break
+            keys.append(position)
+        for keyword in node.keywords:
+            if keyword.arg is None:  # a ``**mapping`` splat
+                continue
+            copied = isinstance(keyword.value, ast.Attribute) and keyword.value.attr == keyword.arg
+            keys.append(f"={keyword.arg}" if copied else keyword.arg)
+        for callee in _callees(node, runners, artifacts):
+            passes.update((callee, key) for key in keys)
+    return passes
 
 
 def scan_options(root: Path = REPO_ROOT) -> Tuple[List[str], List[str]]:
     """``(every option, the unset ones)`` of the configuration surface."""
-    fields, parameters = _options(root)
-    keywords: Counter = Counter()
-    set_fields: Counter = Counter()
+    options = _options(root)
+    runners = _artifact_runners(root)
+    passes: Counter = Counter()
     for directory in CALLER_ROOTS:
         for path in _python_files(root, directory):
             if path.resolve() != Path(__file__).resolve():
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-                keywords.update(_keywords(tree))
-                set_fields.update(_keywords(tree, forwards=False))
-    zoo_keys: Set[str] = set()
+                passes.update(_settings(_parse(path), runners))
     for path in sorted(root.glob(ZOO_GLOB)):
-        for section in tomllib.loads(path.read_text(encoding="utf-8")).values():
-            zoo_keys.update(section)
+        for section, keys in tomllib.loads(path.read_text(encoding="utf-8")).items():
+            if section in ZOO_SECTIONS:
+                passes.update((ZOO_SECTIONS[section], key) for key in keys)
+    owners: Dict[int, Counter] = {}
     unset = []
-    for options, counted, forwards in (
-        (fields, set_fields, False),
-        (parameters, keywords, True),
-    ):
-        for option, owner in options.items():
-            name = option.rsplit(".", 1)[1]
-            # The declaring class or function passing its own option sets nothing.
-            if name not in zoo_keys and counted[name] - _keywords(owner, forwards)[name] <= 0:
-                unset.append(option)
-    return [*fields, *parameters], unset
+    for qualified, option in options.items():
+        name = qualified.rsplit(".", 1)[1]
+        owner = qualified.split(":")[1].split(".")[0]
+        # A keyword-only parameter copied from a spec (``x=args.x``) is a choice.
+        keys = [(callee, name) for callee in option.callees]
+        if option.slot is None:
+            keys += [(callee, f"={name}") for callee in option.callees]
+        else:
+            keys.append((owner, option.slot))
+        # The declaring class or function passing its own option sets nothing.
+        own = owners.get(id(option.owner))
+        if own is None:
+            own = owners[id(option.owner)] = _settings(option.owner, runners)
+        if sum(passes[key] - own[key] for key in keys) <= 0:
+            unset.append(qualified)
+    return list(options), unset
 
 
 def src_lines(root: Path = REPO_ROOT) -> int:

@@ -134,6 +134,20 @@ CHAINS: Tuple[Tuple[Tuple[str, ...], ...], ...] = (
         for scenario in ("steady", "bursty", "diurnal")
         for suffix in ("html", "md")
     ),
+    (
+        (
+            "-m", "repro.obs", "report", "--scenario", "bursty",
+            "--chips", "16", "--slo-p99-us", "200000", "-o", "bursty.slo.html",
+        ),
+    ),
+    (
+        (
+            "-m", "repro.obs", "report", "--scenario", "steady",
+            "--scheduler", "VAS", "--chips", "8", "--seed", "3", "--health-interval-us", "100",
+            "--slo-mean-us", "50000", "--slo-p99-us", "200000", "--slo-p999-us", "400000",
+            "-o", "steady.slo.md",
+        ),
+    ),
 )
 ENTRY_POINTS = tuple(entry for chain in CHAINS for entry in chain)
 #: Chains run at once: the machine's cores, at most two.
